@@ -12,10 +12,10 @@ model holds up at least as well as the backprop baseline here.
 import numpy as np
 
 from gpcn.graph import SyntheticSpec, generate_synthetic
-from gpcn.bp import TrainConfig
-from gpcn.pc import PCConfig
+from gpcn.bp import TrainConfig, train_bp
+from gpcn.pc import PCConfig, train_pc
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
-from gpcn.harness import GCNTrainer, GPCNTrainer
+from gpcn.harness import Trainer
 
 SPEC = SyntheticSpec(num_blocks=2, nodes_per_block=75,
                      intra_block_edge_prob=0.12, inter_block_edge_prob=0.02,
@@ -43,8 +43,8 @@ def sweep(make_trainer, graph, kind, mode, budgets, seeds=range(3)):
 def main():
     graph = generate_synthetic(SPEC, seed=42)
     trainers = {
-        "gcn": lambda s: GCNTrainer(TrainConfig(epochs=EPOCHS, seed=s)),
-        "gpcn": lambda s: GPCNTrainer(PCConfig(epochs=EPOCHS, seed=s)),
+        "gcn": lambda s: Trainer(train_bp, TrainConfig(epochs=EPOCHS, seed=s)),
+        "gpcn": lambda s: Trainer(train_pc, PCConfig(epochs=EPOCHS, seed=s)),
     }
 
     rates = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]

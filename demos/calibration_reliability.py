@@ -13,7 +13,7 @@ import numpy as np
 
 from gpcn.graph import SyntheticSpec, generate_synthetic, normalize_adjacency
 from gpcn.bp import TrainConfig, train_bp, predict
-from gpcn.pc import PCConfig, train_pc, pc_predict
+from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import expected_calibration_error
 
 SPEC = SyntheticSpec(num_blocks=4, nodes_per_block=75,
@@ -37,14 +37,12 @@ def main():
     adj = normalize_adjacency(graph)
     mask = graph.mask("test")
 
-    for name, trainer, predictor, config in [
-        ("gcn", train_bp, predict, TrainConfig(epochs=300, weight_lr=0.001,
-                                               seed=0)),
-        ("gpcn", train_pc, pc_predict, PCConfig(epochs=300, weight_lr=0.001,
-                                                seed=0)),
+    for name, trainer, config in [
+        ("gcn", train_bp, TrainConfig(epochs=300, weight_lr=0.001, seed=0)),
+        ("gpcn", train_pc, PCConfig(epochs=300, weight_lr=0.001, seed=0)),
     ]:
         params, _ = trainer(graph, config)
-        probs = predictor(adj, graph.features, params)
+        probs = predict(adj, graph.features, params)
         report = expected_calibration_error(probs, graph.labels, mask)
         print(f"{name}: ece={report.ece:.4f}  mce={report.mce:.4f}")
         print(reliability_table(report))

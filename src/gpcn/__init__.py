@@ -16,7 +16,7 @@ from gpcn.graph import (
 )
 from gpcn.nn import AdamState, ModelParams, adam_step, glorot_init
 from gpcn.bp import TrainConfig, TrainHistory, gcn_forward, predict, train_bp
-from gpcn.pc import PCConfig, PCState, pc_predict, train_pc
+from gpcn.pc import PCConfig, PCState, train_pc
 from gpcn.calibration import (
     CalibrationReport,
     classification_margins,
@@ -61,7 +61,6 @@ __all__ = [
     "largest_connected_component",
     "load_dataset",
     "normalize_adjacency",
-    "pc_predict",
     "predict",
     "propagate",
     "random_global_poison",

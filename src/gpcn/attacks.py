@@ -312,16 +312,3 @@ def evaluate_attack(trainer, graph: Graph, victims: VictimSet,
                             holistic=holistic_metric(accuracy),
                             margins_before=margins_before,
                             margins_after=margins_after)
-
-
-def margin_shift_export(before, after, condition: dict) -> list[dict]:
-    """Flatten matched before/after margin records into CSV-ready rows."""
-    if len(before) != len(after):
-        raise ValueError("victim sets do not match")
-    rows = []
-    for b, a in zip(before, after):
-        if b.node != a.node:
-            raise ValueError("victim sets do not match")
-        rows.append({"node": b.node, "margin_before": b.margin,
-                     "margin_after": a.margin, **condition})
-    return rows

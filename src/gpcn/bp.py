@@ -1,5 +1,6 @@
-"""Backpropagation baseline: K-layer GCN with a manual reverse pass and a
-full-batch Adam training loop with validation-based model selection."""
+"""Backpropagation baseline: K-layer GCN with a manual reverse pass, and the
+full-batch Adam training loop with validation-based model selection that
+both backends share."""
 
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
     train_acc: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     test_acc: list[float] = field(default_factory=list)
@@ -87,9 +87,17 @@ def accuracy(probs_or_logits, labels, mask) -> float:
     return float(np.mean(pred == labels[sel]))
 
 
-def train_bp(graph: Graph, config: TrainConfig):
-    """Full-batch Adam training; returns the snapshot with best val accuracy
-    (ties broken by earliest epoch) together with the epoch history."""
+def fit(graph: Graph, config: TrainConfig, epoch):
+    """Full-batch training loop shared by both backends.
+
+    ``epoch(adj, params, opt, train_mask)`` updates ``params`` in place
+    through the Adam state ``opt`` and returns the settled energy (predictive
+    coding) or None (backprop). After every epoch the weights are evaluated
+    by the GCN forward pass, which is also the feedforward state of a
+    predictive-coding network. Returns the snapshot with the best val
+    accuracy, ties broken by lowest energy, then earliest epoch, together
+    with the epoch history.
+    """
     train_mask = graph.mask("train")
     val_mask = graph.mask("val")
     if not train_mask.any() or not val_mask.any():
@@ -103,28 +111,42 @@ def train_bp(graph: Graph, config: TrainConfig):
     opt = AdamState.for_params(params, config.weight_lr)
 
     history = TrainHistory()
-    best = (-1.0, None)
-    for epoch in range(config.epochs):
+    best_key = None
+    best_params = None
+    for i in range(config.epochs):
+        energy = epoch(adj, params, opt, train_mask)
+        if energy is not None:
+            if not np.isfinite(energy):
+                raise FloatingPointError(f"non-finite energy at epoch {i}")
+            history.energy.append(energy)
+
+        logits = gcn_forward(adj, graph.features, params).logits
+        history.train_acc.append(accuracy(logits, graph.labels, train_mask))
+        val = accuracy(logits, graph.labels, val_mask)
+        history.val_acc.append(val)
+        history.test_acc.append(accuracy(logits, graph.labels, test_mask))
+        key = (val, 0.0 if energy is None else -energy)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_params = params.copy()
+            history.selected_epoch = i
+    return best_params, history
+
+
+def train_bp(graph: Graph, config: TrainConfig):
+    """Backprop training through ``fit``: one cross-entropy gradient step
+    per epoch, so selection is best val accuracy, then earliest epoch."""
+
+    def epoch(adj, params, opt, train_mask):
         cache = gcn_forward(adj, graph.features, params)
         loss, grad = cross_entropy_masked(cache.logits, graph.labels,
                                           train_mask)
         if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-        grads = gcn_backward(adj, cache, grad, params)
-        adam_step(params, grads, opt)
+            # one Adam step per epoch, so opt.t counts the epochs done
+            raise FloatingPointError(f"non-finite loss at epoch {opt.t}")
+        adam_step(params, gcn_backward(adj, cache, grad, params), opt)
 
-        eval_cache = gcn_forward(adj, graph.features, params)
-        history.train_loss.append(loss)
-        history.train_acc.append(accuracy(eval_cache.logits, graph.labels,
-                                          train_mask))
-        val = accuracy(eval_cache.logits, graph.labels, val_mask)
-        history.val_acc.append(val)
-        history.test_acc.append(accuracy(eval_cache.logits, graph.labels,
-                                         test_mask))
-        if val > best[0]:
-            best = (val, params.copy())
-            history.selected_epoch = epoch
-    return best[1], history
+    return fit(graph, config, epoch)
 
 
 def predict(adj: NormalizedAdjacency, x: np.ndarray,

@@ -46,6 +46,8 @@ class MarginRecord:
 def confidences_and_predictions(probs: np.ndarray):
     """Row max as confidence, argmax as prediction (tie -> lowest index)."""
     probs = np.asarray(probs, dtype=np.float64)
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities must be finite")
     sums = probs.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValueError("probability rows must sum to 1")
@@ -97,17 +99,17 @@ def classification_margins(probs, labels, mask) -> list[MarginRecord]:
     if sel.size == 0:
         raise ValueError("empty mask")
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    records = []
-    for node in sel:
-        row = probs[node]
-        true = labels[node]
-        others = np.delete(row, true)
-        margin = float(row[true] - others.max())
-        correct = int(row.argmax()) == int(true)
-        records.append(MarginRecord(node=int(node), margin=margin,
-                                    correct=correct))
-    return records
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise ValueError("margins need at least 2 classes")
+    rows = probs[sel]
+    true = np.asarray(labels)[sel]
+    picked = np.arange(sel.size), true
+    others = rows.copy()
+    others[picked] = -np.inf
+    margins = rows[picked] - others.max(axis=1)
+    correct = rows.argmax(axis=1) == true
+    return [MarginRecord(node=int(node), margin=float(m), correct=bool(c))
+            for node, m, c in zip(sel, margins, correct)]
 
 
 def confidence_histogram(probs, mask, num_bins: int = 10) -> np.ndarray:

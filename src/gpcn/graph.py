@@ -100,13 +100,6 @@ class EdgeEdit:
         if self.kind not in ("add", "remove", "feature_flip"):
             raise ValueError(f"unknown edit kind {self.kind!r}")
 
-    def inverse(self) -> "EdgeEdit":
-        if self.kind == "add":
-            return EdgeEdit("remove", self.u, self.v)
-        if self.kind == "remove":
-            return EdgeEdit("add", self.u, self.v)
-        return self                # flipping twice restores the value
-
 
 def _canonical_edges(raw: np.ndarray) -> tuple[np.ndarray, int]:
     """Deduplicate and symmetrize an edge array; returns (edges, dropped self-loops)."""
@@ -142,6 +135,8 @@ def make_graph(num_nodes, features, labels, split, edges,
     if features.shape[0] != num_nodes:
         raise DatasetError(
             f"feature rows {features.shape[0]} != num_nodes {num_nodes}")
+    if not np.isfinite(features).all():
+        raise DatasetError("features must be finite")
     if labels.shape[0] != num_nodes or split.shape[0] != num_nodes:
         raise DatasetError("labels/splits length mismatch against num_nodes")
     if num_classes is None:
@@ -339,12 +334,3 @@ def apply_edits(g: Graph, edits) -> Graph:
              if edge_set else np.zeros((0, 2), dtype=np.int64))
     return make_graph(g.num_nodes, features, g.labels, g.split, edges,
                       num_classes=g.num_classes)
-
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    return (a.num_nodes == b.num_nodes
-            and a.num_classes == b.num_classes
-            and np.array_equal(a.edges, b.edges)
-            and np.array_equal(a.features, b.features)
-            and np.array_equal(a.labels, b.labels)
-            and np.array_equal(a.split, b.split))

@@ -24,7 +24,7 @@ from gpcn.graph import (Graph, SyntheticSpec, generate_synthetic,
                         normalize_adjacency, save_dataset)
 from gpcn.nn import ModelParams
 from gpcn.bp import TrainConfig, predict, train_bp
-from gpcn.pc import PCConfig, pc_predict, train_pc
+from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import (classification_margins, confidence_histogram,
                               expected_calibration_error)
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
@@ -79,12 +79,13 @@ class ExperimentConfig:
             return generate_synthetic(SyntheticSpec(**fields), seed)
         raise ValueError("config needs either a dataset path or a synthetic spec")
 
-    def train_config(self, seed: int):
+    def learner(self, seed: int):
+        """The train function of this config's model and its config."""
+        shared = dict(epochs=self.epochs, weight_lr=self.weight_lr,
+                      seed=seed, hidden_dims=self.hidden_dims)
         if self.model == "gcn":
-            return TrainConfig(epochs=self.epochs, weight_lr=self.weight_lr,
-                               seed=seed, hidden_dims=self.hidden_dims)
-        return PCConfig(epochs=self.epochs, weight_lr=self.weight_lr,
-                        seed=seed, hidden_dims=self.hidden_dims, **self.pc)
+            return train_bp, TrainConfig(**shared)
+        return train_pc, PCConfig(**shared, **self.pc)
 
 
 @dataclass
@@ -97,38 +98,21 @@ class RunRecord:
     checkpoint_path: str | None = None
 
 
-class GCNTrainer:
-    """Backprop backend behind the attack-protocol trainer interface."""
+class Trainer:
+    """A learner (train_bp or train_pc) and its config behind the
+    attack-protocol trainer interface. Both learners train the same GCN, so
+    one forward pass predicts for either."""
 
-    def __init__(self, config: TrainConfig):
+    def __init__(self, train_fn, config: TrainConfig):
+        self.train_fn = train_fn
         self.config = config
 
     def train(self, graph: Graph) -> ModelParams:
-        params, _ = train_bp(graph, self.config)
+        params, _ = self.train_fn(graph, self.config)
         return params
 
     def predict(self, graph: Graph, params: ModelParams) -> np.ndarray:
         return predict(normalize_adjacency(graph), graph.features, params)
-
-
-class GPCNTrainer:
-    """Predictive-coding backend behind the attack-protocol trainer interface."""
-
-    def __init__(self, config: PCConfig):
-        self.config = config
-
-    def train(self, graph: Graph) -> ModelParams:
-        params, _ = train_pc(graph, self.config)
-        return params
-
-    def predict(self, graph: Graph, params: ModelParams) -> np.ndarray:
-        return pc_predict(normalize_adjacency(graph), graph.features, params,
-                          self.config.mode)
-
-
-def make_trainer(config: ExperimentConfig, seed: int):
-    tc = config.train_config(seed)
-    return GCNTrainer(tc) if config.model == "gcn" else GPCNTrainer(tc)
 
 
 def _max_workers() -> int:
@@ -179,16 +163,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
 def _train_one(config: ExperimentConfig, graph: Graph,
                seed: int) -> tuple[RunRecord, ModelParams, object]:
     start = time.perf_counter()
-    tc = config.train_config(seed)
-    if config.model == "gcn":
-        params, history = train_bp(graph, tc)
-    else:
-        params, history = train_pc(graph, tc)
-    adj = normalize_adjacency(graph)
-    if config.model == "gcn":
-        probs = predict(adj, graph.features, params)
-    else:
-        probs = pc_predict(adj, graph.features, params, tc.mode)
+    train_fn, train_config = config.learner(seed)
+    params, history = train_fn(graph, train_config)
+    probs = predict(normalize_adjacency(graph), graph.features, params)
     test_mask = graph.mask("test")
     cal = expected_calibration_error(probs, graph.labels, test_mask,
                                      config.bins)
@@ -240,28 +217,15 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list[RunRecord]:
     return records
 
 
-def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10,
-                  probs_override: np.ndarray | None = None) -> dict:
-    """Emit bins.csv, histogram.csv, and report.json for one checkpoint.
-
-    ``probs_override`` is a test hook that bypasses the model and scores the
-    given probability rows directly.
-    """
+def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
+    """Emit bins.csv, histogram.csv, and report.json for one checkpoint."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = load_dataset(data_dir)
-    if probs_override is not None:
-        probs = probs_override
-    else:
-        params, meta = load_checkpoint(checkpoint)
-        if params.layer_dims[0] != graph.num_features:
-            raise ValueError("checkpoint input width does not match dataset")
-        adj = normalize_adjacency(graph)
-        if meta["model"] == "gpcn":
-            mode = meta.get("pc_config", {}).get("mode", "inter_layer")
-            probs = pc_predict(adj, graph.features, params, mode)
-        else:
-            probs = predict(adj, graph.features, params)
+    params, _ = load_checkpoint(checkpoint)
+    if params.layer_dims[0] != graph.num_features:
+        raise ValueError("checkpoint input width does not match dataset")
+    probs = predict(normalize_adjacency(graph), graph.features, params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
     hist = confidence_histogram(probs, test_mask, bins)
@@ -293,7 +257,7 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
     graph = config.load_graph()
 
     def run_seed(seed):
-        trainer = make_trainer(config, seed)
+        trainer = Trainer(*config.learner(seed))
         clean_params = trainer.train(graph)
         probs = trainer.predict(graph, clean_params)
         victims = select_victims(graph, probs, config.victim_strategy, seed)

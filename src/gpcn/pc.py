@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpcn.graph import Graph, NormalizedAdjacency, normalize_adjacency, propagate
-from gpcn.nn import (AdamState, ModelParams, adam_step, init_params, relu,
-                     relu_prime, softmax_rows)
-from gpcn.bp import TrainHistory, accuracy
+from gpcn.graph import Graph, NormalizedAdjacency, propagate
+from gpcn.nn import ModelParams, adam_step, relu, relu_prime
+from gpcn.bp import TrainConfig, fit
 
 INFERENCE_STEP_GRID = (12, 32, 50, 100)
 VALUE_RATE_GRID = (0.05, 0.1, 0.5, 1.0)
@@ -40,17 +39,14 @@ MAX_HALVINGS = 40
 
 
 @dataclass
-class PCConfig:
+class PCConfig(TrainConfig):
     inference_steps: int = 12
     value_update_rate: float = 0.1
-    weight_lr: float = 0.001
     weight_update_timing: str = "end_of_T"   # or "every_step"
-    epochs: int = 300
-    seed: int = 0
-    hidden_dims: tuple[int, ...] = (16,)
     mode: str = "inter_layer"                # or "intra_layer"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.inference_steps < 1:
             raise ValueError("inference_steps must be >= 1")
         if self.value_update_rate <= 0:
@@ -180,10 +176,12 @@ def compute_energy(state: PCState) -> float:
     return 0.5 * total
 
 
-def _free_rows(state: PCState, d: np.ndarray) -> None:
-    """Zero an output-layer direction on its clamped rows, in place."""
-    if state.output_mask is not None:
-        d[state.output_mask] = 0.0     # clamped targets never move
+def _free_layers(state: PCState) -> int:
+    """Number of layers, from the first, whose value nodes h[k] inference
+    moves. While targets are clamped the output layer has no move: its
+    clamped rows are fixed, and its free rows are outside the energy."""
+    K = state.num_layers
+    return K if state.output_mask is None else K - 1
 
 
 def _descend(adj: NormalizedAdjacency, state: PCState, params: ModelParams,
@@ -235,14 +233,12 @@ def inference_step(adj: NormalizedAdjacency, state: PCState,
     """
     K = params.num_layers
     moves = []
-    for k in range(1, K + 1):
+    for k in range(1, _free_layers(state) + 1):
         d = -_effective_eps(state, k)
         if k < K:
             back = propagate(adj, _effective_eps(state, k + 1)
                              @ params.weights[k].T)
             d = d + relu_prime(state.h[k]) * back
-        else:
-            _free_rows(state, d)
         moves.append((state.h, k, d))
     return _descend(adj, state, params, gamma, moves)
 
@@ -265,11 +261,11 @@ def intra_layer_step(adj: NormalizedAdjacency, state: PCState,
         eps_k = _effective_eps(state, k)
         moves.append((state.h_agg, k - 1, -state.eps_agg[k - 1]
                       + eps_k @ params.weights[k - 1].T))
+        if k > _free_layers(state):
+            continue
         d = -eps_k
         if k < K:
             d = d + relu_prime(state.h[k]) * propagate(adj, state.eps_agg[k])
-        else:
-            _free_rows(state, d)
         moves.append((state.h, k, d))
     return _descend(adj, state, params, gamma, moves)
 
@@ -289,34 +285,16 @@ def pc_weight_gradients(adj: NormalizedAdjacency, state: PCState,
     return grads
 
 
-def _step_fn(mode: str):
-    return intra_layer_step if mode == "intra_layer" else inference_step
-
-
 def train_pc(graph: Graph, config: PCConfig):
-    """Inference/weight-update training loop.
+    """Predictive-coding training through ``bp.fit``.
 
     Each epoch: feedforward init, clamp targets, T inference steps, weight
-    update(s) through Adam. Snapshot selection is best validation accuracy,
-    ties broken by lowest training energy, then earliest epoch.
+    update(s) through Adam. The epoch returns the settled training energy,
+    so selection breaks val-accuracy ties by lowest energy.
     """
-    train_mask = graph.mask("train")
-    val_mask = graph.mask("val")
-    if not train_mask.any() or not val_mask.any():
-        raise ValueError("graph needs nonempty train and val splits")
-    test_mask = graph.mask("test")
+    step = intra_layer_step if config.mode == "intra_layer" else inference_step
 
-    adj = normalize_adjacency(graph)
-    rng = np.random.default_rng(config.seed)
-    dims = [graph.num_features, *config.hidden_dims, graph.num_classes]
-    params = init_params(dims, rng)
-    opt = AdamState.for_params(params, config.weight_lr)
-    step = _step_fn(config.mode)
-
-    history = TrainHistory()
-    best_key = None
-    best_params = None
-    for epoch in range(config.epochs):
+    def epoch(adj, params, opt, train_mask):
         state = pc_init_feedforward(adj, graph.features, params, config.mode)
         clamp_targets(state, graph.labels, train_mask)
         for _ in range(config.inference_steps):
@@ -327,29 +305,6 @@ def train_pc(graph: Graph, config: PCConfig):
         if config.weight_update_timing == "end_of_T":
             adam_step(params, pc_weight_gradients(adj, state, params), opt)
             pc_predictions(adj, state, params)
-        energy = compute_energy(state)
-        if not np.isfinite(energy):
-            raise FloatingPointError(f"non-finite energy at epoch {epoch}")
+        return compute_energy(state)
 
-        logits = pc_init_feedforward(adj, graph.features, params,
-                                     config.mode).h[-1]
-        history.train_loss.append(energy)
-        history.energy.append(energy)
-        history.train_acc.append(accuracy(logits, graph.labels, train_mask))
-        val = accuracy(logits, graph.labels, val_mask)
-        history.val_acc.append(val)
-        history.test_acc.append(accuracy(logits, graph.labels, test_mask))
-        # maximize val accuracy, then minimize energy, then earliest epoch
-        key = (val, -energy)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_params = params.copy()
-            history.selected_epoch = epoch
-    return best_params, history
-
-
-def pc_predict(adj: NormalizedAdjacency, x: np.ndarray, params: ModelParams,
-               mode: str = "inter_layer") -> np.ndarray:
-    """Feedforward probabilities: softmax of the output-layer values."""
-    state = pc_init_feedforward(adj, x, params, mode)
-    return softmax_rows(state.h[-1])
+    return fit(graph, config, epoch)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gpcn.graph import SyntheticSpec, generate_synthetic, make_graph
+from gpcn.graph import EdgeEdit, SyntheticSpec, generate_synthetic, make_graph
 from gpcn.nn import ModelParams, init_params
 
 # verdict lines appended by the acceptance suite; echoed after the run
@@ -36,6 +36,37 @@ def random_graph(rng, num_nodes, num_features=3, num_classes=2,
 
 def random_model(rng, dims) -> ModelParams:
     return init_params(list(dims), rng)
+
+
+def graphs_equal(a, b) -> bool:
+    return (a.num_nodes == b.num_nodes
+            and a.num_classes == b.num_classes
+            and np.array_equal(a.edges, b.edges)
+            and np.array_equal(a.features, b.features)
+            and np.array_equal(a.labels, b.labels)
+            and np.array_equal(a.split, b.split))
+
+
+def inverse_edit(e: EdgeEdit) -> EdgeEdit:
+    """The edit that undoes ``e``."""
+    if e.kind == "add":
+        return EdgeEdit("remove", e.u, e.v)
+    if e.kind == "remove":
+        return EdgeEdit("add", e.u, e.v)
+    return e                   # flipping twice restores the value
+
+
+def margin_shift_export(before, after, condition: dict) -> list[dict]:
+    """Flatten matched before/after margin records into CSV-ready rows."""
+    if len(before) != len(after):
+        raise ValueError("victim sets do not match")
+    rows = []
+    for b, a in zip(before, after):
+        if b.node != a.node:
+            raise ValueError("victim sets do not match")
+        rows.append({"node": b.node, "margin_before": b.margin,
+                     "margin_after": a.margin, **condition})
+    return rows
 
 
 def central_difference(f, x, step=1e-5):

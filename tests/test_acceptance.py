@@ -15,21 +15,21 @@ import pytest
 from scipy.stats import spearmanr
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, apply_edits,
-                        generate_synthetic, graphs_equal, make_graph,
-                        normalize_adjacency)
+                        generate_synthetic, make_graph, normalize_adjacency)
 from gpcn.nn import ModelParams, cross_entropy_masked, init_params
 from gpcn.bp import TrainConfig, gcn_backward, gcn_forward, predict, train_bp
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
-                     intra_layer_step, pc_init_feedforward, pc_predict,
-                     pc_predictions, pc_weight_gradients, train_pc)
+                     intra_layer_step, pc_init_feedforward, pc_predictions,
+                     pc_weight_gradients, train_pc)
 from gpcn.calibration import (classification_margins,
                               expected_calibration_error)
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
-from gpcn.harness import ExperimentConfig, GCNTrainer, GPCNTrainer
+from gpcn.harness import ExperimentConfig, Trainer
 from gpcn.cli import main as cli_main
 
 import conftest
-from conftest import central_difference, random_graph, relative_error
+from conftest import (central_difference, graphs_equal, inverse_edit,
+                      random_graph, relative_error)
 from test_calibration import oracle_ece_mce_hist, random_probs
 from test_pc import clamped_random_state, numeric_value_gradients, one_node_chain
 
@@ -183,7 +183,7 @@ def test_criterion_4_calibration_ordering():
                                                   test_mask).ece)
         params, _ = train_pc(graph, PCConfig(epochs=300, weight_lr=0.001,
                                              seed=seed))
-        probs = pc_predict(adj, graph.features, params)
+        probs = predict(adj, graph.features, params)
         gpcn_ece.append(expected_calibration_error(probs, graph.labels,
                                                    test_mask).ece)
     m_gcn, m_gpcn = float(np.mean(gcn_ece)), float(np.mean(gpcn_ece))
@@ -258,12 +258,12 @@ def _attack_sweep(graph, kind, mode, budgets, make_trainer):
 def test_criterion_6_random_poisoning():
     graph = generate_synthetic(ATTACK_SPEC, 42)
     rates = [0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    gcn, _ = _attack_sweep(graph, "random_global", "poisoning", rates,
-                           lambda s: GCNTrainer(TrainConfig(epochs=150,
-                                                            seed=s)))
-    gpcn, _ = _attack_sweep(graph, "random_global", "poisoning", rates,
-                            lambda s: GPCNTrainer(PCConfig(epochs=150,
-                                                           seed=s)))
+    gcn, _ = _attack_sweep(
+        graph, "random_global", "poisoning", rates,
+        lambda s: Trainer(train_bp, TrainConfig(epochs=150, seed=s)))
+    gpcn, _ = _attack_sweep(
+        graph, "random_global", "poisoning", rates,
+        lambda s: Trainer(train_pc, PCConfig(epochs=150, seed=s)))
     monotone = all(b <= a + 0.01 for a, b in zip(gcn, gcn[1:])) \
         and all(b <= a + 0.01 for a, b in zip(gpcn, gpcn[1:]))
     ordered = gpcn[-1] >= gcn[-1]
@@ -277,10 +277,10 @@ def test_criterion_7_fga_evasion():
     budgets = [1, 2, 3, 4, 5]
     gcn, gcn_reports = _attack_sweep(
         graph, "fga_structure", "evasion", budgets,
-        lambda s: GCNTrainer(TrainConfig(epochs=150, seed=s)))
+        lambda s: Trainer(train_bp, TrainConfig(epochs=150, seed=s)))
     gpcn, gpcn_reports = _attack_sweep(
         graph, "fga_structure", "evasion", budgets,
-        lambda s: GPCNTrainer(PCConfig(epochs=150, seed=s)))
+        lambda s: Trainer(train_pc, PCConfig(epochs=150, seed=s)))
     holistic_exact = all(
         r.holistic == sum(q * r.accuracy[q] for q in budgets)
         for r in gcn_reports + gpcn_reports)
@@ -340,7 +340,7 @@ def test_criterion_9_structural_invariants():
              EdgeEdit("add" if not g.has_edge(1, 6) else "remove", 1, 6)]
     perturbed = apply_edits(g, edits)
     restored = apply_edits(perturbed,
-                           [e.inverse() for e in reversed(edits)])
+                           [inverse_edit(e) for e in reversed(edits)])
     checks.append(graphs_equal(restored, g))
 
     # permutation equivariance, both forward passes

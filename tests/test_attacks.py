@@ -12,10 +12,9 @@ from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
 from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
                           holistic_metric, loss_gradient_wrt_inputs,
-                          margin_shift_export, random_global_poison,
-                          select_victims)
+                          random_global_poison, select_victims)
 
-from conftest import random_graph
+from conftest import margin_shift_export, random_graph
 
 
 class FixedParamsTrainer:

@@ -53,6 +53,12 @@ class TestConfidences:
         with pytest.raises(ValueError, match="sum to 1"):
             confidences_and_predictions([[0.9, 0.3]])
 
+    def test_rejects_non_finite_rows(self):
+        # a NaN row passes the row-sum check, so ECE would be nan
+        probs = np.array([[np.nan, np.nan], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            expected_calibration_error(probs, [0, 1], np.ones(2, dtype=bool))
+
 
 class TestECE:
     def test_perfectly_calibrated_sample_is_zero(self):
@@ -128,6 +134,27 @@ class TestMargins:
         assert recs[0].margin == pytest.approx(0.5)
         assert recs[1].margin == pytest.approx(-0.5)
         assert recs[2].margin == 0.0
+
+    def test_one_class_rejected(self):
+        with pytest.raises(ValueError, match="2 classes"):
+            classification_margins(np.ones((3, 1)), np.zeros(3, dtype=int),
+                                   np.ones(3, dtype=bool))
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           k=st.integers(2, 6))
+    def test_matches_per_node_oracle_exactly(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        probs = random_probs(rng, n, k)
+        labels = rng.integers(0, k, n)
+        mask = rng.random(n) < 0.7
+        mask[0] = True
+        recs = classification_margins(probs, labels, mask)
+        assert [r.node for r in recs] == np.flatnonzero(mask).tolist()
+        for rec in recs:
+            row, true = probs[rec.node], labels[rec.node]
+            assert rec.margin == row[true] - np.delete(row, true).max()
+            assert rec.correct == (row.argmax() == true)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40))

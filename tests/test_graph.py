@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
-                        generate_synthetic, graphs_equal,
-                        largest_connected_component, load_dataset, make_graph,
-                        normalize_adjacency, propagate, save_dataset)
+                        generate_synthetic, largest_connected_component,
+                        load_dataset, make_graph, normalize_adjacency,
+                        propagate, save_dataset)
 
-from conftest import random_graph
+from conftest import graphs_equal, inverse_edit, random_graph
 
 
 def dense_normalized(g):
@@ -253,7 +253,7 @@ class TestApplyEdits:
         e = EdgeEdit("feature_flip", 0, 1)
         once = apply_edits(g, [e])
         assert once.features[0, 1] == 1.0
-        assert graphs_equal(apply_edits(once, [e.inverse()]), g)
+        assert graphs_equal(apply_edits(once, [inverse_edit(e)]), g)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000))
@@ -267,5 +267,6 @@ class TestApplyEdits:
             kind = "remove" if current.has_edge(u, v) else "add"
             edits.append(EdgeEdit(kind, int(u), int(v)))
             current = apply_edits(current, [edits[-1]])
-        restored = apply_edits(current, [e.inverse() for e in reversed(edits)])
+        restored = apply_edits(current,
+                               [inverse_edit(e) for e in reversed(edits)])
         assert graphs_equal(restored, g)

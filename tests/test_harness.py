@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gpcn.graph import load_dataset
-from gpcn.harness import (ExperimentConfig, cmd_calibrate, load_checkpoint)
+from gpcn.calibration import expected_calibration_error
+from gpcn.harness import ExperimentConfig, load_checkpoint
 from gpcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 
 SBM_SPEC = {"num_blocks": 2, "nodes_per_block": 30,
@@ -145,9 +146,8 @@ class TestCalibrateCommand:
             cls = g.labels[node] if hit else 1 - g.labels[node]
             probs[node] = [0.25, 0.25]
             probs[node, cls] = 0.75
-        payload = cmd_calibrate(None, data_dir, tmp_path / "cal",
-                                probs_override=probs)
-        assert payload["ece"] == pytest.approx(0.0, abs=1e-12)
+        report = expected_calibration_error(probs, g.labels, g.mask("test"))
+        assert report.ece == pytest.approx(0.0, abs=1e-12)
 
     def test_dim_mismatch_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -240,6 +240,27 @@ class TestExitCodes:
                                    "model": "gcn"}))
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
+
+    def test_data_error_on_non_finite_features(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SBM_SPEC))
+        data_dir = tmp_path / "data"
+        main(["dataset", "gen", "--spec", str(spec), "--seed", "5",
+              "--out", str(data_dir)])
+        features = data_dir / "features.csv"
+        rows = features.read_text().splitlines()
+        rows[3] = ",".join(["nan"] + rows[3].split(",")[1:])
+        features.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(data_dir), "model": "gcn"}))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("model", ["gcn", "gpcn"])
+    def test_usage_error_on_zero_epochs(self, tmp_path, model):
+        cfg = write_config(tmp_path, model=model, epochs=0, seeds=[0])
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
     def test_numeric_error_on_divergent_inference(self, tmp_path):
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],

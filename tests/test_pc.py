@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gpcn.graph import make_graph, normalize_adjacency
 from gpcn.nn import ModelParams, init_params
-from gpcn.bp import gcn_forward, predict
+from gpcn.bp import accuracy, gcn_forward, predict
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
-                     intra_layer_step, pc_init_feedforward, pc_predict,
-                     pc_predictions, pc_weight_gradients, train_pc)
+                     intra_layer_step, pc_init_feedforward, pc_predictions,
+                     pc_weight_gradients, train_pc)
 
 from conftest import random_graph, relative_error
 
@@ -111,11 +111,13 @@ class TestPredictionsAndInit:
         assert state.mu[0][0, 0] == 1.0
         assert state.mu[1][0, 0] == 1.0
 
-    def test_feedforward_output_equals_bp_logits_exactly(self, rng):
+    @pytest.mark.parametrize("mode", ["inter_layer", "intra_layer"])
+    def test_feedforward_output_equals_bp_logits_exactly(self, rng, mode):
+        # training evaluates and predict scores PC weights by gcn_forward
         g = random_graph(rng, 7)
         params = init_params([3, 5, 2], rng)
         adj = normalize_adjacency(g)
-        state = pc_init_feedforward(adj, g.features, params)
+        state = pc_init_feedforward(adj, g.features, params, mode)
         logits = gcn_forward(adj, g.features, params).logits
         assert np.array_equal(state.h[-1], logits)
 
@@ -353,6 +355,8 @@ class TestTraining:
         assert history.test_acc[history.selected_epoch] >= 0.9
 
     def test_config_validation(self):
+        with pytest.raises(ValueError, match="epochs"):
+            PCConfig(epochs=0)
         with pytest.raises(ValueError):
             PCConfig(inference_steps=0)
         with pytest.raises(ValueError):
@@ -362,15 +366,22 @@ class TestTraining:
 
 
 class TestPredict:
-    def test_rows_sum_to_one(self, rng):
-        g = random_graph(rng, 6)
-        params = init_params([3, 4, 2], rng)
-        probs = pc_predict(normalize_adjacency(g), g.features, params)
+    def test_rows_sum_to_one(self, sbm_easy):
+        params, _ = train_pc(sbm_easy, PCConfig(epochs=5, seed=0))
+        probs = predict(normalize_adjacency(sbm_easy), sbm_easy.features,
+                        params)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
-    def test_equals_bp_predict_exactly(self, rng):
-        g = random_graph(rng, 8)
-        params = init_params([3, 4, 2], rng)
-        adj = normalize_adjacency(g)
-        assert np.array_equal(pc_predict(adj, g.features, params),
-                              predict(adj, g.features, params))
+    def test_equals_bp_predict_exactly(self, sbm_easy):
+        # the accuracies recorded for the selected epoch are those that
+        # predict gives the returned snapshot
+        cfg = PCConfig(epochs=10, seed=1, mode="intra_layer")
+        params, history = train_pc(sbm_easy, cfg)
+        probs = predict(normalize_adjacency(sbm_easy), sbm_easy.features,
+                        params)
+        sel = history.selected_epoch
+        for tag, recorded in (("train", history.train_acc),
+                              ("val", history.val_acc),
+                              ("test", history.test_acc)):
+            assert accuracy(probs, sbm_easy.labels,
+                            sbm_easy.mask(tag)) == recorded[sel]
