@@ -15,8 +15,11 @@ from gpcn.nn import (AdamState, ModelParams, adam_step, cross_entropy_masked,
 
 @dataclass
 class ForwardCache:
-    """Pre-activations Z^(k) and activations H^(k); H^(0) is the input."""
+    """Aggregates A_hat H^(k-1), pre-activations Z^(k) and activations
+    H^(k); H^(0) is the input. The one place aggregates are formed: the
+    reverse pass and the predictive-coding state read them from here."""
 
+    agg: list[np.ndarray]          # A_hat H^(0) .. A_hat H^(K-1)
     pre: list[np.ndarray]          # Z^(1) .. Z^(K)
     act: list[np.ndarray]          # H^(0) .. H^(K); H^(K) = Z^(K) (linear out)
 
@@ -51,15 +54,16 @@ class TrainHistory:
 def gcn_forward(adj: NormalizedAdjacency, x: np.ndarray,
                 params: ModelParams) -> ForwardCache:
     """Hidden layers ReLU(A_hat H W); output layer linear (logits)."""
-    pre, act = [], [np.asarray(x, dtype=np.float64)]
+    agg, pre, act = [], [], [np.asarray(x, dtype=np.float64)]
     h = act[0]
     K = params.num_layers
     for k, w in enumerate(params.weights, start=1):
-        z = propagate(adj, h) @ w
+        agg.append(propagate(adj, h))
+        z = agg[-1] @ w
         pre.append(z)
         h = z if k == K else relu(z)
         act.append(h)
-    return ForwardCache(pre=pre, act=act)
+    return ForwardCache(agg=agg, pre=pre, act=act)
 
 
 def gcn_backward(adj: NormalizedAdjacency, cache: ForwardCache,
@@ -72,7 +76,7 @@ def gcn_backward(adj: NormalizedAdjacency, cache: ForwardCache,
     grads = [None] * K
     g = grad_logits
     for k in range(K, 0, -1):
-        grads[k - 1] = propagate(adj, cache.act[k - 1]).T @ g
+        grads[k - 1] = cache.agg[k - 1].T @ g
         if k > 1:
             g = propagate(adj, g @ params.weights[k - 1].T)
             g = g * relu_prime(cache.pre[k - 2])
@@ -90,13 +94,13 @@ def accuracy(probs_or_logits, labels, mask) -> float:
 def fit(graph: Graph, config: TrainConfig, epoch):
     """Full-batch training loop shared by both backends.
 
-    ``epoch(adj, params, opt, train_mask)`` updates ``params`` in place
-    through the Adam state ``opt`` and returns the settled energy (predictive
-    coding) or None (backprop). After every epoch the weights are evaluated
-    by the GCN forward pass, which is also the feedforward state of a
-    predictive-coding network. Returns the snapshot with the best val
-    accuracy, ties broken by lowest energy, then earliest epoch, together
-    with the epoch history.
+    ``epoch(adj, cache, params, opt, train_mask)`` updates ``params`` in
+    place through the Adam state ``opt`` and returns the settled energy
+    (predictive coding) or None (backprop). ``cache``, read-only, is the GCN
+    forward pass of the current weights: the previous epoch's eval pass,
+    which is also the feedforward state of a predictive-coding network.
+    Returns the snapshot with the best val accuracy, ties broken by lowest
+    energy, then earliest epoch, together with the epoch history.
     """
     train_mask = graph.mask("train")
     val_mask = graph.mask("val")
@@ -113,14 +117,16 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     history = TrainHistory()
     best_key = None
     best_params = None
+    cache = gcn_forward(adj, graph.features, params)
     for i in range(config.epochs):
-        energy = epoch(adj, params, opt, train_mask)
+        energy = epoch(adj, cache, params, opt, train_mask)
         if energy is not None:
             if not np.isfinite(energy):
                 raise FloatingPointError(f"non-finite energy at epoch {i}")
             history.energy.append(energy)
 
-        logits = gcn_forward(adj, graph.features, params).logits
+        cache = gcn_forward(adj, graph.features, params)
+        logits = cache.logits
         history.train_acc.append(accuracy(logits, graph.labels, train_mask))
         val = accuracy(logits, graph.labels, val_mask)
         history.val_acc.append(val)
@@ -137,8 +143,7 @@ def train_bp(graph: Graph, config: TrainConfig):
     """Backprop training through ``fit``: one cross-entropy gradient step
     per epoch, so selection is best val accuracy, then earliest epoch."""
 
-    def epoch(adj, params, opt, train_mask):
-        cache = gcn_forward(adj, graph.features, params)
+    def epoch(adj, cache, params, opt, train_mask):
         loss, grad = cross_entropy_masked(cache.logits, graph.labels,
                                           train_mask)
         if not np.isfinite(loss):

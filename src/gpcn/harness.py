@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,7 @@ class ExperimentConfig:
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text())
         data.update({k: v for k, v in overrides.items() if v is not None})
+        _reject_unknown_keys(data, cls, "config")
         if "hidden_dims" in data:
             data["hidden_dims"] = tuple(data["hidden_dims"])
         if "seeds" in data:
@@ -85,7 +86,18 @@ class ExperimentConfig:
                       seed=seed, hidden_dims=self.hidden_dims)
         if self.model == "gcn":
             return train_bp, TrainConfig(**shared)
+        _reject_unknown_keys(self.pc, PCConfig, "pc", exclude=shared)
         return train_pc, PCConfig(**shared, **self.pc)
+
+
+def _reject_unknown_keys(data: dict, cls, where: str, exclude=()) -> None:
+    """ValueError naming the keys of ``data`` that are not fields of the
+    dataclass ``cls``, or that are in ``exclude``."""
+    known = {f.name for f in fields(cls)} - set(exclude)
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): "
+                         f"{', '.join(map(repr, unknown))}")
 
 
 @dataclass
@@ -116,7 +128,11 @@ class Trainer:
 
 
 def _max_workers() -> int:
-    return max(1, int(os.environ.get("GPCN_THREADS", "1")))
+    raw = os.environ.get("GPCN_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"GPCN_THREADS={raw!r} is not an integer") from None
 
 
 def _write_csv(path: Path, fieldnames, rows) -> None:
@@ -225,6 +241,8 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
     params, _ = load_checkpoint(checkpoint)
     if params.layer_dims[0] != graph.num_features:
         raise ValueError("checkpoint input width does not match dataset")
+    if params.layer_dims[-1] != graph.num_classes:
+        raise ValueError("checkpoint output width does not match classes")
     probs = predict(normalize_adjacency(graph), graph.features, params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)

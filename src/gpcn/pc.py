@@ -30,7 +30,7 @@ import numpy as np
 
 from gpcn.graph import Graph, NormalizedAdjacency, propagate
 from gpcn.nn import ModelParams, adam_step, relu, relu_prime
-from gpcn.bp import TrainConfig, fit
+from gpcn.bp import ForwardCache, TrainConfig, fit
 
 INFERENCE_STEP_GRID = (12, 32, 50, 100)
 VALUE_RATE_GRID = (0.05, 0.1, 0.5, 1.0)
@@ -59,14 +59,18 @@ class PCConfig(TrainConfig):
 
 @dataclass
 class PCState:
-    """Value nodes, predictions, and errors of a K-layer network.
+    """Value nodes, aggregates, predictions, and errors of a K-layer network.
 
-    h[0] is the clamped input; h[1..K] are free unless clamped. When
-    output_mask is set (training), output-layer errors count only on masked
-    rows and those rows of h[K] are clamped to one-hot targets.
+    h[0] is the clamped input; h[1..K] are free unless clamped. agg[k-1] is
+    the aggregate A_hat f(h^(k-1)) that layer k's prediction reads, with f
+    the identity at the input and ReLU above; agg[0] never changes. When
+    output_mask is set (training), those rows of h[K] are clamped to one-hot
+    targets and only they count in the output layer: eps[-1] is stored with
+    its unclamped rows zeroed, so every reader sees the errors of the energy.
     """
 
     h: list[np.ndarray]                # layers 0..K
+    agg: list[np.ndarray]              # layers 1..K, shape (n, d_{k-1})
     mu: list[np.ndarray]               # layers 1..K
     eps: list[np.ndarray]              # layers 1..K
     mode: str = "inter_layer"
@@ -75,76 +79,57 @@ class PCState:
     # energy of the current errors, left by the last inference step and
     # cleared whenever the errors are recomputed or re-clamped elsewhere
     energy: float | None = None
-    # intra_layer only: aggregated-state value nodes and their errors,
-    # one per layer 1..K, shape (num_nodes, d_{k-1})
+    # intra_layer only: aggregated-state value nodes, predicted by agg, and
+    # their errors, one per layer 1..K
     h_agg: list[np.ndarray] = field(default_factory=list)
-    mu_agg: list[np.ndarray] = field(default_factory=list)
     eps_agg: list[np.ndarray] = field(default_factory=list)
 
     @property
     def num_layers(self) -> int:
         return len(self.mu)
 
-
-def _layer_input(state: PCState, k: int) -> np.ndarray:
-    """Activation of layer k-1 as seen by layer k's prediction (raw input
-    features at the first layer, ReLU above)."""
-    below = state.h[k - 1]
-    return below if k == 1 else relu(below)
-
-
-def _masked_output_eps(state: PCState) -> np.ndarray:
-    """Output-layer errors with unclamped rows zeroed during training."""
-    eps_k = state.eps[-1]
-    if state.output_mask is None:
-        return eps_k
-    out = np.zeros_like(eps_k)
-    out[state.output_mask] = eps_k[state.output_mask]
-    return out
+    @property
+    def weight_inputs(self) -> list[np.ndarray]:
+        """What each layer's weight multiplies: the aggregates, or in
+        intra_layer mode the aggregated-state value nodes."""
+        return self.h_agg if self.mode == "intra_layer" else self.agg
 
 
-def _effective_eps(state: PCState, k: int) -> np.ndarray:
-    """eps of layer k as it appears in the energy (1-indexed layer)."""
-    if k == state.num_layers:
-        return _masked_output_eps(state)
-    return state.eps[k - 1]
+def _mask_output_eps(state: PCState) -> None:
+    """Zero the unclamped output rows of eps[-1], which are not in F."""
+    if state.output_mask is not None:
+        state.eps[-1][~state.output_mask] = 0.0
 
 
 def pc_predictions(adj: NormalizedAdjacency, state: PCState,
                    params: ModelParams) -> None:
-    """Recompute all predictions and errors in place from current values."""
+    """Recompute aggregates, predictions and errors in place from current
+    values. agg[0] is kept: h[0] is the clamped input and never moves."""
     state.energy = None
-    K = params.num_layers
-    if state.mode == "intra_layer":
-        for k in range(1, K + 1):
-            state.mu_agg[k - 1] = propagate(adj, _layer_input(state, k))
-            state.eps_agg[k - 1] = state.h_agg[k - 1] - state.mu_agg[k - 1]
-            state.mu[k - 1] = state.h_agg[k - 1] @ params.weights[k - 1]
-            state.eps[k - 1] = state.h[k] - state.mu[k - 1]
-    else:
-        for k in range(1, K + 1):
-            state.mu[k - 1] = (propagate(adj, _layer_input(state, k))
-                               @ params.weights[k - 1])
-            state.eps[k - 1] = state.h[k] - state.mu[k - 1]
+    for k in range(1, params.num_layers + 1):
+        if k > 1:
+            state.agg[k - 1] = propagate(adj, relu(state.h[k - 1]))
+        state.mu[k - 1] = state.weight_inputs[k - 1] @ params.weights[k - 1]
+        state.eps[k - 1] = state.h[k] - state.mu[k - 1]
+    state.eps_agg = [h - a for h, a in zip(state.h_agg, state.agg)]
+    _mask_output_eps(state)
 
 
-def pc_init_feedforward(adj: NormalizedAdjacency, x: np.ndarray,
-                        params: ModelParams,
+def pc_init_feedforward(cache: ForwardCache,
                         mode: str = "inter_layer") -> PCState:
-    """Fresh state with every value node set to its prediction (zero energy)."""
-    state = PCState(h=[np.asarray(x, dtype=np.float64)], mu=[], eps=[],
-                    mode=mode)
-    K = params.num_layers
-    for k in range(1, K + 1):
-        agg = propagate(adj, _layer_input(state, k))
-        mu = agg @ params.weights[k - 1]
-        if mode == "intra_layer":
-            state.h_agg.append(agg.copy())
-            state.mu_agg.append(agg)
-            state.eps_agg.append(np.zeros_like(agg))
-        state.h.append(mu.copy())
-        state.mu.append(mu)
-        state.eps.append(np.zeros_like(mu))
+    """Fresh state with every value node set to its prediction (zero energy),
+    built from the GCN forward pass ``cache`` of the current weights.
+
+    Only the value nodes are copies, h[1..K] and in intra_layer mode h_agg,
+    since clamping writes into them; aggregates and predictions share the
+    cache's arrays, which the state only ever replaces.
+    """
+    state = PCState(h=[cache.act[0], *(z.copy() for z in cache.pre)],
+                    agg=list(cache.agg), mu=list(cache.pre),
+                    eps=[np.zeros_like(z) for z in cache.pre], mode=mode)
+    if mode == "intra_layer":
+        state.h_agg = [a.copy() for a in cache.agg]
+        state.eps_agg = [np.zeros_like(a) for a in cache.agg]
     return state
 
 
@@ -159,19 +144,16 @@ def clamp_targets(state: PCState, labels: np.ndarray,
     state.h[-1][train_mask] = onehot
     state.output_mask = train_mask
     state.eps[-1] = state.h[-1] - state.mu[-1]
+    _mask_output_eps(state)
     state.energy = None
     return state
 
 
 def compute_energy(state: PCState) -> float:
-    """F = half the squared error sum, output layer masked during training."""
+    """F = half the squared error sum (unclamped output rows are stored as
+    zero errors, so they do not count)."""
     total = 0.0
-    for k, e in enumerate(state.eps, start=1):
-        sq = e * e
-        if k == state.num_layers and state.output_mask is not None:
-            sq[~state.output_mask] = 0.0   # unclamped output rows do not count
-        total += float(np.sum(sq))
-    for e in state.eps_agg:
+    for e in (*state.eps, *state.eps_agg):
         total += float(np.sum(e * e))
     return 0.5 * total
 
@@ -234,10 +216,9 @@ def inference_step(adj: NormalizedAdjacency, state: PCState,
     K = params.num_layers
     moves = []
     for k in range(1, _free_layers(state) + 1):
-        d = -_effective_eps(state, k)
+        d = -state.eps[k - 1]
         if k < K:
-            back = propagate(adj, _effective_eps(state, k + 1)
-                             @ params.weights[k].T)
+            back = propagate(adj, state.eps[k] @ params.weights[k].T)
             d = d + relu_prime(state.h[k]) * back
         moves.append((state.h, k, d))
     return _descend(adj, state, params, gamma, moves)
@@ -258,7 +239,7 @@ def intra_layer_step(adj: NormalizedAdjacency, state: PCState,
     K = params.num_layers
     moves = []
     for k in range(1, K + 1):
-        eps_k = _effective_eps(state, k)
+        eps_k = state.eps[k - 1]
         moves.append((state.h_agg, k - 1, -state.eps_agg[k - 1]
                       + eps_k @ params.weights[k - 1].T))
         if k > _free_layers(state):
@@ -274,15 +255,7 @@ def pc_weight_gradients(adj: NormalizedAdjacency, state: PCState,
                         params: ModelParams):
     """Energy gradients w.r.t. weights with values fixed (loss-style, so a
     descent step on them reduces the energy)."""
-    grads = []
-    for k in range(1, state.num_layers + 1):
-        eps_k = _effective_eps(state, k)
-        if state.mode == "intra_layer":
-            pre = state.h_agg[k - 1]
-        else:
-            pre = propagate(adj, _layer_input(state, k))
-        grads.append(-pre.T @ eps_k)
-    return grads
+    return [-x.T @ e for x, e in zip(state.weight_inputs, state.eps)]
 
 
 def train_pc(graph: Graph, config: PCConfig):
@@ -294,8 +267,8 @@ def train_pc(graph: Graph, config: PCConfig):
     """
     step = intra_layer_step if config.mode == "intra_layer" else inference_step
 
-    def epoch(adj, params, opt, train_mask):
-        state = pc_init_feedforward(adj, graph.features, params, config.mode)
+    def epoch(adj, cache, params, opt, train_mask):
+        state = pc_init_feedforward(cache, config.mode)
         clamp_targets(state, graph.labels, train_mask)
         for _ in range(config.inference_steps):
             step(adj, state, params, config.value_update_rate)

@@ -79,7 +79,8 @@ def test_criterion_1_gradient_correctness():
             def energy_of(w, k=k):
                 trial = params2.copy()
                 trial.weights[k] = w
-                probe = pc_init_feedforward(adj2, state2.h[0], trial, mode)
+                probe = pc_init_feedforward(
+                    gcn_forward(adj2, state2.h[0], trial), mode)
                 probe.output_mask = state2.output_mask
                 for j in range(1, 3):
                     probe.h[j] = state2.h[j].copy()
@@ -354,9 +355,10 @@ def test_criterion_9_structural_invariants():
     out = gcn_forward(normalize_adjacency(g), g.features, params).logits
     out_p = gcn_forward(normalize_adjacency(gp), gp.features, params).logits
     checks.append(np.allclose(out_p[perm], out, rtol=0, atol=1e-12))
-    pc = pc_init_feedforward(normalize_adjacency(g), g.features, params).h[-1]
-    pc_p = pc_init_feedforward(normalize_adjacency(gp), gp.features,
-                               params).h[-1]
+    pc = pc_init_feedforward(
+        gcn_forward(normalize_adjacency(g), g.features, params)).h[-1]
+    pc_p = pc_init_feedforward(
+        gcn_forward(normalize_adjacency(gp), gp.features, params)).h[-1]
     checks.append(np.allclose(pc_p[perm], pc, rtol=0, atol=1e-12))
 
     # margin sign characterizes correctness

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcn.graph import make_graph, normalize_adjacency
-from gpcn.nn import ModelParams, cross_entropy_masked, init_params
-from gpcn.bp import (TrainConfig, accuracy, gcn_backward, gcn_forward,
+from gpcn.nn import ModelParams, adam_step, cross_entropy_masked, init_params
+from gpcn.bp import (TrainConfig, accuracy, fit, gcn_backward, gcn_forward,
                      predict, train_bp)
 
-from conftest import central_difference, random_graph, relative_error
+from conftest import (central_difference, random_graph,
+                      reference_gcn_backward, relative_error)
 
 
 def permute_graph(g, perm):
@@ -98,6 +99,21 @@ class TestBackward:
             fd = central_difference(loss_of, params.weights[k])
             assert relative_error(grads[k], fd) <= 1e-4
 
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
+    def test_cached_aggregates_equal_repropagation_exactly(self, seed, n):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, num_features=3, num_classes=2)
+        params = init_params([3, 4, 5, 2], rng)
+        adj = normalize_adjacency(g)
+        cache = gcn_forward(adj, g.features, params)
+        _, grad_logits = cross_entropy_masked(cache.logits, g.labels,
+                                              g.mask("train"))
+        grads = gcn_backward(adj, cache, grad_logits, params)
+        expected = reference_gcn_backward(adj, cache, grad_logits, params)
+        for a, b in zip(grads, expected):
+            assert np.array_equal(a, b)
+
 
 class TestTraining:
     def test_sbm_fixture_reaches_95(self, sbm_easy):
@@ -116,6 +132,22 @@ class TestTraining:
         assert all(np.array_equal(a, b)
                    for a, b in zip(p1.weights, p2.weights))
         assert h1.val_acc == h2.val_acc
+
+    def test_epoch_gets_forward_pass_of_current_weights(self, sbm_easy):
+        seen = []
+
+        def epoch(adj, cache, params, opt, train_mask):
+            fresh = gcn_forward(adj, sbm_easy.features, params)
+            seen.append(all(
+                np.array_equal(a, b) for a, b in
+                zip(cache.agg + cache.pre + cache.act,
+                    fresh.agg + fresh.pre + fresh.act)))
+            _, grad = cross_entropy_masked(cache.logits, sbm_easy.labels,
+                                           train_mask)
+            adam_step(params, gcn_backward(adj, cache, grad, params), opt)
+
+        fit(sbm_easy, TrainConfig(epochs=5, seed=0), epoch)
+        assert seen == [True] * 5
 
     def test_empty_split_rejected(self, rng):
         g = random_graph(rng, 5)

@@ -163,6 +163,15 @@ class TestCalibrateCommand:
                      str(out / "checkpoint_gcn_seed0.json"),
                      "--data", str(data_dir),
                      "--out", str(tmp_path / "cal")]) == EXIT_USAGE
+        # same input width, but three classes against the 2-class checkpoint
+        spec.write_text(json.dumps(dict(SBM_SPEC, num_blocks=3)))
+        data_dir = tmp_path / "three_class_data"
+        main(["dataset", "gen", "--spec", str(spec), "--seed", "5",
+              "--out", str(data_dir)])
+        assert main(["calibrate", "--checkpoint",
+                     str(out / "checkpoint_gcn_seed0.json"),
+                     "--data", str(data_dir),
+                     "--out", str(tmp_path / "cal3")]) == EXIT_USAGE
 
 
 class TestAttackCommand:
@@ -261,6 +270,24 @@ class TestExitCodes:
         cfg = write_config(tmp_path, model=model, epochs=0, seeds=[0])
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("where", ["top_level", "pc"])
+    def test_usage_error_names_unknown_config_key(self, tmp_path, capsys,
+                                                  where):
+        typo = {"inference_step": 4}
+        cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],
+                           **(typo if where == "top_level" else {"pc": typo}))
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "'inference_step'" in capsys.readouterr().err
+
+    def test_usage_error_names_bad_thread_count(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("GPCN_THREADS", "two")
+        cfg = write_config(tmp_path, epochs=1, seeds=[0])
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "GPCN_THREADS" in capsys.readouterr().err
 
     def test_numeric_error_on_divergent_inference(self, tmp_path):
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcn.graph import make_graph, normalize_adjacency
-from gpcn.nn import ModelParams, init_params
+from gpcn.nn import AdamState, ModelParams, adam_step, init_params
 from gpcn.bp import accuracy, gcn_forward, predict
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
                      intra_layer_step, pc_init_feedforward, pc_predictions,
                      pc_weight_gradients, train_pc)
 
-from conftest import random_graph, relative_error
+from conftest import (random_graph, reference_effective_eps,
+                      reference_energy, reference_pc_predictions,
+                      reference_pc_weight_gradients, relative_error)
 
 
 def one_node_chain(target=2.0):
@@ -21,7 +23,7 @@ def one_node_chain(target=2.0):
     g = make_graph(1, [[1.0]], [0], ["train"], [], num_classes=1)
     params = ModelParams([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])])
     adj = normalize_adjacency(g)
-    state = pc_init_feedforward(adj, g.features, params)
+    state = pc_init_feedforward(gcn_forward(adj, g.features, params))
     state.h[-1][0, 0] = target
     state.output_mask = np.array([True])
     pc_predictions(adj, state, params)
@@ -36,7 +38,7 @@ def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
     g = random_graph(rng, n, num_features=dims[0], num_classes=dims[-1])
     params = init_params(list(dims), rng)
     adj = normalize_adjacency(g)
-    state = pc_init_feedforward(adj, g.features, params, mode)
+    state = pc_init_feedforward(gcn_forward(adj, g.features, params), mode)
     clamp_targets(state, g.labels, g.mask("train"))
     if scatter:
         for k in range(1, len(dims)):
@@ -52,7 +54,8 @@ def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
 
 def energy_at(adj, state, params, h_free, agg_free=None):
     """Energy as a function of the free value nodes (for finite differences)."""
-    trial = pc_init_feedforward(adj, state.h[0], params, state.mode)
+    trial = pc_init_feedforward(gcn_forward(adj, state.h[0], params),
+                                state.mode)
     trial.output_mask = state.output_mask
     K = len(params.weights)
     for k in range(1, K + 1):
@@ -101,7 +104,8 @@ class TestPredictionsAndInit:
     def test_feedforward_state_has_zero_errors_and_energy(self, rng):
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
-        state = pc_init_feedforward(normalize_adjacency(g), g.features, params)
+        state = pc_init_feedforward(
+            gcn_forward(normalize_adjacency(g), g.features, params))
         for eps in state.eps:
             assert np.array_equal(eps, np.zeros_like(eps))
         assert compute_energy(state) == 0.0
@@ -117,7 +121,8 @@ class TestPredictionsAndInit:
         g = random_graph(rng, 7)
         params = init_params([3, 5, 2], rng)
         adj = normalize_adjacency(g)
-        state = pc_init_feedforward(adj, g.features, params, mode)
+        state = pc_init_feedforward(gcn_forward(adj, g.features, params),
+                                    mode)
         logits = gcn_forward(adj, g.features, params).logits
         assert np.array_equal(state.h[-1], logits)
 
@@ -125,8 +130,9 @@ class TestPredictionsAndInit:
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
         adj = normalize_adjacency(g)
-        inter = pc_init_feedforward(adj, g.features, params, "inter_layer")
-        intra = pc_init_feedforward(adj, g.features, params, "intra_layer")
+        cache = gcn_forward(adj, g.features, params)
+        inter = pc_init_feedforward(cache, "inter_layer")
+        intra = pc_init_feedforward(cache, "intra_layer")
         for a, b in zip(inter.mu, intra.mu):
             assert np.allclose(a, b, atol=1e-15)
         for eps in intra.eps_agg:
@@ -138,7 +144,7 @@ class TestClampAndEnergy:
         g = random_graph(rng, 6, num_classes=3)
         params = init_params([3, 4, 3], rng)
         adj = normalize_adjacency(g)
-        state = pc_init_feedforward(adj, g.features, params)
+        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
         mu_before = state.mu[-1].copy()
         clamp_targets(state, g.labels, g.mask("train"))
         row = np.flatnonzero(g.mask("train"))[0]
@@ -151,7 +157,7 @@ class TestClampAndEnergy:
         g = random_graph(rng, 6, num_classes=3)
         params = init_params([3, 4, 3], rng)
         adj = normalize_adjacency(g)
-        state = pc_init_feedforward(adj, g.features, params)
+        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
         clamp_targets(state, g.labels, g.mask("train"))
         base = compute_energy(state)
         free = ~state.output_mask
@@ -167,7 +173,8 @@ class TestClampAndEnergy:
     def test_single_layer_example(self):
         g = make_graph(1, [[0.0, 0.0]], [0], ["none"], [], num_classes=1)
         params = ModelParams([2, 2], [np.zeros((2, 2))])
-        state = pc_init_feedforward(normalize_adjacency(g), g.features, params)
+        state = pc_init_feedforward(
+            gcn_forward(normalize_adjacency(g), g.features, params))
         state.eps[0] = np.array([[1.0, -1.0]])
         assert compute_energy(state) == 1.0
 
@@ -177,7 +184,7 @@ class TestInferenceStep:
         g = random_graph(rng, 5)
         params = init_params([3, 4, 2], rng)
         adj = normalize_adjacency(g)
-        state = pc_init_feedforward(adj, g.features, params)
+        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
         before = [h.copy() for h in state.h]
         inference_step(adj, state, params, 0.1)
         for a, b in zip(before, state.h):
@@ -294,7 +301,7 @@ class TestWeightGradients:
         g = random_graph(rng, 5)
         params = init_params([3, 4, 2], rng)
         adj = normalize_adjacency(g)
-        state = pc_init_feedforward(adj, g.features, params)
+        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
         for gr in pc_weight_gradients(adj, state, params):
             assert np.array_equal(gr, np.zeros_like(gr))
 
@@ -317,7 +324,8 @@ class TestWeightGradients:
                 for sign in (1, -1):
                     trial = params.copy()
                     trial.weights[k][idx] += sign * step
-                    probe = pc_init_feedforward(adj, state.h[0], trial, mode)
+                    probe = pc_init_feedforward(
+                        gcn_forward(adj, state.h[0], trial), mode)
                     probe.output_mask = state.output_mask
                     for j in range(1, params.num_layers + 1):
                         probe.h[j] = state.h[j].copy()
@@ -326,6 +334,62 @@ class TestWeightGradients:
                     pc_predictions(adj, probe, trial)
                     fd[idx] += sign * compute_energy(probe) / (2 * step)
             assert relative_error(grads[k], fd) <= 1e-4
+
+
+def assert_matches_reference(adj, state, params):
+    """State and energy equal the recomputing oracle bit for bit."""
+    agg, mu, eps, eps_agg = reference_pc_predictions(
+        adj, params, state.h, state.h_agg, state.mode)
+    K = params.num_layers
+    assert all(np.array_equal(a, b) for a, b in zip(state.agg, agg))
+    assert all(np.array_equal(a, b) for a, b in zip(state.mu, mu))
+    assert all(np.array_equal(state.eps[k - 1],
+                              reference_effective_eps(eps, state.output_mask,
+                                                      k))
+               for k in range(1, K + 1))
+    assert len(state.eps_agg) == len(eps_agg)
+    assert all(np.array_equal(a, b) for a, b in zip(state.eps_agg, eps_agg))
+    energy = reference_energy(eps, eps_agg, state.output_mask)
+    assert compute_energy(state) == energy
+    assert state.energy is None or state.energy == energy
+
+
+class TestCachedStateMatchesReference:
+    @pytest.mark.parametrize("mode", ["inter_layer", "intra_layer"])
+    @pytest.mark.parametrize("timing", ["end_of_T", "every_step"])
+    def test_every_step_bit_identical(self, mode, timing):
+        # three epochs of train_pc's loop on a net with two hidden layers:
+        # after every guarded step and weight update, the state built from
+        # the forward cache equals the one that re-forms every aggregate
+        rng = np.random.default_rng(11)
+        g = random_graph(rng, 12, num_features=5, num_classes=3)
+        params = init_params([5, 4, 4, 3], rng)
+        adj = normalize_adjacency(g)
+        opt = AdamState.for_params(params, 0.01)
+        step = intra_layer_step if mode == "intra_layer" else inference_step
+
+        def update():
+            grads = pc_weight_gradients(adj, state, params)
+            expected = reference_pc_weight_gradients(
+                adj, params, state.h, state.h_agg, mode, state.output_mask)
+            assert all(np.array_equal(a, b) for a, b in zip(grads, expected))
+            adam_step(params, grads, opt)
+            pc_predictions(adj, state, params)
+            assert_matches_reference(adj, state, params)
+
+        for _ in range(3):
+            cache = gcn_forward(adj, g.features, params)
+            state = pc_init_feedforward(cache, mode)
+            assert_matches_reference(adj, state, params)
+            clamp_targets(state, g.labels, g.mask("train"))
+            assert_matches_reference(adj, state, params)
+            for _ in range(6):
+                step(adj, state, params, 0.5)
+                assert_matches_reference(adj, state, params)
+                if timing == "every_step":
+                    update()
+            if timing == "end_of_T":
+                update()
 
 
 class TestTraining:
