@@ -10,6 +10,14 @@ computed once against the plain forward pass. The gradient through the
 normalized adjacency is linearized: normalization coefficients are frozen at
 the current degrees while scoring moves, and the adjacency is fully
 re-normalized after every applied edit.
+
+The gradient attack is local, as in Nettack (Zuegner et al. 2018). For a
+K-layer GCN the victim's loss reads A_hat only through the rows in which some
+layer's backprop signal is nonzero; the signal starts at the victim's row and
+spreads one hop per layer, so those rows lie in the victim's (K-1)-hop ball.
+The adjacency gradient is formed on those rows only (|rows| x n, with the
+transpose giving the columns), and only pairs with an endpoint there are
+scored: every other pair has zero gradient and cannot increase the loss.
 """
 
 from __future__ import annotations
@@ -18,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpcn.graph import (EdgeEdit, Graph, apply_edits, make_graph,
+from gpcn.graph import (EdgeEdit, Graph, NormalizedAdjacency, apply_edits,
                         normalize_adjacency, propagate)
-from gpcn.nn import ModelParams, relu, relu_prime, softmax_rows
-from gpcn.bp import gcn_forward
+from gpcn.nn import ModelParams, relu_prime, softmax_rows
+from gpcn.bp import ForwardCache, gcn_forward
 from gpcn.calibration import classification_margins
 
 ATTACK_KINDS = ("random_global", "fga_structure", "fga_feature", "fga_both",
@@ -44,8 +52,8 @@ class AttackSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.ptb_rate is not None and not 0.0 <= self.ptb_rate:
-            raise ValueError("ptb_rate must be nonnegative")
+        if self.ptb_rate is not None and not 0.0 <= self.ptb_rate < np.inf:
+            raise ValueError("ptb_rate must be finite and nonnegative")
         if self.influencer_count < 1:
             raise ValueError("influencer_count must be >= 1")
 
@@ -121,8 +129,8 @@ def select_victims(graph: Graph, probs: np.ndarray, strategy: str,
 
 def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
     """Insert floor(ptb_rate * |E|) uniformly random absent edges."""
-    if ptb_rate < 0:
-        raise ValueError("ptb_rate must be nonnegative")
+    if not 0.0 <= ptb_rate < np.inf:
+        raise ValueError("ptb_rate must be finite and nonnegative")
     k = int(ptb_rate * graph.num_edges)
     if k == 0:
         return graph
@@ -146,72 +154,112 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
 
 
 def loss_gradient_wrt_inputs(params: ModelParams, graph: Graph,
+                             adj: NormalizedAdjacency, cache: ForwardCache,
                              target_node: int):
-    """Gradient of the target node's cross-entropy w.r.t. the dense adjacency
-    and the feature matrix, with normalization coefficients frozen at the
-    current degrees. Symmetric adjacency pairs share one gradient value.
+    """Gradient of the target node's cross-entropy w.r.t. the adjacency, on
+    the rows the gradient can touch, with normalization coefficients frozen
+    at the current degrees. ``adj`` and ``cache`` are the normalized
+    adjacency and forward pass of ``graph``.
+
+    Returns ``(rows, grad, signal)``. ``rows`` is the sorted set of nodes
+    whose backprop signal is nonzero at some layer, the victim's (K-1)-hop
+    ball at most. ``grad`` (|rows| x n) holds rows ``rows`` of the symmetric
+    n x n adjacency gradient, with zero on (u, u); every entry off those
+    rows and columns is zero. ``signal`` is the loss gradient w.r.t. the
+    first layer's pre-activation Z^(1), so the feature gradient is
+    A_hat (signal W^(1)T).
     """
-    adj = normalize_adjacency(graph)
-    cache = gcn_forward(adj, graph.features, params)
-    K = params.num_layers
     probs = softmax_rows(cache.logits[target_node:target_node + 1])
     g = np.zeros_like(cache.logits)
     g[target_node] = probs[0]
     g[target_node, graph.labels[target_node]] -= 1.0
+    signals = [g]                          # layers K .. 1
+    for k in range(params.num_layers, 1, -1):
+        g = propagate(adj, g @ params.weights[k - 1].T) \
+            * relu_prime(cache.pre[k - 2])
+        signals.append(g)
+    rows = np.flatnonzero(np.any([s.any(axis=1) for s in signals], axis=0))
 
-    n = graph.num_nodes
-    grad_norm_adj = np.zeros((n, n))
-    for k in range(K, 0, -1):
-        downstream = cache.act[k - 1] @ params.weights[k - 1]
-        grad_norm_adj += g @ downstream.T
-        if k > 1:
-            g = propagate(adj, g @ params.weights[k - 1].T)
-            g = g * relu_prime(cache.pre[k - 2])
-    grad_features = propagate(adj, g @ params.weights[0].T)
-
+    # d loss / d A_hat = sum_k g^(k) (H^(k-1) W^(k))T, nonzero on ``rows``
+    grad = sum(s[rows] @ (cache.act[k - 1] @ params.weights[k - 1]).T
+               for k, s in zip(range(params.num_layers, 0, -1), signals))
+    # symmetric pairs share one value: G[u, v] + G[v, u], where G[v, u] is
+    # nonzero only for v in ``rows``
+    grad[:, rows] += grad[:, rows].T
     # chain through the frozen normalization: d(norm_adj)_uv/dA_uv =
     # 1/sqrt(deg_u * deg_v) with self-loop degrees at current structure
     deg = np.asarray(graph.csr.sum(axis=1)).ravel() + 1.0
-    coeff = 1.0 / np.sqrt(np.outer(deg, deg))
-    grad_adj = (grad_norm_adj + grad_norm_adj.T) * coeff
-    np.fill_diagonal(grad_adj, 0.0)
-    return grad_adj, grad_features
+    grad *= 1.0 / np.sqrt(deg[rows, None] * deg)
+    grad[np.arange(rows.size), rows] = 0.0
+    return rows, grad, g
 
 
-def _structure_candidates(graph: Graph, grad_adj: np.ndarray, victim: int,
-                          allowed_nodes: np.ndarray | None):
-    """Score every legal edge toggle; returns (score, EdgeEdit) generator data."""
+def _gradient_band(n: int, rows: np.ndarray, grad: np.ndarray,
+                   nodes: np.ndarray) -> np.ndarray:
+    """Rows ``nodes`` of the symmetric n x n gradient held as ``grad`` on
+    ``rows``: the transpose part for every node, the stored row for a node
+    in ``rows``."""
+    band = np.zeros((nodes.size, n))
+    band[:, rows] = grad[:, nodes].T
+    inside = np.isin(nodes, rows)
+    band[inside] = grad[np.searchsorted(rows, nodes[inside])]
+    return band
+
+
+def _best_toggle(graph: Graph, rows: np.ndarray, grad: np.ndarray,
+                 victim: int, allowed: np.ndarray | None):
+    """Highest-scoring legal edge toggle among the pairs that touch ``rows``
+    (every other pair has zero gradient). Ties go to the lexicographically
+    smallest (min, max) pair. Returns (score, EdgeEdit)."""
     n = graph.num_nodes
-    dense = graph.csr.toarray()
+    present = graph.csr[rows].toarray()
     # toggling from a to 1-a changes loss by roughly grad * (1 - 2a)
-    scores = grad_adj * (1.0 - 2.0 * dense)
-    iu, iv = np.triu_indices(n, k=1)
-    sc = scores[iu, iv]
-    if allowed_nodes is not None:
+    scores = grad * (1.0 - 2.0 * present)
+    scores[np.arange(rows.size), rows] = -np.inf          # no self-loops
+    if allowed is not None:
         allow = np.zeros(n, dtype=bool)
-        allow[allowed_nodes] = True
-        legal = ((allow[iu] | allow[iv]) & (iu != victim) & (iv != victim))
-        sc = np.where(legal, sc, -np.inf)
-    return iu, iv, sc, dense
+        allow[allowed] = True
+        legal = allow[rows, None] | allow
+        legal[rows == victim] = False
+        legal[:, victim] = False
+        scores = np.where(legal, scores, -np.inf)
+    best = scores.max()
+    i, w = np.nonzero(scores == best)
+    lo, hi = np.minimum(rows[i], w), np.maximum(rows[i], w)
+    j = int(np.argmin(lo * n + hi))
+    kind = "remove" if present[i[j], w[j]] else "add"
+    return float(best), EdgeEdit(kind, int(lo[j]), int(hi[j]))
 
 
 def fga_attack(params: ModelParams, graph: Graph, victim: int,
-               spec: AttackSpec) -> list[EdgeEdit]:
+               spec: AttackSpec, adj: NormalizedAdjacency,
+               cache: ForwardCache) -> list[EdgeEdit]:
     """Greedy gradient attack: per iteration, recompute gradients and apply
     the legal edge toggle / feature flip with the largest loss-increasing
     score. Indirect attacks only touch edges that avoid the victim and have
-    an endpoint among the top-gradient influencer neighbors."""
+    an endpoint among the top-gradient influencer neighbors. ``adj`` and
+    ``cache`` are the normalized adjacency and forward pass of ``graph``
+    under ``params``; later iterations form them for the perturbed graph."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     use_structure = spec.kind in ("fga_structure", "fga_both", "fga_indirect")
     use_features = spec.kind in ("fga_feature", "fga_both")
     if not (use_structure or use_features):
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
+    if use_features and not np.isin(graph.features, (0.0, 1.0)).all():
+        raise ValueError("feature attacks require binary features")
 
     current = graph
     edits: list[EdgeEdit] = []
-    for _ in range(spec.budget):
-        grad_adj, grad_x = loss_gradient_wrt_inputs(params, current, victim)
+    for step in range(spec.budget):
+        if step:
+            current = apply_edits(current, edits[-1:])
+            adj = normalize_adjacency(current)
+            cache = gcn_forward(adj, current.features, params)
+        rows, grad, signal = loss_gradient_wrt_inputs(params, current, adj,
+                                                      cache, victim)
+        if rows.size == 0:
+            break           # zero gradient: no move increases the loss
         best_score = 0.0
         best_edit = None
         if use_structure:
@@ -220,21 +268,16 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
                 neigh = current.neighbors(victim)
                 if neigh.size == 0:
                     break
-                strength = np.abs(grad_adj[neigh]).sum(axis=1)
+                strength = np.abs(_gradient_band(
+                    current.num_nodes, rows, grad, neigh)).sum(axis=1)
                 order = np.argsort(-strength, kind="stable")
                 allowed = neigh[order[:spec.influencer_count]]
-            iu, iv, sc, dense = _structure_candidates(current, grad_adj,
-                                                      victim, allowed)
-            i = int(np.argmax(sc))
-            if sc[i] > best_score:
-                u, v = int(iu[i]), int(iv[i])
-                kind = "remove" if dense[u, v] else "add"
-                best_score = float(sc[i])
-                best_edit = EdgeEdit(kind, u, v)
+            score, edit = _best_toggle(current, rows, grad, victim, allowed)
+            if score > best_score:
+                best_score, best_edit = score, edit
         if use_features:
             x = current.features
-            if not np.isin(x, (0.0, 1.0)).all():
-                raise ValueError("feature attacks require binary features")
+            grad_x = propagate(adj, signal @ params.weights[0].T)
             fsc = grad_x * (1.0 - 2.0 * x)
             node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
             if fsc[node, fidx] > best_score:
@@ -243,7 +286,6 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
         if best_edit is None:
             break           # no loss-increasing legal move remains
         edits.append(best_edit)
-        current = apply_edits(current, [best_edit])
     return edits
 
 
@@ -280,6 +322,9 @@ def evaluate_attack(trainer, graph: Graph, victims: VictimSet,
             margins_after[rate] = recs
     else:
         max_budget = max(budgets)
+        # every victim's first step runs on the clean graph
+        adj = normalize_adjacency(graph)
+        cache = gcn_forward(adj, graph.features, clean_params)
         per_victim_edits = {}
         for victim in victims.nodes:
             vspec = AttackSpec(kind=spec.kind, mode=spec.mode,
@@ -287,7 +332,7 @@ def evaluate_attack(trainer, graph: Graph, victims: VictimSet,
                                influencer_count=spec.influencer_count,
                                seed=spec.seed)
             per_victim_edits[int(victim)] = fga_attack(
-                clean_params, graph, int(victim), vspec)
+                clean_params, graph, int(victim), vspec, adj, cache)
         for q in budgets:
             correct = []
             recs = []

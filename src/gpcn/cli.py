@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from gpcn.attacks import ATTACK_KINDS, AttackSpec
@@ -123,14 +124,20 @@ def run(args) -> int:
         config = ExperimentConfig.from_json(args.config)
         if args.kind == "random_global":
             if args.ptb_rate is None:
-                raise SystemExit("random_global needs --ptb-rate")
+                raise ValueError("random_global takes --ptb-rate, not "
+                                 "--budget")
             budgets = list(args.ptb_rate)
+            for rate in budgets:
+                if not 0.0 <= rate < math.inf:
+                    raise ValueError(f"--ptb-rate {rate} is not a finite "
+                                     "nonnegative fraction")
             spec = AttackSpec(kind=args.kind, mode=args.mode,
                               ptb_rate=max(budgets),
                               influencer_count=args.influencers)
         else:
             if args.budget is None:
-                raise SystemExit("targeted attacks need --budget")
+                raise ValueError(f"{args.kind} takes --budget, not "
+                                 "--ptb-rate")
             budgets = list(range(1, args.budget + 1))
             spec = AttackSpec(kind=args.kind, mode=args.mode,
                               budget=args.budget,

@@ -302,13 +302,16 @@ def largest_connected_component(g: Graph) -> Graph:
 
 def apply_edits(g: Graph, edits) -> Graph:
     """Apply a sequence of EdgeEdit in order, returning a new Graph."""
-    edge_set = {(int(u), int(v)) for u, v in g.edges}
+    n = g.num_nodes
+    # edges are sorted (u, v) rows, so their keys u * n + v are sorted
+    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    touched: dict[int, bool] = {}      # key -> whether the edge is present now
     features = g.features
     features_copied = False
     for e in edits:
         if e.kind == "feature_flip":
             node, fidx = e.u, e.v
-            if not (0 <= node < g.num_nodes and 0 <= fidx < g.num_features):
+            if not (0 <= node < n and 0 <= fidx < g.num_features):
                 raise IndexError(f"feature_flip ({node},{fidx}) out of range")
             if not features_copied:
                 features = features.copy()
@@ -320,17 +323,24 @@ def apply_edits(g: Graph, edits) -> Graph:
             features[node, fidx] = 1.0 - val
             continue
         u, v = min(e.u, e.v), max(e.u, e.v)
-        if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes) or u == v:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
             raise IndexError(f"edge ({e.u},{e.v}) out of range")
+        key = u * n + v
+        present = touched.get(key)
+        if present is None:
+            i = np.searchsorted(keys, key)
+            present = bool(i < keys.size and keys[i] == key)
         if e.kind == "add":
-            if (u, v) in edge_set:
+            if present:
                 raise ValueError(f"edge ({u},{v}) already present")
-            edge_set.add((u, v))
-        else:
-            if (u, v) not in edge_set:
-                raise ValueError(f"edge ({u},{v}) not present")
-            edge_set.remove((u, v))
-    edges = (np.array(sorted(edge_set), dtype=np.int64)
-             if edge_set else np.zeros((0, 2), dtype=np.int64))
-    return make_graph(g.num_nodes, features, g.labels, g.split, edges,
+        elif not present:
+            raise ValueError(f"edge ({u},{v}) not present")
+        touched[key] = e.kind == "add"
+    edges = g.edges
+    if touched:
+        flips = np.fromiter(touched, dtype=np.int64, count=len(touched))
+        now = np.fromiter(touched.values(), dtype=bool, count=len(touched))
+        keys = np.union1d(keys[~np.isin(keys, flips[~now])], flips[now])
+        edges = np.stack([keys // n, keys % n], axis=1)
+    return make_graph(n, features, g.labels, g.split, edges,
                       num_classes=g.num_classes)

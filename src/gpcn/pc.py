@@ -251,8 +251,7 @@ def intra_layer_step(adj: NormalizedAdjacency, state: PCState,
     return _descend(adj, state, params, gamma, moves)
 
 
-def pc_weight_gradients(adj: NormalizedAdjacency, state: PCState,
-                        params: ModelParams):
+def pc_weight_gradients(state: PCState):
     """Energy gradients w.r.t. weights with values fixed (loss-style, so a
     descent step on them reduces the energy)."""
     return [-x.T @ e for x, e in zip(state.weight_inputs, state.eps)]
@@ -273,10 +272,10 @@ def train_pc(graph: Graph, config: PCConfig):
         for _ in range(config.inference_steps):
             step(adj, state, params, config.value_update_rate)
             if config.weight_update_timing == "every_step":
-                adam_step(params, pc_weight_gradients(adj, state, params), opt)
+                adam_step(params, pc_weight_gradients(state), opt)
                 pc_predictions(adj, state, params)
         if config.weight_update_timing == "end_of_T":
-            adam_step(params, pc_weight_gradients(adj, state, params), opt)
+            adam_step(params, pc_weight_gradients(state), opt)
             pc_predictions(adj, state, params)
         return compute_energy(state)
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
-                        make_graph, propagate)
-from gpcn.nn import ModelParams, init_params, relu, relu_prime
+                        make_graph, normalize_adjacency, propagate)
+from gpcn.nn import ModelParams, init_params, relu, relu_prime, softmax_rows
+from gpcn.bp import gcn_forward
+from gpcn.attacks import loss_gradient_wrt_inputs
 
 # verdict lines appended by the acceptance suite; echoed after the run
 # so the per-criterion outcome is visible even when capture is on
@@ -138,6 +140,146 @@ def reference_pc_weight_gradients(adj, params, h, h_agg, mode, output_mask):
             pre = propagate(adj, _reference_layer_input(h, k))
         grads.append(-pre.T @ reference_effective_eps(eps, output_mask, k))
     return grads
+
+
+def reference_apply_edits(g, edits):
+    """Edits applied through a Python set of every edge; the oracle for
+    ``apply_edits``, which tracks only the pairs it touches."""
+    edge_set = {(int(u), int(v)) for u, v in g.edges}
+    features = g.features
+    features_copied = False
+    for e in edits:
+        if e.kind == "feature_flip":
+            node, fidx = e.u, e.v
+            if not (0 <= node < g.num_nodes and 0 <= fidx < g.num_features):
+                raise IndexError(f"feature_flip ({node},{fidx}) out of range")
+            if not features_copied:
+                features = features.copy()
+                features_copied = True
+            val = features[node, fidx]
+            if val not in (0.0, 1.0):
+                raise ValueError(
+                    f"feature_flip requires a binary feature, got {val}")
+            features[node, fidx] = 1.0 - val
+            continue
+        u, v = min(e.u, e.v), max(e.u, e.v)
+        if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes) or u == v:
+            raise IndexError(f"edge ({e.u},{e.v}) out of range")
+        if e.kind == "add":
+            if (u, v) in edge_set:
+                raise ValueError(f"edge ({u},{v}) already present")
+            edge_set.add((u, v))
+        else:
+            if (u, v) not in edge_set:
+                raise ValueError(f"edge ({u},{v}) not present")
+            edge_set.remove((u, v))
+    edges = (np.array(sorted(edge_set), dtype=np.int64)
+             if edge_set else np.zeros((0, 2), dtype=np.int64))
+    return make_graph(g.num_nodes, features, g.labels, g.split, edges,
+                      num_classes=g.num_classes)
+
+
+def reference_loss_gradient_wrt_inputs(params, graph, target_node):
+    """Dense n x n adjacency gradient and n x d feature gradient; the oracle
+    for the local ``loss_gradient_wrt_inputs``."""
+    adj = normalize_adjacency(graph)
+    cache = gcn_forward(adj, graph.features, params)
+    K = params.num_layers
+    probs = softmax_rows(cache.logits[target_node:target_node + 1])
+    g = np.zeros_like(cache.logits)
+    g[target_node] = probs[0]
+    g[target_node, graph.labels[target_node]] -= 1.0
+
+    n = graph.num_nodes
+    grad_norm_adj = np.zeros((n, n))
+    for k in range(K, 0, -1):
+        downstream = cache.act[k - 1] @ params.weights[k - 1]
+        grad_norm_adj += g @ downstream.T
+        if k > 1:
+            g = propagate(adj, g @ params.weights[k - 1].T)
+            g = g * relu_prime(cache.pre[k - 2])
+    grad_features = propagate(adj, g @ params.weights[0].T)
+
+    deg = np.asarray(graph.csr.sum(axis=1)).ravel() + 1.0
+    coeff = 1.0 / np.sqrt(np.outer(deg, deg))
+    grad_adj = (grad_norm_adj + grad_norm_adj.T) * coeff
+    np.fill_diagonal(grad_adj, 0.0)
+    return grad_adj, grad_features
+
+
+def reference_structure_candidates(graph, grad_adj, victim, allowed_nodes):
+    """Score of every legal toggle over all n(n-1)/2 pairs."""
+    n = graph.num_nodes
+    dense = graph.csr.toarray()
+    scores = grad_adj * (1.0 - 2.0 * dense)
+    iu, iv = np.triu_indices(n, k=1)
+    sc = scores[iu, iv]
+    if allowed_nodes is not None:
+        allow = np.zeros(n, dtype=bool)
+        allow[allowed_nodes] = True
+        legal = ((allow[iu] | allow[iv]) & (iu != victim) & (iv != victim))
+        sc = np.where(legal, sc, -np.inf)
+    return iu, iv, sc, dense
+
+
+def reference_fga_attack(params, graph, victim, spec):
+    """Greedy attack on the dense gradient and every pair; the oracle for
+    ``fga_attack``'s edit list."""
+    use_structure = spec.kind in ("fga_structure", "fga_both", "fga_indirect")
+    use_features = spec.kind in ("fga_feature", "fga_both")
+    current = graph
+    edits = []
+    for _ in range(spec.budget):
+        grad_adj, grad_x = reference_loss_gradient_wrt_inputs(params, current,
+                                                              victim)
+        best_score = 0.0
+        best_edit = None
+        if use_structure:
+            allowed = None
+            if spec.kind == "fga_indirect":
+                neigh = current.neighbors(victim)
+                if neigh.size == 0:
+                    break
+                strength = np.abs(grad_adj[neigh]).sum(axis=1)
+                order = np.argsort(-strength, kind="stable")
+                allowed = neigh[order[:spec.influencer_count]]
+            iu, iv, sc, dense = reference_structure_candidates(
+                current, grad_adj, victim, allowed)
+            i = int(np.argmax(sc))
+            if sc[i] > best_score:
+                u, v = int(iu[i]), int(iv[i])
+                kind = "remove" if dense[u, v] else "add"
+                best_score = float(sc[i])
+                best_edit = EdgeEdit(kind, u, v)
+        if use_features:
+            x = current.features
+            if not np.isin(x, (0.0, 1.0)).all():
+                raise ValueError("feature attacks require binary features")
+            fsc = grad_x * (1.0 - 2.0 * x)
+            node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
+            if fsc[node, fidx] > best_score:
+                best_score = float(fsc[node, fidx])
+                best_edit = EdgeEdit("feature_flip", int(node), int(fidx))
+        if best_edit is None:
+            break
+        edits.append(best_edit)
+        current = reference_apply_edits(current, [best_edit])
+    return edits
+
+
+def local_gradients(params, graph, target_node):
+    """``loss_gradient_wrt_inputs`` on ``graph``'s own forward pass, with its
+    rows spread into the dense n x n adjacency gradient (stored rows
+    verbatim, their transpose elsewhere) and the feature gradient formed
+    as ``fga_attack`` forms it. Returns (rows, grad_adj, grad_x)."""
+    adj = normalize_adjacency(graph)
+    cache = gcn_forward(adj, graph.features, params)
+    rows, grad, signal = loss_gradient_wrt_inputs(params, graph, adj, cache,
+                                                  target_node)
+    dense = np.zeros((graph.num_nodes, graph.num_nodes))
+    dense[:, rows] = grad.T
+    dense[rows] = grad
+    return rows, dense, propagate(adj, signal @ params.weights[0].T)
 
 
 def central_difference(f, x, step=1e-5):

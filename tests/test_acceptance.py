@@ -74,7 +74,7 @@ def test_criterion_1_gradient_correctness():
 
         # weight gradients of the energy, values held fixed
         adj2, state2, params2 = clamped_random_state(1000 + i, mode=mode, n=n)
-        grads = pc_weight_gradients(adj2, state2, params2)
+        grads = pc_weight_gradients(state2)
         for k in range(params2.num_layers):
             def energy_of(w, k=k):
                 trial = params2.copy()

@@ -3,18 +3,20 @@ poisoning, gradient attacks, and the evasion/poisoning evaluation loop."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpcn.graph import Graph, make_graph, normalize_adjacency
+from gpcn.graph import (EdgeEdit, Graph, apply_edits, make_graph,
+                        normalize_adjacency)
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
 from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
-                          holistic_metric, loss_gradient_wrt_inputs,
-                          random_global_poison, select_victims)
+                          holistic_metric, random_global_poison,
+                          select_victims)
 
-from conftest import margin_shift_export, random_graph
+from conftest import (local_gradients, margin_shift_export, random_graph,
+                      reference_fga_attack, reference_loss_gradient_wrt_inputs)
 
 
 class FixedParamsTrainer:
@@ -38,6 +40,13 @@ def trained_instance(seed, n=12):
     g = random_graph(rng, n, num_features=4, num_classes=3, edge_prob=0.35)
     params = init_params([4, 5, 3], rng)
     return g, params
+
+
+def attack(params, g, victim, spec):
+    """``fga_attack`` from ``g``'s own forward pass."""
+    adj = normalize_adjacency(g)
+    return fga_attack(params, g, victim, spec, adj,
+                      gcn_forward(adj, g.features, params))
 
 
 def assert_valid_graph(g: Graph):
@@ -115,20 +124,20 @@ class TestLossGradient:
     def test_ignored_feature_has_zero_gradient(self, rng):
         g, params = trained_instance(0)
         params.weights[0][2, :] = 0.0     # model never reads feature 2
-        _, grad_x = loss_gradient_wrt_inputs(params, g, target_node=1)
+        _, _, grad_x = local_gradients(params, g, target_node=1)
         assert np.allclose(grad_x[:, 2], 0.0, atol=1e-15)
 
     def test_gradients_symmetric_and_zero_diagonal(self):
         g, params = trained_instance(1)
-        grad_adj, _ = loss_gradient_wrt_inputs(params, g, target_node=0)
+        _, grad_adj, _ = local_gradients(params, g, target_node=0)
         assert np.array_equal(grad_adj, grad_adj.T)
         assert np.array_equal(np.diag(grad_adj), np.zeros(g.num_nodes))
 
     def test_deterministic(self):
         g, params = trained_instance(2)
-        a = loss_gradient_wrt_inputs(params, g, 3)
-        b = loss_gradient_wrt_inputs(params, g, 3)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = local_gradients(params, g, 3)
+        b = local_gradients(params, g, 3)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     @settings(deadline=None, max_examples=10)
     @given(seed=st.integers(0, 10_000))
@@ -137,7 +146,7 @@ class TestLossGradient:
         g = random_graph(rng, 5, num_features=3, num_classes=2)
         params = init_params([3, 4, 2], rng)
         victim = 2
-        grad_adj, grad_x = loss_gradient_wrt_inputs(params, g, victim)
+        _, grad_adj, grad_x = local_gradients(params, g, victim)
 
         deg = np.asarray(g.csr.sum(axis=1)).ravel() + 1.0
         base = normalize_adjacency(g).dense()
@@ -175,9 +184,8 @@ class TestFgaAttack:
     def test_budget_contract_and_legality(self):
         g, params = trained_instance(3, n=15)
         spec = AttackSpec(kind="fga_structure", mode="evasion", budget=4)
-        edits = fga_attack(params, g, victim=0, spec=spec)
+        edits = attack(params, g, 0, spec)
         assert len(edits) <= 4
-        from gpcn.graph import apply_edits
         current = g
         for e in edits:
             current = apply_edits(current, [e])   # raises if illegal
@@ -188,20 +196,20 @@ class TestFgaAttack:
         zero = ModelParams(params.layer_dims,
                            [np.zeros_like(w) for w in params.weights])
         spec = AttackSpec(kind="fga_structure", mode="evasion", budget=3)
-        assert fga_attack(zero, g, victim=1, spec=spec) == []
+        assert attack(zero, g, 1, spec) == []
 
     def test_indirect_edits_avoid_victim(self):
         g, params = trained_instance(5, n=15)
         spec = AttackSpec(kind="fga_indirect", mode="evasion", budget=4,
                           influencer_count=3)
-        for e in fga_attack(params, g, victim=2, spec=spec):
+        for e in attack(params, g, 2, spec):
             assert 2 not in (e.u, e.v)
 
     def test_feature_attack_requires_binary_features(self):
         g, params = trained_instance(6)
         spec = AttackSpec(kind="fga_feature", mode="evasion", budget=1)
         with pytest.raises(ValueError, match="binary"):
-            fga_attack(params, g, victim=0, spec=spec)
+            attack(params, g, 0, spec)
 
     def test_feature_attack_flips_binary_features(self, rng):
         g0 = random_graph(rng, 10, num_features=4, num_classes=2)
@@ -209,17 +217,16 @@ class TestFgaAttack:
                        g0.split, g0.edges, num_classes=2)
         params = init_params([4, 5, 2], rng)
         spec = AttackSpec(kind="fga_feature", mode="evasion", budget=3)
-        edits = fga_attack(params, g, victim=1, spec=spec)
+        edits = attack(params, g, 1, spec)
         assert all(e.kind == "feature_flip" for e in edits)
 
     def test_attack_raises_victim_loss(self):
         g, params = trained_instance(7, n=15)
         spec = AttackSpec(kind="fga_structure", mode="evasion", budget=2)
         victim = 0
-        edits = fga_attack(params, g, victim, spec)
+        edits = attack(params, g, victim, spec)
         if not edits:
             pytest.skip("no loss-increasing move on this instance")
-        from gpcn.graph import apply_edits
 
         def victim_loss(graph):
             adj = normalize_adjacency(graph)
@@ -227,6 +234,139 @@ class TestFgaAttack:
             return -np.log(probs[victim, g.labels[victim]])
 
         assert victim_loss(apply_edits(g, edits)) > victim_loss(g)
+
+
+GRAPH_SHAPES = ("random", "no_edges", "isolated_victim", "one_neighbour",
+                "near_complete")
+TARGETED_KINDS = ("fga_structure", "fga_feature", "fga_both", "fga_indirect")
+
+
+def shaped_instance(seed, shape, n, hidden_layers, binary):
+    """A random or degenerate graph around victim 0 and an untrained model
+    with ``hidden_layers`` hidden layers."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    if shape == "near_complete":
+        keep = rng.random(iu.size) < 0.9
+    elif shape == "no_edges":
+        keep = np.zeros(iu.size, dtype=bool)
+    else:
+        keep = rng.random(iu.size) < 0.35
+    if shape in ("isolated_victim", "one_neighbour"):
+        keep &= iu != 0
+    if shape == "one_neighbour":
+        keep |= (iu == 0) & (iv == 1)
+    num_features = 4
+    features = rng.normal(size=(n, num_features))
+    if binary:
+        features = (features > 0).astype(float)
+    split = np.full(n, "test", dtype="U5")
+    split[: n // 2] = "train"
+    g = make_graph(n, features, rng.integers(0, 3, size=n), split,
+                   np.stack([iu[keep], iv[keep]], axis=1), num_classes=3)
+    params = init_params([num_features, *[5] * hidden_layers, 3], rng)
+    return g, params
+
+
+instances = st.builds(
+    lambda seed, shape, n, hidden: (seed, shape, n, hidden),
+    st.integers(0, 10_000), st.sampled_from(GRAPH_SHAPES), st.integers(2, 12),
+    st.integers(0, 2))
+
+
+def dense_score(params, graph, victim, edit):
+    """Score of ``edit`` on the dense oracle gradient of ``graph``; 0 for
+    no edit, the score a move must beat."""
+    if edit is None:
+        return 0.0
+    grad_adj, grad_x = reference_loss_gradient_wrt_inputs(params, graph,
+                                                          victim)
+    if edit.kind == "feature_flip":
+        x = graph.features[edit.u, edit.v]
+        return grad_x[edit.u, edit.v] * (1.0 - 2.0 * x)
+    return grad_adj[edit.u, edit.v] * (1.0 - 2.0 * graph.has_edge(edit.u,
+                                                                  edit.v))
+
+
+def assert_same_edits(params, graph, victim, got, want):
+    """Identical edit lists, except that they may part at a step where the
+    dense oracle scores both choices equal up to rounding: a tie in exact
+    arithmetic (say removing the edge to a node with one active feature
+    against flipping that feature off, in a one-layer model), which
+    rounding breaks one way in the dense product and maybe the other way
+    in its row subset."""
+    for step in range(max(len(got), len(want))):
+        a = got[step] if step < len(got) else None
+        b = want[step] if step < len(want) else None
+        if a != b:
+            assert dense_score(params, graph, victim, a) == pytest.approx(
+                dense_score(params, graph, victim, b), rel=1e-12, abs=1e-15)
+            return
+        graph = apply_edits(graph, [a])
+
+
+class TestLocalPathMatchesDense:
+    """The local gradient and scoring against the dense n x n oracle kept
+    in conftest."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(instance=instances, kind=st.sampled_from(TARGETED_KINDS),
+           budget=st.integers(1, 3), influencers=st.integers(1, 3))
+    # one influencer of several: the ranking by gradient strength, which
+    # reads both the stored rows and the transpose part, decides the edit
+    @example(instance=(0, "random", 10, 1), kind="fga_indirect", budget=1,
+             influencers=1)
+    def test_identical_edit_lists(self, instance, kind, budget, influencers):
+        seed, shape, n, hidden = instance
+        g, params = shaped_instance(seed, shape, n, hidden,
+                                    binary=kind in ("fga_feature", "fga_both"))
+        spec = AttackSpec(kind=kind, budget=budget,
+                          influencer_count=influencers)
+        assert_same_edits(params, g, 0, attack(params, g, 0, spec),
+                          reference_fga_attack(params, g, 0, spec))
+
+    def test_tie_across_rows_goes_to_smallest_pair(self):
+        """Victim 0 with neighbours 3 and 4, pendants 1 on 3 and 5 on 4,
+        and twin features (x3 = x4, x1 = x5): the mirror 3 <-> 4, 1 <-> 5
+        makes adding (3, 5) and adding (1, 4) tie exactly. The gradient
+        holds (3, 5) in an earlier row than (1, 4), yet the smaller pair
+        (1, 4) must win, as in the dense scan. Seed 2 is one where the
+        tie holds the top score."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(8, 4))
+        x[4], x[5] = x[3], x[1]
+        split = np.array(["train"] * 4 + ["test"] * 4)
+        g = make_graph(8, x, rng.integers(0, 3, size=8), split,
+                       [[0, 3], [0, 4], [1, 3], [4, 5]], num_classes=3)
+        params = init_params([4, 5, 3], rng)
+        grad_adj, _ = reference_loss_gradient_wrt_inputs(params, g, 0)
+        assert grad_adj[1, 4] == grad_adj[3, 5] == grad_adj.max()
+        spec = AttackSpec(kind="fga_structure", budget=1)
+        assert attack(params, g, 0, spec) == [EdgeEdit("add", 1, 4)]
+
+    @settings(deadline=None, max_examples=100)
+    @given(instance=instances)
+    def test_gradient_rows_match_dense(self, instance):
+        seed, shape, n, hidden = instance
+        g, params = shaped_instance(seed, shape, n, hidden, binary=False)
+        rows, local, grad_x = local_gradients(params, g, 0)
+        dense, dense_x = reference_loss_gradient_wrt_inputs(params, g, 0)
+
+        # a row subset of a matrix product may round differently from the
+        # full product, so entries agree to rounding of the largest one
+        scale = np.abs(dense).max()
+        assert np.allclose(local[rows], dense[rows], rtol=1e-12,
+                           atol=1e-12 * scale)
+        off = np.ones(n, dtype=bool)
+        off[rows] = False
+        assert np.all(dense[np.ix_(off, off)] == 0.0)
+        assert np.array_equal(grad_x, dense_x)
+        # rows lie in the victim's (K-1)-hop ball
+        reach = np.zeros(n, dtype=bool)
+        reach[0] = True
+        for _ in range(hidden):
+            reach = reach | (g.csr @ reach > 0)
+        assert reach[rows].all()
 
 
 class TestHolisticMetric:

@@ -11,7 +11,8 @@ from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
                         load_dataset, make_graph, normalize_adjacency,
                         propagate, save_dataset)
 
-from conftest import graphs_equal, inverse_edit, random_graph
+from conftest import (graphs_equal, inverse_edit, random_graph,
+                      reference_apply_edits)
 
 
 def dense_normalized(g):
@@ -270,3 +271,63 @@ class TestApplyEdits:
         restored = apply_edits(current,
                                [inverse_edit(e) for e in reversed(edits)])
         assert graphs_equal(restored, g)
+
+
+def edit_outcome(apply, g, edits):
+    """The graph ``apply`` returns, or the type and message it raises."""
+    try:
+        return apply(g, edits)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(g, edits):
+    got = edit_outcome(apply_edits, g, edits)
+    want = edit_outcome(reference_apply_edits, g, edits)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert graphs_equal(got, want)
+
+
+class TestApplyEditsMatchesSetOracle:
+    @pytest.mark.parametrize("first, second", [("add", "remove"),
+                                               ("remove", "add")])
+    def test_toggle_one_pair_twice(self, first, second):
+        g = make_graph(4, np.ones((4, 1)), [0] * 4, ["none"] * 4,
+                       [[0, 1], [2, 3]] if first == "remove" else [[2, 3]],
+                       num_classes=1)
+        edits = [EdgeEdit(first, 1, 0), EdgeEdit(second, 0, 1)]
+        assert_same_outcome(g, edits)
+        assert graphs_equal(apply_edits(g, edits), g)
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 8),
+           pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                          max_size=10),
+           flips=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)),
+                          max_size=3),
+           last=st.none() | st.tuples(
+               st.sampled_from(["add", "remove", "feature_flip"]),
+               st.integers(-1, 9), st.integers(-1, 9)))
+    def test_matches_set_based_oracle(self, seed, n, pairs, flips, last):
+        """Legal toggles, repeated pairs included, then feature flips and
+        one arbitrary edit that may be illegal or out of range."""
+        rng = np.random.default_rng(seed)
+        g0 = random_graph(rng, n, edge_prob=0.4)
+        g = make_graph(n, (g0.features > 0).astype(float), g0.labels,
+                       g0.split, g0.edges, num_classes=g0.num_classes)
+        present = {(int(u), int(v)) for u, v in g.edges}
+        edits = []
+        for u, v in pairs:
+            u, v = u % n, v % n
+            if u == v:
+                continue
+            pair = (min(u, v), max(u, v))
+            edits.append(EdgeEdit("remove" if pair in present else "add",
+                                  u, v))
+            present ^= {pair}
+        edits += [EdgeEdit("feature_flip", u % n, f) for u, f in flips]
+        if last is not None:
+            edits.append(EdgeEdit(*last))
+        assert_same_outcome(g, edits)

@@ -289,6 +289,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "GPCN_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("random_global", ["--ptb-rate", "inf"], "inf"),
+        ("random_global", ["--ptb-rate", "0.1,nan"], "nan"),
+        ("random_global", ["--budget", "2"], "--budget"),
+        ("fga_structure", ["--ptb-rate", "0.1"], "--ptb-rate"),
+    ])
+    def test_usage_error_names_bad_attack_flag(self, tmp_path, capsys, kind,
+                                               flags, named):
+        cfg = write_config(tmp_path, epochs=1, seeds=[0])
+        assert main(["attack", "--config", str(cfg), "--kind", kind,
+                     "--mode", "evasion", *flags,
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and named in err
+
     def test_numeric_error_on_divergent_inference(self, tmp_path):
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],
                            pc={"inference_steps": 200,

@@ -302,12 +302,12 @@ class TestWeightGradients:
         params = init_params([3, 4, 2], rng)
         adj = normalize_adjacency(g)
         state = pc_init_feedforward(gcn_forward(adj, g.features, params))
-        for gr in pc_weight_gradients(adj, state, params):
+        for gr in pc_weight_gradients(state):
             assert np.array_equal(gr, np.zeros_like(gr))
 
     def test_one_node_chain_output_gradient(self):
         adj, state, params = one_node_chain()
-        grads = pc_weight_gradients(adj, state, params)
+        grads = pc_weight_gradients(state)
         # -f(h1) * eps2 with h1 = 1 and eps2 = 1
         assert grads[1][0, 0] == -1.0
 
@@ -316,7 +316,7 @@ class TestWeightGradients:
            mode=st.sampled_from(["inter_layer", "intra_layer"]))
     def test_matches_finite_differences(self, seed, mode):
         adj, state, params = clamped_random_state(seed, mode=mode)
-        grads = pc_weight_gradients(adj, state, params)
+        grads = pc_weight_gradients(state)
         step = 1e-5
         for k in range(params.num_layers):
             fd = np.zeros_like(params.weights[k])
@@ -369,7 +369,7 @@ class TestCachedStateMatchesReference:
         step = intra_layer_step if mode == "intra_layer" else inference_step
 
         def update():
-            grads = pc_weight_gradients(adj, state, params)
+            grads = pc_weight_gradients(state)
             expected = reference_pc_weight_gradients(
                 adj, params, state.h, state.h_agg, mode, state.output_mask)
             assert all(np.array_equal(a, b) for a, b in zip(grads, expected))
