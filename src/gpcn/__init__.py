@@ -5,12 +5,14 @@ from gpcn.graph import (
     EdgeEdit,
     Graph,
     NormalizedAdjacency,
+    PreparedGraph,
     SyntheticSpec,
     apply_edits,
     generate_synthetic,
     largest_connected_component,
     load_dataset,
     normalize_adjacency,
+    prepare,
     propagate,
     save_dataset,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "NormalizedAdjacency",
     "PCConfig",
     "PCState",
+    "PreparedGraph",
     "RobustnessReport",
     "SyntheticSpec",
     "TrainConfig",
@@ -62,6 +65,7 @@ __all__ = [
     "load_dataset",
     "normalize_adjacency",
     "predict",
+    "prepare",
     "propagate",
     "random_global_poison",
     "save_dataset",

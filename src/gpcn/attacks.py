@@ -18,6 +18,20 @@ spreads one hop per layer, so those rows lie in the victim's (K-1)-hop ball.
 The adjacency gradient is formed on those rows only (|rows| x n, with the
 transpose giving the columns), and only pairs with an endpoint there are
 scored: every other pair has zero gradient and cannot increase the loss.
+
+Targeted attacks never form a perturbed graph from scratch. Each attack
+step, and each victim's perturbed graph at each budget, is
+``PreparedGraph.with_edits`` of the one before, which normalizes A_hat again
+but forms again only the rows of A_hat X an edit can change: the closed
+neighbourhoods, in the old graph and in the new one, of every node an edit
+touches. Those are both endpoints of an edge edit, whose degrees change
+every entry of A_hat in their neighbours' rows, and the node of a feature
+flip, whose row of X enters its neighbours' rows. The patch is exact, not
+approximate: scipy's CSR product sums each row on its own, in stored index
+order, so a row formed through A_hat[rows] @ X has the bits of the same row
+of the full product. The dense product (A_hat X) W^(1) stays full-size,
+because a row subset of a BLAS matrix product is not bit-identical to the
+full one.
 """
 
 from __future__ import annotations
@@ -26,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpcn.graph import (EdgeEdit, Graph, NormalizedAdjacency, apply_edits,
-                        normalize_adjacency, propagate)
+from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, apply_edits, prepare,
+                        propagate)
 from gpcn.nn import ModelParams, relu_prime, softmax_rows
-from gpcn.bp import ForwardCache, gcn_forward
+from gpcn.bp import ForwardCache, gcn_forward, predict
 from gpcn.calibration import classification_margins
 
 ATTACK_KINDS = ("random_global", "fga_structure", "fga_feature", "fga_both",
@@ -153,13 +167,11 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
     return apply_edits(graph, [EdgeEdit("add", u, v) for u, v in new_edges])
 
 
-def loss_gradient_wrt_inputs(params: ModelParams, graph: Graph,
-                             adj: NormalizedAdjacency, cache: ForwardCache,
-                             target_node: int):
+def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
+                             cache: ForwardCache, target_node: int):
     """Gradient of the target node's cross-entropy w.r.t. the adjacency, on
     the rows the gradient can touch, with normalization coefficients frozen
-    at the current degrees. ``adj`` and ``cache`` are the normalized
-    adjacency and forward pass of ``graph``.
+    at the current degrees. ``cache`` is the forward pass of ``prepared``.
 
     Returns ``(rows, grad, signal)``. ``rows`` is the sorted set of nodes
     whose backprop signal is nonzero at some layer, the victim's (K-1)-hop
@@ -169,6 +181,7 @@ def loss_gradient_wrt_inputs(params: ModelParams, graph: Graph,
     first layer's pre-activation Z^(1), so the feature gradient is
     A_hat (signal W^(1)T).
     """
+    graph, adj = prepared.graph, prepared.adj
     probs = softmax_rows(cache.logits[target_node:target_node + 1])
     g = np.zeros_like(cache.logits)
     g[target_node] = probs[0]
@@ -231,33 +244,32 @@ def _best_toggle(graph: Graph, rows: np.ndarray, grad: np.ndarray,
     return float(best), EdgeEdit(kind, int(lo[j]), int(hi[j]))
 
 
-def fga_attack(params: ModelParams, graph: Graph, victim: int,
-               spec: AttackSpec, adj: NormalizedAdjacency,
-               cache: ForwardCache) -> list[EdgeEdit]:
+def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
+               spec: AttackSpec, cache: ForwardCache) -> list[EdgeEdit]:
     """Greedy gradient attack: per iteration, recompute gradients and apply
     the legal edge toggle / feature flip with the largest loss-increasing
     score. Indirect attacks only touch edges that avoid the victim and have
-    an endpoint among the top-gradient influencer neighbors. ``adj`` and
-    ``cache`` are the normalized adjacency and forward pass of ``graph``
-    under ``params``; later iterations form them for the perturbed graph."""
+    an endpoint among the top-gradient influencer neighbors. ``cache`` is
+    the forward pass of ``prepared`` under ``params``; later iterations
+    form it for the perturbed graph."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     use_structure = spec.kind in ("fga_structure", "fga_both", "fga_indirect")
     use_features = spec.kind in ("fga_feature", "fga_both")
     if not (use_structure or use_features):
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
-    if use_features and not np.isin(graph.features, (0.0, 1.0)).all():
+    if use_features and not np.isin(prepared.graph.features,
+                                    (0.0, 1.0)).all():
         raise ValueError("feature attacks require binary features")
 
-    current = graph
     edits: list[EdgeEdit] = []
     for step in range(spec.budget):
         if step:
-            current = apply_edits(current, edits[-1:])
-            adj = normalize_adjacency(current)
-            cache = gcn_forward(adj, current.features, params)
-        rows, grad, signal = loss_gradient_wrt_inputs(params, current, adj,
-                                                      cache, victim)
+            prepared = prepared.with_edits(edits[-1:])
+            cache = gcn_forward(prepared, params)
+        current = prepared.graph
+        rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
+                                                      victim)
         if rows.size == 0:
             break           # zero gradient: no move increases the loss
         best_score = 0.0
@@ -277,7 +289,7 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
                 best_score, best_edit = score, edit
         if use_features:
             x = current.features
-            grad_x = propagate(adj, signal @ params.weights[0].T)
+            grad_x = propagate(prepared.adj, signal @ params.weights[0].T)
             fsc = grad_x * (1.0 - 2.0 * x)
             node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
             if fsc[node, fidx] > best_score:
@@ -289,42 +301,44 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
     return edits
 
 
-def evaluate_attack(trainer, graph: Graph, victims: VictimSet,
-                    spec: AttackSpec, budgets) -> RobustnessReport:
+def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
+                    victims: VictimSet, spec: AttackSpec,
+                    budgets) -> RobustnessReport:
     """Run the evasion or poisoning protocol over a budget sweep.
 
-    ``trainer`` must expose train(graph) -> params and
-    predict(graph, params) -> probabilities. Evasion trains once on the clean
-    graph and re-predicts on perturbed copies; poisoning retrains from
-    scratch on each perturbed graph.
+    ``params`` are the weights ``trainer`` trained on the clean graph of
+    ``prepared``. ``trainer`` must expose train(prepared) -> params;
+    evasion re-predicts with ``params`` on perturbed copies, and poisoning
+    retrains from scratch on each perturbed graph.
     """
     budgets = list(budgets)
     if not budgets:
         raise ValueError("budget sweep is empty")
-    clean_params = trainer.train(graph)
-    clean_probs = trainer.predict(graph, clean_params)
+    graph = prepared.graph
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims.nodes] = True
-    margins_before = classification_margins(clean_probs, graph.labels, vmask)
+    margins_before = classification_margins(predict(prepared, params),
+                                            graph.labels, vmask)
+
+    def probs_on(perturbed: PreparedGraph) -> np.ndarray:
+        # the perturbed graph, with its copy of A_hat X, is freed on return
+        if spec.mode == "poisoning":
+            return predict(perturbed, trainer.train(perturbed))
+        return predict(perturbed, params)
 
     accuracy: dict = {}
     margins_after: dict = {}
     if spec.kind == "random_global":
         for rate in budgets:
-            poisoned = random_global_poison(graph, rate, spec.seed)
-            if spec.mode == "poisoning":
-                p = trainer.train(poisoned)
-            else:
-                p = clean_params
-            probs = trainer.predict(poisoned, p)
+            probs = probs_on(prepare(random_global_poison(graph, rate,
+                                                          spec.seed)))
             recs = classification_margins(probs, graph.labels, vmask)
             accuracy[rate] = float(np.mean([r.correct for r in recs]))
             margins_after[rate] = recs
     else:
         max_budget = max(budgets)
         # every victim's first step runs on the clean graph
-        adj = normalize_adjacency(graph)
-        cache = gcn_forward(adj, graph.features, clean_params)
+        cache = gcn_forward(prepared, params)
         per_victim_edits = {}
         for victim in victims.nodes:
             vspec = AttackSpec(kind=spec.kind, mode=spec.mode,
@@ -332,25 +346,18 @@ def evaluate_attack(trainer, graph: Graph, victims: VictimSet,
                                influencer_count=spec.influencer_count,
                                seed=spec.seed)
             per_victim_edits[int(victim)] = fga_attack(
-                clean_params, graph, int(victim), vspec, adj, cache)
+                params, prepared, int(victim), vspec, cache)
         for q in budgets:
-            correct = []
             recs = []
             for victim in victims.nodes:
                 victim = int(victim)
-                edits = per_victim_edits[victim][:q]
-                perturbed = apply_edits(graph, edits)
-                if spec.mode == "poisoning":
-                    p = trainer.train(perturbed)
-                else:
-                    p = clean_params
-                probs = trainer.predict(perturbed, p)
+                probs = probs_on(prepared.with_edits(
+                    per_victim_edits[victim][:q]))
                 one = np.zeros(graph.num_nodes, dtype=bool)
                 one[victim] = True
-                rec = classification_margins(probs, graph.labels, one)[0]
-                recs.append(rec)
-                correct.append(rec.correct)
-            accuracy[q] = float(np.mean(correct))
+                recs.append(classification_margins(probs, graph.labels,
+                                                   one)[0])
+            accuracy[q] = float(np.mean([r.correct for r in recs]))
             margins_after[q] = recs
 
     return RobustnessReport(budgets=budgets, accuracy=accuracy,

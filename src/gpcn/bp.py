@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpcn.graph import Graph, NormalizedAdjacency, normalize_adjacency, propagate
+from gpcn.graph import NormalizedAdjacency, PreparedGraph, propagate
 from gpcn.nn import (AdamState, ModelParams, adam_step, cross_entropy_masked,
                      init_params, relu, relu_prime, softmax_rows)
 
@@ -51,14 +51,14 @@ class TrainHistory:
     selected_epoch: int = 0
 
 
-def gcn_forward(adj: NormalizedAdjacency, x: np.ndarray,
-                params: ModelParams) -> ForwardCache:
-    """Hidden layers ReLU(A_hat H W); output layer linear (logits)."""
-    agg, pre, act = [], [], [np.asarray(x, dtype=np.float64)]
+def gcn_forward(prepared: PreparedGraph, params: ModelParams) -> ForwardCache:
+    """Hidden layers ReLU(A_hat H W); output layer linear (logits). The
+    first aggregate A_hat X is the prepared graph's."""
+    agg, pre, act = [], [], [prepared.graph.features]
     h = act[0]
     K = params.num_layers
     for k, w in enumerate(params.weights, start=1):
-        agg.append(propagate(adj, h))
+        agg.append(prepared.ax if k == 1 else propagate(prepared.adj, h))
         z = agg[-1] @ w
         pre.append(z)
         h = z if k == K else relu(z)
@@ -91,8 +91,9 @@ def accuracy(probs_or_logits, labels, mask) -> float:
     return float(np.mean(pred == labels[sel]))
 
 
-def fit(graph: Graph, config: TrainConfig, epoch):
-    """Full-batch training loop shared by both backends.
+def fit(prepared: PreparedGraph, config: TrainConfig, epoch):
+    """Full-batch training loop shared by both backends, on the graph of
+    ``prepared``.
 
     ``epoch(adj, cache, params, opt, train_mask)`` updates ``params`` in
     place through the Adam state ``opt`` and returns the settled energy
@@ -102,13 +103,13 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     Returns the snapshot with the best val accuracy, ties broken by lowest
     energy, then earliest epoch, together with the epoch history.
     """
+    graph = prepared.graph
     train_mask = graph.mask("train")
     val_mask = graph.mask("val")
     if not train_mask.any() or not val_mask.any():
         raise ValueError("graph needs nonempty train and val splits")
     test_mask = graph.mask("test")
 
-    adj = normalize_adjacency(graph)
     rng = np.random.default_rng(config.seed)
     dims = [graph.num_features, *config.hidden_dims, graph.num_classes]
     params = init_params(dims, rng)
@@ -117,15 +118,15 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     history = TrainHistory()
     best_key = None
     best_params = None
-    cache = gcn_forward(adj, graph.features, params)
+    cache = gcn_forward(prepared, params)
     for i in range(config.epochs):
-        energy = epoch(adj, cache, params, opt, train_mask)
+        energy = epoch(prepared.adj, cache, params, opt, train_mask)
         if energy is not None:
             if not np.isfinite(energy):
                 raise FloatingPointError(f"non-finite energy at epoch {i}")
             history.energy.append(energy)
 
-        cache = gcn_forward(adj, graph.features, params)
+        cache = gcn_forward(prepared, params)
         logits = cache.logits
         history.train_acc.append(accuracy(logits, graph.labels, train_mask))
         val = accuracy(logits, graph.labels, val_mask)
@@ -139,22 +140,21 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     return best_params, history
 
 
-def train_bp(graph: Graph, config: TrainConfig):
+def train_bp(prepared: PreparedGraph, config: TrainConfig):
     """Backprop training through ``fit``: one cross-entropy gradient step
     per epoch, so selection is best val accuracy, then earliest epoch."""
 
     def epoch(adj, cache, params, opt, train_mask):
-        loss, grad = cross_entropy_masked(cache.logits, graph.labels,
-                                          train_mask)
+        loss, grad = cross_entropy_masked(cache.logits,
+                                          prepared.graph.labels, train_mask)
         if not np.isfinite(loss):
             # one Adam step per epoch, so opt.t counts the epochs done
             raise FloatingPointError(f"non-finite loss at epoch {opt.t}")
         adam_step(params, gcn_backward(adj, cache, grad, params), opt)
 
-    return fit(graph, config, epoch)
+    return fit(prepared, config, epoch)
 
 
-def predict(adj: NormalizedAdjacency, x: np.ndarray,
-            params: ModelParams) -> np.ndarray:
+def predict(prepared: PreparedGraph, params: ModelParams) -> np.ndarray:
     """Class probabilities: softmax of the forward-pass logits."""
-    return softmax_rows(gcn_forward(adj, x, params).logits)
+    return softmax_rows(gcn_forward(prepared, params).logits)

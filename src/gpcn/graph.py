@@ -3,13 +3,18 @@
 Graphs are undirected, unweighted, stored as a deduplicated edge list plus a
 CSR adjacency view. The propagation operator is the GCN convention
 D^{-1/2} (A + I) D^{-1/2} with degrees taken after adding self-loops.
+
+``prepare`` forms the graph constants every forward pass reads, A_hat and
+the first-layer aggregate A_hat X, once per graph. ``PreparedGraph.with_edits``
+derives a perturbed copy that re-forms only the rows of A_hat X an edit can
+change.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +51,6 @@ class Graph:
     def mask(self, tag: str) -> np.ndarray:
         return self.split == tag
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return self.csr[u, v] != 0
-
     def neighbors(self, u: int) -> np.ndarray:
         return self.csr.indices[self.csr.indptr[u]:self.csr.indptr[u + 1]]
 
@@ -62,8 +62,48 @@ class NormalizedAdjacency:
     matrix: sp.csr_matrix
     num_nodes: int
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+
+@dataclass(frozen=True)
+class PreparedGraph:
+    """A graph with the normalized adjacency ``adj`` (A_hat) and the
+    first-layer aggregate ``ax`` (A_hat X), formed once by ``prepare``.
+
+    ``ax`` is read-only and no method writes into a shared array, so one
+    prepared graph may serve every seed on every thread.
+    """
+
+    graph: Graph
+    adj: NormalizedAdjacency
+    ax: np.ndarray
+
+    def with_edits(self, edits) -> "PreparedGraph":
+        """The prepared graph of ``apply_edits(self.graph, edits)``.
+
+        A_hat is normalized again; A_hat X is a copy of this one with the
+        rows an edit can change formed again. Those rows are the closed
+        neighbourhoods, in the old graph and the new one, of every touched
+        node: both endpoints of an edge edit (their degrees change, and with
+        them every entry of A_hat in their neighbours' rows) and the node of
+        a feature flip (its row of X enters its neighbours' rows). Every
+        added or removed edge joins two touched nodes, so the union of those
+        neighbourhoods is the same in both graphs and is read off the new
+        one. Each row is summed alone in stored order, as the full product
+        sums it, so the result is bit-identical to
+        ``prepare(apply_edits(graph, edits))``.
+        """
+        edits = list(edits)
+        graph = apply_edits(self.graph, edits)
+        adj = normalize_adjacency(graph)
+        touched = np.unique(np.array(
+            [n for e in edits
+             for n in ((e.u,) if e.kind == "feature_flip" else (e.u, e.v))],
+            dtype=np.int64))
+        # the pattern of A_hat is A + I, so its rows hold closed neighbourhoods
+        rows = np.unique(adj.matrix[touched].indices)
+        ax = self.ax.copy()
+        ax[rows] = adj.matrix[rows] @ graph.features
+        ax.flags.writeable = False
+        return PreparedGraph(graph, adj, ax)
 
 
 @dataclass(frozen=True)
@@ -235,6 +275,14 @@ def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(matrix=mat, num_nodes=g.num_nodes)
 
 
+def prepare(g: Graph) -> PreparedGraph:
+    """A_hat and A_hat X of ``g``, formed once for every pass over it."""
+    adj = normalize_adjacency(g)
+    ax = propagate(adj, g.features)
+    ax.flags.writeable = False
+    return PreparedGraph(g, adj, ax)
+
+
 def propagate(adj: NormalizedAdjacency, m: np.ndarray) -> np.ndarray:
     """Sparse-dense product of the normalized adjacency with a node matrix."""
     m = np.asarray(m, dtype=np.float64)
@@ -336,11 +384,14 @@ def apply_edits(g: Graph, edits) -> Graph:
         elif not present:
             raise ValueError(f"edge ({u},{v}) not present")
         touched[key] = e.kind == "add"
-    edges = g.edges
-    if touched:
-        flips = np.fromiter(touched, dtype=np.int64, count=len(touched))
-        now = np.fromiter(touched.values(), dtype=bool, count=len(touched))
-        keys = np.union1d(keys[~np.isin(keys, flips[~now])], flips[now])
-        edges = np.stack([keys // n, keys % n], axis=1)
-    return make_graph(n, features, g.labels, g.split, edges,
-                      num_classes=g.num_classes)
+    if not touched:
+        return replace(g, features=features)
+    flips = np.fromiter(touched, dtype=np.int64, count=len(touched))
+    now = np.fromiter(touched.values(), dtype=bool, count=len(touched))
+    keys = np.union1d(keys[~np.isin(keys, flips[~now])], flips[now])
+    edges = np.stack([keys // n, keys % n], axis=1)
+    # edits leave the labels, the splits and the finiteness of the features
+    # as they were, and the keys are sorted and unique, so the graph is built
+    # without make_graph's validation and canonicalization
+    return replace(g, edges=edges, features=features,
+                   csr=_build_csr(n, edges))

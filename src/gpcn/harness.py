@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gpcn.graph import (Graph, SyntheticSpec, generate_synthetic,
-                        largest_connected_component, load_dataset,
-                        normalize_adjacency, save_dataset)
+from gpcn.graph import (Graph, PreparedGraph, SyntheticSpec,
+                        generate_synthetic, largest_connected_component,
+                        load_dataset, prepare, save_dataset)
 from gpcn.nn import ModelParams
 from gpcn.bp import TrainConfig, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
@@ -113,18 +113,24 @@ class RunRecord:
 class Trainer:
     """A learner (train_bp or train_pc) and its config behind the
     attack-protocol trainer interface. Both learners train the same GCN, so
-    one forward pass predicts for either."""
+    ``bp.predict`` predicts for either."""
 
     def __init__(self, train_fn, config: TrainConfig):
         self.train_fn = train_fn
         self.config = config
 
-    def train(self, graph: Graph) -> ModelParams:
-        params, _ = self.train_fn(graph, self.config)
+    def train(self, prepared: PreparedGraph) -> ModelParams:
+        params, _ = self.train_fn(prepared, self.config)
         return params
 
-    def predict(self, graph: Graph, params: ModelParams) -> np.ndarray:
-        return predict(normalize_adjacency(graph), graph.features, params)
+
+def _require_test_split(graph: Graph) -> None:
+    """Calibration is measured on the test split, so a command that reports
+    it checks the split before any seed trains (``fit`` checks train and
+    val)."""
+    if not graph.mask("test").any():
+        raise ValueError("the dataset's test split is empty; calibration "
+                         "is measured on it")
 
 
 def _max_workers() -> int:
@@ -176,12 +182,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     return ModelParams(dims, weights), data
 
 
-def _train_one(config: ExperimentConfig, graph: Graph,
+def _train_one(config: ExperimentConfig, prepared: PreparedGraph,
                seed: int) -> tuple[RunRecord, ModelParams, object]:
     start = time.perf_counter()
     train_fn, train_config = config.learner(seed)
-    params, history = train_fn(graph, train_config)
-    probs = predict(normalize_adjacency(graph), graph.features, params)
+    params, history = train_fn(prepared, train_config)
+    probs = predict(prepared, params)
+    graph = prepared.graph
     test_mask = graph.mask("test")
     cal = expected_calibration_error(probs, graph.labels, test_mask,
                                      config.bins)
@@ -207,8 +214,10 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list[RunRecord]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = config.load_graph()
+    _require_test_split(graph)
+    prepared = prepare(graph)
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(lambda s: _train_one(config, graph, s),
+        results = list(pool.map(lambda s: _train_one(config, prepared, s),
                                 config.seeds))
     records = []
     for record, params, history in results:
@@ -243,7 +252,7 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
         raise ValueError("checkpoint input width does not match dataset")
     if params.layer_dims[-1] != graph.num_classes:
         raise ValueError("checkpoint output width does not match classes")
-    probs = predict(normalize_adjacency(graph), graph.features, params)
+    probs = predict(prepare(graph), params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
     hist = confidence_histogram(probs, test_mask, bins)
@@ -273,16 +282,21 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = config.load_graph()
+    if graph.num_classes < 2:
+        raise ValueError(f"attack margins need at least 2 classes; the "
+                         f"dataset has {graph.num_classes}")
+    prepared = prepare(graph)
 
     def run_seed(seed):
         trainer = Trainer(*config.learner(seed))
-        clean_params = trainer.train(graph)
-        probs = trainer.predict(graph, clean_params)
-        victims = select_victims(graph, probs, config.victim_strategy, seed)
+        params = trainer.train(prepared)
+        victims = select_victims(graph, predict(prepared, params),
+                                 config.victim_strategy, seed)
         seeded = AttackSpec(kind=spec.kind, mode=spec.mode,
                             budget=spec.budget, ptb_rate=spec.ptb_rate,
                             influencer_count=spec.influencer_count, seed=seed)
-        return seed, evaluate_attack(trainer, graph, victims, seeded, budgets)
+        return seed, evaluate_attack(trainer, prepared, params, victims,
+                                     seeded, budgets)
 
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         results = list(pool.map(run_seed, config.seeds))
@@ -324,6 +338,8 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = config.load_graph()
+    _require_test_split(graph)
+    prepared = prepare(graph)
 
     jobs = [(t, seed) for t in t_grid for seed in config.seeds]
 
@@ -331,7 +347,7 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
         t, seed = job
         cfg = ExperimentConfig(**{**config.__dict__,
                                   "pc": {**config.pc, "inference_steps": t}})
-        record, _, _ = _train_one(cfg, graph, seed)
+        record, _, _ = _train_one(cfg, prepared, seed)
         return {"T": t, "seed": seed,
                 "final_energy": record.metrics["final_energy"],
                 "ece": record.metrics["ece"], "mce": record.metrics["mce"]}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpcn.graph import Graph, NormalizedAdjacency, propagate
+from gpcn.graph import NormalizedAdjacency, PreparedGraph, propagate
 from gpcn.nn import ModelParams, adam_step, relu, relu_prime
 from gpcn.bp import ForwardCache, TrainConfig, fit
 
@@ -257,7 +257,7 @@ def pc_weight_gradients(state: PCState):
     return [-x.T @ e for x, e in zip(state.weight_inputs, state.eps)]
 
 
-def train_pc(graph: Graph, config: PCConfig):
+def train_pc(prepared: PreparedGraph, config: PCConfig):
     """Predictive-coding training through ``bp.fit``.
 
     Each epoch: feedforward init, clamp targets, T inference steps, weight
@@ -268,7 +268,7 @@ def train_pc(graph: Graph, config: PCConfig):
 
     def epoch(adj, cache, params, opt, train_mask):
         state = pc_init_feedforward(cache, config.mode)
-        clamp_targets(state, graph.labels, train_mask)
+        clamp_targets(state, prepared.graph.labels, train_mask)
         for _ in range(config.inference_steps):
             step(adj, state, params, config.value_update_rate)
             if config.weight_update_timing == "every_step":
@@ -279,4 +279,4 @@ def train_pc(graph: Graph, config: PCConfig):
             pc_predictions(adj, state, params)
         return compute_energy(state)
 
-    return fit(graph, config, epoch)
+    return fit(prepared, config, epoch)

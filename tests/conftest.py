@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
-                        make_graph, normalize_adjacency, propagate)
+                        make_graph, prepare, propagate)
 from gpcn.nn import ModelParams, init_params, relu, relu_prime, softmax_rows
-from gpcn.bp import gcn_forward
+from gpcn.bp import gcn_forward, predict
 from gpcn.attacks import loss_gradient_wrt_inputs
+from gpcn.calibration import classification_margins
 
 # verdict lines appended by the acceptance suite; echoed after the run
 # so the per-criterion outcome is visible even when capture is on
@@ -47,7 +48,33 @@ def graphs_equal(a, b) -> bool:
             and np.array_equal(a.edges, b.edges)
             and np.array_equal(a.features, b.features)
             and np.array_equal(a.labels, b.labels)
-            and np.array_equal(a.split, b.split))
+            and np.array_equal(a.split, b.split)
+            and csr_equal(a.csr, b.csr))
+
+
+def csr_equal(a, b) -> bool:
+    """Same shape and the same stored arrays, bit for bit."""
+    return (a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
+
+
+def prepared_equal(a, b) -> bool:
+    """Same graph, and A_hat and A_hat X bit for bit."""
+    return (graphs_equal(a.graph, b.graph)
+            and csr_equal(a.adj.matrix, b.adj.matrix)
+            and a.ax.shape == b.ax.shape
+            and np.array_equal(a.ax.view(np.int64), b.ax.view(np.int64)))
+
+
+def dense_adjacency(adj) -> np.ndarray:
+    """The normalized adjacency as a dense array."""
+    return adj.matrix.toarray()
+
+
+def has_edge(g, u, v) -> bool:
+    return u != v and g.csr[u, v] != 0
 
 
 def inverse_edit(e: EdgeEdit) -> EdgeEdit:
@@ -182,8 +209,9 @@ def reference_apply_edits(g, edits):
 def reference_loss_gradient_wrt_inputs(params, graph, target_node):
     """Dense n x n adjacency gradient and n x d feature gradient; the oracle
     for the local ``loss_gradient_wrt_inputs``."""
-    adj = normalize_adjacency(graph)
-    cache = gcn_forward(adj, graph.features, params)
+    prepared = prepare(graph)
+    adj = prepared.adj
+    cache = gcn_forward(prepared, params)
     K = params.num_layers
     probs = softmax_rows(cache.logits[target_node:target_node + 1])
     g = np.zeros_like(cache.logits)
@@ -272,14 +300,32 @@ def local_gradients(params, graph, target_node):
     rows spread into the dense n x n adjacency gradient (stored rows
     verbatim, their transpose elsewhere) and the feature gradient formed
     as ``fga_attack`` forms it. Returns (rows, grad_adj, grad_x)."""
-    adj = normalize_adjacency(graph)
-    cache = gcn_forward(adj, graph.features, params)
-    rows, grad, signal = loss_gradient_wrt_inputs(params, graph, adj, cache,
+    prepared = prepare(graph)
+    cache = gcn_forward(prepared, params)
+    rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
                                                   target_node)
-    dense = np.zeros((graph.num_nodes, graph.num_nodes))
-    dense[:, rows] = grad.T
-    dense[rows] = grad
-    return rows, dense, propagate(adj, signal @ params.weights[0].T)
+    full = np.zeros((graph.num_nodes, graph.num_nodes))
+    full[:, rows] = grad.T
+    full[rows] = grad
+    return rows, full, propagate(prepared.adj, signal @ params.weights[0].T)
+
+
+def reference_evasion_margins(params, graph, per_victim_edits, budgets):
+    """Per budget q, the victims' margins after their first q edits, each
+    perturbed graph rebuilt from scratch by the set-based edit oracle and
+    predicted on a fresh A_hat and A_hat X; the oracle for
+    ``evaluate_attack``'s evasion margins."""
+    out = {}
+    for q in budgets:
+        recs = []
+        for victim, edits in per_victim_edits.items():
+            perturbed = reference_apply_edits(graph, edits[:q])
+            one = np.zeros(graph.num_nodes, dtype=bool)
+            one[victim] = True
+            recs.append(classification_margins(
+                predict(prepare(perturbed), params), graph.labels, one)[0])
+        out[q] = recs
+    return out
 
 
 def central_difference(f, x, step=1e-5):

@@ -15,7 +15,8 @@ import pytest
 from scipy.stats import spearmanr
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, apply_edits,
-                        generate_synthetic, make_graph, normalize_adjacency)
+                        generate_synthetic, make_graph, normalize_adjacency,
+                        prepare)
 from gpcn.nn import ModelParams, cross_entropy_masked, init_params
 from gpcn.bp import TrainConfig, gcn_backward, gcn_forward, predict, train_bp
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
@@ -28,10 +29,11 @@ from gpcn.harness import ExperimentConfig, Trainer
 from gpcn.cli import main as cli_main
 
 import conftest
-from conftest import (central_difference, graphs_equal, inverse_edit,
-                      random_graph, relative_error)
+from conftest import (central_difference, dense_adjacency, graphs_equal,
+                      has_edge, inverse_edit, random_graph, relative_error)
 from test_calibration import oracle_ece_mce_hist, random_probs
-from test_pc import clamped_random_state, numeric_value_gradients, one_node_chain
+from test_pc import (clamped_random_state, numeric_value_gradients,
+                     one_node_chain, scaffold)
 
 SEEDS = range(5)
 
@@ -79,9 +81,7 @@ def test_criterion_1_gradient_correctness():
             def energy_of(w, k=k):
                 trial = params2.copy()
                 trial.weights[k] = w
-                probe = pc_init_feedforward(
-                    gcn_forward(adj2, state2.h[0], trial), mode)
-                probe.output_mask = state2.output_mask
+                probe = scaffold(state2)
                 for j in range(1, 3):
                     probe.h[j] = state2.h[j].copy()
                 for j, h in enumerate(state2.h_agg):
@@ -97,16 +97,17 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(2000 + i)
         g = random_graph(rng, n, num_features=3, num_classes=2)
         bp_params = init_params([3, 4, 2], rng)
-        adj3 = normalize_adjacency(g)
+        prepared = prepare(g)
+        adj3 = prepared.adj
         mask = g.mask("train")
-        cache = gcn_forward(adj3, g.features, bp_params)
+        cache = gcn_forward(prepared, bp_params)
         _, grad_logits = cross_entropy_masked(cache.logits, g.labels, mask)
         bp_grads = gcn_backward(adj3, cache, grad_logits, bp_params)
         for k in range(bp_params.num_layers):
             def loss_of(w, k=k):
                 trial = bp_params.copy()
                 trial.weights[k] = w
-                out = gcn_forward(adj3, g.features, trial)
+                out = gcn_forward(prepared, trial)
                 return cross_entropy_masked(out.logits, g.labels, mask)[0]
 
             fd = central_difference(loss_of, bp_params.weights[k])
@@ -156,12 +157,12 @@ def test_criterion_2_energy_descent():
 
 def test_criterion_3_accuracy_parity():
     start = time.time()
-    graph = generate_synthetic(EASY_SPEC, 42)
+    prepared = prepare(generate_synthetic(EASY_SPEC, 42))
     gcn, gpcn = [], []
     for seed in SEEDS:
-        _, h = train_bp(graph, TrainConfig(epochs=300, seed=seed))
+        _, h = train_bp(prepared, TrainConfig(epochs=300, seed=seed))
         gcn.append(h.test_acc[h.selected_epoch])
-        _, h = train_pc(graph, PCConfig(epochs=300, seed=seed))
+        _, h = train_pc(prepared, PCConfig(epochs=300, seed=seed))
         gpcn.append(h.test_acc[h.selected_epoch])
     m_gcn, m_gpcn = float(np.mean(gcn)), float(np.mean(gpcn))
     elapsed = time.time() - start
@@ -173,18 +174,18 @@ def test_criterion_3_accuracy_parity():
 
 def test_criterion_4_calibration_ordering():
     graph = generate_synthetic(CALIBRATION_SPEC, 42)
-    adj = normalize_adjacency(graph)
+    prepared = prepare(graph)
     test_mask = graph.mask("test")
     gcn_ece, gpcn_ece = [], []
     for seed in SEEDS:
-        params, _ = train_bp(graph, TrainConfig(epochs=300, weight_lr=0.001,
-                                                seed=seed))
-        probs = predict(adj, graph.features, params)
+        params, _ = train_bp(prepared, TrainConfig(epochs=300,
+                                                   weight_lr=0.001, seed=seed))
+        probs = predict(prepared, params)
         gcn_ece.append(expected_calibration_error(probs, graph.labels,
                                                   test_mask).ece)
-        params, _ = train_pc(graph, PCConfig(epochs=300, weight_lr=0.001,
-                                             seed=seed))
-        probs = predict(adj, graph.features, params)
+        params, _ = train_pc(prepared, PCConfig(epochs=300, weight_lr=0.001,
+                                                seed=seed))
+        probs = predict(prepared, params)
         gpcn_ece.append(expected_calibration_error(probs, graph.labels,
                                                    test_mask).ece)
     m_gcn, m_gpcn = float(np.mean(gcn_ece)), float(np.mean(gpcn_ece))
@@ -240,18 +241,20 @@ def test_criterion_5_energy_calibration_correlation(tmp_path):
 
 
 def _attack_sweep(graph, kind, mode, budgets, make_trainer):
+    prepared = prepare(graph)
     per_seed = []
     for seed in SEEDS:
         trainer = make_trainer(seed)
-        probs = trainer.predict(graph, trainer.train(graph))
-        victims = select_victims(graph, probs, "random_1000", seed)
+        params = trainer.train(prepared)
+        victims = select_victims(graph, predict(prepared, params),
+                                 "random_1000", seed)
         spec = AttackSpec(kind=kind, mode=mode, seed=seed,
                           budget=(max(budgets) if kind != "random_global"
                                   else None),
                           ptb_rate=(max(budgets) if kind == "random_global"
                                     else None))
-        per_seed.append(evaluate_attack(trainer, graph, victims, spec,
-                                        budgets))
+        per_seed.append(evaluate_attack(trainer, prepared, params, victims,
+                                        spec, budgets))
     means = np.array([[r.accuracy[q] for q in budgets] for r in per_seed])
     return means.mean(axis=0), per_seed
 
@@ -328,7 +331,7 @@ def test_criterion_9_structural_invariants():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, 2 + seed * 2 if seed else 1)
-        dense = normalize_adjacency(g).dense()
+        dense = dense_adjacency(normalize_adjacency(g))
         a = g.csr.toarray() + np.eye(g.num_nodes)
         d = a.sum(axis=1)
         oracle = a / np.sqrt(np.outer(d, d))
@@ -337,8 +340,8 @@ def test_criterion_9_structural_invariants():
     # edit round-trips
     rng = np.random.default_rng(99)
     g = random_graph(rng, 8, edge_prob=0.4)
-    edits = [EdgeEdit("add" if not g.has_edge(0, 7) else "remove", 0, 7),
-             EdgeEdit("add" if not g.has_edge(1, 6) else "remove", 1, 6)]
+    edits = [EdgeEdit("add" if not has_edge(g, 0, 7) else "remove", 0, 7),
+             EdgeEdit("add" if not has_edge(g, 1, 6) else "remove", 1, 6)]
     perturbed = apply_edits(g, edits)
     restored = apply_edits(perturbed,
                            [inverse_edit(e) for e in reversed(edits)])
@@ -352,13 +355,13 @@ def test_criterion_9_structural_invariants():
     inv[perm] = np.arange(9)
     gp = make_graph(9, g.features[inv], g.labels[inv], g.split[inv],
                     perm[g.edges], num_classes=2)
-    out = gcn_forward(normalize_adjacency(g), g.features, params).logits
-    out_p = gcn_forward(normalize_adjacency(gp), gp.features, params).logits
+    out = gcn_forward(prepare(g), params).logits
+    out_p = gcn_forward(prepare(gp), params).logits
     checks.append(np.allclose(out_p[perm], out, rtol=0, atol=1e-12))
     pc = pc_init_feedforward(
-        gcn_forward(normalize_adjacency(g), g.features, params)).h[-1]
+        gcn_forward(prepare(g), params)).h[-1]
     pc_p = pc_init_feedforward(
-        gcn_forward(normalize_adjacency(gp), gp.features, params)).h[-1]
+        gcn_forward(prepare(gp), params)).h[-1]
     checks.append(np.allclose(pc_p[perm], pc, rtol=0, atol=1e-12))
 
     # margin sign characterizes correctness

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpcn.graph import (EdgeEdit, Graph, apply_edits, make_graph,
-                        normalize_adjacency)
+                        normalize_adjacency, prepare)
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
@@ -15,8 +15,10 @@ from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
                           holistic_metric, random_global_poison,
                           select_victims)
 
-from conftest import (local_gradients, margin_shift_export, random_graph,
-                      reference_fga_attack, reference_loss_gradient_wrt_inputs)
+from conftest import (dense_adjacency, has_edge, local_gradients,
+                      margin_shift_export, random_graph,
+                      reference_evasion_margins, reference_fga_attack,
+                      reference_loss_gradient_wrt_inputs)
 
 
 class FixedParamsTrainer:
@@ -26,13 +28,12 @@ class FixedParamsTrainer:
         self.params = params
         self.train_calls = 0
 
-    def train(self, graph):
+    def train(self, prepared):
         self.train_calls += 1
         return self.params
 
     def predict(self, graph, params):
-        adj = normalize_adjacency(graph)
-        return softmax_rows(gcn_forward(adj, graph.features, params).logits)
+        return predict(prepare(graph), params)
 
 
 def trained_instance(seed, n=12):
@@ -44,9 +45,9 @@ def trained_instance(seed, n=12):
 
 def attack(params, g, victim, spec):
     """``fga_attack`` from ``g``'s own forward pass."""
-    adj = normalize_adjacency(g)
-    return fga_attack(params, g, victim, spec, adj,
-                      gcn_forward(adj, g.features, params))
+    prepared = prepare(g)
+    return fga_attack(params, prepared, victim, spec,
+                      gcn_forward(prepared, params))
 
 
 def assert_valid_graph(g: Graph):
@@ -149,7 +150,7 @@ class TestLossGradient:
         _, grad_adj, grad_x = local_gradients(params, g, victim)
 
         deg = np.asarray(g.csr.sum(axis=1)).ravel() + 1.0
-        base = normalize_adjacency(g).dense()
+        base = dense_adjacency(normalize_adjacency(g))
         label = g.labels[victim]
 
         def loss_with(norm_adj, x):
@@ -229,8 +230,7 @@ class TestFgaAttack:
             pytest.skip("no loss-increasing move on this instance")
 
         def victim_loss(graph):
-            adj = normalize_adjacency(graph)
-            probs = predict(adj, graph.features, params)
+            probs = predict(prepare(graph), params)
             return -np.log(probs[victim, g.labels[victim]])
 
         assert victim_loss(apply_edits(g, edits)) > victim_loss(g)
@@ -284,8 +284,8 @@ def dense_score(params, graph, victim, edit):
     if edit.kind == "feature_flip":
         x = graph.features[edit.u, edit.v]
         return grad_x[edit.u, edit.v] * (1.0 - 2.0 * x)
-    return grad_adj[edit.u, edit.v] * (1.0 - 2.0 * graph.has_edge(edit.u,
-                                                                  edit.v))
+    return grad_adj[edit.u, edit.v] * (1.0 - 2.0 * has_edge(graph, edit.u,
+                                                            edit.v))
 
 
 def assert_same_edits(params, graph, victim, got, want):
@@ -384,24 +384,48 @@ class TestEvaluateAttack:
         probs = trainer.predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
         spec = AttackSpec(kind="random_global", mode="evasion", ptb_rate=0.0)
-        report = evaluate_attack(trainer, g, victims, spec, [0])
+        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
+                                 [0])
         clean = np.mean([r.correct for r in report.margins_before])
         assert report.accuracy[0] == pytest.approx(clean)
 
     def test_evasion_trains_once_poisoning_retrains(self):
+        # the clean model is trained once, by the caller that passes params
         g, params = trained_instance(9, n=14)
         probs = FixedParamsTrainer(params).predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
 
         ev = FixedParamsTrainer(params)
         spec = AttackSpec(kind="random_global", mode="evasion", ptb_rate=0.5)
-        evaluate_attack(ev, g, victims, spec, [0.2, 0.5])
-        assert ev.train_calls == 1
+        evaluate_attack(ev, prepare(g), params, victims, spec, [0.2, 0.5])
+        assert ev.train_calls == 0
 
         po = FixedParamsTrainer(params)
         spec = AttackSpec(kind="random_global", mode="poisoning", ptb_rate=0.5)
-        evaluate_attack(po, g, victims, spec, [0.2, 0.5])
-        assert po.train_calls == 3    # clean + one per rate
+        evaluate_attack(po, prepare(g), params, victims, spec, [0.2, 0.5])
+        assert po.train_calls == 2    # one per rate
+
+    @pytest.mark.parametrize("mode", ["evasion", "poisoning"])
+    @pytest.mark.parametrize("kind", ["fga_structure", "fga_both",
+                                      "fga_indirect"])
+    def test_margins_match_rebuild_and_predict(self, kind, mode):
+        """Every victim's margin at every budget equals the margin predicted
+        on its perturbed graph rebuilt from scratch."""
+        g0, params = trained_instance(15, n=16)
+        g = make_graph(g0.num_nodes, (g0.features > 0).astype(float),
+                       g0.labels, g0.split, g0.edges,
+                       num_classes=g0.num_classes)
+        trainer = FixedParamsTrainer(params)
+        victims = select_victims(g, trainer.predict(g, params),
+                                 "random_1000", 0)
+        spec = AttackSpec(kind=kind, mode=mode, budget=3, influencer_count=2)
+        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
+                                 [1, 2, 3])
+        per_victim = {int(v): attack(params, g, int(v), spec)
+                      for v in victims.nodes}
+        assert any(len(e) > 1 for e in per_victim.values())
+        want = reference_evasion_margins(params, g, per_victim, [1, 2, 3])
+        assert report.margins_after == want
 
     def test_holistic_equals_recomputation(self):
         g, params = trained_instance(10, n=14)
@@ -409,7 +433,8 @@ class TestEvaluateAttack:
         probs = trainer.predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
         spec = AttackSpec(kind="fga_structure", mode="evasion", budget=3)
-        report = evaluate_attack(trainer, g, victims, spec, [1, 2, 3])
+        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
+                                 [1, 2, 3])
         recomputed = sum(q * report.accuracy[q] for q in [1, 2, 3])
         assert report.holistic == recomputed
 
@@ -428,7 +453,8 @@ class TestEvaluateAttack:
             spec = AttackSpec(kind=kind, mode="evasion",
                               budget=2 if kind != "random_global" else None,
                               ptb_rate=0.5 if kind == "random_global" else None)
-            report = evaluate_attack(trainer, g, victims, spec, budgets)
+            report = evaluate_attack(trainer, prepare(g), zero, victims,
+                                     spec, budgets)
             for q in budgets:
                 assert report.accuracy[q] == pytest.approx(clean)
 
@@ -439,7 +465,7 @@ class TestEvaluateAttack:
                                  "random_1000", 0)
         spec = AttackSpec(kind="random_global", mode="evasion", ptb_rate=0.1)
         with pytest.raises(ValueError, match="empty"):
-            evaluate_attack(trainer, g, victims, spec, [])
+            evaluate_attack(trainer, prepare(g), params, victims, spec, [])
 
 
 class TestMarginShiftExport:

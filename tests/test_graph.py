@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
                         generate_synthetic, largest_connected_component,
-                        load_dataset, make_graph, normalize_adjacency,
+                        load_dataset, make_graph, normalize_adjacency, prepare,
                         propagate, save_dataset)
 
-from conftest import (graphs_equal, inverse_edit, random_graph,
-                      reference_apply_edits)
+from conftest import (dense_adjacency, graphs_equal, has_edge, inverse_edit,
+                      prepared_equal, random_graph, reference_apply_edits)
 
 
 def dense_normalized(g):
@@ -112,19 +112,19 @@ class TestDatasetIO:
 
 class TestNormalization:
     def test_single_edge_pair(self, path_graph):
-        dense = normalize_adjacency(path_graph).dense()
+        dense = dense_adjacency(normalize_adjacency(path_graph))
         assert np.allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_triangle_is_all_thirds(self):
         g = make_graph(3, np.zeros((3, 1)), [0, 0, 0], ["none"] * 3,
                        [[0, 1], [1, 2], [0, 2]], num_classes=1)
-        assert np.allclose(normalize_adjacency(g).dense(), 1.0 / 3.0,
+        assert np.allclose(dense_adjacency(normalize_adjacency(g)), 1.0 / 3.0,
                            atol=1e-15)
 
     def test_isolated_node_diagonal_one(self):
         g = make_graph(3, np.zeros((3, 1)), [0, 0, 0], ["none"] * 3,
                        [[0, 1]], num_classes=1)
-        dense = normalize_adjacency(g).dense()
+        dense = dense_adjacency(normalize_adjacency(g))
         assert dense[2, 2] == 1.0
         assert np.count_nonzero(dense[2]) == 1
 
@@ -132,7 +132,7 @@ class TestNormalization:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20))
     def test_matches_dense_oracle(self, seed, n):
         g = random_graph(np.random.default_rng(seed), n)
-        dense = normalize_adjacency(g).dense()
+        dense = dense_adjacency(normalize_adjacency(g))
         assert np.abs(dense - dense_normalized(g)).max() <= 1e-12
 
     @settings(deadline=None, max_examples=25)
@@ -265,7 +265,7 @@ class TestApplyEdits:
         current = g
         for _ in range(4):
             u, v = sorted(rng.choice(7, size=2, replace=False))
-            kind = "remove" if current.has_edge(u, v) else "add"
+            kind = "remove" if has_edge(current, u, v) else "add"
             edits.append(EdgeEdit(kind, int(u), int(v)))
             current = apply_edits(current, [edits[-1]])
         restored = apply_edits(current,
@@ -313,21 +313,107 @@ class TestApplyEditsMatchesSetOracle:
     def test_matches_set_based_oracle(self, seed, n, pairs, flips, last):
         """Legal toggles, repeated pairs included, then feature flips and
         one arbitrary edit that may be illegal or out of range."""
-        rng = np.random.default_rng(seed)
-        g0 = random_graph(rng, n, edge_prob=0.4)
-        g = make_graph(n, (g0.features > 0).astype(float), g0.labels,
-                       g0.split, g0.edges, num_classes=g0.num_classes)
-        present = {(int(u), int(v)) for u, v in g.edges}
-        edits = []
-        for u, v in pairs:
-            u, v = u % n, v % n
-            if u == v:
-                continue
-            pair = (min(u, v), max(u, v))
-            edits.append(EdgeEdit("remove" if pair in present else "add",
-                                  u, v))
-            present ^= {pair}
+        g = binary_random_graph(seed, n, 0.4)
+        edits = toggles(g, pairs)
         edits += [EdgeEdit("feature_flip", u % n, f) for u, f in flips]
         if last is not None:
             edits.append(EdgeEdit(*last))
         assert_same_outcome(g, edits)
+
+
+def binary_random_graph(seed, n, edge_prob):
+    """``random_graph`` with its features rounded to 0/1, so they can flip."""
+    g0 = random_graph(np.random.default_rng(seed), n, edge_prob=edge_prob)
+    return make_graph(n, (g0.features > 0).astype(float), g0.labels,
+                      g0.split, g0.edges, num_classes=g0.num_classes)
+
+
+def toggles(g, pairs):
+    """Legal edge toggles of the pairs (taken mod n) in order, a repeated
+    pair toggling back; self-pairs are skipped."""
+    n = g.num_nodes
+    present = {(int(u), int(v)) for u, v in g.edges}
+    edits = []
+    for u, v in pairs:
+        u, v = u % n, v % n
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        edits.append(EdgeEdit("remove" if pair in present else "add", u, v))
+        present ^= {pair}
+    return edits
+
+
+class TestPreparedGraphPatchMatchesRebuild:
+    """``with_edits`` patches A_hat X; a full ``prepare`` of the edited graph
+    is the oracle, bit for bit."""
+
+    def test_prepare_forms_a_hat_x(self, rng):
+        g = random_graph(rng, 9, num_features=4)
+        p = prepare(g)
+        adj = normalize_adjacency(g)
+        assert np.array_equal(p.adj.matrix.toarray(), adj.matrix.toarray())
+        assert np.array_equal(p.ax, propagate(adj, g.features))
+        assert not p.ax.flags.writeable
+
+    @pytest.mark.parametrize("first, second", [("add", "remove"),
+                                               ("remove", "add")])
+    def test_toggle_one_pair_twice(self, first, second):
+        g = make_graph(4, np.arange(8.0).reshape(4, 2), [0] * 4, ["none"] * 4,
+                       [[0, 1], [2, 3]] if first == "remove" else [[2, 3]],
+                       num_classes=1)
+        p = prepare(g)
+        once = p.with_edits([EdgeEdit(first, 1, 0)])
+        assert prepared_equal(once, prepare(apply_edits(g, [EdgeEdit(
+            first, 1, 0)])))
+        assert prepared_equal(once.with_edits([EdgeEdit(second, 0, 1)]), p)
+        assert prepared_equal(p.with_edits([EdgeEdit(first, 1, 0),
+                                            EdgeEdit(second, 0, 1)]), p)
+
+    def test_source_is_left_unchanged(self, rng):
+        g = random_graph(rng, 6, edge_prob=0.3)
+        p = prepare(g)
+        ax = p.ax.copy()
+        q = p.with_edits([EdgeEdit("remove" if has_edge(g, 0, 5) else "add",
+                                   0, 5)])
+        assert q.ax is not p.ax
+        assert np.array_equal(p.ax, ax)
+        assert prepared_equal(p, prepare(g))
+
+    def test_empty_edit_list(self, rng):
+        g = random_graph(rng, 5)
+        assert prepared_equal(prepare(g).with_edits([]), prepare(g))
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 9),
+           edge_prob=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+           steps=st.lists(st.tuples(
+               st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                        max_size=4),
+               st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2)),
+                        max_size=2)), min_size=1, max_size=4))
+    def test_matches_prepare_of_apply_edits(self, seed, n, edge_prob, steps):
+        """Chained edit batches of legal toggles (repeated pairs toggle
+        back) and feature flips, on edgeless, sparse (isolated nodes),
+        dense and complete graphs."""
+        g = binary_random_graph(seed, n, edge_prob)
+        p = prepare(g)
+        for pairs, flips in steps:
+            edits = toggles(p.graph, pairs)
+            edits += [EdgeEdit("feature_flip", u % n, f) for u, f in flips]
+            patched = p.with_edits(edits)
+            assert prepared_equal(
+                patched, prepare(reference_apply_edits(p.graph, edits)))
+            p = patched
+
+    def test_sbm_toggle_sequence_bit_identical(self):
+        spec = SyntheticSpec(7, 60, 0.05, 0.002, 300, 1.0, (0.2, 0.2, 0.6))
+        g = generate_synthetic(spec, 3)
+        rng = np.random.default_rng(0)
+        p = prepare(g)
+        for _ in range(10):
+            edits = toggles(p.graph, rng.integers(0, g.num_nodes, (2, 2)))
+            patched = p.with_edits(edits)
+            assert prepared_equal(patched,
+                                  prepare(apply_edits(p.graph, edits)))
+            p = patched

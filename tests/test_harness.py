@@ -4,6 +4,7 @@ round-trips, determinism of every output file, and exit codes."""
 import csv
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,23 @@ class TestAttackCommand:
                   "--out", str(tmp_path / d)])
         assert tree_bytes(tmp_path / "a1") == tree_bytes(tmp_path / "a2")
 
+    @pytest.mark.parametrize("mode", ["evasion", "poisoning"])
+    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch, mode):
+        """Seeds share one prepared graph across threads, more threads than
+        cores, with frequent thread switches."""
+        cfg = write_config(tmp_path, epochs=5, seeds=[0, 1, 2, 3])
+        argv = ["attack", "--config", str(cfg), "--kind", "fga_structure",
+                "--mode", mode, "--budget", "2" if mode == "evasion" else "1"]
+        assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setenv("GPCN_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main([*argv, "--out", str(tmp_path / "thread")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "thread")
+
 
 class TestEnergyStudy:
     def test_study_rows_and_determinism(self, tmp_path):
@@ -303,6 +321,36 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage error" in err and named in err
+
+    @pytest.mark.parametrize("command, synthetic, named", [
+        ("train", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
+        ("energy-study", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
+        ("attack", {"num_blocks": 1}, "has 1"),
+    ])
+    def test_usage_error_before_training(self, tmp_path, capsys, monkeypatch,
+                                         command, synthetic, named):
+        """An empty test split (train, energy-study) or a single class
+        (attack) fails before the first seed trains, naming the cause."""
+        trained = []
+
+        def no_training(prepared, config):
+            trained.append(config.seed)
+            raise AssertionError("trained before the dataset was checked")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        monkeypatch.setattr("gpcn.harness.train_pc", no_training)
+        model = "gpcn" if command == "energy-study" else "gcn"
+        cfg = write_config(tmp_path, model=model, epochs=1,
+                           synthetic={**SBM_SPEC, **synthetic, "seed": 5})
+        flags = {"train": [],
+                 "energy-study": ["--t-grid", "2"],
+                 "attack": ["--kind", "fga_structure", "--mode", "evasion",
+                            "--budget", "1"]}[command]
+        assert main([command, "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert trained == []
 
     def test_numeric_error_on_divergent_inference(self, tmp_path):
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],

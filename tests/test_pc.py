@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcn.graph import make_graph, normalize_adjacency
+from gpcn.graph import make_graph, prepare
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
 from gpcn.bp import accuracy, gcn_forward, predict
-from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
-                     intra_layer_step, pc_init_feedforward, pc_predictions,
-                     pc_weight_gradients, train_pc)
+from gpcn.pc import (PCConfig, PCState, clamp_targets, compute_energy,
+                     inference_step, intra_layer_step, pc_init_feedforward,
+                     pc_predictions, pc_weight_gradients, train_pc)
 
 from conftest import (random_graph, reference_effective_eps,
                       reference_energy, reference_pc_predictions,
@@ -22,8 +22,9 @@ def one_node_chain(target=2.0):
     """dims 1-1-1, unit weights, x = 1, clamped scalar target."""
     g = make_graph(1, [[1.0]], [0], ["train"], [], num_classes=1)
     params = ModelParams([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])])
-    adj = normalize_adjacency(g)
-    state = pc_init_feedforward(gcn_forward(adj, g.features, params))
+    prepared = prepare(g)
+    adj = prepared.adj
+    state = pc_init_feedforward(gcn_forward(prepared, params))
     state.h[-1][0, 0] = target
     state.output_mask = np.array([True])
     pc_predictions(adj, state, params)
@@ -37,8 +38,9 @@ def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, num_features=dims[0], num_classes=dims[-1])
     params = init_params(list(dims), rng)
-    adj = normalize_adjacency(g)
-    state = pc_init_feedforward(gcn_forward(adj, g.features, params), mode)
+    prepared = prepare(g)
+    adj = prepared.adj
+    state = pc_init_feedforward(gcn_forward(prepared, params), mode)
     clamp_targets(state, g.labels, g.mask("train"))
     if scatter:
         for k in range(1, len(dims)):
@@ -52,11 +54,18 @@ def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
     return adj, state, params
 
 
+def scaffold(state):
+    """A state sharing ``state``'s input, aggregates, output mask and
+    aggregated-state values; the caller sets the value nodes it probes, and
+    pc_predictions forms the rest."""
+    return PCState(h=list(state.h), agg=list(state.agg), mu=list(state.mu),
+                   eps=list(state.eps), mode=state.mode,
+                   output_mask=state.output_mask, h_agg=list(state.h_agg))
+
+
 def energy_at(adj, state, params, h_free, agg_free=None):
     """Energy as a function of the free value nodes (for finite differences)."""
-    trial = pc_init_feedforward(gcn_forward(adj, state.h[0], params),
-                                state.mode)
-    trial.output_mask = state.output_mask
+    trial = scaffold(state)
     K = len(params.weights)
     for k in range(1, K + 1):
         trial.h[k] = h_free[k - 1].copy()
@@ -105,7 +114,7 @@ class TestPredictionsAndInit:
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
         state = pc_init_feedforward(
-            gcn_forward(normalize_adjacency(g), g.features, params))
+            gcn_forward(prepare(g), params))
         for eps in state.eps:
             assert np.array_equal(eps, np.zeros_like(eps))
         assert compute_energy(state) == 0.0
@@ -120,17 +129,19 @@ class TestPredictionsAndInit:
         # training evaluates and predict scores PC weights by gcn_forward
         g = random_graph(rng, 7)
         params = init_params([3, 5, 2], rng)
-        adj = normalize_adjacency(g)
-        state = pc_init_feedforward(gcn_forward(adj, g.features, params),
+        prepared = prepare(g)
+        adj = prepared.adj
+        state = pc_init_feedforward(gcn_forward(prepared, params),
                                     mode)
-        logits = gcn_forward(adj, g.features, params).logits
+        logits = gcn_forward(prepared, params).logits
         assert np.array_equal(state.h[-1], logits)
 
     def test_intra_init_reduces_to_inter_predictions(self, rng):
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
-        adj = normalize_adjacency(g)
-        cache = gcn_forward(adj, g.features, params)
+        prepared = prepare(g)
+        adj = prepared.adj
+        cache = gcn_forward(prepared, params)
         inter = pc_init_feedforward(cache, "inter_layer")
         intra = pc_init_feedforward(cache, "intra_layer")
         for a, b in zip(inter.mu, intra.mu):
@@ -143,8 +154,9 @@ class TestClampAndEnergy:
     def test_clamped_row_error_is_onehot_minus_mu(self, rng):
         g = random_graph(rng, 6, num_classes=3)
         params = init_params([3, 4, 3], rng)
-        adj = normalize_adjacency(g)
-        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
+        prepared = prepare(g)
+        adj = prepared.adj
+        state = pc_init_feedforward(gcn_forward(prepared, params))
         mu_before = state.mu[-1].copy()
         clamp_targets(state, g.labels, g.mask("train"))
         row = np.flatnonzero(g.mask("train"))[0]
@@ -156,8 +168,9 @@ class TestClampAndEnergy:
     def test_unclamped_output_rows_do_not_count(self, rng):
         g = random_graph(rng, 6, num_classes=3)
         params = init_params([3, 4, 3], rng)
-        adj = normalize_adjacency(g)
-        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
+        prepared = prepare(g)
+        adj = prepared.adj
+        state = pc_init_feedforward(gcn_forward(prepared, params))
         clamp_targets(state, g.labels, g.mask("train"))
         base = compute_energy(state)
         free = ~state.output_mask
@@ -174,7 +187,7 @@ class TestClampAndEnergy:
         g = make_graph(1, [[0.0, 0.0]], [0], ["none"], [], num_classes=1)
         params = ModelParams([2, 2], [np.zeros((2, 2))])
         state = pc_init_feedforward(
-            gcn_forward(normalize_adjacency(g), g.features, params))
+            gcn_forward(prepare(g), params))
         state.eps[0] = np.array([[1.0, -1.0]])
         assert compute_energy(state) == 1.0
 
@@ -183,8 +196,9 @@ class TestInferenceStep:
     def test_zero_error_state_is_fixed_point(self, rng):
         g = random_graph(rng, 5)
         params = init_params([3, 4, 2], rng)
-        adj = normalize_adjacency(g)
-        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
+        prepared = prepare(g)
+        adj = prepared.adj
+        state = pc_init_feedforward(gcn_forward(prepared, params))
         before = [h.copy() for h in state.h]
         inference_step(adj, state, params, 0.1)
         for a, b in zip(before, state.h):
@@ -300,8 +314,9 @@ class TestWeightGradients:
     def test_zero_errors_zero_gradients(self, rng):
         g = random_graph(rng, 5)
         params = init_params([3, 4, 2], rng)
-        adj = normalize_adjacency(g)
-        state = pc_init_feedforward(gcn_forward(adj, g.features, params))
+        prepared = prepare(g)
+        adj = prepared.adj
+        state = pc_init_feedforward(gcn_forward(prepared, params))
         for gr in pc_weight_gradients(state):
             assert np.array_equal(gr, np.zeros_like(gr))
 
@@ -324,9 +339,7 @@ class TestWeightGradients:
                 for sign in (1, -1):
                     trial = params.copy()
                     trial.weights[k][idx] += sign * step
-                    probe = pc_init_feedforward(
-                        gcn_forward(adj, state.h[0], trial), mode)
-                    probe.output_mask = state.output_mask
+                    probe = scaffold(state)
                     for j in range(1, params.num_layers + 1):
                         probe.h[j] = state.h[j].copy()
                     for j, h in enumerate(state.h_agg):
@@ -364,7 +377,8 @@ class TestCachedStateMatchesReference:
         rng = np.random.default_rng(11)
         g = random_graph(rng, 12, num_features=5, num_classes=3)
         params = init_params([5, 4, 4, 3], rng)
-        adj = normalize_adjacency(g)
+        prepared = prepare(g)
+        adj = prepared.adj
         opt = AdamState.for_params(params, 0.01)
         step = intra_layer_step if mode == "intra_layer" else inference_step
 
@@ -378,7 +392,7 @@ class TestCachedStateMatchesReference:
             assert_matches_reference(adj, state, params)
 
         for _ in range(3):
-            cache = gcn_forward(adj, g.features, params)
+            cache = gcn_forward(prepared, params)
             state = pc_init_feedforward(cache, mode)
             assert_matches_reference(adj, state, params)
             clamp_targets(state, g.labels, g.mask("train"))
@@ -394,28 +408,29 @@ class TestCachedStateMatchesReference:
 
 class TestTraining:
     def test_sbm_fixture_reaches_95(self, sbm_easy):
-        params, history = train_pc(sbm_easy, PCConfig(epochs=150, seed=0))
+        params, history = train_pc(prepare(sbm_easy),
+                                   PCConfig(epochs=150, seed=0))
         assert history.test_acc[history.selected_epoch] >= 0.95
 
     def test_history_records_energy_per_epoch(self, sbm_easy):
-        _, history = train_pc(sbm_easy, PCConfig(epochs=10, seed=0))
+        _, history = train_pc(prepare(sbm_easy), PCConfig(epochs=10, seed=0))
         assert len(history.energy) == 10
         assert all(e >= 0 for e in history.energy)
 
     def test_determinism(self, sbm_easy):
-        _, h1 = train_pc(sbm_easy, PCConfig(epochs=8, seed=2))
-        _, h2 = train_pc(sbm_easy, PCConfig(epochs=8, seed=2))
+        _, h1 = train_pc(prepare(sbm_easy), PCConfig(epochs=8, seed=2))
+        _, h2 = train_pc(prepare(sbm_easy), PCConfig(epochs=8, seed=2))
         assert h1.energy == h2.energy
         assert h1.val_acc == h2.val_acc
 
     def test_every_step_timing_trains(self, sbm_easy):
         cfg = PCConfig(epochs=30, seed=0, weight_update_timing="every_step")
-        _, history = train_pc(sbm_easy, cfg)
+        _, history = train_pc(prepare(sbm_easy), cfg)
         assert history.test_acc[history.selected_epoch] >= 0.95
 
     def test_intra_layer_mode_trains(self, sbm_easy):
         cfg = PCConfig(epochs=150, seed=0, mode="intra_layer")
-        _, history = train_pc(sbm_easy, cfg)
+        _, history = train_pc(prepare(sbm_easy), cfg)
         assert history.test_acc[history.selected_epoch] >= 0.9
 
     def test_config_validation(self):
@@ -431,18 +446,16 @@ class TestTraining:
 
 class TestPredict:
     def test_rows_sum_to_one(self, sbm_easy):
-        params, _ = train_pc(sbm_easy, PCConfig(epochs=5, seed=0))
-        probs = predict(normalize_adjacency(sbm_easy), sbm_easy.features,
-                        params)
+        params, _ = train_pc(prepare(sbm_easy), PCConfig(epochs=5, seed=0))
+        probs = predict(prepare(sbm_easy), params)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_equals_bp_predict_exactly(self, sbm_easy):
         # the accuracies recorded for the selected epoch are those that
         # predict gives the returned snapshot
         cfg = PCConfig(epochs=10, seed=1, mode="intra_layer")
-        params, history = train_pc(sbm_easy, cfg)
-        probs = predict(normalize_adjacency(sbm_easy), sbm_easy.features,
-                        params)
+        params, history = train_pc(prepare(sbm_easy), cfg)
+        probs = predict(prepare(sbm_easy), params)
         sel = history.selected_epoch
         for tag, recorded in (("train", history.train_acc),
                               ("val", history.val_acc),
