@@ -4,7 +4,6 @@ coding, plus calibration and adversarial-robustness evaluation tooling."""
 from gpcn.graph import (
     EdgeEdit,
     Graph,
-    NormalizedAdjacency,
     PreparedGraph,
     SyntheticSpec,
     apply_edits,
@@ -42,7 +41,6 @@ __all__ = [
     "EdgeEdit",
     "Graph",
     "ModelParams",
-    "NormalizedAdjacency",
     "PCConfig",
     "PCState",
     "PreparedGraph",

@@ -36,9 +36,10 @@ full one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, apply_edits, prepare,
                         propagate)
@@ -48,6 +49,9 @@ from gpcn.calibration import classification_margins
 
 ATTACK_KINDS = ("random_global", "fga_structure", "fga_feature", "fga_both",
                 "fga_indirect")
+# victim strategy -> the splits it draws victims from
+VICTIM_STRATEGIES = {"nettack_style": ("test",),
+                     "random_1000": ("val", "test")}
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,20 @@ def holistic_metric(accuracy: dict) -> float | None:
     return float(sum(q * p for q, p in accuracy.items()))
 
 
+def candidate_pool(graph: Graph, strategy: str) -> np.ndarray:
+    """Mask of the nodes ``strategy`` draws its victims from; ValueError
+    for an unknown strategy or an empty pool."""
+    if strategy not in VICTIM_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    splits = VICTIM_STRATEGIES[strategy]
+    pool = np.isin(graph.split, splits)
+    if not pool.any():
+        raise ValueError(f"empty candidate pool: the dataset has no "
+                         f"{' or '.join(splits)} nodes, which victim strategy "
+                         f"{strategy!r} draws from")
+    return pool
+
+
 def select_victims(graph: Graph, probs: np.ndarray, strategy: str,
                    seed: int) -> VictimSet:
     """Pick victim nodes from the evaluation splits.
@@ -106,21 +124,15 @@ def select_victims(graph: Graph, probs: np.ndarray, strategy: str,
     1000 nodes uniform without replacement from val and test.
     """
     rng = np.random.default_rng(seed)
+    pool = candidate_pool(graph, strategy)
     if strategy == "random_1000":
-        pool = np.flatnonzero(graph.mask("val") | graph.mask("test"))
-        if pool.size == 0:
-            raise ValueError("empty candidate pool")
-        take = min(1000, pool.size)
-        nodes = np.sort(rng.choice(pool, size=take, replace=False))
+        candidates = np.flatnonzero(pool)
+        take = min(1000, candidates.size)
+        nodes = np.sort(rng.choice(candidates, size=take, replace=False))
         return VictimSet(nodes=nodes,
                          provenance=np.full(take, "random_valtest"))
-    if strategy != "nettack_style":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
-    test_mask = graph.mask("test")
-    if not test_mask.any():
-        raise ValueError("empty candidate pool")
-    records = classification_margins(probs, graph.labels, test_mask)
+    records = classification_margins(probs, graph.labels, pool)
     by_margin = sorted(records, key=lambda r: -r.margin)
     chosen: list[int] = []
     tags: list[str] = []
@@ -200,8 +212,9 @@ def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
     # nonzero only for v in ``rows``
     grad[:, rows] += grad[:, rows].T
     # chain through the frozen normalization: d(norm_adj)_uv/dA_uv =
-    # 1/sqrt(deg_u * deg_v) with self-loop degrees at current structure
-    deg = np.asarray(graph.csr.sum(axis=1)).ravel() + 1.0
+    # 1/sqrt(deg_u * deg_v) with self-loop degrees at current structure,
+    # the row counts of A_hat
+    deg = np.diff(adj.indptr).astype(np.float64)
     grad *= 1.0 / np.sqrt(deg[rows, None] * deg)
     grad[np.arange(rows.size), rows] = 0.0
     return rows, grad, g
@@ -219,13 +232,15 @@ def _gradient_band(n: int, rows: np.ndarray, grad: np.ndarray,
     return band
 
 
-def _best_toggle(graph: Graph, rows: np.ndarray, grad: np.ndarray,
+def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
                  victim: int, allowed: np.ndarray | None):
     """Highest-scoring legal edge toggle among the pairs that touch ``rows``
-    (every other pair has zero gradient). Ties go to the lexicographically
-    smallest (min, max) pair. Returns (score, EdgeEdit)."""
-    n = graph.num_nodes
-    present = graph.csr[rows].toarray()
+    (every other pair has zero gradient), with ``adj`` the current A_hat.
+    Ties go to the lexicographically smallest (min, max) pair. Returns
+    (score, EdgeEdit)."""
+    n = adj.shape[0]
+    # the pattern of A_hat is A + I; its diagonal is never a legal toggle
+    present = adj[rows].toarray() != 0
     # toggling from a to 1-a changes loss by roughly grad * (1 - 2a)
     scores = grad * (1.0 - 2.0 * present)
     scores[np.arange(rows.size), rows] = -np.inf          # no self-loops
@@ -267,7 +282,7 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
         if step:
             prepared = prepared.with_edits(edits[-1:])
             cache = gcn_forward(prepared, params)
-        current = prepared.graph
+        adj = prepared.adj
         rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
                                                       victim)
         if rows.size == 0:
@@ -277,19 +292,21 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
         if use_structure:
             allowed = None
             if spec.kind == "fga_indirect":
-                neigh = current.neighbors(victim)
+                # the victim's row of A_hat holds it and its neighbours
+                neigh = adj.indices[adj.indptr[victim]:adj.indptr[victim + 1]]
+                neigh = neigh[neigh != victim]
                 if neigh.size == 0:
                     break
                 strength = np.abs(_gradient_band(
-                    current.num_nodes, rows, grad, neigh)).sum(axis=1)
+                    adj.shape[0], rows, grad, neigh)).sum(axis=1)
                 order = np.argsort(-strength, kind="stable")
                 allowed = neigh[order[:spec.influencer_count]]
-            score, edit = _best_toggle(current, rows, grad, victim, allowed)
+            score, edit = _best_toggle(adj, rows, grad, victim, allowed)
             if score > best_score:
                 best_score, best_edit = score, edit
         if use_features:
-            x = current.features
-            grad_x = propagate(prepared.adj, signal @ params.weights[0].T)
+            x = prepared.graph.features
+            grad_x = propagate(adj, signal @ params.weights[0].T)
             fsc = grad_x * (1.0 - 2.0 * x)
             node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
             if fsc[node, fidx] > best_score:
@@ -341,12 +358,9 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
         cache = gcn_forward(prepared, params)
         per_victim_edits = {}
         for victim in victims.nodes:
-            vspec = AttackSpec(kind=spec.kind, mode=spec.mode,
-                               budget=max_budget,
-                               influencer_count=spec.influencer_count,
-                               seed=spec.seed)
             per_victim_edits[int(victim)] = fga_attack(
-                params, prepared, int(victim), vspec, cache)
+                params, prepared, int(victim),
+                replace(spec, budget=max_budget), cache)
         for q in budgets:
             recs = []
             for victim in victims.nodes:

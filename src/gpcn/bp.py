@@ -7,8 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from gpcn.graph import NormalizedAdjacency, PreparedGraph, propagate
+from gpcn.graph import PreparedGraph, propagate
 from gpcn.nn import (AdamState, ModelParams, adam_step, cross_entropy_masked,
                      init_params, relu, relu_prime, softmax_rows)
 
@@ -66,7 +67,7 @@ def gcn_forward(prepared: PreparedGraph, params: ModelParams) -> ForwardCache:
     return ForwardCache(agg=agg, pre=pre, act=act)
 
 
-def gcn_backward(adj: NormalizedAdjacency, cache: ForwardCache,
+def gcn_backward(adj: sp.csr_matrix, cache: ForwardCache,
                  grad_logits: np.ndarray, params: ModelParams):
     """Reverse pass; returns per-layer weight gradients.
 

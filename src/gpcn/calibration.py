@@ -30,11 +30,6 @@ class CalibrationReport:
     bins: ReliabilityBins
     histogram: np.ndarray     # per-bin confidence counts
 
-    def to_dict(self) -> dict:
-        return {"ece": self.ece, "mce": self.mce,
-                "num_bins": self.bins.num_bins,
-                "histogram": self.histogram.tolist()}
-
 
 @dataclass
 class MarginRecord:

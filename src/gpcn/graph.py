@@ -1,8 +1,15 @@
 """Graph container, dataset I/O, adjacency normalization, and edit primitives.
 
-Graphs are undirected, unweighted, stored as a deduplicated edge list plus a
-CSR adjacency view. The propagation operator is the GCN convention
-D^{-1/2} (A + I) D^{-1/2} with degrees taken after adding self-loops.
+Graphs are undirected, unweighted, stored as a deduplicated, sorted edge
+list. The only adjacency is the propagation operator, the GCN convention
+A_hat = D^{-1/2} (A + I) D^{-1/2} with degrees taken after adding
+self-loops. ``normalize_adjacency`` builds it in CSR form straight from the
+edge list: the entries (u, v), (v, u) and (i, i) sorted by the key r * n + c
+give the indices and the row pointers, the degrees are the row counts, and
+entry (r, c) is inv[r] * inv[c] with inv = 1 / sqrt(deg). That is exact, not
+an approximation of the D (A + I) D product: the product forms each entry
+as (inv[r] * 1.0) * inv[c], which is the same float, and each degree as a
+sum of ones, which is the same integer.
 
 ``prepare`` forms the graph constants every forward pass reads, A_hat and
 the first-layer aggregate A_hat X, once per graph. ``PreparedGraph.with_edits``
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +49,6 @@ class Graph:
     features: np.ndarray       # (num_nodes, num_features) float64
     labels: np.ndarray         # (num_nodes,) int64
     split: np.ndarray          # (num_nodes,) unicode, one of SPLIT_TAGS
-    csr: sp.csr_matrix = field(compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -50,17 +56,6 @@ class Graph:
 
     def mask(self, tag: str) -> np.ndarray:
         return self.split == tag
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.csr.indices[self.csr.indptr[u]:self.csr.indptr[u + 1]]
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Sparse symmetric-normalized adjacency with self-loops (CSR, float64)."""
-
-    matrix: sp.csr_matrix
-    num_nodes: int
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ class PreparedGraph:
     """
 
     graph: Graph
-    adj: NormalizedAdjacency
+    adj: sp.csr_matrix
     ax: np.ndarray
 
     def with_edits(self, edits) -> "PreparedGraph":
@@ -99,9 +94,9 @@ class PreparedGraph:
              for n in ((e.u,) if e.kind == "feature_flip" else (e.u, e.v))],
             dtype=np.int64))
         # the pattern of A_hat is A + I, so its rows hold closed neighbourhoods
-        rows = np.unique(adj.matrix[touched].indices)
+        rows = np.unique(adj[touched].indices)
         ax = self.ax.copy()
-        ax[rows] = adj.matrix[rows] @ graph.features
+        ax[rows] = adj[rows] @ graph.features
         ax.flags.writeable = False
         return PreparedGraph(graph, adj, ax)
 
@@ -154,15 +149,6 @@ def _canonical_edges(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return edges, self_loops
 
 
-def _build_csr(num_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
-    if edges.shape[0] == 0:
-        return sp.csr_matrix((num_nodes, num_nodes), dtype=np.float64)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    data = np.ones(rows.shape[0], dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
-
-
 def make_graph(num_nodes, features, labels, split, edges,
                num_classes=None) -> Graph:
     """Validate raw arrays and assemble a Graph (edges symmetrized, deduped)."""
@@ -186,7 +172,7 @@ def make_graph(num_nodes, features, labels, split, edges,
     bad = set(np.unique(split)) - set(SPLIT_TAGS)
     if bad:
         raise DatasetError(f"unknown split tag(s): {sorted(bad)}")
-    if edges.size and edges.max() >= num_nodes:
+    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise DatasetError("edge endpoint out of range")
     return Graph(
         num_nodes=num_nodes,
@@ -196,7 +182,6 @@ def make_graph(num_nodes, features, labels, split, edges,
         features=features,
         labels=labels,
         split=split,
-        csr=_build_csr(num_nodes, edges),
     )
 
 
@@ -264,15 +249,19 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
     (path / "splits.csv").write_text("".join(f"{s}\n" for s in g.split))
 
 
-def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
-    """D^{-1/2} (A + I) D^{-1/2} with self-loop degrees; deterministic."""
-    a_tilde = (g.csr + sp.identity(g.num_nodes, format="csr")).tocsr()
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(inv_sqrt)
-    mat = (d @ a_tilde @ d).tocsr()
-    mat.sort_indices()
-    return NormalizedAdjacency(matrix=mat, num_nodes=g.num_nodes)
+def normalize_adjacency(g: Graph) -> sp.csr_matrix:
+    """A_hat = D^{-1/2} (A + I) D^{-1/2} with self-loop degrees, as a CSR
+    matrix with sorted indices, built from the sorted edge keys."""
+    n = g.num_nodes
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    keys = np.sort(np.concatenate([u * n + v, v * n + u,
+                                   np.arange(n) * (n + 1)]))
+    rows, cols = np.divmod(keys, n)
+    deg = np.bincount(rows, minlength=n)
+    inv = 1.0 / np.sqrt(deg)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    # scipy stores the int64 index arrays as int32 while they fit
+    return sp.csr_matrix((inv[rows] * inv[cols], cols, indptr), shape=(n, n))
 
 
 def prepare(g: Graph) -> PreparedGraph:
@@ -283,13 +272,13 @@ def prepare(g: Graph) -> PreparedGraph:
     return PreparedGraph(g, adj, ax)
 
 
-def propagate(adj: NormalizedAdjacency, m: np.ndarray) -> np.ndarray:
+def propagate(adj: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
     """Sparse-dense product of the normalized adjacency with a node matrix."""
     m = np.asarray(m, dtype=np.float64)
-    if m.shape[0] != adj.num_nodes:
+    if m.shape[0] != adj.shape[0]:
         raise ValueError(
-            f"matrix has {m.shape[0]} rows, adjacency expects {adj.num_nodes}")
-    return adj.matrix @ m
+            f"matrix has {m.shape[0]} rows, adjacency expects {adj.shape[0]}")
+    return adj @ m
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Graph:
@@ -332,7 +321,9 @@ def largest_connected_component(g: Graph) -> Graph:
     Size ties are broken by the lowest original node id contained in the
     component, which is seed-free and deterministic.
     """
-    n_comp, comp = sp.csgraph.connected_components(g.csr, directed=False)
+    # self-loops join no components and leave scipy's labels as they are
+    n_comp, comp = sp.csgraph.connected_components(normalize_adjacency(g),
+                                                   directed=False)
     sizes = np.bincount(comp, minlength=n_comp)
     best = np.argmax(sizes)   # argmax returns first max; component ids are
     # ordered by their lowest member under scipy's labeling, matching the
@@ -393,5 +384,4 @@ def apply_edits(g: Graph, edits) -> Graph:
     # edits leave the labels, the splits and the finiteness of the features
     # as they were, and the keys are sorted and unique, so the graph is built
     # without make_graph's validation and canonicalization
-    return replace(g, edges=edges, features=features,
-                   csr=_build_csr(n, edges))
+    return replace(g, edges=edges, features=features)

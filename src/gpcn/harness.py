@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,9 @@ from gpcn.graph import (Graph, PreparedGraph, SyntheticSpec,
 from gpcn.nn import ModelParams
 from gpcn.bp import TrainConfig, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
-from gpcn.calibration import (classification_margins, confidence_histogram,
-                              expected_calibration_error)
-from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
+from gpcn.calibration import classification_margins, expected_calibration_error
+from gpcn.attacks import (VICTIM_STRATEGIES, AttackSpec, candidate_pool,
+                          evaluate_attack, select_victims)
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -53,6 +53,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
+        if self.victim_strategy not in VICTIM_STRATEGIES:
+            raise ValueError(f"unknown victim_strategy "
+                             f"{self.victim_strategy!r}; expected one of "
+                             f"{', '.join(VICTIM_STRATEGIES)}")
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -255,7 +259,6 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
     probs = predict(prepare(graph), params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
-    hist = confidence_histogram(probs, test_mask, bins)
 
     bin_rows = []
     for b in range(bins):
@@ -269,7 +272,7 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
                bin_rows)
     _write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"],
                [{"bin_lo": report.bins.lo[b], "bin_hi": report.bins.hi[b],
-                 "count": int(hist[b])} for b in range(bins)])
+                 "count": int(report.histogram[b])} for b in range(bins)])
     payload = {"ece": report.ece, "mce": report.mce, "bins": bins}
     (out / "report.json").write_text(json.dumps(payload, sort_keys=True))
     return payload
@@ -285,6 +288,7 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
     if graph.num_classes < 2:
         raise ValueError(f"attack margins need at least 2 classes; the "
                          f"dataset has {graph.num_classes}")
+    candidate_pool(graph, config.victim_strategy)
     prepared = prepare(graph)
 
     def run_seed(seed):
@@ -292,11 +296,8 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
         params = trainer.train(prepared)
         victims = select_victims(graph, predict(prepared, params),
                                  config.victim_strategy, seed)
-        seeded = AttackSpec(kind=spec.kind, mode=spec.mode,
-                            budget=spec.budget, ptb_rate=spec.ptb_rate,
-                            influencer_count=spec.influencer_count, seed=seed)
         return seed, evaluate_attack(trainer, prepared, params, victims,
-                                     seeded, budgets)
+                                     replace(spec, seed=seed), budgets)
 
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         results = list(pool.map(run_seed, config.seeds))

@@ -106,11 +106,6 @@ class AdamState:
                    m=[np.zeros_like(w) for w in params.weights],
                    v=[np.zeros_like(w) for w in params.weights])
 
-    def copy(self) -> "AdamState":
-        return AdamState(lr=self.lr, m=[x.copy() for x in self.m],
-                         v=[x.copy() for x in self.v], t=self.t,
-                         beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-
 
 def adam_step(params: ModelParams, grads, state: AdamState) -> None:
     """One in-place Adam update with bias correction."""

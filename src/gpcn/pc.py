@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from gpcn.graph import NormalizedAdjacency, PreparedGraph, propagate
+from gpcn.graph import PreparedGraph, propagate
 from gpcn.nn import ModelParams, adam_step, relu, relu_prime
 from gpcn.bp import ForwardCache, TrainConfig, fit
 
-INFERENCE_STEP_GRID = (12, 32, 50, 100)
-VALUE_RATE_GRID = (0.05, 0.1, 0.5, 1.0)
 # Rate halvings an inference step tries before it takes a zero step.
 MAX_HALVINGS = 40
 
@@ -75,7 +74,6 @@ class PCState:
     eps: list[np.ndarray]              # layers 1..K
     mode: str = "inter_layer"
     output_mask: np.ndarray | None = None
-    t: int = 0
     # energy of the current errors, left by the last inference step and
     # cleared whenever the errors are recomputed or re-clamped elsewhere
     energy: float | None = None
@@ -101,7 +99,7 @@ def _mask_output_eps(state: PCState) -> None:
         state.eps[-1][~state.output_mask] = 0.0
 
 
-def pc_predictions(adj: NormalizedAdjacency, state: PCState,
+def pc_predictions(adj: sp.csr_matrix, state: PCState,
                    params: ModelParams) -> None:
     """Recompute aggregates, predictions and errors in place from current
     values. agg[0] is kept: h[0] is the clamped input and never moves."""
@@ -166,7 +164,7 @@ def _free_layers(state: PCState) -> int:
     return K if state.output_mask is None else K - 1
 
 
-def _descend(adj: NormalizedAdjacency, state: PCState, params: ModelParams,
+def _descend(adj: sp.csr_matrix, state: PCState, params: ModelParams,
              gamma: float, moves) -> PCState:
     """Move value nodes along fixed directions without raising the energy.
 
@@ -199,11 +197,10 @@ def _descend(adj: NormalizedAdjacency, state: PCState, params: ModelParams,
         for (values, i, _), x in zip(moves, start):
             values[i] = x
         pc_predictions(adj, state, params)
-    state.t += 1
     return state
 
 
-def inference_step(adj: NormalizedAdjacency, state: PCState,
+def inference_step(adj: sp.csr_matrix, state: PCState,
                    params: ModelParams, gamma: float) -> PCState:
     """One guarded descent step on the energy over unclamped value nodes
     (inter-layer mode); predictions and errors are recomputed afterwards.
@@ -224,7 +221,7 @@ def inference_step(adj: NormalizedAdjacency, state: PCState,
     return _descend(adj, state, params, gamma, moves)
 
 
-def intra_layer_step(adj: NormalizedAdjacency, state: PCState,
+def intra_layer_step(adj: sp.csr_matrix, state: PCState,
                      params: ModelParams, gamma: float) -> PCState:
     """One guarded descent step on the extended energy, updating both the
     layer value nodes and the aggregated-state value nodes (intra-layer

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
                         make_graph, prepare, propagate)
@@ -42,19 +43,60 @@ def random_model(rng, dims) -> ModelParams:
     return init_params(list(dims), rng)
 
 
+def adjacency(g) -> sp.csr_matrix:
+    """The plain adjacency A of ``g`` (no self-loops), through scipy's
+    COO to CSR conversion."""
+    n = g.num_nodes
+    if g.edges.shape[0] == 0:
+        return sp.csr_matrix((n, n), dtype=np.float64)
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    data = np.ones(rows.shape[0], dtype=np.float64)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def reference_normalize_adjacency(g) -> sp.csr_matrix:
+    """D^{-1/2} (A + I) D^{-1/2} as scipy's sparse product of the diagonal
+    scaling with A + I; the oracle for ``normalize_adjacency``, which builds
+    it from the sorted edge keys."""
+    a_tilde = (adjacency(g) + sp.identity(g.num_nodes, format="csr")).tocsr()
+    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+    d = sp.diags(1.0 / np.sqrt(deg))
+    mat = (d @ a_tilde @ d).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def reference_largest_connected_component(g):
+    """``largest_connected_component`` with the components read off A; the
+    oracle for the one that reads them off A_hat."""
+    n_comp, comp = sp.csgraph.connected_components(adjacency(g),
+                                                   directed=False)
+    keep = comp == np.argmax(np.bincount(comp, minlength=n_comp))
+    old_ids = np.flatnonzero(keep)
+    remap = -np.ones(g.num_nodes, dtype=np.int64)
+    remap[old_ids] = np.arange(old_ids.shape[0])
+    mask_e = keep[g.edges[:, 0]] & keep[g.edges[:, 1]]
+    return make_graph(old_ids.shape[0], g.features[old_ids],
+                      g.labels[old_ids], g.split[old_ids],
+                      remap[g.edges[mask_e]], num_classes=g.num_classes)
+
+
 def graphs_equal(a, b) -> bool:
     return (a.num_nodes == b.num_nodes
             and a.num_classes == b.num_classes
             and np.array_equal(a.edges, b.edges)
             and np.array_equal(a.features, b.features)
             and np.array_equal(a.labels, b.labels)
-            and np.array_equal(a.split, b.split)
-            and csr_equal(a.csr, b.csr))
+            and np.array_equal(a.split, b.split))
 
 
 def csr_equal(a, b) -> bool:
-    """Same shape and the same stored arrays, bit for bit."""
+    """Same shape and the same stored arrays, bit for bit, with the same
+    index dtypes."""
     return (a.shape == b.shape
+            and a.indices.dtype == b.indices.dtype
+            and a.indptr.dtype == b.indptr.dtype
             and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
@@ -63,18 +105,18 @@ def csr_equal(a, b) -> bool:
 def prepared_equal(a, b) -> bool:
     """Same graph, and A_hat and A_hat X bit for bit."""
     return (graphs_equal(a.graph, b.graph)
-            and csr_equal(a.adj.matrix, b.adj.matrix)
+            and csr_equal(a.adj, b.adj)
             and a.ax.shape == b.ax.shape
             and np.array_equal(a.ax.view(np.int64), b.ax.view(np.int64)))
 
 
 def dense_adjacency(adj) -> np.ndarray:
     """The normalized adjacency as a dense array."""
-    return adj.matrix.toarray()
+    return adj.toarray()
 
 
 def has_edge(g, u, v) -> bool:
-    return u != v and g.csr[u, v] != 0
+    return u != v and adjacency(g)[u, v] != 0
 
 
 def inverse_edit(e: EdgeEdit) -> EdgeEdit:
@@ -228,7 +270,7 @@ def reference_loss_gradient_wrt_inputs(params, graph, target_node):
             g = g * relu_prime(cache.pre[k - 2])
     grad_features = propagate(adj, g @ params.weights[0].T)
 
-    deg = np.asarray(graph.csr.sum(axis=1)).ravel() + 1.0
+    deg = np.asarray(adjacency(graph).sum(axis=1)).ravel() + 1.0
     coeff = 1.0 / np.sqrt(np.outer(deg, deg))
     grad_adj = (grad_norm_adj + grad_norm_adj.T) * coeff
     np.fill_diagonal(grad_adj, 0.0)
@@ -238,7 +280,7 @@ def reference_loss_gradient_wrt_inputs(params, graph, target_node):
 def reference_structure_candidates(graph, grad_adj, victim, allowed_nodes):
     """Score of every legal toggle over all n(n-1)/2 pairs."""
     n = graph.num_nodes
-    dense = graph.csr.toarray()
+    dense = adjacency(graph).toarray()
     scores = grad_adj * (1.0 - 2.0 * dense)
     iu, iv = np.triu_indices(n, k=1)
     sc = scores[iu, iv]
@@ -265,7 +307,7 @@ def reference_fga_attack(params, graph, victim, spec):
         if use_structure:
             allowed = None
             if spec.kind == "fga_indirect":
-                neigh = current.neighbors(victim)
+                neigh = np.flatnonzero(adjacency(current)[victim].toarray())
                 if neigh.size == 0:
                     break
                 strength = np.abs(grad_adj[neigh]).sum(axis=1)

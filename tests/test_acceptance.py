@@ -29,8 +29,9 @@ from gpcn.harness import ExperimentConfig, Trainer
 from gpcn.cli import main as cli_main
 
 import conftest
-from conftest import (central_difference, dense_adjacency, graphs_equal,
-                      has_edge, inverse_edit, random_graph, relative_error)
+from conftest import (adjacency, central_difference, dense_adjacency,
+                      graphs_equal, has_edge, inverse_edit, random_graph,
+                      relative_error)
 from test_calibration import oracle_ece_mce_hist, random_probs
 from test_pc import (clamped_random_state, numeric_value_gradients,
                      one_node_chain, scaffold)
@@ -332,7 +333,7 @@ def test_criterion_9_structural_invariants():
         rng = np.random.default_rng(seed)
         g = random_graph(rng, 2 + seed * 2 if seed else 1)
         dense = dense_adjacency(normalize_adjacency(g))
-        a = g.csr.toarray() + np.eye(g.num_nodes)
+        a = adjacency(g).toarray() + np.eye(g.num_nodes)
         d = a.sum(axis=1)
         oracle = a / np.sqrt(np.outer(d, d))
         checks.append(np.abs(dense - oracle).max() <= 1e-12)

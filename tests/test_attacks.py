@@ -15,7 +15,7 @@ from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
                           holistic_metric, random_global_poison,
                           select_victims)
 
-from conftest import (dense_adjacency, has_edge, local_gradients,
+from conftest import (adjacency, dense_adjacency, has_edge, local_gradients,
                       margin_shift_export, random_graph,
                       reference_evasion_margins, reference_fga_attack,
                       reference_loss_gradient_wrt_inputs)
@@ -51,7 +51,8 @@ def attack(params, g, victim, spec):
 
 
 def assert_valid_graph(g: Graph):
-    assert (g.csr != g.csr.T).nnz == 0
+    adj = normalize_adjacency(g)
+    assert (adj != adj.T).nnz == 0
     assert np.all(g.edges[:, 0] < g.edges[:, 1])
     assert np.unique(g.edges, axis=0).shape[0] == g.num_edges
 
@@ -149,7 +150,7 @@ class TestLossGradient:
         victim = 2
         _, grad_adj, grad_x = local_gradients(params, g, victim)
 
-        deg = np.asarray(g.csr.sum(axis=1)).ravel() + 1.0
+        deg = np.asarray(adjacency(g).sum(axis=1)).ravel() + 1.0
         base = dense_adjacency(normalize_adjacency(g))
         label = g.labels[victim]
 
@@ -365,7 +366,7 @@ class TestLocalPathMatchesDense:
         reach = np.zeros(n, dtype=bool)
         reach[0] = True
         for _ in range(hidden):
-            reach = reach | (g.csr @ reach > 0)
+            reach = reach | (adjacency(g) @ reach > 0)
         assert reach[rows].all()
 
 

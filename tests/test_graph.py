@@ -1,5 +1,7 @@
 """Graph container, dataset I/O, normalization, SBM generation, and edits."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,13 +13,16 @@ from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
                         load_dataset, make_graph, normalize_adjacency, prepare,
                         propagate, save_dataset)
 
-from conftest import (dense_adjacency, graphs_equal, has_edge, inverse_edit,
-                      prepared_equal, random_graph, reference_apply_edits)
+from conftest import (adjacency, csr_equal, dense_adjacency, graphs_equal,
+                      has_edge, inverse_edit, prepared_equal, random_graph,
+                      reference_apply_edits,
+                      reference_largest_connected_component,
+                      reference_normalize_adjacency)
 
 
 def dense_normalized(g):
     """Brute-force D^{-1/2}(A+I)D^{-1/2} oracle on a dense adjacency."""
-    a = g.csr.toarray() + np.eye(g.num_nodes)
+    a = adjacency(g).toarray() + np.eye(g.num_nodes)
     d = a.sum(axis=1)
     return a / np.sqrt(np.outer(d, d))
 
@@ -43,8 +48,7 @@ def write_dataset(tmp_path, num_nodes, edges, features, labels, splits,
 class TestMakeGraph:
     def test_smallest_nonempty_graph(self):
         g = make_graph(2, [[1.0], [0.0]], [0, 1], ["train", "test"], [[0, 1]])
-        assert list(g.neighbors(0)) == [1]
-        assert list(g.neighbors(1)) == [0]
+        assert np.array_equal(g.edges, [[0, 1]])
 
     def test_symmetrization_dedupes_reversed_pair(self):
         g = make_graph(2, [[0.0], [0.0]], [0, 0], ["none", "none"],
@@ -61,13 +65,18 @@ class TestMakeGraph:
         with pytest.raises(DatasetError):
             make_graph(1, [[0.0]], [3], ["none"], [], num_classes=2)
 
+    def test_negative_endpoint(self):
+        with pytest.raises(DatasetError, match="endpoint out of range"):
+            make_graph(3, np.zeros((3, 1)), [0] * 3, ["none"] * 3,
+                       [[-1, 2]], num_classes=1)
+
     def test_unknown_split_tag(self):
         with pytest.raises(DatasetError):
             make_graph(1, [[0.0]], [0], ["wat"], [], num_classes=1)
 
     def test_csr_is_symmetric(self, rng):
-        g = random_graph(rng, 9)
-        assert (g.csr != g.csr.T).nnz == 0
+        adj = normalize_adjacency(random_graph(rng, 9))
+        assert (adj != adj.T).nnz == 0
 
 
 class TestDatasetIO:
@@ -75,8 +84,7 @@ class TestDatasetIO:
         write_dataset(tmp_path, 2, [(0, 1)], [[1.0], [0.0]], [0, 1],
                       ["train", "test"])
         g = load_dataset(tmp_path)
-        assert list(g.neighbors(0)) == [1]
-        assert list(g.neighbors(1)) == [0]
+        assert np.array_equal(g.edges, [[0, 1]])
 
     def test_both_directions_collapse(self, tmp_path):
         write_dataset(tmp_path, 2, [(0, 1), (1, 0)], [[1.0], [0.0]], [0, 1],
@@ -139,15 +147,49 @@ class TestNormalization:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20))
     def test_symmetry_and_value_range(self, seed, n):
         g = random_graph(np.random.default_rng(seed), n)
-        mat = normalize_adjacency(g).matrix
+        mat = normalize_adjacency(g)
         assert (mat != mat.T).nnz == 0
         values = mat.toarray()
         nz = values[values != 0]
         assert np.all(nz > 0) and np.all(nz <= 1.0)
-        degrees = np.asarray(g.csr.sum(axis=1)).ravel() + 1
+        degrees = np.asarray(adjacency(g).sum(axis=1)).ravel() + 1
         row_sums = values.sum(axis=1)
         assert np.all(row_sums > 0)
         assert np.all(row_sums <= 1 + degrees.max())
+
+
+def shaped_graph(shape, n, seed):
+    """An edgeless, star, complete or random graph on ``n`` nodes; the star
+    spans the first half of the nodes and leaves the rest isolated."""
+    if shape == "edgeless":
+        edges = np.zeros((0, 2), dtype=np.int64)
+    elif shape == "star":
+        edges = [[0, v] for v in range(1, (n + 1) // 2)]
+    elif shape == "complete":
+        edges = np.stack(np.triu_indices(n, k=1), axis=1)
+    else:
+        return binary_random_graph(seed, n, 0.3)
+    return make_graph(n, np.zeros((n, 1)), [0] * n, ["none"] * n, edges,
+                      num_classes=1)
+
+
+class TestNormalizeMatchesReference:
+    """``normalize_adjacency`` builds A_hat from the sorted edge keys; the
+    scipy product D (A + I) D is the oracle, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(shape=st.sampled_from(["edgeless", "star", "complete", "random"]),
+           n=st.integers(1, 12), seed=st.integers(0, 10_000),
+           pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          max_size=8))
+    def test_bit_identical_along_toggle_chain(self, shape, n, seed, pairs):
+        g = shaped_graph(shape, n, seed)
+        assert csr_equal(normalize_adjacency(g),
+                         reference_normalize_adjacency(g))
+        for edit in toggles(g, pairs):
+            g = apply_edits(g, [edit])
+            assert csr_equal(normalize_adjacency(g),
+                             reference_normalize_adjacency(g))
 
 
 class TestPropagate:
@@ -178,7 +220,8 @@ class TestGenerateSynthetic:
     def test_degenerate_probabilities_give_disjoint_cliques(self):
         spec = SyntheticSpec(3, 4, 1.0, 0.0, 2, 0.0)
         g = generate_synthetic(spec, 0)
-        n_comp, comp = sp.csgraph.connected_components(g.csr, directed=False)
+        n_comp, comp = sp.csgraph.connected_components(adjacency(g),
+                                                       directed=False)
         assert n_comp == 3
         # each block is complete: 4 choose 2 edges apiece
         assert g.num_edges == 3 * 6
@@ -219,6 +262,42 @@ class TestLargestConnectedComponent:
         lcc = largest_connected_component(g)
         assert lcc.num_nodes == 2
         assert np.array_equal(lcc.edges, [[0, 1]])
+
+
+def tied_components(sizes, seed):
+    """A graph whose components have the given sizes, each a random tree
+    plus random chords, with the node ids shuffled."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    edges, start = [], 0
+    for size in sizes:
+        nodes = perm[start:start + size]
+        start += size
+        for i in range(1, size):
+            edges.append((nodes[rng.integers(i)], nodes[i]))
+        for _ in range(size // 2):
+            u, v = rng.choice(nodes, size=2)
+            edges.append((u, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # chords may be self-loops
+        return make_graph(n, np.arange(n, dtype=float).reshape(n, 1),
+                          np.arange(n) % 2, ["none"] * n,
+                          np.array(edges, dtype=np.int64).reshape(-1, 2),
+                          num_classes=2)
+
+
+class TestLargestComponentMatchesReference:
+    """Components read off A_hat give the components read off A."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(size=st.integers(1, 5), copies=st.integers(2, 4),
+           smaller=st.lists(st.integers(1, 4), max_size=3),
+           seed=st.integers(0, 10_000))
+    def test_tied_sizes(self, size, copies, smaller, seed):
+        g = tied_components([size] * copies + smaller, seed)
+        assert graphs_equal(largest_connected_component(g),
+                            reference_largest_connected_component(g))
 
 
 class TestApplyEdits:
@@ -352,7 +431,7 @@ class TestPreparedGraphPatchMatchesRebuild:
         g = random_graph(rng, 9, num_features=4)
         p = prepare(g)
         adj = normalize_adjacency(g)
-        assert np.array_equal(p.adj.matrix.toarray(), adj.matrix.toarray())
+        assert np.array_equal(p.adj.toarray(), adj.toarray())
         assert np.array_equal(p.ax, propagate(adj, g.features))
         assert not p.ax.flags.writeable
 

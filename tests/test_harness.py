@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gpcn.graph import load_dataset
+from gpcn.bp import train_bp
 from gpcn.calibration import expected_calibration_error
 from gpcn.harness import ExperimentConfig, load_checkpoint
 from gpcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
@@ -283,6 +284,17 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
 
+    def test_data_error_on_negative_edge_endpoint(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SBM_SPEC))
+        data_dir = tmp_path / "data"
+        main(["dataset", "gen", "--spec", str(spec), "--seed", "5",
+              "--out", str(data_dir)])
+        with open(data_dir / "edges.csv", "a") as fh:
+            fh.write("-1,2\n")
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        assert "edge endpoint out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["gcn", "gpcn"])
     def test_usage_error_on_zero_epochs(self, tmp_path, model):
         cfg = write_config(tmp_path, model=model, epochs=0, seeds=[0])
@@ -352,6 +364,32 @@ class TestExitCodes:
         assert err.startswith("usage error") and named in err
         assert trained == []
 
+    @pytest.mark.parametrize("strategy, fractions, named", [
+        ("nettack", [0.2, 0.2, 0.6], "'nettack'"),
+        ("nettack_style", [0.5, 0.5, 0.0], "no test nodes"),
+        ("random_1000", [1.0, 0.0, 0.0], "no val or test nodes"),
+    ])
+    def test_victim_strategy_checked_before_training(
+            self, tmp_path, capsys, monkeypatch, strategy, fractions, named):
+        """An unknown victim strategy, or one whose candidate pool is empty,
+        fails before the first seed trains, naming the strategy or split."""
+        trained = []
+
+        def counting(prepared, config):
+            trained.append(config.seed)
+            return train_bp(prepared, config)
+
+        monkeypatch.setattr("gpcn.harness.train_bp", counting)
+        cfg = write_config(tmp_path, epochs=1, victim_strategy=strategy,
+                           synthetic={**SBM_SPEC, "seed": 5,
+                                      "split_fractions": fractions})
+        assert main(["attack", "--config", str(cfg), "--kind",
+                     "fga_structure", "--mode", "evasion", "--budget", "1",
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert trained == []
+
     def test_numeric_error_on_divergent_inference(self, tmp_path):
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],
                            pc={"inference_steps": 200,
@@ -368,6 +406,10 @@ class TestConfigObject:
     def test_seeds_must_be_distinct(self):
         with pytest.raises(ValueError):
             ExperimentConfig(synthetic=SBM_SPEC, seeds=(0, 0))
+
+    def test_unknown_victim_strategy_rejected(self):
+        with pytest.raises(ValueError, match="'nettack'"):
+            ExperimentConfig(synthetic=SBM_SPEC, victim_strategy="nettack")
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(synthetic=SBM_SPEC, model="gcn")
