@@ -21,7 +21,6 @@ from gpcn.pc import PCConfig, PCState, train_pc
 from gpcn.calibration import (
     CalibrationReport,
     classification_margins,
-    confidence_histogram,
     confidences_and_predictions,
     expected_calibration_error,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "adam_step",
     "apply_edits",
     "classification_margins",
-    "confidence_histogram",
     "confidences_and_predictions",
     "evaluate_attack",
     "expected_calibration_error",

@@ -1,5 +1,5 @@
-"""Confidence-quality metrics: ECE, MCE, reliability bins, confidence
-histograms, and classification margins.
+"""Confidence-quality metrics: ECE, MCE, reliability bins (whose counts are
+the confidence histogram), and classification margins.
 
 Binning uses B equal-width half-open intervals (lo, hi] over (0, 1], so a
 confidence c lands in bin ceil(c * B) - 1 and 1.0 stays in range. MCE is the
@@ -28,7 +28,6 @@ class CalibrationReport:
     ece: float
     mce: float
     bins: ReliabilityBins
-    histogram: np.ndarray     # per-bin confidence counts
 
 
 @dataclass
@@ -84,7 +83,7 @@ def expected_calibration_error(probs, labels, mask,
     bins = ReliabilityBins(num_bins=num_bins, lo=edges[:-1], hi=edges[1:],
                            count=count, mean_conf=mean_conf,
                            mean_acc=mean_acc)
-    return CalibrationReport(ece=ece, mce=mce, bins=bins, histogram=count)
+    return CalibrationReport(ece=ece, mce=mce, bins=bins)
 
 
 def classification_margins(probs, labels, mask) -> list[MarginRecord]:
@@ -106,11 +105,3 @@ def classification_margins(probs, labels, mask) -> list[MarginRecord]:
     return [MarginRecord(node=int(node), margin=float(m), correct=bool(c))
             for node, m, c in zip(sel, margins, correct)]
 
-
-def confidence_histogram(probs, mask, num_bins: int = 10) -> np.ndarray:
-    """Per-bin confidence counts using the same binning rule as the ECE."""
-    if num_bins < 1:
-        raise ValueError("need at least one bin")
-    mask = np.asarray(mask, dtype=bool)
-    conf, _ = confidences_and_predictions(np.asarray(probs)[mask])
-    return np.bincount(_bin_index(conf, num_bins), minlength=num_bins)

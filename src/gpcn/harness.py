@@ -272,7 +272,7 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
                bin_rows)
     _write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"],
                [{"bin_lo": report.bins.lo[b], "bin_hi": report.bins.hi[b],
-                 "count": int(report.histogram[b])} for b in range(bins)])
+                 "count": int(report.bins.count[b])} for b in range(bins)])
     payload = {"ece": report.ece, "mce": report.mce, "bins": bins}
     (out / "report.json").write_text(json.dumps(payload, sort_keys=True))
     return payload
@@ -342,13 +342,18 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
     _require_test_split(graph)
     prepared = prepare(graph)
 
+    # every grid point's learner config is built here, so a bad T fails
+    # before any seed trains
+    studies = {}
+    for t in t_grid:
+        studies[t] = ExperimentConfig(**{**config.__dict__, "pc": {
+            **config.pc, "inference_steps": t}})
+        studies[t].learner(config.seeds[0])
     jobs = [(t, seed) for t in t_grid for seed in config.seeds]
 
     def run(job):
         t, seed = job
-        cfg = ExperimentConfig(**{**config.__dict__,
-                                  "pc": {**config.pc, "inference_steps": t}})
-        record, _, _ = _train_one(cfg, prepared, seed)
+        record, _, _ = _train_one(studies[t], prepared, seed)
         return {"T": t, "seed": seed,
                 "final_energy": record.metrics["final_energy"],
                 "ece": record.metrics["ece"], "mce": record.metrics["mce"]}

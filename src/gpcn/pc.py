@@ -7,19 +7,26 @@ eps^(k) = h^(k) - mu^(k). The scalar energy is half the squared error sum;
 inference moves unclamped value nodes down the energy gradient while weights
 are fixed, and weight updates descend the same energy with values fixed.
 
-Inference never raises the energy. Each step computes the descent direction
-once and tries the configured rate gamma; because the ReLU makes the energy
-only piecewise quadratic, a full step that crosses a sign change can
-overshoot, so a rise halves the rate along the same direction, and after
-MAX_HALVINGS halvings the step moves nothing. A full-gamma step whose energy
-is non-finite or more than double the current one raises FloatingPointError:
-within one quadratic piece that means gamma * lambda_max > 1 + sqrt(2), past
-the 2 / lambda stability bound, so the rate diverges rather than overshoots.
-
 Two modes are supported. "inter_layer" predicts across consecutive layers
 only. "intra_layer" additionally gives the neighborhood-aggregation stage its
 own value nodes h_agg^(k), predicted by the aggregation of the layer below,
 extending the energy with the aggregation errors.
+
+Inference is one step for both modes, ``inference_step``; the modes differ
+only in the moves it forms. The layer value nodes h^(k) move by
+-eps^(k) + relu'(h^(k)) * A_hat up^(k+1), where the error that reaches h^(k)
+from above, up^(k+1), is eps^(k+1) W^(k+1)^T in inter_layer mode and the
+aggregation error eps_agg^(k+1) in intra_layer mode. In intra_layer mode the
+aggregated-state nodes move too, by -eps_agg^(k) + eps^(k) W^(k)^T.
+
+Inference never raises the energy. Each step computes these directions once
+and tries the configured rate gamma; because the ReLU makes the energy only
+piecewise quadratic, a full step that crosses a sign change can overshoot,
+so a rise halves the rate along the same directions, and after MAX_HALVINGS
+halvings the step moves nothing. A full-gamma step whose energy is
+non-finite or more than double the current one raises FloatingPointError:
+within one quadratic piece that means gamma * lambda_max > 1 + sqrt(2), past
+the 2 / lambda stability bound, so the rate diverges rather than overshoots.
 """
 
 from __future__ import annotations
@@ -81,10 +88,6 @@ class PCState:
     # their errors, one per layer 1..K
     h_agg: list[np.ndarray] = field(default_factory=list)
     eps_agg: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.mu)
 
     @property
     def weight_inputs(self) -> list[np.ndarray]:
@@ -156,32 +159,43 @@ def compute_energy(state: PCState) -> float:
     return 0.5 * total
 
 
-def _free_layers(state: PCState) -> int:
-    """Number of layers, from the first, whose value nodes h[k] inference
-    moves. While targets are clamped the output layer has no move: its
-    clamped rows are fixed, and its free rows are outside the energy."""
-    K = state.num_layers
-    return K if state.output_mask is None else K - 1
+def inference_step(adj: sp.csr_matrix, state: PCState,
+                   params: ModelParams, gamma: float) -> PCState:
+    """One guarded descent step on the energy over the free value nodes, in
+    the state's mode; predictions and errors are recomputed afterwards.
 
-
-def _descend(adj: sp.csr_matrix, state: PCState, params: ModelParams,
-             gamma: float, moves) -> PCState:
-    """Move value nodes along fixed directions without raising the energy.
-
-    ``moves`` holds (values, index, direction) triples: ``values[index]``
-    (an entry of ``state.h`` or ``state.h_agg``) moves to
-    ``start + rate * direction``. The rate starts at ``gamma`` and halves
-    while the energy rises; after MAX_HALVINGS halvings the step is zero.
-    Every trial replaces the list entries, so the start arrays stay intact.
+    The free nodes are h[1..F], with F = K, or K - 1 while targets are
+    clamped (the clamped output rows are fixed and the free ones are outside
+    the energy), and in intra_layer mode every h_agg. Their directions
+    -grad F are formed once; the step tries rate ``gamma`` along them and
+    halves it while the energy rises, taking the zero step after
+    MAX_HALVINGS halvings. Raises FloatingPointError when the full-``gamma``
+    step makes the energy non-finite or more than doubles it, i.e. when
+    ``gamma`` is past the stability bound.
     """
+    K = params.num_layers
+    F = K if state.output_mask is None else K - 1
+    intra = state.mode == "intra_layer"
+    dh = []
+    for k in range(1, F + 1):
+        d = -state.eps[k - 1]
+        if k < K:
+            up = (state.eps_agg[k] if intra
+                  else state.eps[k] @ params.weights[k].T)
+            d = d + relu_prime(state.h[k]) * propagate(adj, up)
+        dh.append(d)
+    dagg = [-ea + e @ w.T for ea, e, w
+            in zip(state.eps_agg, state.eps, params.weights)]
+
     before = state.energy
     if before is None:
         before = compute_energy(state)
-    start = [values[i] for values, i, _ in moves]
+    h0, agg0 = state.h[1:F + 1], state.h_agg
     rate = gamma
     for halvings in range(MAX_HALVINGS + 1):
-        for (values, i, d), x in zip(moves, start):
-            values[i] = x + rate * d
+        # each trial replaces the list entries, so h0 and agg0 stay intact
+        state.h[1:F + 1] = [x + rate * d for x, d in zip(h0, dh)]
+        state.h_agg = [x + rate * d for x, d in zip(agg0, dagg)]
         pc_predictions(adj, state, params)
         after = compute_energy(state)
         diverged = not (np.isfinite(after) and after <= 2.0 * before)
@@ -191,61 +205,11 @@ def _descend(adj: sp.csr_matrix, state: PCState, params: ModelParams,
                 f"{before!r} -> {after!r} in one step")
         if after <= before:
             state.energy = after
-            break
+            return state
         rate *= 0.5
-    else:
-        for (values, i, _), x in zip(moves, start):
-            values[i] = x
-        pc_predictions(adj, state, params)
+    state.h[1:F + 1], state.h_agg = h0, agg0
+    pc_predictions(adj, state, params)
     return state
-
-
-def inference_step(adj: sp.csr_matrix, state: PCState,
-                   params: ModelParams, gamma: float) -> PCState:
-    """One guarded descent step on the energy over unclamped value nodes
-    (inter-layer mode); predictions and errors are recomputed afterwards.
-
-    The energy never rises: the step tries rate ``gamma`` along -grad F and
-    halves it on a rise (see ``_descend``). Raises FloatingPointError when
-    the full-``gamma`` step makes the energy non-finite or more than doubles
-    it, i.e. when ``gamma`` is past the stability bound.
-    """
-    K = params.num_layers
-    moves = []
-    for k in range(1, _free_layers(state) + 1):
-        d = -state.eps[k - 1]
-        if k < K:
-            back = propagate(adj, state.eps[k] @ params.weights[k].T)
-            d = d + relu_prime(state.h[k]) * back
-        moves.append((state.h, k, d))
-    return _descend(adj, state, params, gamma, moves)
-
-
-def intra_layer_step(adj: sp.csr_matrix, state: PCState,
-                     params: ModelParams, gamma: float) -> PCState:
-    """One guarded descent step on the extended energy, updating both the
-    layer value nodes and the aggregated-state value nodes (intra-layer
-    mode).
-
-    Same guarantee as ``inference_step``: the energy never rises, the rate
-    halves on a rise, and FloatingPointError is raised when the full-``gamma``
-    step makes the energy non-finite or more than doubles it.
-    """
-    if state.mode != "intra_layer":
-        raise ValueError("state is not in intra_layer mode")
-    K = params.num_layers
-    moves = []
-    for k in range(1, K + 1):
-        eps_k = state.eps[k - 1]
-        moves.append((state.h_agg, k - 1, -state.eps_agg[k - 1]
-                      + eps_k @ params.weights[k - 1].T))
-        if k > _free_layers(state):
-            continue
-        d = -eps_k
-        if k < K:
-            d = d + relu_prime(state.h[k]) * propagate(adj, state.eps_agg[k])
-        moves.append((state.h, k, d))
-    return _descend(adj, state, params, gamma, moves)
 
 
 def pc_weight_gradients(state: PCState):
@@ -261,13 +225,11 @@ def train_pc(prepared: PreparedGraph, config: PCConfig):
     update(s) through Adam. The epoch returns the settled training energy,
     so selection breaks val-accuracy ties by lowest energy.
     """
-    step = intra_layer_step if config.mode == "intra_layer" else inference_step
-
     def epoch(adj, cache, params, opt, train_mask):
         state = pc_init_feedforward(cache, config.mode)
         clamp_targets(state, prepared.graph.labels, train_mask)
         for _ in range(config.inference_steps):
-            step(adj, state, params, config.value_update_rate)
+            inference_step(adj, state, params, config.value_update_rate)
             if config.weight_update_timing == "every_step":
                 adam_step(params, pc_weight_gradients(state), opt)
                 pc_predictions(adj, state, params)

@@ -8,6 +8,7 @@ from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
                         make_graph, prepare, propagate)
 from gpcn.nn import ModelParams, init_params, relu, relu_prime, softmax_rows
 from gpcn.bp import gcn_forward, predict
+from gpcn.pc import MAX_HALVINGS, compute_energy, pc_predictions
 from gpcn.attacks import loss_gradient_wrt_inputs
 from gpcn.calibration import classification_margins
 
@@ -209,6 +210,64 @@ def reference_pc_weight_gradients(adj, params, h, h_agg, mode, output_mask):
             pre = propagate(adj, _reference_layer_input(h, k))
         grads.append(-pre.T @ reference_effective_eps(eps, output_mask, k))
     return grads
+
+
+def _reference_descend(adj, state, params, gamma, moves):
+    """Move ``values[index]`` to ``start + rate * direction`` for every
+    (values, index, direction) triple in ``moves``, halving the rate from
+    ``gamma`` while the energy rises; the zero step after MAX_HALVINGS."""
+    before = state.energy
+    if before is None:
+        before = compute_energy(state)
+    start = [values[i] for values, i, _ in moves]
+    rate = gamma
+    for halvings in range(MAX_HALVINGS + 1):
+        for (values, i, d), x in zip(moves, start):
+            values[i] = x + rate * d
+        pc_predictions(adj, state, params)
+        after = compute_energy(state)
+        diverged = not (np.isfinite(after) and after <= 2.0 * before)
+        if halvings == 0 and diverged:
+            raise FloatingPointError(
+                f"inference diverges at rate {gamma!r}: energy "
+                f"{before!r} -> {after!r} in one step")
+        if after <= before:
+            state.energy = after
+            break
+        rate *= 0.5
+    else:
+        for (values, i, _), x in zip(moves, start):
+            values[i] = x
+        pc_predictions(adj, state, params)
+    return state
+
+
+def reference_inference_step(adj, state, params, gamma):
+    """One guarded inference step with one branch per mode, each listing its
+    moves for a shared descent; the oracle for ``inference_step``."""
+    K = params.num_layers
+    free = K if state.output_mask is None else K - 1
+    moves = []
+    if state.mode == "intra_layer":
+        for k in range(1, K + 1):
+            eps_k = state.eps[k - 1]
+            moves.append((state.h_agg, k - 1, -state.eps_agg[k - 1]
+                          + eps_k @ params.weights[k - 1].T))
+            if k > free:
+                continue
+            d = -eps_k
+            if k < K:
+                d = d + relu_prime(state.h[k]) * propagate(
+                    adj, state.eps_agg[k])
+            moves.append((state.h, k, d))
+    else:
+        for k in range(1, free + 1):
+            d = -state.eps[k - 1]
+            if k < K:
+                back = propagate(adj, state.eps[k] @ params.weights[k].T)
+                d = d + relu_prime(state.h[k]) * back
+            moves.append((state.h, k, d))
+    return _reference_descend(adj, state, params, gamma, moves)
 
 
 def reference_apply_edits(g, edits):

@@ -20,8 +20,8 @@ from gpcn.graph import (EdgeEdit, SyntheticSpec, apply_edits,
 from gpcn.nn import ModelParams, cross_entropy_masked, init_params
 from gpcn.bp import TrainConfig, gcn_backward, gcn_forward, predict, train_bp
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
-                     intra_layer_step, pc_init_feedforward, pc_predictions,
-                     pc_weight_gradients, train_pc)
+                     pc_init_feedforward, pc_predictions, pc_weight_gradients,
+                     train_pc)
 from gpcn.calibration import (classification_margins,
                               expected_calibration_error)
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
@@ -63,8 +63,7 @@ def test_criterion_1_gradient_correctness():
         gamma = 0.05
         before_h = [state.h[k].copy() for k in range(1, 3)]
         before_agg = [h.copy() for h in state.h_agg]
-        step = intra_layer_step if mode == "intra_layer" else inference_step
-        step(adj, state, params, gamma)
+        inference_step(adj, state, params, gamma)
         for k in range(2):
             err = relative_error(state.h[k + 1] - before_h[k],
                                  -gamma * numeric_h[k])
@@ -131,11 +130,10 @@ def test_criterion_2_energy_descent():
         gamma = 0.05 if i % 4 < 2 else 0.1
         adj, state, params = clamped_random_state(3000 + i, mode=mode,
                                                   n=4 + i % 5, scatter=False)
-        step = intra_layer_step if mode == "intra_layer" else inference_step
         energy = compute_energy(state)
         for _ in range(50):
             signs = [h > 0 for h in state.h[1:-1]]
-            step(adj, state, params, gamma)
+            inference_step(adj, state, params, gamma)
             nxt = compute_energy(state)
             worst_rise = max(worst_rise, nxt - energy)
             if nxt > energy + 1e-9:
@@ -201,7 +199,7 @@ def test_criterion_4_calibration_ordering():
                                          np.ones(100, dtype=bool))
         ece, mce, hist = oracle_ece_mce_hist(probs, labels, 10)
         oracle_ok &= (abs(rep.ece - ece) < 1e-14 and abs(rep.mce - mce) < 1e-14
-                      and np.array_equal(rep.histogram, hist))
+                      and np.array_equal(rep.bins.count, hist))
 
     # constructed perfectly calibrated sample: conf 0.8, accuracy 0.8
     probs = np.tile([0.8, 0.2], (10, 1))

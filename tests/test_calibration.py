@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcn.calibration import (classification_margins, confidence_histogram,
+from gpcn.calibration import (classification_margins,
                               confidences_and_predictions,
                               expected_calibration_error)
 
@@ -109,7 +109,7 @@ class TestECE:
         ece, mce, hist = oracle_ece_mce_hist(probs, labels, bins)
         assert report.ece == pytest.approx(ece, abs=1e-14)
         assert report.mce == pytest.approx(mce, abs=1e-14)
-        assert np.array_equal(report.histogram, hist)
+        assert np.array_equal(report.bins.count, hist)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 60))
@@ -174,20 +174,15 @@ class TestMargins:
 class TestHistogram:
     def test_uniform_rows_single_spike(self):
         probs = np.tile([0.25, 0.25, 0.25, 0.25], (7, 1))
-        hist = confidence_histogram(probs, np.ones(7, dtype=bool))
+        hist = expected_calibration_error(probs, np.zeros(7, dtype=int),
+                                          np.ones(7, dtype=bool)).bins.count
         assert hist[2] == 7           # 0.25 falls in (0.2, 0.3]
         assert hist.sum() == 7
 
     def test_counts_sum_to_masked_nodes(self, rng):
         probs = random_probs(rng, 20, 3)
+        labels = rng.integers(0, 3, 20)
         mask = np.zeros(20, dtype=bool)
         mask[::2] = True
-        assert confidence_histogram(probs, mask).sum() == 10
-
-    def test_matches_ece_binning(self, rng):
-        probs = random_probs(rng, 30, 3)
-        labels = rng.integers(0, 3, 30)
-        mask = np.ones(30, dtype=bool)
         report = expected_calibration_error(probs, labels, mask)
-        assert np.array_equal(confidence_histogram(probs, mask),
-                              report.histogram)
+        assert report.bins.count.sum() == 10

@@ -12,6 +12,7 @@ import pytest
 
 from gpcn.graph import load_dataset
 from gpcn.bp import train_bp
+from gpcn.pc import train_pc
 from gpcn.calibration import expected_calibration_error
 from gpcn.harness import ExperimentConfig, load_checkpoint
 from gpcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
@@ -249,6 +250,24 @@ class TestEnergyStudy:
         cfg = write_config(tmp_path, model="gcn")
         assert main(["energy-study", "--config", str(cfg), "--t-grid", "4",
                      "--out", str(tmp_path / "e")]) == EXIT_USAGE
+
+    def test_bad_grid_point_fails_before_training(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A T the learner rejects fails the command before any seed trains
+        at the good grid points before it."""
+        trained = []
+
+        def counting(prepared, config):
+            trained.append((config.inference_steps, config.seed))
+            return train_pc(prepared, config)
+
+        monkeypatch.setattr("gpcn.harness.train_pc", counting)
+        cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0, 1, 2])
+        assert main(["energy-study", "--config", str(cfg),
+                     "--t-grid", "12,0", "--out", str(tmp_path / "e")]) \
+            == EXIT_USAGE
+        assert "inference_steps must be >= 1" in capsys.readouterr().err
+        assert trained == []
 
 
 class TestExitCodes:

@@ -1,20 +1,23 @@
 """Predictive-coding backend: energy, inference dynamics, weight gradients,
 training, and agreement with the shared feedforward composition."""
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpcn.graph import make_graph, prepare
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
 from gpcn.bp import accuracy, gcn_forward, predict
 from gpcn.pc import (PCConfig, PCState, clamp_targets, compute_energy,
-                     inference_step, intra_layer_step, pc_init_feedforward,
+                     inference_step, pc_init_feedforward,
                      pc_predictions, pc_weight_gradients, train_pc)
 
 from conftest import (random_graph, reference_effective_eps,
-                      reference_energy, reference_pc_predictions,
+                      reference_energy, reference_inference_step,
+                      reference_pc_predictions,
                       reference_pc_weight_gradients, relative_error)
 
 
@@ -32,24 +35,33 @@ def one_node_chain(target=2.0):
 
 
 def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
-                         scatter=True):
-    """Feedforward-initialized clamped state; ``scatter`` additionally moves
-    the free values off the feedforward manifold so errors are generic."""
+                         scatter=True, clamped=True, kinked=False):
+    """Feedforward-initialized state, its train-mask targets clamped unless
+    ``clamped`` is false; ``scatter`` additionally moves the free values off
+    the feedforward manifold so errors are generic. ``kinked`` puts every
+    hidden value at the ReLU kink and scales the output weight up, so that
+    a move off the kink can raise the energy at every rate."""
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, num_features=dims[0], num_classes=dims[-1])
     params = init_params(list(dims), rng)
+    if kinked:
+        params.weights[-1] = 20.0 * params.weights[-1]
     prepared = prepare(g)
     adj = prepared.adj
     state = pc_init_feedforward(gcn_forward(prepared, params), mode)
-    clamp_targets(state, g.labels, g.mask("train"))
+    if clamped:
+        clamp_targets(state, g.labels, g.mask("train"))
     if scatter:
         for k in range(1, len(dims)):
             noise = rng.normal(scale=0.3, size=state.h[k].shape)
-            if k == len(dims) - 1:
+            if k == len(dims) - 1 and clamped:
                 noise[state.output_mask] = 0.0
             state.h[k] = state.h[k] + noise
         for k, h in enumerate(state.h_agg):
             state.h_agg[k] = h + rng.normal(scale=0.3, size=h.shape)
+    if kinked:
+        for k in range(1, len(dims) - 1):
+            state.h[k] = np.zeros_like(state.h[k])
     pc_predictions(adj, state, params)
     return adj, state, params
 
@@ -273,11 +285,6 @@ class TestInferenceStep:
 
 
 class TestIntraLayerStep:
-    def test_requires_intra_mode(self, rng):
-        adj, state, params = clamped_random_state(1, mode="inter_layer")
-        with pytest.raises(ValueError, match="intra_layer"):
-            intra_layer_step(adj, state, params, 0.05)
-
     @settings(deadline=None, max_examples=8)
     @given(seed=st.integers(0, 10_000))
     def test_update_direction_matches_extended_energy_gradient(self, seed):
@@ -286,7 +293,7 @@ class TestIntraLayerStep:
         before_agg = [h.copy() for h in state.h_agg]
         gamma = 0.05
         numeric_h, numeric_agg = numeric_value_gradients(adj, state, params)
-        intra_layer_step(adj, state, params, gamma)
+        inference_step(adj, state, params, gamma)
         for k in range(2):
             assert relative_error(state.h[k + 1] - before_h[k],
                                   -gamma * numeric_h[k]) <= 1e-4
@@ -301,11 +308,54 @@ class TestIntraLayerStep:
         start = compute_energy(state)
         energy = start
         for _ in range(50):
-            intra_layer_step(adj, state, params, 0.05)
+            inference_step(adj, state, params, 0.05)
             nxt = compute_energy(state)
             assert nxt <= energy + 1e-9
             energy = nxt
         assert energy <= start + 1e-9
+
+
+class TestStepMatchesReference:
+    # pinned: a zero step, a halved step in each mode, and a divergence
+    @settings(deadline=None, max_examples=60)
+    @example(seed=1, mode="inter_layer", clamped=True, hidden=(4,),
+             gamma=0.05, kinked=True)
+    @example(seed=2, mode="inter_layer", clamped=True, hidden=(4,),
+             gamma=0.5, kinked=True)
+    @example(seed=6, mode="intra_layer", clamped=True, hidden=(4, 3),
+             gamma=0.5, kinked=False)
+    @example(seed=0, mode="intra_layer", clamped=True, hidden=(4, 3),
+             gamma=1.0, kinked=False)
+    @given(seed=st.integers(0, 10_000),
+           mode=st.sampled_from(["inter_layer", "intra_layer"]),
+           clamped=st.booleans(),
+           hidden=st.sampled_from([(), (4,), (4, 3)]),
+           gamma=st.sampled_from([0.05, 0.5, 1.0, 3.0]),
+           kinked=st.booleans())
+    def test_bit_identical_to_per_mode_reference(self, seed, mode, clamped,
+                                                 hidden, gamma, kinked):
+        """The one step for both modes moves, predicts and raises exactly as
+        the per-mode steps it replaces, halvings and zero steps included."""
+        adj, state, params = clamped_random_state(
+            seed, mode=mode, n=6, dims=(3, *hidden, 2), clamped=clamped,
+            kinked=kinked)
+        expected = copy.deepcopy(state)
+        outcomes = []
+        for step, target in ((inference_step, state),
+                             (reference_inference_step, expected)):
+            try:
+                step(adj, target, params, gamma)
+                outcomes.append(None)
+            except FloatingPointError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            return
+        for name in ("h", "h_agg", "agg", "mu", "eps", "eps_agg"):
+            got, want = getattr(state, name), getattr(expected, name)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+        assert state.energy == expected.energy
 
 
 class TestWeightGradients:
@@ -378,7 +428,6 @@ class TestCachedStateMatchesReference:
         prepared = prepare(g)
         adj = prepared.adj
         opt = AdamState.for_params(params, 0.01)
-        step = intra_layer_step if mode == "intra_layer" else inference_step
 
         def update():
             grads = pc_weight_gradients(state)
@@ -396,7 +445,7 @@ class TestCachedStateMatchesReference:
             clamp_targets(state, g.labels, g.mask("train"))
             assert_matches_reference(adj, state, params)
             for _ in range(6):
-                step(adj, state, params, 0.5)
+                inference_step(adj, state, params, 0.5)
                 assert_matches_reference(adj, state, params)
                 if timing == "every_step":
                     update()
