@@ -179,11 +179,21 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
     return apply_edits(graph, [EdgeEdit("add", u, v) for u, v in new_edges])
 
 
+def _layer_products(cache: ForwardCache,
+                    params: ModelParams) -> list[np.ndarray]:
+    """H^(k-1) W^(k) for k = 1..K: what the adjacency gradient of every
+    victim on the graph of ``cache`` multiplies."""
+    return [h @ w for h, w in zip(cache.act, params.weights)]
+
+
 def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
-                             cache: ForwardCache, target_node: int):
+                             cache: ForwardCache, target_node: int,
+                             products: list[np.ndarray] | None = None):
     """Gradient of the target node's cross-entropy w.r.t. the adjacency, on
     the rows the gradient can touch, with normalization coefficients frozen
-    at the current degrees. ``cache`` is the forward pass of ``prepared``.
+    at the current degrees. ``cache`` is the forward pass of ``prepared``;
+    ``products``, its ``_layer_products``, is formed here unless the caller
+    shares it between victims.
 
     Returns ``(rows, grad, signal)``. ``rows`` is the sorted set of nodes
     whose backprop signal is nonzero at some layer, the victim's (K-1)-hop
@@ -206,8 +216,9 @@ def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
     rows = np.flatnonzero(np.any([s.any(axis=1) for s in signals], axis=0))
 
     # d loss / d A_hat = sum_k g^(k) (H^(k-1) W^(k))T, nonzero on ``rows``
-    grad = sum(s[rows] @ (cache.act[k - 1] @ params.weights[k - 1]).T
-               for k, s in zip(range(params.num_layers, 0, -1), signals))
+    if products is None:
+        products = _layer_products(cache, params)
+    grad = sum(s[rows] @ p.T for s, p in zip(signals, reversed(products)))
     # symmetric pairs share one value: G[u, v] + G[v, u], where G[v, u] is
     # nonzero only for v in ``rows``
     grad[:, rows] += grad[:, rows].T
@@ -260,13 +271,15 @@ def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
 
 
 def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
-               spec: AttackSpec, cache: ForwardCache) -> list[EdgeEdit]:
+               spec: AttackSpec, cache: ForwardCache,
+               products: list[np.ndarray] | None = None) -> list[EdgeEdit]:
     """Greedy gradient attack: per iteration, recompute gradients and apply
     the legal edge toggle / feature flip with the largest loss-increasing
     score. Indirect attacks only touch edges that avoid the victim and have
     an endpoint among the top-gradient influencer neighbors. ``cache`` is
-    the forward pass of ``prepared`` under ``params``; later iterations
-    form it for the perturbed graph."""
+    the forward pass of ``prepared`` under ``params``, and ``products``, if
+    given, its ``_layer_products``; later iterations form both for the
+    perturbed graph."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     use_structure = spec.kind in ("fga_structure", "fga_both", "fga_indirect")
@@ -282,9 +295,10 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
         if step:
             prepared = prepared.with_edits(edits[-1:])
             cache = gcn_forward(prepared, params)
+            products = None
         adj = prepared.adj
         rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
-                                                      victim)
+                                                      victim, products)
         if rows.size == 0:
             break           # zero gradient: no move increases the loss
         best_score = 0.0
@@ -354,13 +368,15 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
             margins_after[rate] = recs
     else:
         max_budget = max(budgets)
-        # every victim's first step runs on the clean graph
+        # every victim's first step runs on the clean graph, so they share
+        # its forward pass and the products X W^(1), .. of its gradient
         cache = gcn_forward(prepared, params)
+        products = _layer_products(cache, params)
         per_victim_edits = {}
         for victim in victims.nodes:
             per_victim_edits[int(victim)] = fga_attack(
                 params, prepared, int(victim),
-                replace(spec, budget=max_budget), cache)
+                replace(spec, budget=max_budget), cache, products)
         for q in budgets:
             recs = []
             for victim in victims.nodes:

@@ -15,10 +15,17 @@ sum of ones, which is the same integer.
 the first-layer aggregate A_hat X, once per graph. ``PreparedGraph.with_edits``
 derives a perturbed copy that re-forms only the rows of A_hat X an edit can
 change.
+
+``load_dataset`` reads features.csv, the bulk of a dataset, with scipy's
+Matrix Market reader when one numpy pass over the file's non-digit bytes
+proves every value is in the plain decimal grammar on which that reader and
+``float`` agree; any other file goes through ``float`` line by line, which
+also names the line of a malformed value.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -185,6 +192,169 @@ def make_graph(num_nodes, features, labels, split, edges,
     )
 
 
+@dataclass(frozen=True)
+class DatasetMeta:
+    """The counts a dataset's meta.json declares."""
+
+    num_nodes: int
+    num_features: int
+    num_classes: int
+
+    @classmethod
+    def read(cls, file: Path) -> "DatasetMeta":
+        """Parse and check ``file``; DatasetError names the file and the
+        key at fault."""
+        try:
+            meta = json.loads(file.read_text())
+        except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
+            raise DatasetError(f"{file}: not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DatasetError(f"{file}: expected a JSON object, got "
+                               f"{type(meta).__name__}")
+        counts = {}
+        for key in ("num_nodes", "num_features", "num_classes"):
+            if key not in meta:
+                raise DatasetError(f"{file}: missing key {key!r}")
+            value = meta[key]
+            # JSON true and false load as bool, a subclass of int
+            if type(value) is not int or value < 0:
+                raise DatasetError(f"{file}: {key!r} must be a nonnegative "
+                                   f"integer, got {value!r}")
+            counts[key] = value
+        return cls(**counts)
+
+
+def _parse_lines(file: Path, fn, expect=None) -> list:
+    """``fn`` of every nonblank, stripped line of ``file``; DatasetError
+    names the file and the line ``fn`` rejects, or a row count other than
+    ``expect``."""
+    out = []
+    for i, line in enumerate(file.read_text().splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(fn(line))
+        except Exception as exc:
+            raise DatasetError(
+                f"{file.name}:{i}: malformed line: {exc}") from exc
+    if expect is not None and len(out) != expect:
+        raise DatasetError(
+            f"{file.name}: {len(out)} rows, expected {expect} per meta.json")
+    return out
+
+
+def _parse_features(file: Path, num_nodes: int,
+                    num_features: int) -> np.ndarray:
+    """features.csv through ``float`` one value at a time: the reader of
+    every file ``_read_features_fast`` declines, and its reference."""
+    def row(line):
+        values = [float(x) for x in line.split(",")]
+        if len(values) != num_features:
+            raise ValueError(f"{len(values)} values, expected {num_features} "
+                             f"per meta.json")
+        return values
+
+    rows = _parse_lines(file, row, expect=num_nodes)
+    return np.array(rows, dtype=np.float64).reshape(num_nodes, num_features)
+
+
+# Bytes of features.csv that _read_features_fast checks and parses at a time.
+_FAST_BLOCK_BYTES = 1 << 23
+_NL, _COMMA, _MINUS, _PLUS, _DOT, _E, _E_UPPER = b"\n,-+.eE"
+
+
+def _check_block(a: np.ndarray, num_features: int) -> np.ndarray | None:
+    """The positions of the token ends (commas and line ends) in the bytes
+    ``a`` when every line holds ``num_features`` comma-separated tokens
+    matching -?([0-9]+(\\.[0-9]*)?|\\.[0-9]+)([eE][-+]?[0-9]+)? and ends in a
+    newline; None otherwise.
+
+    Only the non-digit bytes are looked at. Each one is checked against the
+    non-digit byte before it (p1), the one before that (p2), and whether
+    digits stand between them (run1 between p1 and itself, run2 between p2
+    and p1). The block starts a line, so two line ends stand before it.
+    """
+    pos = np.flatnonzero(a - np.uint8(ord("0")) > 9)
+    chars = np.concatenate([np.full(2, _NL, dtype=np.uint8), a[pos]])
+    c, p1, p2 = chars[2:], chars[1:-1], chars[:-2]
+    run1 = np.diff(pos, prepend=-1) > 1
+    run2 = np.concatenate([[False], run1[:-1]])
+    end = (c == _NL) | (c == _COMMA)
+    e = (c == _E) | (c == _E_UPPER)
+    after_end = (p1 == _NL) | (p1 == _COMMA)
+    after_e = (p1 == _E) | (p1 == _E_UPPER)
+    after_dot = p1 == _DOT
+    # a leading sign, as against the sign of an exponent
+    after_sign = (p1 == _MINUS) & ((p2 == _NL) | (p2 == _COMMA))
+    ok = ((end & (run1 | (after_dot & run2)))
+          | ((c == _MINUS) & ~run1 & (after_end | after_e))
+          | ((c == _PLUS) & ~run1 & after_e)
+          | ((c == _DOT) & (after_end | after_sign))
+          | (e & run1 & (after_end | after_sign))
+          | (e & after_dot & (run1 | run2)))
+    if not ok.all():
+        return None
+    ends = c[end]
+    if ends.size % num_features:
+        return None
+    lines = ends.reshape(-1, num_features)
+    if not ((lines[:, :-1] == _COMMA).all() and (lines[:, -1] == _NL).all()):
+        return None
+    return pos[end]
+
+
+def _read_features_fast(file: Path, num_nodes: int,
+                        num_features: int) -> np.ndarray | None:
+    """features.csv parsed by scipy's Matrix Market reader, or None when a
+    token, a line or the line count is outside what ``_check_block``
+    proves; then ``_parse_features`` reads the file.
+
+    The reader rounds correctly, as ``float`` does, but it takes the longest
+    valid prefix of a token ('1.5.3' reads 1.5, '1_0' reads 1.0) and drops
+    the sign of zero ('-0.0' and '-1e-400' read +0.0). The grammar check
+    rules out the first; for the second, every zero whose token starts with
+    '-' is set to -0.0. Blocks of whole lines go to the reader as an 'array
+    real' body of num_features x lines values, which it reads in
+    column-major order, with the commas made line ends.
+    """
+    # imported here, so that commands which load no dataset do not pay the
+    # memory of scipy.io's dozens of modules
+    from scipy.io import mmread
+
+    if num_features < 1:        # a line of the grammar is never empty
+        return None
+    out = np.empty((num_nodes, num_features))
+    row = 0
+    rest = b""
+    with open(file, "rb") as fh:
+        while chunk := fh.read(_FAST_BLOCK_BYTES):
+            block = rest + chunk
+            cut = block.rfind(b"\n") + 1
+            block, rest = block[:cut], block[cut:]
+            if not block:
+                continue
+            a = np.frombuffer(block, dtype=np.uint8)
+            ends = _check_block(a, num_features)
+            if ends is None:
+                return None
+            lines = ends.size // num_features
+            if row + lines > num_nodes:
+                return None
+            header = (b"%%%%MatrixMarket matrix array real general\n%d %d\n"
+                      % (num_features, lines))
+            values = mmread(io.BytesIO((header + block).replace(b",", b"\n")))
+            out[row:row + lines] = values.T
+            flat = out[row:row + lines].reshape(-1)
+            zero = np.flatnonzero(flat == 0.0)
+            first = np.where(zero > 0, ends[zero - 1] + 1, 0)
+            flat[zero[a[first] == _MINUS]] = -0.0
+            row += lines
+    if rest or row != num_nodes:
+        return None
+    return out
+
+
 def load_dataset(path) -> Graph:
     """Load a dataset directory (meta.json, edges/features/labels/splits.csv)."""
     path = Path(path)
@@ -192,44 +362,24 @@ def load_dataset(path) -> Graph:
                  "splits.csv"):
         if not (path / name).is_file():
             raise DatasetError(f"missing file {path / name}")
-    meta = json.loads((path / "meta.json").read_text())
-    n = int(meta["num_nodes"])
+    meta = DatasetMeta.read(path / "meta.json")
+    n = meta.num_nodes
 
-    def parse_lines(name, fn, expect=None):
-        out = []
-        for i, line in enumerate((path / name).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(fn(line))
-            except Exception as exc:
-                raise DatasetError(f"{name}:{i}: malformed line: {exc}") from exc
-        if expect is not None and len(out) != expect:
-            raise DatasetError(
-                f"{name}: {len(out)} rows, expected {expect} per meta.json")
-        return out
-
-    edges = parse_lines(
-        "edges.csv", lambda s: tuple(int(x) for x in s.split(",")))
+    edges = _parse_lines(
+        path / "edges.csv", lambda s: tuple(int(x) for x in s.split(",")))
     for i, e in enumerate(edges, 1):
         if len(e) != 2:
             raise DatasetError(f"edges.csv:{i}: expected two endpoints")
-    features = parse_lines(
-        "features.csv",
-        lambda s: [float(x) for x in s.split(",")], expect=n)
-    labels = parse_lines("labels.csv", int, expect=n)
-    split = parse_lines("splits.csv", str, expect=n)
-
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[1] != int(meta["num_features"]):
-        raise DatasetError(
-            f"features.csv: {features.shape[1]} columns, expected "
-            f"{meta['num_features']} per meta.json")
-    g = make_graph(n, features, labels, split,
-                   np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                   num_classes=int(meta["num_classes"]))
-    return g
+    features = _read_features_fast(path / "features.csv", n,
+                                   meta.num_features)
+    if features is None:
+        features = _parse_features(path / "features.csv", n,
+                                   meta.num_features)
+    labels = _parse_lines(path / "labels.csv", int, expect=n)
+    split = _parse_lines(path / "splits.csv", str, expect=n)
+    return make_graph(n, features, labels, split,
+                      np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                      num_classes=meta.num_classes)
 
 
 def save_dataset(g: Graph, path, name: str = "graph") -> None:

@@ -103,14 +103,18 @@ def _mask_output_eps(state: PCState) -> None:
 
 
 def pc_predictions(adj: sp.csr_matrix, state: PCState,
-                   params: ModelParams) -> None:
+                   params: ModelParams, keep_mu1: bool = False) -> None:
     """Recompute aggregates, predictions and errors in place from current
-    values. agg[0] is kept: h[0] is the clamped input and never moves."""
+    values. agg[0] is kept: h[0] is the clamped input and never moves.
+    ``keep_mu1`` keeps mu[0] as well, which is exact while W^(1) and what
+    it multiplies stay as they were: in inter_layer mode that is agg[0]."""
     state.energy = None
     for k in range(1, params.num_layers + 1):
         if k > 1:
             state.agg[k - 1] = propagate(adj, relu(state.h[k - 1]))
-        state.mu[k - 1] = state.weight_inputs[k - 1] @ params.weights[k - 1]
+        if k > 1 or not keep_mu1:
+            state.mu[k - 1] = (state.weight_inputs[k - 1]
+                               @ params.weights[k - 1])
         state.eps[k - 1] = state.h[k] - state.mu[k - 1]
     state.eps_agg = [h - a for h, a in zip(state.h_agg, state.agg)]
     _mask_output_eps(state)
@@ -196,7 +200,8 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
         # each trial replaces the list entries, so h0 and agg0 stay intact
         state.h[1:F + 1] = [x + rate * d for x, d in zip(h0, dh)]
         state.h_agg = [x + rate * d for x, d in zip(agg0, dagg)]
-        pc_predictions(adj, state, params)
+        # mu^(1) = (A_hat X) W^(1) reads no free value in inter_layer mode
+        pc_predictions(adj, state, params, keep_mu1=not intra)
         after = compute_energy(state)
         diverged = not (np.isfinite(after) and after <= 2.0 * before)
         if halvings == 0 and diverged:
@@ -208,7 +213,7 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
             return state
         rate *= 0.5
     state.h[1:F + 1], state.h_agg = h0, agg0
-    pc_predictions(adj, state, params)
+    pc_predictions(adj, state, params, keep_mu1=not intra)
     return state
 
 

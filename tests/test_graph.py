@@ -1,6 +1,11 @@
 """Graph container, dataset I/O, normalization, SBM generation, and edits."""
 
+import re
+import struct
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpcn.graph
 from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
                         generate_synthetic, largest_connected_component,
                         load_dataset, make_graph, normalize_adjacency, prepare,
@@ -116,6 +122,162 @@ class TestDatasetIO:
         save_dataset(g2, tmp_path / "b")
         g3 = load_dataset(tmp_path / "b")
         assert graphs_equal(g2, g3)
+
+
+# The number grammar of features.csv's fast path.
+GRAMMAR = r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?"
+# Tokens in the grammar on which scipy's reader and float() part ways
+# unless the sign of zero is restored, and edge values of the float range.
+EDGE_TOKENS = ["-0.0", "-0", "-0e5", "-.0", "0.", "-1e-400", "1e-400",
+               "5e-324", "-5e-324", "4.9e-324", "2.2250738585072011e-308",
+               "2.4703282292062328e-324", "2.4703282292062327e-324",
+               "1.7976931348623157e308", "1.7976931348623159e308", "1e400",
+               "-1e400", "1e18446744073709551617", "-1e-18446744073709551617",
+               "-.5", "5.e3", ".5E+3", "007"]
+# Tokens outside the grammar, some of which scipy's reader would misread.
+OFF_GRAMMAR_TOKENS = ["1.5.3", "1e", ".", "-.", ".e1", "-", "", "e5", "1e+",
+                      "--1", "1-2", "1e5.3", "1e-5e3", "1e5e3", "1_0", "0x10",
+                      "+1", " 1", "1 ", "inf", "-nan", "1E+-5"]
+
+
+def bits_token(bits: int) -> str:
+    """repr of the float64 with bit pattern ``bits``."""
+    return repr(struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+digits = st.text("0123456789", min_size=1, max_size=20)
+signs = st.sampled_from(["", "-"])
+# GRAMMAR, drawn part by part: sign, mantissa, exponent
+drawn_tokens = st.builds(
+    "{}{}{}".format, signs,
+    st.one_of(digits, st.builds("{}.{}".format, digits,
+                                st.text("0123456789", max_size=20)),
+              st.builds(".{}".format, digits)),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                     st.sampled_from(["", "-", "+"]),
+                                     digits)))
+# 30-45 digit mantissas with exponents past +-400 and past 2**64
+long_mantissas = st.builds(
+    "{}{}.{}e{}".format, signs,
+    st.text("0123456789", min_size=30, max_size=45),
+    st.text("0123456789", max_size=20), st.integers(-2**70, 2**70))
+grammar_tokens = st.one_of(drawn_tokens, st.sampled_from(EDGE_TOKENS),
+                           long_mantissas,
+                           st.integers(0, 2**64 - 1).map(bits_token))
+any_tokens = st.one_of(grammar_tokens, st.sampled_from(OFF_GRAMMAR_TOKENS),
+                       st.text(alphabet="0123456789.eE+-_x \t", max_size=6))
+
+
+@st.composite
+def feature_files(draw):
+    """(text, num_nodes, num_features): a features.csv and the counts its
+    meta.json declares. A file of grammar tokens in full rows that end in a
+    newline gets up to two defects: a token drawn off the grammar too, a
+    ragged row, a blank line, CRLF endings, no final newline, or a declared
+    row count that is one off."""
+    f = draw(st.integers(1, 4))
+    table = [draw(st.lists(grammar_tokens, min_size=f, max_size=f))
+             for _ in range(draw(st.integers(1, 5)))]
+    n, newline, final = len(table), "\n", "\n"
+    for defect in draw(st.lists(st.sampled_from(
+            ["token", "ragged", "blank", "crlf", "final", "count"]),
+            max_size=2)):
+        row = draw(st.integers(0, len(table) - 1))
+        if defect == "token" and table[row]:
+            table[row][draw(st.integers(0, len(table[row]) - 1))] = draw(
+                any_tokens)
+        elif defect == "ragged":
+            table[row] = (table[row][:-1] if draw(st.booleans())
+                          else table[row] + [draw(grammar_tokens)])
+        elif defect == "blank":
+            table.insert(row, [])
+        elif defect == "crlf":
+            newline = final = "\r\n"
+        elif defect == "final":
+            final = ""
+        else:
+            n = max(n + draw(st.sampled_from([-1, 1])), 0)
+    return newline.join(",".join(r) for r in table) + final, n, f
+
+
+def features_or_error(path):
+    """``load_dataset(path)``'s features as bits, or its DatasetError text."""
+    try:
+        return load_dataset(path).features.view(np.int64).tolist()
+    except DatasetError as exc:
+        return str(exc)
+
+
+class TestFastFeatureReaderMatchesPerLineParser:
+    """The fast features.csv reader against ``_parse_features``, the
+    per-line parser that reads every file it declines."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=feature_files(), block=st.sampled_from([1, 5, 64, 1 << 23]))
+    def test_declines_or_returns_the_same_bits(self, case, block):
+        """Read in blocks of ``block`` bytes, so lines also span blocks."""
+        text, n, f = case
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "features.csv"
+            file.write_bytes(text.encode())
+            with mock.patch.object(gpcn.graph, "_FAST_BLOCK_BYTES", block):
+                fast = gpcn.graph._read_features_fast(file, n, f)
+            if fast is not None:
+                slow = gpcn.graph._parse_features(file, n, f)
+                assert fast.flags.c_contiguous
+                assert np.array_equal(fast.view(np.int64),
+                                      slow.view(np.int64))
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=feature_files())
+    def test_load_dataset_same_features_or_error(self, case):
+        text, n, f = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp)
+            write_dataset(path, n, [], [[0.0]], [0] * n,
+                          ["train"] * n, num_features=f, num_classes=1)
+            (path / "features.csv").write_bytes(text.encode())
+            loaded = features_or_error(path)
+            with mock.patch.object(gpcn.graph, "_read_features_fast",
+                                   return_value=None):
+                assert features_or_error(path) == loaded
+
+    def test_reads_saved_dataset(self, tmp_path, rng):
+        g = random_graph(rng, 12, num_features=5, num_classes=3)
+        features = g.features.copy()
+        features[0, :3] = [-0.0, 5e-324, -1e-300]
+        save_dataset(make_graph(12, features, g.labels, g.split, g.edges,
+                                num_classes=3), tmp_path)
+        fast = gpcn.graph._read_features_fast(tmp_path / "features.csv",
+                                              12, 5)
+        assert np.array_equal(fast.view(np.int64), features.view(np.int64))
+
+    @pytest.mark.parametrize("text, n", [
+        ("1,2,3\n4\n", 2),           # ragged rows of 2 x 2 tokens in all
+        ("1,2\n", 2),                 # fewer lines than meta.json declares
+        ("1,2\n3,4\n5,6\n", 2),       # more lines
+        ("1,2\n3,4", 2),              # no final newline
+        ("1,2\n\n3,4\n", 2)])         # a blank line
+    def test_declines_malformed_layout(self, tmp_path, text, n):
+        file = tmp_path / "features.csv"
+        file.write_text(text)
+        assert gpcn.graph._read_features_fast(file, n, 2) is None
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    def test_reads_edge_token(self, tmp_path, token):
+        assert re.fullmatch(GRAMMAR, token)
+        file = tmp_path / "features.csv"
+        file.write_text(f"1.0,{token}\n")
+        fast = gpcn.graph._read_features_fast(file, 1, 2)
+        slow = gpcn.graph._parse_features(file, 1, 2)
+        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+
+    @pytest.mark.parametrize("token", OFF_GRAMMAR_TOKENS)
+    def test_declines_off_grammar_token(self, tmp_path, token):
+        assert not re.fullmatch(GRAMMAR, token)
+        file = tmp_path / "features.csv"
+        file.write_text(f"1.0,{token}\n")
+        assert gpcn.graph._read_features_fast(file, 1, 2) is None
 
 
 class TestNormalization:

@@ -314,6 +314,56 @@ class TestExitCodes:
         assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
         assert "edge endpoint out of range" in capsys.readouterr().err
 
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SBM_SPEC))
+        data_dir = tmp_path / "data"
+        assert main(["dataset", "gen", "--spec", str(spec), "--seed", "5",
+                     "--out", str(data_dir)]) == 0
+        return data_dir
+
+    @pytest.mark.parametrize("text, cause", [
+        ("{\"num_nodes\": 60,", "not valid JSON"),
+        ("[60, 8, 2]", "expected a JSON object, got list")])
+    def test_data_error_on_unreadable_meta(self, data_dir, capsys, text,
+                                           cause):
+        (data_dir / "meta.json").write_text(text)
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "meta.json" in err and cause in err
+
+    @pytest.mark.parametrize("key", ["num_nodes", "num_features",
+                                     "num_classes"])
+    def test_data_error_on_missing_meta_key(self, data_dir, capsys, key):
+        meta = json.loads((data_dir / "meta.json").read_text())
+        del meta[key]
+        (data_dir / "meta.json").write_text(json.dumps(meta))
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "meta.json" in err and f"missing key '{key}'" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_nodes", "60"), ("num_nodes", 60.5), ("num_features", None),
+        ("num_classes", "two")])
+    def test_data_error_on_non_integer_meta_count(self, data_dir, capsys, key,
+                                                  value):
+        meta = json.loads((data_dir / "meta.json").read_text())
+        meta[key] = value
+        (data_dir / "meta.json").write_text(json.dumps(meta))
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "meta.json" in err and f"'{key}' must be" in err
+
+    def test_data_error_names_ragged_feature_row(self, data_dir, capsys):
+        features = data_dir / "features.csv"
+        rows = features.read_text().splitlines()
+        rows[3] += ",0.5"
+        features.write_text("\n".join(rows) + "\n")
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "features.csv:4: malformed line: 9 values, expected 8" in err
+
     @pytest.mark.parametrize("model", ["gcn", "gpcn"])
     def test_usage_error_on_zero_epochs(self, tmp_path, model):
         cfg = write_config(tmp_path, model=model, epochs=0, seeds=[0])

@@ -2,6 +2,7 @@
 training, and agreement with the shared feedforward composition."""
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from gpcn.graph import make_graph, prepare
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
 from gpcn.bp import accuracy, gcn_forward, predict
-from gpcn.pc import (PCConfig, PCState, clamp_targets, compute_energy,
-                     inference_step, pc_init_feedforward,
+from gpcn.pc import (MAX_HALVINGS, PCConfig, PCState, clamp_targets,
+                     compute_energy, inference_step, pc_init_feedforward,
                      pc_predictions, pc_weight_gradients, train_pc)
 
 from conftest import (random_graph, reference_effective_eps,
@@ -356,6 +357,25 @@ class TestStepMatchesReference:
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
         assert state.energy == expected.energy
+
+
+class TestZeroStep:
+    @pytest.mark.parametrize("mode", ["inter_layer", "intra_layer"])
+    def test_predictions_are_those_of_the_start_values(self, mode):
+        """After MAX_HALVINGS rises the step moves nothing, and every
+        prediction, mu^(1) included, is formed from the start values again,
+        not left from the last trial."""
+        adj, state, params = clamped_random_state(3, mode=mode,
+                                                  dims=(3, 4, 2))
+        expected = copy.deepcopy(state)
+        energies = iter([1.0] + [1.5] * (MAX_HALVINGS + 1))
+        with mock.patch("gpcn.pc.compute_energy",
+                        lambda _: next(energies)):
+            inference_step(adj, state, params, 0.5)
+        for name in ("h", "h_agg", "agg", "mu", "eps", "eps_agg"):
+            got, want = getattr(state, name), getattr(expected, name)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
 
 
 class TestWeightGradients:
