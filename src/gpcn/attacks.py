@@ -153,17 +153,27 @@ def select_victims(graph: Graph, probs: np.ndarray, strategy: str,
     return VictimSet(nodes=np.array(chosen), provenance=np.array(tags))
 
 
-def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
-    """Insert floor(ptb_rate * |E|) uniformly random absent edges."""
+def poison_edge_count(graph: Graph, ptb_rate: float) -> int:
+    """floor(ptb_rate * |E|), the edges ``random_global_poison`` inserts;
+    ValueError for a rate that is not a finite nonnegative number or asks
+    for more edges than the graph has absent node pairs."""
     if not 0.0 <= ptb_rate < np.inf:
         raise ValueError("ptb_rate must be finite and nonnegative")
     k = int(ptb_rate * graph.num_edges)
+    n = graph.num_nodes
+    absent = n * (n - 1) // 2 - graph.num_edges
+    if k > absent:
+        raise ValueError(f"not enough absent node pairs: ptb_rate {ptb_rate} "
+                         f"asks for {k} new edges, the graph has {absent}")
+    return k
+
+
+def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
+    """Insert floor(ptb_rate * |E|) uniformly random absent edges."""
+    k = poison_edge_count(graph, ptb_rate)
     if k == 0:
         return graph
     n = graph.num_nodes
-    total_pairs = n * (n - 1) // 2
-    if total_pairs - graph.num_edges < k:
-        raise ValueError("not enough absent node pairs")
     rng = np.random.default_rng(seed)
     present = {(int(u), int(v)) for u, v in graph.edges}
     new_edges: list[tuple[int, int]] = []

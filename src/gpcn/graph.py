@@ -21,6 +21,13 @@ Matrix Market reader when one numpy pass over the file's non-digit bytes
 proves every value is in the plain decimal grammar on which that reader and
 ``float`` agree; any other file goes through ``float`` line by line, which
 also names the line of a malformed value.
+
+``save_dataset`` writes each feature as its Python ``repr``, in blocks of
+rows. scipy's Matrix Market writer gives each value's shortest round-trip
+digits, the digits ``repr`` gives, as -d.dddE-x; one numpy pass over the
+writer's non-digit bytes re-lays every token as ``repr`` does, positional for
+decimal exponents in [-4, 15] and d.ddde-XX outside, and one gather joins
+them with commas and line ends.
 """
 
 from __future__ import annotations
@@ -121,6 +128,9 @@ class SyntheticSpec:
     split_fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
 
     def __post_init__(self):
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got "
+                             f"{self.feature_dim}")
         for p in (self.intra_block_edge_prob, self.inter_block_edge_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge probability {p} outside [0, 1]")
@@ -365,11 +375,13 @@ def load_dataset(path) -> Graph:
     meta = DatasetMeta.read(path / "meta.json")
     n = meta.num_nodes
 
-    edges = _parse_lines(
-        path / "edges.csv", lambda s: tuple(int(x) for x in s.split(",")))
-    for i, e in enumerate(edges, 1):
-        if len(e) != 2:
-            raise DatasetError(f"edges.csv:{i}: expected two endpoints")
+    def endpoints(line):
+        ends = tuple(int(x) for x in line.split(","))
+        if len(ends) != 2:
+            raise ValueError("expected two endpoints")
+        return ends
+
+    edges = _parse_lines(path / "edges.csv", endpoints)
     features = _read_features_fast(path / "features.csv", n,
                                    meta.num_features)
     if features is None:
@@ -382,8 +394,159 @@ def load_dataset(path) -> Graph:
                       num_classes=meta.num_classes)
 
 
+# Values of features.csv that _write_features formats and writes at a time,
+# in whole rows: enough that mmwrite's cost per call (about 1 ms) is small,
+# few enough that the gather's index (8 bytes per output byte) stays near
+# 10 MB.
+_SAVE_BLOCK_VALUES = 1 << 16
+# The decimal exponents of finite nonzero doubles, and those repr writes
+# positionally.
+_EXPONENTS = range(-324, 309)
+_POSITIONAL = range(-4, 16)
+
+
+def _pieces() -> list[bytes]:
+    """The bytes repr writes around a value's digits. First a prefix per
+    (sign, exponent e): the sign, then '0.' and -e-1 zeros for a positional
+    e < 0. Then a suffix per code: per exponent, 'e-XX' outside the
+    positional range and nothing inside it; after those, per count z, the z
+    zeros and the '.0' that end an integer value. Each suffix comes once
+    with a comma after it and once with a line end."""
+    prefixes = [b"-" * sign
+                + (b"0." + b"0" * (-e - 1) if e < 0 and e in _POSITIONAL
+                   else b"")
+                for sign in (0, 1) for e in _EXPONENTS]
+    suffixes = ([b"" if e in _POSITIONAL else b"e%+03d" % e
+                 for e in _EXPONENTS]
+                + [b"0" * z + b".0" for z in range(len(_POSITIONAL))])
+    return prefixes + [s + end for s in suffixes for end in (b",", b"\n")]
+
+
+_PIECES = _pieces()
+_PIECE_LEN = np.array([len(p) for p in _PIECES])
+_PIECE_START = np.cumsum(_PIECE_LEN) - _PIECE_LEN
+_PIECE_BYTES = np.frombuffer(b"".join(_PIECES), dtype=np.uint8)
+_SUFFIX0 = 2 * len(_EXPONENTS)      # the piece index of the first suffix
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """starts[i] + arange(lens[i]) for each i in turn, concatenated."""
+    ends = np.cumsum(lens)
+    out = np.repeat(starts - ends + lens, lens)
+    out += np.arange(out.size)
+    return out
+
+
+def _repr_layout(body: np.ndarray, rows: int,
+                 num_features: int) -> np.ndarray:
+    """The features.csv bytes of ``rows`` rows of features from ``body``,
+    the bytes scipy's Matrix Market writer gives for them after its header:
+    one value a line, each in shortest round-trip digits as -d.dddE-x.
+
+    repr has the same digits and decimal exponent e, so only the layout
+    changes. A value with e in [-4, 15] is written positionally: its first
+    digit is moved onto the point, or the e digits after the point are moved
+    before it, and the digits are wrapped in a prefix and a suffix from
+    ``_pieces``; any other value keeps d.ddd and gets 'e-XX'. One gather of
+    runs, prefix, digits, suffix for each value, lays out the file.
+    """
+    src = np.concatenate([body, _PIECE_BYTES])
+    b = src[:body.size]
+    pos = np.flatnonzero(b - np.uint8(ord("0")) > 9)
+    c = b[pos]
+    # each value's line end, and its first non-digit byte, as indices into pos
+    last = np.flatnonzero(c == _NL)
+    first = np.concatenate([[0], last[:-1] + 1])
+    nl = pos[last]
+    start = np.concatenate([[0], nl[:-1] + 1])
+    # walk each value's non-digit bytes, in the order - . E - \n
+    sign = c[first] == _MINUS
+    i = first + sign
+    dot = c[i] == _DOT
+    i += dot
+    end = pos[i]                   # the end of d.ddd: the E or the line end
+    exp = c[i] == _E_UPPER
+    i += exp
+    neg = exp & (c[i] == _MINUS)
+    i += neg
+    digits = end - start - sign - dot
+    exp_len = nl - end - 1 - neg
+    point = start + sign + 1
+    if not (nl.size == rows * num_features and (i == last).all()
+            and np.where(dot, (pos[first + sign] == point) & (digits > 1),
+                         digits == 1).all()
+            and (~exp | ((exp_len >= 1) & (exp_len <= 3))).all()):
+        raise RuntimeError("scipy.io.mmwrite wrote a value outside "
+                           "-?[0-9](\\.[0-9]+)?(E-?[0-9]{1,3})?")
+    tail = [b[nl - k].astype(np.intp) - ord("0") for k in (1, 2, 3)]
+    x = tail[0] + 10 * tail[1] * (exp_len > 1) + 100 * tail[2] * (exp_len > 2)
+    e = np.where(neg, -x, x) * exp
+
+    positional = (e >= _POSITIONAL[0]) & (e <= _POSITIONAL[-1])
+    zeros = e + 1 - digits         # the zeros an integer value needs
+    # the point falls among the digits: the e digits after it move before it
+    inner = positional & dot & (e >= 0) & (zeros < 0)
+    shift = np.flatnonzero(inner & (e > 0))
+    at = _ranges(point[shift], e[shift])
+    b[at] = b[at + 1]
+    b[point[shift] + e[shift]] = _DOT
+    # any other positional value drops its point: the first digit moves onto it
+    move = positional & dot & ~inner
+    at = point[move]
+    b[at] = b[at - 1]
+    kept = start + sign + move
+
+    prefix = sign * len(_EXPONENTS) + e - _EXPONENTS[0]
+    suffix = _SUFFIX0 + 2 * np.where(positional & (zeros >= 0),
+                                     len(_EXPONENTS) + zeros,
+                                     e - _EXPONENTS[0])
+    suffix[num_features - 1::num_features] += 1      # a line end ends a row
+    starts = np.stack([b.size + _PIECE_START[prefix], kept,
+                       b.size + _PIECE_START[suffix]], axis=1)
+    lens = np.stack([_PIECE_LEN[prefix], end - kept, _PIECE_LEN[suffix]],
+                    axis=1)
+    return src[_ranges(starts.ravel(), lens.ravel())]
+
+
+def _write_features(file: Path, features: np.ndarray) -> None:
+    """features.csv: every value as its repr, comma-separated, one row a
+    line, laid out by ``_repr_layout`` and written in blocks of rows."""
+    # imported here, as in _read_features_fast
+    from scipy.io import mmwrite
+
+    num_nodes, num_features = features.shape
+    with open(file, "wb") as fh:
+        if num_features == 0:
+            fh.write(b"\n" * num_nodes)
+            return
+        rows = max(1, _SAVE_BLOCK_VALUES // num_features)
+        for lo in range(0, num_nodes, rows):
+            block = features[lo:lo + rows]
+            out = io.BytesIO()
+            # an array body is column-major, so block.T's values come row by
+            # row of the block; "general", or a square symmetric block would
+            # be written as its lower triangle
+            mmwrite(out, block.T, precision=None, symmetry="general")
+            text = out.getvalue()
+            size = b"\n%d %d\n" % block.T.shape     # the header's last line
+            body = np.frombuffer(text, dtype=np.uint8,
+                                 offset=text.index(size) + len(size))
+            fh.write(_repr_layout(body, *block.shape))
+
+
 def save_dataset(g: Graph, path, name: str = "graph") -> None:
-    """Write a Graph back out in the dataset directory format."""
+    """Write a Graph back out in the dataset directory format.
+
+    Raises DatasetError, before writing anything, on a non-finite feature:
+    ``load_dataset`` refuses those.
+    """
+    features = np.asarray(g.features, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DatasetError(f"feature row {r}, column {c} is "
+                           f"{float(features[r, c])}; features must be "
+                           f"finite")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     meta = {"name": name, "num_nodes": g.num_nodes,
@@ -391,9 +554,7 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     (path / "edges.csv").write_text(
         "".join(f"{u},{v}\n" for u, v in g.edges))
-    (path / "features.csv").write_text(
-        "".join(",".join(repr(float(x)) for x in row) + "\n"
-                for row in g.features))
+    _write_features(path / "features.csv", features)
     (path / "labels.csv").write_text(
         "".join(f"{int(y)}\n" for y in g.labels))
     (path / "splits.csv").write_text("".join(f"{s}\n" for s in g.split))

@@ -27,7 +27,7 @@ from gpcn.bp import TrainConfig, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import classification_margins, expected_calibration_error
 from gpcn.attacks import (VICTIM_STRATEGIES, AttackSpec, candidate_pool,
-                          evaluate_attack, select_victims)
+                          evaluate_attack, poison_edge_count, select_victims)
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -289,6 +289,9 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
         raise ValueError(f"attack margins need at least 2 classes; the "
                          f"dataset has {graph.num_classes}")
     candidate_pool(graph, config.victim_strategy)
+    if spec.kind == "random_global":
+        for rate in budgets:
+            poison_edge_count(graph, rate)
     prepared = prepare(graph)
 
     def run_seed(seed):

@@ -44,6 +44,13 @@ def random_model(rng, dims) -> ModelParams:
     return init_params(list(dims), rng)
 
 
+def reference_features_csv(features) -> bytes:
+    """features.csv as save_dataset wrote it before the Matrix Market
+    writer: each value's repr, comma-separated, one row a line."""
+    return "".join(",".join(repr(float(x)) for x in row) + "\n"
+                   for row in features).encode()
+
+
 def adjacency(g) -> sp.csr_matrix:
     """The plain adjacency A of ``g`` (no self-loops), through scipy's
     COO to CSR conversion."""

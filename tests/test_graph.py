@@ -1,9 +1,11 @@
 """Graph container, dataset I/O, normalization, SBM generation, and edits."""
 
+import math
 import re
 import struct
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,7 @@ from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
 
 from conftest import (adjacency, csr_equal, dense_adjacency, graphs_equal,
                       has_edge, inverse_edit, prepared_equal, random_graph,
-                      reference_apply_edits,
+                      reference_apply_edits, reference_features_csv,
                       reference_largest_connected_component,
                       reference_normalize_adjacency)
 
@@ -113,6 +115,24 @@ class TestDatasetIO:
         (tmp_path / "labels.csv").write_text("0\nnope\n")
         with pytest.raises(DatasetError, match="labels.csv:2"):
             load_dataset(tmp_path)
+
+    def test_edges_error_names_file_line_after_blank_lines(self, tmp_path):
+        write_dataset(tmp_path, 3, [], [[0.0]] * 3, [0] * 3, ["none"] * 3)
+        (tmp_path / "edges.csv").write_text("\n\n0,1\n0,1,2\n")
+        with pytest.raises(DatasetError,
+                           match="edges.csv:4: .*expected two endpoints"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite_feature(self, tmp_path, value):
+        features = np.zeros((3, 4))
+        features[2, 3] = features[1, 2] = value
+        # make_graph refuses non-finite features, so build the Graph itself
+        g = replace(make_graph(3, np.zeros((3, 4)), [0] * 3, ["none"] * 3,
+                               [], num_classes=1), features=features)
+        with pytest.raises(DatasetError, match=f"row 1, column 2 is {value}"):
+            save_dataset(g, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_save_load_fixed_point(self, tmp_path, rng):
         g = random_graph(rng, 12, num_features=4, num_classes=3)
@@ -280,6 +300,99 @@ class TestFastFeatureReaderMatchesPerLineParser:
         assert gpcn.graph._read_features_fast(file, 1, 2) is None
 
 
+def neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+# Values at the edges of the float range and of repr's positional range
+# (decimal exponents -4 to 15), with both signs.
+EDGE_FEATURES = [v for x in [0.0, 5e-324, 2.2250738585072014e-308,
+                             1.7976931348623157e308, 1e-4, 1.1e-4, 1e-5,
+                             9999999999999998.0, 1e16, 1e22, 100000.0,
+                             2.0 ** 60]
+                 for v in (x, -x)]
+# Those, and every finite power of 2 and of 10 with its neighbours.
+PINNED_FEATURES = EDGE_FEATURES + [
+    v for x in ([x for k in range(-1074, 1024) for x in neighbours(2.0 ** k)]
+                + [x for k in range(-323, 309)
+                   for x in neighbours(float(f"1e{k}"))])
+    for v in (x, -x) if math.isfinite(v)]
+
+finite_bits = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(
+        math.isfinite)
+scaled_normals = st.builds(
+    lambda seed, k: float(np.random.default_rng(seed).normal() * 10.0 ** k),
+    st.integers(0, 2**32 - 1), st.integers(-8, 20))
+feature_values = st.one_of(finite_bits, scaled_normals,
+                           st.sampled_from(EDGE_FEATURES),
+                           st.sampled_from(PINNED_FEATURES))
+
+
+@st.composite
+def feature_matrices(draw, min_features=0):
+    n, f = draw(st.integers(0, 6)), draw(st.integers(min_features, 5))
+    values = draw(st.lists(feature_values, min_size=n * f, max_size=n * f))
+    return np.array(values, dtype=np.float64).reshape(n, f)
+
+
+def saved_features(features: np.ndarray, path: Path, rows=None) -> Path:
+    """save_dataset of a graph with ``features``, written in blocks of
+    ``rows`` rows or, for None, of the default size; its features.csv."""
+    n, f = features.shape
+    values = gpcn.graph._SAVE_BLOCK_VALUES if rows is None else rows * f
+    with mock.patch.object(gpcn.graph, "_SAVE_BLOCK_VALUES", values):
+        save_dataset(make_graph(n, features, [0] * n, ["none"] * n, [],
+                                num_classes=1), path)
+    return path / "features.csv"
+
+
+class TestFeatureWriterMatchesRepr:
+    """save_dataset's features.csv against ``reference_features_csv``, the
+    repr of every value, in blocks of 1 and 3 rows and of the default."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_pinned_values(self, tmp_path, rows):
+        features = np.array(PINNED_FEATURES[:len(PINNED_FEATURES) // 7 * 7])
+        features = features.reshape(-1, 7)
+        file = saved_features(features, tmp_path, rows)
+        assert file.read_bytes() == reference_features_csv(features)
+
+    @pytest.mark.parametrize("shape, text", [
+        ((1, 1), b"0.0\n"), ((0, 3), b""), ((4, 0), b"\n\n\n\n")])
+    def test_small_and_empty_shapes(self, tmp_path, shape, text):
+        file = saved_features(np.zeros(shape), tmp_path)
+        assert file.read_bytes() == text
+
+    @pytest.mark.parametrize("token", [b"1e-05", b"1E+5", b"100000", b"12.5",
+                                       b"1.E5", b"1.5E1234", b"+1", b"-",
+                                       b""])
+    def test_layout_refuses_other_writer_output(self, token):
+        """A token outside -d.dddE-x, as another writer might give, raises
+        instead of being laid out wrong."""
+        body = np.frombuffer(b"1.5\n" + token + b"\n", dtype=np.uint8)
+        with pytest.raises(RuntimeError, match="mmwrite"):
+            gpcn.graph._repr_layout(body, 1, 2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(features=feature_matrices(), rows=st.sampled_from([1, 3, None]))
+    def test_bytes_equal_repr(self, features, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            file = saved_features(features, Path(tmp), rows)
+            assert file.read_bytes() == reference_features_csv(features)
+
+    @settings(deadline=None, max_examples=100)
+    @given(features=feature_matrices(min_features=1),
+           rows=st.sampled_from([1, 3, None]))
+    def test_fast_reader_reads_back_the_same_bits(self, features, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            file = saved_features(features, Path(tmp), rows)
+            back = gpcn.graph._read_features_fast(file, *features.shape)
+            assert back is not None
+            assert np.array_equal(back.view(np.int64),
+                                  features.view(np.int64))
+
+
 class TestNormalization:
     def test_single_edge_pair(self, path_graph):
         dense = dense_adjacency(normalize_adjacency(path_graph))
@@ -402,6 +515,11 @@ class TestGenerateSynthetic:
         assert g.mask("val").sum() == 8  # round(0.25 * 30)
         assert g.mask("train").sum() + g.mask("val").sum() \
             + g.mask("test").sum() + g.mask("none").sum() == 30
+
+
+    def test_feature_dim_below_one_rejected(self):
+        with pytest.raises(ValueError, match="feature_dim"):
+            SyntheticSpec(2, 3, 0.5, 0.1, 0, 0.1)
 
 
 class TestLargestConnectedComponent:

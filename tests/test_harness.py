@@ -56,6 +56,14 @@ class TestDatasetCommands:
         assert main(["dataset", "lcc", str(out), "--out", str(lcc_out)]) == 0
         assert load_dataset(lcc_out).num_nodes <= 60
 
+    def test_gen_rejects_feature_dim_below_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SBM_SPEC, "feature_dim": 0}))
+        assert main(["dataset", "gen", "--spec", str(spec),
+                     "--out", str(tmp_path / "data")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "feature_dim" in err
+
     def test_gen_byte_identical_for_same_seed(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(SBM_SPEC))
@@ -457,6 +465,26 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error") and named in err
+        assert trained == []
+
+    def test_random_global_absent_pairs_checked_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        """A rate that asks for more new edges than the graph has absent
+        node pairs fails before the first seed trains, at any grid point."""
+        trained = []
+
+        def counting(prepared, config):
+            trained.append(config.seed)
+            return train_bp(prepared, config)
+
+        monkeypatch.setattr("gpcn.harness.train_bp", counting)
+        cfg = write_config(tmp_path, epochs=1)
+        assert main(["attack", "--config", str(cfg), "--kind",
+                     "random_global", "--mode", "poisoning",
+                     "--ptb-rate", "0.1,1000", "--out",
+                     str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "absent node pairs" in err
         assert trained == []
 
     def test_numeric_error_on_divergent_inference(self, tmp_path):
