@@ -33,9 +33,7 @@ def sweep(make_trainer, prepared, kind, mode, budgets, seeds=range(3)):
                                  "random_1000", seed)
         spec = AttackSpec(kind=kind, mode=mode, seed=seed,
                           budget=(max(budgets) if kind != "random_global"
-                                  else None),
-                          ptb_rate=(max(budgets) if kind == "random_global"
-                                    else None))
+                                  else None))
         report = evaluate_attack(trainer, prepared, params, victims, spec,
                                  budgets)
         per_seed.append([report.accuracy[q] for q in budgets])

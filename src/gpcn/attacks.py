@@ -59,7 +59,6 @@ class AttackSpec:
     kind: str
     mode: str = "evasion"              # or "poisoning"
     budget: int | None = None          # edit count for targeted attacks
-    ptb_rate: float | None = None      # edge fraction for random_global
     influencer_count: int = 5          # indirect attacks only
     seed: int = 0
 
@@ -70,8 +69,6 @@ class AttackSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.ptb_rate is not None and not 0.0 <= self.ptb_rate < np.inf:
-            raise ValueError("ptb_rate must be finite and nonnegative")
         if self.influencer_count < 1:
             raise ValueError("influencer_count must be >= 1")
 
@@ -158,7 +155,8 @@ def poison_edge_count(graph: Graph, ptb_rate: float) -> int:
     ValueError for a rate that is not a finite nonnegative number or asks
     for more edges than the graph has absent node pairs."""
     if not 0.0 <= ptb_rate < np.inf:
-        raise ValueError("ptb_rate must be finite and nonnegative")
+        raise ValueError(f"ptb_rate {ptb_rate} is not a finite nonnegative "
+                         "fraction")
     k = int(ptb_rate * graph.num_edges)
     n = graph.num_nodes
     absent = n * (n - 1) // 2 - graph.num_edges

@@ -78,7 +78,8 @@ class PreparedGraph:
     first-layer aggregate ``ax`` (A_hat X), formed once by ``prepare``.
 
     ``ax`` is read-only and no method writes into a shared array, so one
-    prepared graph may serve every seed on every thread.
+    prepared graph serves every seed and every attack victim;
+    ``with_edits`` copies ``ax`` before it forms rows again.
     """
 
     graph: Graph

@@ -1,6 +1,8 @@
 """Experiment orchestration: multi-seed sweeps, calibration and energy
 studies, attack protocols, checkpoints, and CSV/JSON report emission.
 
+Seeds run one after another on the calling thread, in the config's order;
+for parallel seeds, run one ``gpcn train --seed-list`` process per seed.
 Every number in every emitted file is a pure function of the experiment
 config and seeds; timing is kept in memory only so repeated invocations are
 byte-identical.
@@ -9,12 +11,9 @@ byte-identical.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,19 +68,14 @@ class ExperimentConfig:
             data["seeds"] = tuple(data["seeds"])
         return cls(**data)
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.__dict__, sort_keys=True, default=list)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     def load_graph(self) -> Graph:
         if self.dataset is not None:
             return load_dataset(self.dataset)
         if self.synthetic is not None:
             fields = dict(self.synthetic)
             seed = fields.pop("seed", 0)
-            if "split_fractions" in fields:
-                fields["split_fractions"] = tuple(fields["split_fractions"])
-            return generate_synthetic(SyntheticSpec(**fields), seed)
+            return generate_synthetic(_synthetic_spec(fields, "synthetic"),
+                                      seed)
         raise ValueError("config needs either a dataset path or a synthetic spec")
 
     def learner(self, seed: int):
@@ -104,14 +98,26 @@ def _reject_unknown_keys(data: dict, cls, where: str, exclude=()) -> None:
                          f"{', '.join(map(repr, unknown))}")
 
 
+def _synthetic_spec(data: dict, where: str) -> SyntheticSpec:
+    """The ``SyntheticSpec`` of the JSON object ``data``; ValueError naming
+    an unknown or a missing key."""
+    _reject_unknown_keys(data, SyntheticSpec, where)
+    missing = [f.name for f in fields(SyntheticSpec)
+               if f.name not in data and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing {where} key(s): "
+                         f"{', '.join(map(repr, missing))}")
+    if "split_fractions" in data:
+        data = {**data, "split_fractions": tuple(data["split_fractions"])}
+    return SyntheticSpec(**data)
+
+
 @dataclass
 class RunRecord:
-    config_hash: str
     model: str
     seed: int
     metrics: dict
     wall_clock: float
-    checkpoint_path: str | None = None
 
 
 class Trainer:
@@ -135,14 +141,6 @@ def _require_test_split(graph: Graph) -> None:
     if not graph.mask("test").any():
         raise ValueError("the dataset's test split is empty; calibration "
                          "is measured on it")
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("GPCN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"GPCN_THREADS={raw!r} is not an integer") from None
 
 
 def _write_csv(path: Path, fieldnames, rows) -> None:
@@ -206,8 +204,7 @@ def _train_one(config: ExperimentConfig, prepared: PreparedGraph,
         "final_energy": (history.energy[-1] if history.energy else 0.0),
         "selected_epoch": sel,
     }
-    record = RunRecord(config_hash=config.config_hash(), model=config.model,
-                       seed=seed, metrics=metrics,
+    record = RunRecord(model=config.model, seed=seed, metrics=metrics,
                        wall_clock=time.perf_counter() - start)
     return record, params, history
 
@@ -220,16 +217,15 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list[RunRecord]:
     graph = config.load_graph()
     _require_test_split(graph)
     prepared = prepare(graph)
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(lambda s: _train_one(config, prepared, s),
-                                config.seeds))
+    # every seed trains before any checkpoint is written, so a failing
+    # seed leaves no partial output
+    results = [_train_one(config, prepared, seed) for seed in config.seeds]
     records = []
     for record, params, history in results:
         ckpt = out / f"checkpoint_{config.model}_seed{record.seed}.json"
         ckpt.write_text(json.dumps(
             checkpoint_dict(config, record.seed, params, history),
             sort_keys=True))
-        record.checkpoint_path = str(ckpt)
         records.append(record)
 
     metric_names = ["train_acc", "val_acc", "test_acc", "ece", "mce",
@@ -294,19 +290,14 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
             poison_edge_count(graph, rate)
     prepared = prepare(graph)
 
-    def run_seed(seed):
+    rob_rows, margin_rows = [], []
+    for seed in config.seeds:
         trainer = Trainer(*config.learner(seed))
         params = trainer.train(prepared)
         victims = select_victims(graph, predict(prepared, params),
                                  config.victim_strategy, seed)
-        return seed, evaluate_attack(trainer, prepared, params, victims,
-                                     replace(spec, seed=seed), budgets)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(run_seed, config.seeds))
-
-    rob_rows, margin_rows = [], []
-    for seed, report in results:
+        report = evaluate_attack(trainer, prepared, params, victims,
+                                 replace(spec, seed=seed), budgets)
         for q in report.budgets:
             rob_rows.append({
                 "dataset": config.dataset_name, "model": config.model,
@@ -352,26 +343,20 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
         studies[t] = ExperimentConfig(**{**config.__dict__, "pc": {
             **config.pc, "inference_steps": t}})
         studies[t].learner(config.seeds[0])
-    jobs = [(t, seed) for t in t_grid for seed in config.seeds]
-
-    def run(job):
-        t, seed = job
-        record, _, _ = _train_one(studies[t], prepared, seed)
-        return {"T": t, "seed": seed,
-                "final_energy": record.metrics["final_energy"],
-                "ece": record.metrics["ece"], "mce": record.metrics["mce"]}
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(run, jobs))
+    rows = []
+    for t in t_grid:
+        for seed in config.seeds:
+            metrics = _train_one(studies[t], prepared, seed)[0].metrics
+            rows.append({"T": t, "seed": seed,
+                         "final_energy": metrics["final_energy"],
+                         "ece": metrics["ece"], "mce": metrics["mce"]})
     _write_csv(out / "study.csv", ["T", "seed", "final_energy", "ece", "mce"],
                rows)
 
 
 def cmd_dataset_gen(spec_path, seed: int, out_dir) -> Graph:
-    fields = json.loads(Path(spec_path).read_text())
-    if "split_fractions" in fields:
-        fields["split_fractions"] = tuple(fields["split_fractions"])
-    g = generate_synthetic(SyntheticSpec(**fields), seed)
+    spec = _synthetic_spec(json.loads(Path(spec_path).read_text()), "spec")
+    g = generate_synthetic(spec, seed)
     save_dataset(g, out_dir, name=f"sbm_seed{seed}")
     return g
 

@@ -249,9 +249,7 @@ def _attack_sweep(graph, kind, mode, budgets, make_trainer):
                                  "random_1000", seed)
         spec = AttackSpec(kind=kind, mode=mode, seed=seed,
                           budget=(max(budgets) if kind != "random_global"
-                                  else None),
-                          ptb_rate=(max(budgets) if kind == "random_global"
-                                    else None))
+                                  else None))
         per_seed.append(evaluate_attack(trainer, prepared, params, victims,
                                         spec, budgets))
     means = np.array([[r.accuracy[q] for q in budgets] for r in per_seed])

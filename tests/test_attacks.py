@@ -384,7 +384,7 @@ class TestEvaluateAttack:
         trainer = FixedParamsTrainer(params)
         probs = trainer.predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
-        spec = AttackSpec(kind="random_global", mode="evasion", ptb_rate=0.0)
+        spec = AttackSpec(kind="random_global", mode="evasion")
         report = evaluate_attack(trainer, prepare(g), params, victims, spec,
                                  [0])
         clean = np.mean([r.correct for r in report.margins_before])
@@ -397,12 +397,12 @@ class TestEvaluateAttack:
         victims = select_victims(g, probs, "random_1000", 0)
 
         ev = FixedParamsTrainer(params)
-        spec = AttackSpec(kind="random_global", mode="evasion", ptb_rate=0.5)
+        spec = AttackSpec(kind="random_global", mode="evasion")
         evaluate_attack(ev, prepare(g), params, victims, spec, [0.2, 0.5])
         assert ev.train_calls == 0
 
         po = FixedParamsTrainer(params)
-        spec = AttackSpec(kind="random_global", mode="poisoning", ptb_rate=0.5)
+        spec = AttackSpec(kind="random_global", mode="poisoning")
         evaluate_attack(po, prepare(g), params, victims, spec, [0.2, 0.5])
         assert po.train_calls == 2    # one per rate
 
@@ -452,8 +452,7 @@ class TestEvaluateAttack:
         for kind, budgets in (("random_global", [0.5]),
                               ("fga_structure", [1, 2])):
             spec = AttackSpec(kind=kind, mode="evasion",
-                              budget=2 if kind != "random_global" else None,
-                              ptb_rate=0.5 if kind == "random_global" else None)
+                              budget=2 if kind != "random_global" else None)
             report = evaluate_attack(trainer, prepare(g), zero, victims,
                                      spec, budgets)
             for q in budgets:
@@ -464,7 +463,7 @@ class TestEvaluateAttack:
         trainer = FixedParamsTrainer(params)
         victims = select_victims(g, trainer.predict(g, params),
                                  "random_1000", 0)
-        spec = AttackSpec(kind="random_global", mode="evasion", ptb_rate=0.1)
+        spec = AttackSpec(kind="random_global", mode="evasion")
         with pytest.raises(ValueError, match="empty"):
             evaluate_attack(trainer, prepare(g), params, victims, spec, [])
 
