@@ -26,6 +26,7 @@ from gpcn.calibration import (
 )
 from gpcn.attacks import (
     AttackSpec,
+    AttackStep,
     RobustnessReport,
     evaluate_attack,
     fga_attack,
@@ -36,6 +37,7 @@ from gpcn.attacks import (
 __all__ = [
     "AdamState",
     "AttackSpec",
+    "AttackStep",
     "CalibrationReport",
     "EdgeEdit",
     "Graph",

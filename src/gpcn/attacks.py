@@ -19,8 +19,9 @@ The adjacency gradient is formed on those rows only (|rows| x n, with the
 transpose giving the columns), and only pairs with an endpoint there are
 scored: every other pair has zero gradient and cannot increase the loss.
 
-Targeted attacks never form a perturbed graph from scratch. Each attack
-step, and each victim's perturbed graph at each budget, is
+Targeted attacks form perturbed graphs only in the walk of ``fga_attack``,
+which applies each edit as soon as it is picked and keeps the graph and its
+forward pass; ``evaluate_attack`` reads budget q from step q. Each step is
 ``PreparedGraph.with_edits`` of the one before, which normalizes A_hat again
 but forms again only the rows of A_hat X an edit can change: the closed
 neighbourhoods, in the old graph and in the new one, of every node an edit
@@ -82,9 +83,18 @@ class VictimSet:
         return self.nodes.shape[0]
 
 
+@dataclass(frozen=True)
+class AttackStep:
+    """Edit q of a targeted attack, the prepared graph after the first q
+    edits, and that graph's forward pass under the attacked params."""
+
+    edit: EdgeEdit
+    graph: PreparedGraph
+    cache: ForwardCache
+
+
 @dataclass
 class RobustnessReport:
-    budgets: list
     accuracy: dict                     # budget -> accuracy over victims
     holistic: float | None
     margins_before: list               # MarginRecord per victim
@@ -280,14 +290,15 @@ def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
 
 def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
                spec: AttackSpec, cache: ForwardCache,
-               products: list[np.ndarray] | None = None) -> list[EdgeEdit]:
+               products: list[np.ndarray] | None = None) -> list[AttackStep]:
     """Greedy gradient attack: per iteration, recompute gradients and apply
     the legal edge toggle / feature flip with the largest loss-increasing
     score. Indirect attacks only touch edges that avoid the victim and have
     an endpoint among the top-gradient influencer neighbors. ``cache`` is
     the forward pass of ``prepared`` under ``params``, and ``products``, if
-    given, its ``_layer_products``; later iterations form both for the
-    perturbed graph."""
+    given, its ``_layer_products``. Returns one ``AttackStep`` per applied
+    edit, at most ``spec.budget``: each edit is applied as soon as it is
+    picked, and the next iteration starts from its step."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     use_structure = spec.kind in ("fga_structure", "fga_both", "fga_indirect")
@@ -298,12 +309,8 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
                                     (0.0, 1.0)).all():
         raise ValueError("feature attacks require binary features")
 
-    edits: list[EdgeEdit] = []
-    for step in range(spec.budget):
-        if step:
-            prepared = prepared.with_edits(edits[-1:])
-            cache = gcn_forward(prepared, params)
-            products = None
+    steps: list[AttackStep] = []
+    for _ in range(spec.budget):
         adj = prepared.adj
         rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
                                                       victim, products)
@@ -336,8 +343,11 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
                 best_edit = EdgeEdit("feature_flip", int(node), int(fidx))
         if best_edit is None:
             break           # no loss-increasing legal move remains
-        edits.append(best_edit)
-    return edits
+        prepared = prepared.with_edits([best_edit])
+        cache = gcn_forward(prepared, params)
+        products = None
+        steps.append(AttackStep(best_edit, prepared, cache))
+    return steps
 
 
 def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
@@ -347,8 +357,14 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
 
     ``params`` are the weights ``trainer`` trained on the clean graph of
     ``prepared``. ``trainer`` must expose train(prepared) -> params;
-    evasion re-predicts with ``params`` on perturbed copies, and poisoning
-    retrains from scratch on each perturbed graph.
+    evasion predicts with ``params`` on the perturbed graphs, and poisoning
+    retrains from scratch on each of them.
+
+    A targeted attack walks each victim once, to the largest budget, and
+    budget q reads step q (evasion its forward pass, poisoning its graph),
+    or the last step, or the clean graph, if the attack stopped earlier.
+    Victims are walked one at a time: one victim's steps, each with its own
+    copy of A_hat X, are held at once.
     """
     budgets = list(budgets)
     if not budgets:
@@ -356,49 +372,41 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
     graph = prepared.graph
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims.nodes] = True
-    margins_before = classification_margins(predict(prepared, params),
+    clean = gcn_forward(prepared, params)
+    margins_before = classification_margins(softmax_rows(clean.logits),
                                             graph.labels, vmask)
+    poisoning = spec.mode == "poisoning"
 
-    def probs_on(perturbed: PreparedGraph) -> np.ndarray:
-        # the perturbed graph, with its copy of A_hat X, is freed on return
-        if spec.mode == "poisoning":
-            return predict(perturbed, trainer.train(perturbed))
-        return predict(perturbed, params)
-
-    accuracy: dict = {}
     margins_after: dict = {}
     if spec.kind == "random_global":
         for rate in budgets:
-            probs = probs_on(prepare(random_global_poison(graph, rate,
-                                                          spec.seed)))
-            recs = classification_margins(probs, graph.labels, vmask)
-            accuracy[rate] = float(np.mean([r.correct for r in recs]))
-            margins_after[rate] = recs
+            perturbed = prepare(random_global_poison(graph, rate, spec.seed))
+            rate_params = trainer.train(perturbed) if poisoning else params
+            margins_after[rate] = classification_margins(
+                predict(perturbed, rate_params), graph.labels, vmask)
     else:
-        max_budget = max(budgets)
+        margins_after = {q: [] for q in budgets}
         # every victim's first step runs on the clean graph, so they share
         # its forward pass and the products X W^(1), .. of its gradient
-        cache = gcn_forward(prepared, params)
-        products = _layer_products(cache, params)
-        per_victim_edits = {}
-        for victim in victims.nodes:
-            per_victim_edits[int(victim)] = fga_attack(
-                params, prepared, int(victim),
-                replace(spec, budget=max_budget), cache, products)
-        for q in budgets:
-            recs = []
-            for victim in victims.nodes:
-                victim = int(victim)
-                probs = probs_on(prepared.with_edits(
-                    per_victim_edits[victim][:q]))
-                one = np.zeros(graph.num_nodes, dtype=bool)
-                one[victim] = True
-                recs.append(classification_margins(probs, graph.labels,
-                                                   one)[0])
-            accuracy[q] = float(np.mean([r.correct for r in recs]))
-            margins_after[q] = recs
+        products = _layer_products(clean, params)
+        walk_spec = replace(spec, budget=max(budgets))
+        for victim in victims.nodes.tolist():
+            steps = fga_attack(params, prepared, victim, walk_spec, clean,
+                               products)
+            walk = [(prepared, clean)] + [(s.graph, s.cache) for s in steps]
+            one = np.zeros(graph.num_nodes, dtype=bool)
+            one[victim] = True
+            for q in margins_after:
+                perturbed, cache = walk[min(q, len(steps))]
+                probs = (predict(perturbed, trainer.train(perturbed))
+                         if poisoning else softmax_rows(cache.logits))
+                margins_after[q].append(classification_margins(
+                    probs, graph.labels, one)[0])
+            del steps, walk, perturbed, cache     # freed before the next walk
+    accuracy = {q: float(np.mean([r.correct for r in recs]))
+                for q, recs in margins_after.items()}
 
-    return RobustnessReport(budgets=budgets, accuracy=accuracy,
+    return RobustnessReport(accuracy=accuracy,
                             holistic=holistic_metric(accuracy),
                             margins_before=margins_before,
                             margins_after=margins_after)

@@ -15,7 +15,6 @@ import numpy as np
 
 @dataclass
 class ReliabilityBins:
-    num_bins: int
     lo: np.ndarray            # (B,)
     hi: np.ndarray            # (B,)
     count: np.ndarray         # (B,) int
@@ -80,9 +79,8 @@ def expected_calibration_error(probs, labels, mask,
     ece = float(np.sum(count[nonempty] / sel.size * gaps))
     mce = float(gaps.max()) if gaps.size else 0.0
     edges = np.linspace(0.0, 1.0, num_bins + 1)
-    bins = ReliabilityBins(num_bins=num_bins, lo=edges[:-1], hi=edges[1:],
-                           count=count, mean_conf=mean_conf,
-                           mean_acc=mean_acc)
+    bins = ReliabilityBins(lo=edges[:-1], hi=edges[1:], count=count,
+                           mean_conf=mean_conf, mean_acc=mean_acc)
     return CalibrationReport(ece=ece, mce=mce, bins=bins)
 
 

@@ -52,6 +52,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
+        _require_bins(self.bins)
         if self.victim_strategy not in VICTIM_STRATEGIES:
             raise ValueError(f"unknown victim_strategy "
                              f"{self.victim_strategy!r}; expected one of "
@@ -134,6 +135,13 @@ class Trainer:
         return params
 
 
+def _require_bins(bins: int) -> None:
+    """Calibration needs at least one bin; checked before any seed trains
+    or any output directory is made."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+
+
 def _require_test_split(graph: Graph) -> None:
     """Calibration is measured on the test split, so a command that reports
     it checks the split before any seed trains (``fit`` checks train and
@@ -177,10 +185,38 @@ def checkpoint_dict(config: ExperimentConfig, seed: int, params: ModelParams,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    data = json.loads(Path(path).read_text())
-    dims = data["layer_dims"]
-    weights = [np.array(flat, dtype=np.float64).reshape(dims[k], dims[k + 1])
-               for k, flat in enumerate(data["weights"])]
+    """The params and the JSON object of a checkpoint; ValueError, starting
+    with ``path``, for a file that is not JSON, a missing or malformed key,
+    or a layer whose weights do not fill its shape in ``layer_dims``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got "
+                         f"{type(data).__name__}")
+    for key in ("layer_dims", "weights"):
+        if key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+    dims, flats = data["layer_dims"], data["weights"]
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise ValueError(f"{path}: 'layer_dims' must be a list of at least "
+                         f"two positive integers, got {dims!r}")
+    if not isinstance(flats, list) or len(flats) != len(dims) - 1:
+        raise ValueError(f"{path}: 'weights' must hold one list per layer, "
+                         f"{len(dims) - 1} for layer_dims {dims}")
+    weights = []
+    for k, flat in enumerate(flats):
+        try:
+            w = np.array(flat, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: layer {k + 1}: {exc}") from None
+        if w.size != dims[k] * dims[k + 1]:
+            raise ValueError(f"{path}: layer {k + 1} has {w.size} weights, "
+                             f"its shape ({dims[k]}, {dims[k + 1]}) needs "
+                             f"{dims[k] * dims[k + 1]}")
+        weights.append(w.reshape(dims[k], dims[k + 1]))
     return ModelParams(dims, weights), data
 
 
@@ -244,14 +280,16 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list[RunRecord]:
 
 def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
     """Emit bins.csv, histogram.csv, and report.json for one checkpoint."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _require_bins(bins)
     graph = load_dataset(data_dir)
+    _require_test_split(graph)
     params, _ = load_checkpoint(checkpoint)
     if params.layer_dims[0] != graph.num_features:
         raise ValueError("checkpoint input width does not match dataset")
     if params.layer_dims[-1] != graph.num_classes:
         raise ValueError("checkpoint output width does not match classes")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     probs = predict(prepare(graph), params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
@@ -298,7 +336,7 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
                                  config.victim_strategy, seed)
         report = evaluate_attack(trainer, prepared, params, victims,
                                  replace(spec, seed=seed), budgets)
-        for q in report.budgets:
+        for q in budgets:
             rob_rows.append({
                 "dataset": config.dataset_name, "model": config.model,
                 "attack_kind": spec.kind, "mode": spec.mode, "budget": q,

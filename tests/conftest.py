@@ -418,20 +418,26 @@ def local_gradients(params, graph, target_node):
     return rows, full, propagate(prepared.adj, signal @ params.weights[0].T)
 
 
+def reference_prefix_graph(graph, edits, q):
+    """The prepared graph of the first q edits, rebuilt from scratch by the
+    set-based edit oracle with a fresh A_hat and A_hat X; the oracle for
+    the graphs of ``fga_attack``'s steps."""
+    return prepare(reference_apply_edits(graph, edits[:q]))
+
+
 def reference_evasion_margins(params, graph, per_victim_edits, budgets):
-    """Per budget q, the victims' margins after their first q edits, each
-    perturbed graph rebuilt from scratch by the set-based edit oracle and
-    predicted on a fresh A_hat and A_hat X; the oracle for
-    ``evaluate_attack``'s evasion margins."""
+    """Per budget q, the victims' margins predicted on their graphs after
+    their first q edits, each rebuilt by ``reference_prefix_graph``; the
+    oracle for ``evaluate_attack``'s evasion margins."""
     out = {}
     for q in budgets:
         recs = []
         for victim, edits in per_victim_edits.items():
-            perturbed = reference_apply_edits(graph, edits[:q])
+            perturbed = reference_prefix_graph(graph, edits, q)
             one = np.zeros(graph.num_nodes, dtype=bool)
             one[victim] = True
             recs.append(classification_margins(
-                predict(prepare(perturbed), params), graph.labels, one)[0])
+                predict(perturbed, params), graph.labels, one)[0])
         out[q] = recs
     return out
 

@@ -11,25 +11,31 @@ from gpcn.graph import (EdgeEdit, Graph, apply_edits, make_graph,
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
-from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
-                          holistic_metric, random_global_poison,
+from gpcn.attacks import (AttackSpec, VictimSet, evaluate_attack,
+                          fga_attack, holistic_metric, random_global_poison,
                           select_victims)
 
 from conftest import (adjacency, dense_adjacency, has_edge, local_gradients,
-                      margin_shift_export, random_graph,
+                      margin_shift_export, prepared_equal, random_graph,
                       reference_evasion_margins, reference_fga_attack,
-                      reference_loss_gradient_wrt_inputs)
+                      reference_loss_gradient_wrt_inputs,
+                      reference_prefix_graph)
 
 
 class FixedParamsTrainer:
-    """Trainer stub returning preset params; counts train() calls."""
+    """Trainer stub returning preset params; records the prepared graphs
+    it is trained on."""
 
     def __init__(self, params):
         self.params = params
-        self.train_calls = 0
+        self.graphs = []
+
+    @property
+    def train_calls(self):
+        return len(self.graphs)
 
     def train(self, prepared):
-        self.train_calls += 1
+        self.graphs.append(prepared)
         return self.params
 
     def predict(self, graph, params):
@@ -44,10 +50,10 @@ def trained_instance(seed, n=12):
 
 
 def attack(params, g, victim, spec):
-    """``fga_attack`` from ``g``'s own forward pass."""
+    """The edit list of ``fga_attack`` from ``g``'s own forward pass."""
     prepared = prepare(g)
-    return fga_attack(params, prepared, victim, spec,
-                      gcn_forward(prepared, params))
+    return [step.edit for step in fga_attack(params, prepared, victim, spec,
+                                             gcn_forward(prepared, params))]
 
 
 def assert_valid_graph(g: Graph):
@@ -368,6 +374,64 @@ class TestLocalPathMatchesDense:
         for _ in range(hidden):
             reach = reach | (adjacency(g) @ reach > 0)
         assert reach[rows].all()
+
+
+class TestAttackWalk:
+    """The graphs and forward passes of ``fga_attack``'s steps, and the
+    budgets ``evaluate_attack`` reads from them, against every prefix
+    rebuilt from scratch by the oracle in conftest."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(instance=instances, kind=st.sampled_from(TARGETED_KINDS),
+           budget=st.integers(1, 3))
+    def test_steps_match_rebuilt_prefixes(self, instance, kind, budget):
+        seed, shape, n, hidden = instance
+        g, params = shaped_instance(seed, shape, n, hidden,
+                                    binary=kind in ("fga_feature", "fga_both"))
+        prepared = prepare(g)
+        spec = AttackSpec(kind=kind, budget=budget, influencer_count=2)
+        steps = fga_attack(params, prepared, 0, spec,
+                           gcn_forward(prepared, params))
+        assert len(steps) <= budget
+        edits = [step.edit for step in steps]
+        for q, step in enumerate(steps, start=1):
+            want = reference_prefix_graph(g, edits, q)
+            assert prepared_equal(step.graph, want)
+            assert np.array_equal(
+                step.cache.logits.view(np.int64),
+                gcn_forward(want, params).logits.view(np.int64))
+
+    # Every node of the 8-node instance is a victim at budgets 1..4. In the
+    # indirect case victim 0 is isolated, so it has no influencer and the
+    # attack takes no step; in both cases other victims stop early too.
+    @pytest.mark.parametrize("mode", ["evasion", "poisoning"])
+    @pytest.mark.parametrize("kind, seed, shape", [
+        ("fga_indirect", 1, "isolated_victim"),
+        ("fga_structure", 0, "random")])
+    def test_early_stop_reads_last_step(self, kind, seed, shape, mode):
+        g, params = shaped_instance(seed, shape, 8, 1, binary=False)
+        spec = AttackSpec(kind=kind, mode=mode, budget=4, influencer_count=1)
+        budgets = [1, 2, 3, 4]
+        trainer = FixedParamsTrainer(params)
+        victims = VictimSet(nodes=np.arange(8),
+                            provenance=np.full(8, "random"))
+        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
+                                 budgets)
+
+        per_victim = {v: attack(params, g, v, spec) for v in range(8)}
+        lengths = [len(edits) for edits in per_victim.values()]
+        assert any(0 < n < 4 for n in lengths)
+        if kind == "fga_indirect":
+            assert per_victim[0] == []
+        assert report.margins_after == reference_evasion_margins(
+            params, g, per_victim, budgets)
+        if mode == "evasion":
+            assert trainer.graphs == []
+        else:
+            want = [reference_prefix_graph(g, per_victim[v], q)
+                    for v in range(8) for q in budgets]
+            assert len(trainer.graphs) == len(want)
+            assert all(map(prepared_equal, trainer.graphs, want))
 
 
 class TestHolisticMetric:

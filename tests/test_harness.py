@@ -3,6 +3,8 @@ round-trips, determinism of every output file, and exit codes."""
 
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,15 @@ def read_csv(path):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
+
+
+def gen_dataset(tmp_path, name="data", **spec_overrides):
+    spec = tmp_path / f"{name}_spec.json"
+    spec.write_text(json.dumps({**SBM_SPEC, **spec_overrides}))
+    data_dir = tmp_path / name
+    assert main(["dataset", "gen", "--spec", str(spec), "--seed", "5",
+                 "--out", str(data_dir)]) == 0
+    return data_dir
 
 
 class TestDatasetCommands:
@@ -200,6 +211,49 @@ class TestCalibrateCommand:
                      str(out / "checkpoint_gcn_seed0.json"),
                      "--data", str(data_dir),
                      "--out", str(tmp_path / "cal3")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("fractions, bins, named", [
+        ([0.5, 0.5, 0.0], "10", "test split is empty"),
+        ([0.2, 0.2, 0.6], "0", "bins must be >= 1, got 0"),
+    ], ids=["empty_test_split", "zero_bins"])
+    def test_checks_before_writing(self, tmp_path, capsys, fractions, bins,
+                                   named):
+        """An empty test split or a bin count below 1 exits 1 naming the
+        cause, and leaves no output directory behind."""
+        data_dir = gen_dataset(tmp_path, split_fractions=fractions)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"layer_dims": [8, 2],
+                                    "weights": [[0.0] * 16]}))
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--checkpoint", str(ckpt),
+                     "--data", str(data_dir), "--bins", bins,
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        (json.dumps({"weights": [[0.0] * 16]}), "missing key 'layer_dims'"),
+        (json.dumps({"layer_dims": [8, 2], "weights": [[0.0] * 15]}),
+         "layer 1 has 15 weights, its shape (8, 2) needs 16"),
+        ('{"layer_dims": [8, 2], "weights": [[0.0]]', "not valid JSON"),
+        (json.dumps({"layer_dims": ["8", 2], "weights": [[0.0] * 16]}),
+         "'layer_dims' must be a list of at least two"),
+        (json.dumps({"layer_dims": [8, 2],
+                     "weights": [[0.0] * 16, [0.0] * 4]}),
+         "'weights' must hold one list per layer, 1 for"),
+    ], ids=["missing_key", "short_row", "not_json", "text_dims",
+            "extra_layer"])
+    def test_bad_checkpoint_names_file_and_fault(self, tmp_path, capsys,
+                                                 text, named):
+        data_dir = gen_dataset(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(text)
+        assert main(["calibrate", "--checkpoint", str(ckpt),
+                     "--data", str(data_dir),
+                     "--out", str(tmp_path / "cal")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {ckpt}: ") and named in err
 
 
 class TestAttackCommand:
@@ -433,6 +487,28 @@ class TestExitCodes:
         assert err.startswith("usage error") and named in err
         assert trained == []
 
+    @pytest.mark.parametrize("command", ["train", "energy-study"])
+    def test_bins_checked_before_training(self, tmp_path, capsys,
+                                          monkeypatch, command):
+        trained = []
+
+        def counting(train_fn):
+            def wrapper(prepared, config):
+                trained.append(config.seed)
+                return train_fn(prepared, config)
+            return wrapper
+
+        monkeypatch.setattr("gpcn.harness.train_bp", counting(train_bp))
+        monkeypatch.setattr("gpcn.harness.train_pc", counting(train_pc))
+        model = "gpcn" if command == "energy-study" else "gcn"
+        cfg = write_config(tmp_path, model=model, epochs=1, bins=0)
+        flags = ["--t-grid", "2"] if command == "energy-study" else []
+        assert main([command, "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "bins must be >= 1" in err
+        assert trained == []
+
     @pytest.mark.parametrize("strategy, fractions, named", [
         ("nettack", [0.2, 0.2, 0.6], "'nettack'"),
         ("nettack_style", [0.5, 0.5, 0.0], "no test nodes"),
@@ -499,3 +575,27 @@ class TestConfigObject:
     def test_unknown_victim_strategy_rejected(self):
         with pytest.raises(ValueError, match="'nettack'"):
             ExperimentConfig(synthetic=SBM_SPEC, victim_strategy="nettack")
+
+
+class TestReadme:
+    def test_command_line_example_runs(self, tmp_path, monkeypatch, capsys):
+        """The README's command-line block runs as written, in a directory
+        holding its own small spec.json and exp.json, so an example that
+        names a flag or a file the commands do not have fails here."""
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        (block,) = [b for b in blocks if b.startswith("gpcn ")]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip()]
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {**SBM_SPEC, "nodes_per_block": 8, "feature_dim": 4}))
+        (tmp_path / "exp.json").write_text(json.dumps(
+            {"dataset": "data/sbm", "model": "gpcn", "epochs": 2,
+             "hidden_dims": [4], "seeds": [0],
+             "pc": {"inference_steps": 2}}))
+        monkeypatch.chdir(tmp_path)
+        for command in commands:
+            argv = shlex.split(command)
+            assert argv[0] == "gpcn"
+            assert main(argv[1:]) == 0, (command, capsys.readouterr().err)
