@@ -358,7 +358,10 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
     ``params`` are the weights ``trainer`` trained on the clean graph of
     ``prepared``. ``trainer`` must expose train(prepared) -> params;
     evasion predicts with ``params`` on the perturbed graphs, and poisoning
-    retrains from scratch on each of them.
+    retrains from scratch on each of them. A budget that leaves the clean
+    graph reads the clean prediction under ``params``, and budgets that
+    read the same step of a walk share its prediction: poisoning trains
+    once per rate that adds edges, or per walk step that a budget reads.
 
     A targeted attack walks each victim once, to the largest budget, and
     budget q reads step q (evasion its forward pass, poisoning its graph),
@@ -373,17 +376,22 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims.nodes] = True
     clean = gcn_forward(prepared, params)
-    margins_before = classification_margins(softmax_rows(clean.logits),
-                                            graph.labels, vmask)
+    clean_probs = softmax_rows(clean.logits)
+    margins_before = classification_margins(clean_probs, graph.labels, vmask)
     poisoning = spec.mode == "poisoning"
 
     margins_after: dict = {}
     if spec.kind == "random_global":
         for rate in budgets:
-            perturbed = prepare(random_global_poison(graph, rate, spec.seed))
-            rate_params = trainer.train(perturbed) if poisoning else params
-            margins_after[rate] = classification_margins(
-                predict(perturbed, rate_params), graph.labels, vmask)
+            # a rate that adds no edge leaves the clean graph
+            probs = clean_probs
+            if poison_edge_count(graph, rate):
+                perturbed = prepare(random_global_poison(graph, rate,
+                                                         spec.seed))
+                rate_params = trainer.train(perturbed) if poisoning else params
+                probs = predict(perturbed, rate_params)
+            margins_after[rate] = classification_margins(probs, graph.labels,
+                                                         vmask)
     else:
         margins_after = {q: [] for q in budgets}
         # every victim's first step runs on the clean graph, so they share
@@ -396,12 +404,16 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
             walk = [(prepared, clean)] + [(s.graph, s.cache) for s in steps]
             one = np.zeros(graph.num_nodes, dtype=bool)
             one[victim] = True
+            margin_at: dict = {}           # walk index -> victim's margin
             for q in margins_after:
-                perturbed, cache = walk[min(q, len(steps))]
-                probs = (predict(perturbed, trainer.train(perturbed))
-                         if poisoning else softmax_rows(cache.logits))
-                margins_after[q].append(classification_margins(
-                    probs, graph.labels, one)[0])
+                i = min(q, len(steps))
+                if i not in margin_at:
+                    perturbed, cache = walk[i]
+                    probs = (predict(perturbed, trainer.train(perturbed))
+                             if poisoning and i else softmax_rows(cache.logits))
+                    margin_at[i] = classification_margins(
+                        probs, graph.labels, one)[0]
+                margins_after[q].append(margin_at[i])
             del steps, walk, perturbed, cache     # freed before the next walk
     accuracy = {q: float(np.mean([r.correct for r in recs]))
                 for q, recs in margins_after.items()}

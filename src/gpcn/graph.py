@@ -28,6 +28,12 @@ digits, the digits ``repr`` gives, as -d.dddE-x; one numpy pass over the
 writer's non-digit bytes re-lays every token as ``repr`` does, positional for
 decimal exponents in [-4, 15] and d.ddde-XX outside, and one gather joins
 them with commas and line ends.
+
+``generate_synthetic`` draws one uniform per node pair, in the row-major
+order of ``np.triu_indices(n, 1)``, in pieces of ``_PAIR_BLOCK`` values; a
+numpy Generator gives the same stream in pieces as in one call, so the
+graph is the one a single draw over all n(n-1)/2 pairs gives, in O(n + |E|)
+memory and not O(n^2).
 """
 
 from __future__ import annotations
@@ -593,20 +599,58 @@ def propagate(adj: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
     return adj @ m
 
 
+# Node pairs whose edge uniforms _sbm_edges draws at a time: 8 MB of
+# uniforms, whatever the node count, and index arrays over the pairs below
+# the larger edge probability.
+_PAIR_BLOCK = 1 << 20
+
+
+def _sbm_edges(rng: np.random.Generator, spec: SyntheticSpec,
+               n: int) -> np.ndarray:
+    """The SBM edges of ``n`` nodes in contiguous blocks of
+    ``spec.nodes_per_block``: pair (u, v), u < v, is an edge when its uniform
+    is below its block pair's probability. The pairs take their uniforms in
+    row-major order, as ``np.triu_indices(n, 1)`` lists them, from
+    ``rng.random`` calls of at most ``_PAIR_BLOCK`` values each; a Generator
+    gives the same values in pieces as in one call.
+
+    Per piece, only the pairs whose uniform is below the larger probability
+    are placed: row u of such a pair is read off the row starts, and the
+    pair is intra-block exactly when v < (u // npb + 1) * npb.
+    """
+    npb = spec.nodes_per_block
+    p_in, p_out = spec.intra_block_edge_prob, spec.inter_block_edge_prob
+    rows = np.arange(n, dtype=np.int64)
+    # the index of pair (u, u + 1) in the row-major order
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2
+    total = n * (n - 1) // 2
+    pieces = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, total, _PAIR_BLOCK):
+        x = rng.random(min(_PAIR_BLOCK, total - lo))
+        pair = np.flatnonzero(x < max(p_in, p_out))
+        x = x[pair]
+        pair += lo
+        u = np.searchsorted(row_start, pair, side="right") - 1
+        v = pair - row_start[u] + u + 1
+        keep = x < np.where(v < (u // npb + 1) * npb, p_in, p_out)
+        pieces.append(np.stack([u[keep], v[keep]], axis=1))
+    return np.concatenate(pieces)
+
+
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Graph:
-    """Stochastic block model: label = block, features = one-hot(block) + noise."""
+    """Stochastic block model: label = block, features = one-hot(block) +
+    noise, with block b holding nodes b * npb to (b + 1) * npb - 1.
+
+    The edge uniforms come first in the random stream, one per node pair
+    in row-major order, then the feature noise, then the split permutation.
+    ``_sbm_edges`` draws the uniforms in pieces, so working memory is
+    O(n + |E|), not one array per node pair."""
     if spec.num_blocks < 1 or spec.nodes_per_block < 1:
         raise ValueError("need at least one block and one node per block")
     rng = np.random.default_rng(seed)
     n = spec.num_blocks * spec.nodes_per_block
     blocks = np.repeat(np.arange(spec.num_blocks), spec.nodes_per_block)
-
-    iu, iv = np.triu_indices(n, k=1)
-    same = blocks[iu] == blocks[iv]
-    prob = np.where(same, spec.intra_block_edge_prob,
-                    spec.inter_block_edge_prob)
-    keep = rng.random(prob.shape[0]) < prob
-    edges = np.stack([iu[keep], iv[keep]], axis=1).astype(np.int64)
+    edges = _sbm_edges(rng, spec, n)
 
     # one-hot block indicator (wrapped if feature_dim < num_blocks) + noise
     features = np.zeros((n, spec.feature_dim))

@@ -248,14 +248,14 @@ def _train_one(config: ExperimentConfig, prepared: PreparedGraph,
 def cmd_train(config: ExperimentConfig, out_dir) -> list[RunRecord]:
     """Train every seed; write checkpoints and runs.csv with mean and
     population std per metric."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graph = config.load_graph()
     _require_test_split(graph)
     prepared = prepare(graph)
-    # every seed trains before any checkpoint is written, so a failing
+    # every seed trains before the output directory is made, so a failing
     # seed leaves no partial output
     results = [_train_one(config, prepared, seed) for seed in config.seeds]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     records = []
     for record, params, history in results:
         ckpt = out / f"checkpoint_{config.model}_seed{record.seed}.json"
@@ -316,8 +316,6 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
                out_dir) -> None:
     """Run the attack protocol for every seed; emit robustness.csv and
     margins.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graph = config.load_graph()
     if graph.num_classes < 2:
         raise ValueError(f"attack margins need at least 2 classes; the "
@@ -354,6 +352,8 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
                 "node": rec.node, "margin": rec.margin,
                 "correct": rec.correct, "seed": seed, "condition": "before",
                 "budget": 0, "attack_kind": spec.kind})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "robustness.csv",
                ["dataset", "model", "attack_kind", "mode", "budget", "seed",
                 "accuracy", "holistic_metric"], rob_rows)
@@ -368,8 +368,6 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
         raise ValueError("the energy study applies to the gpcn model only")
     if not t_grid:
         raise ValueError("empty inference-step grid")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graph = config.load_graph()
     _require_test_split(graph)
     prepared = prepare(graph)
@@ -388,6 +386,8 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
             rows.append({"T": t, "seed": seed,
                          "final_energy": metrics["final_energy"],
                          "ece": metrics["ece"], "mce": metrics["mce"]})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "study.csv", ["T", "seed", "final_energy", "ece", "mce"],
                rows)
 

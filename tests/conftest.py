@@ -44,6 +44,39 @@ def random_model(rng, dims) -> ModelParams:
     return init_params(list(dims), rng)
 
 
+def reference_generate_synthetic(spec, seed):
+    """``generate_synthetic`` with one uniform array over all n(n-1)/2 node
+    pairs of ``np.triu_indices``; the oracle for the generator that draws
+    them in pieces."""
+    rng = np.random.default_rng(seed)
+    n = spec.num_blocks * spec.nodes_per_block
+    blocks = np.repeat(np.arange(spec.num_blocks), spec.nodes_per_block)
+
+    iu, iv = np.triu_indices(n, k=1)
+    same = blocks[iu] == blocks[iv]
+    prob = np.where(same, spec.intra_block_edge_prob,
+                    spec.inter_block_edge_prob)
+    keep = rng.random(prob.shape[0]) < prob
+    edges = np.stack([iu[keep], iv[keep]], axis=1).astype(np.int64)
+
+    features = np.zeros((n, spec.feature_dim))
+    features[np.arange(n), blocks % spec.feature_dim] = 1.0
+    features += rng.normal(0.0, spec.feature_noise_std, size=features.shape)
+
+    frac_train, frac_val, frac_test = spec.split_fractions
+    order = rng.permutation(n)
+    n_train = int(round(frac_train * n))
+    n_val = int(round(frac_val * n))
+    n_test = min(int(round(frac_test * n)), n - n_train - n_val)
+    split = np.full(n, "none", dtype="U5")
+    split[order[:n_train]] = "train"
+    split[order[n_train:n_train + n_val]] = "val"
+    split[order[n_train + n_val:n_train + n_val + n_test]] = "test"
+
+    return make_graph(n, features, blocks.astype(np.int64), split, edges,
+                      num_classes=spec.num_blocks)
+
+
 def reference_features_csv(features) -> bytes:
     """features.csv as save_dataset wrote it before the Matrix Market
     writer: each value's repr, comma-separated, one row a line."""

@@ -428,8 +428,13 @@ class TestAttackWalk:
         if mode == "evasion":
             assert trainer.graphs == []
         else:
+            # one retrain per new step of each walk: budgets past an early
+            # stop read the last step, and step 0 is the clean graph
+            steps = [sorted({min(q, len(per_victim[v])) for q in budgets}
+                            - {0}) for v in range(8)]
             want = [reference_prefix_graph(g, per_victim[v], q)
-                    for v in range(8) for q in budgets]
+                    for v in range(8) for q in steps[v]]
+            assert len(want) == {"fga_indirect": 17, "fga_structure": 28}[kind]
             assert len(trainer.graphs) == len(want)
             assert all(map(prepared_equal, trainer.graphs, want))
 
@@ -469,6 +474,22 @@ class TestEvaluateAttack:
         spec = AttackSpec(kind="random_global", mode="poisoning")
         evaluate_attack(po, prepare(g), params, victims, spec, [0.2, 0.5])
         assert po.train_calls == 2    # one per rate
+
+    def test_rate_adding_no_edge_is_not_retrained(self):
+        """A rate of 0, or one too small to add an edge, leaves the clean
+        graph, on which ``params`` were trained: poisoning reads their
+        margins and trains only for the rate that adds edges."""
+        g, params = trained_instance(9, n=14)
+        victims = select_victims(g, predict(prepare(g), params),
+                                 "random_1000", 0)
+        trainer = FixedParamsTrainer(params)
+        spec = AttackSpec(kind="random_global", mode="poisoning")
+        rates = [0.0, 0.5 / g.num_edges, 0.5]
+        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
+                                 rates)
+        assert trainer.train_calls == 1
+        assert report.margins_after[0.0] == report.margins_before
+        assert report.margins_after[rates[1]] == report.margins_before
 
     @pytest.mark.parametrize("mode", ["evasion", "poisoning"])
     @pytest.mark.parametrize("kind", ["fga_structure", "fga_both",

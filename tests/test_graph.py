@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpcn.graph
@@ -24,6 +25,7 @@ from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
 from conftest import (adjacency, csr_equal, dense_adjacency, graphs_equal,
                       has_edge, inverse_edit, prepared_equal, random_graph,
                       reference_apply_edits, reference_features_csv,
+                      reference_generate_synthetic,
                       reference_largest_connected_component,
                       reference_normalize_adjacency)
 
@@ -520,6 +522,66 @@ class TestGenerateSynthetic:
     def test_feature_dim_below_one_rejected(self):
         with pytest.raises(ValueError, match="feature_dim"):
             SyntheticSpec(2, 3, 0.5, 0.1, 0, 0.1)
+
+
+def same_bits(a, b) -> bool:
+    """``graphs_equal``, with the features compared bit for bit."""
+    return (graphs_equal(a, b) and a.features.shape == b.features.shape
+            and np.array_equal(a.features.view(np.int64),
+                               b.features.view(np.int64)))
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]),
+                          st.floats(0.0, 1.0))
+
+
+class TestGenerateSyntheticMatchesReference:
+    """``generate_synthetic`` draws the edge uniforms in pieces of
+    ``_PAIR_BLOCK``; one draw over every ``triu_indices`` pair, kept in
+    conftest, is the oracle, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(blocks=st.integers(1, 5), per_block=st.integers(1, 12),
+           p_in=probabilities, p_out=probabilities,
+           feature_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           pair_block=st.one_of(st.integers(1, 70),
+                                st.just(gpcn.graph._PAIR_BLOCK)))
+    @example(blocks=1, per_block=1, p_in=0.5, p_out=0.5, feature_dim=1,
+             seed=0, pair_block=1)                  # one node, no pair
+    @example(blocks=3, per_block=4, p_in=0.0, p_out=0.0, feature_dim=2,
+             seed=1, pair_block=5)
+    @example(blocks=3, per_block=4, p_in=1.0, p_out=1.0, feature_dim=2,
+             seed=1, pair_block=5)
+    @example(blocks=1, per_block=12, p_in=0.3, p_out=0.7, feature_dim=3,
+             seed=2, pair_block=66)                 # one piece, exactly
+    def test_same_graph(self, blocks, per_block, p_in, p_out, feature_dim,
+                        seed, pair_block):
+        spec = SyntheticSpec(blocks, per_block, p_in, p_out, feature_dim,
+                             0.5, (0.4, 0.3, 0.2))
+        with mock.patch.object(gpcn.graph, "_PAIR_BLOCK", pair_block):
+            got = generate_synthetic(spec, seed)
+        assert same_bits(got, reference_generate_synthetic(spec, seed))
+
+    def test_cora_sized_sbm(self):
+        """The benchmark's Cora-sized SBM: 2709 nodes, 3.67M pairs in four
+        pieces, the last one partial."""
+        spec = SyntheticSpec(7, 387, 0.0125, 0.0005, 1433, 1.0,
+                             (0.2, 0.2, 0.6))
+        got = generate_synthetic(spec, 0)
+        assert got.num_edges == 8252
+        assert same_bits(got, reference_generate_synthetic(spec, 0))
+
+    def test_memory_does_not_grow_with_pairs(self):
+        """2000 nodes have 2M node pairs; the reference, with its arrays
+        over every pair, peaks near 65 MB."""
+        spec = SyntheticSpec(4, 500, 0.05, 0.005, 2, 0.1)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLargestConnectedComponent:

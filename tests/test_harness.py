@@ -1,14 +1,19 @@
 """Experiment harness and CLI: config handling, report emission, checkpoint
 round-trips, determinism of every output file, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcn.graph import load_dataset
 from gpcn.bp import train_bp
@@ -486,6 +491,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and named in err
         assert trained == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "energy-study"])
     def test_bins_checked_before_training(self, tmp_path, capsys,
@@ -508,6 +514,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and "bins must be >= 1" in err
         assert trained == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("strategy, fractions, named", [
         ("nettack", [0.2, 0.2, 0.6], "'nettack'"),
@@ -534,6 +541,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and named in err
         assert trained == []
+        assert not (tmp_path / "o").exists()
 
     def test_random_global_absent_pairs_checked_before_training(
             self, tmp_path, capsys, monkeypatch):
@@ -554,6 +562,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and "absent node pairs" in err
         assert trained == []
+        assert not (tmp_path / "o").exists()
 
     def test_numeric_error_on_divergent_inference(self, tmp_path):
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0],
@@ -561,6 +570,8 @@ class TestExitCodes:
                                "value_update_rate": 1000.0})
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        # the seed failed in training, before the output directory is made
+        assert not (tmp_path / "o").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -599,3 +610,75 @@ class TestReadme:
             argv = shlex.split(command)
             assert argv[0] == "gpcn"
             assert main(argv[1:]) == 0, (command, capsys.readouterr().err)
+
+
+# Small degenerate SBM specs: no edges, complete graphs, one node per class,
+# isolated nodes among the victims, and empty splits.
+DEGENERATE_SPECS = {
+    "no_edges": {"num_blocks": 2, "nodes_per_block": 3,
+                 "intra_block_edge_prob": 0.0, "inter_block_edge_prob": 0.0},
+    "complete": {"num_blocks": 2, "nodes_per_block": 3,
+                 "intra_block_edge_prob": 1.0, "inter_block_edge_prob": 1.0},
+    "one_node_per_class": {"num_blocks": 3, "nodes_per_block": 1,
+                           "intra_block_edge_prob": 1.0,
+                           "inter_block_edge_prob": 0.5},
+    "isolated_victims": {"num_blocks": 2, "nodes_per_block": 4,
+                         "intra_block_edge_prob": 0.3,
+                         "inter_block_edge_prob": 0.0},
+}
+SPLITS = {"usual": [0.4, 0.3, 0.3], "no_test": [0.5, 0.5, 0.0],
+          "no_val": [0.5, 0.0, 0.5], "no_train": [0.0, 0.5, 0.5],
+          "all_none": [0.0, 0.0, 0.0]}
+ATTACK_FLAGS = {"fga_structure": ["--budget", "2"],
+                "fga_feature": ["--budget", "2"],
+                "fga_both": ["--budget", "2"],
+                "fga_indirect": ["--budget", "2", "--influencers", "1"],
+                "random_global": ["--ptb-rate", "0,0.5"]}
+MESSAGES = {EXIT_USAGE: "usage error: ", EXIT_DATA: "data error: ",
+            EXIT_NUMERIC: "numeric failure: "}
+
+
+class TestDegenerateGraphs:
+    """``gpcn train`` and every attack kind on tiny degenerate graphs exit
+    with a documented code, a nonzero one with a message naming the cause,
+    and never raise."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(shape=st.sampled_from(sorted(DEGENERATE_SPECS)),
+           splits=st.sampled_from(sorted(SPLITS)),
+           noise=st.sampled_from([0.0, 0.5]),
+           model=st.sampled_from(["gcn", "gpcn"]),
+           command=st.sampled_from(["train", *sorted(ATTACK_FLAGS)]),
+           mode=st.sampled_from(["evasion", "poisoning"]),
+           strategy=st.sampled_from(["random_1000", "nettack_style"]),
+           seed=st.integers(0, 3))
+    def test_documented_exit(self, shape, splits, noise, model, command,
+                             mode, strategy, seed):
+        """A nonzero exit also leaves no output directory."""
+        spec = {**DEGENERATE_SPECS[shape], "feature_dim": 3,
+                "feature_noise_std": noise,
+                "split_fractions": SPLITS[splits], "seed": seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({
+                "synthetic": spec, "model": model, "epochs": 2,
+                "hidden_dims": [3], "seeds": [0],
+                "victim_strategy": strategy, "pc": {"inference_steps": 2}}))
+            out = Path(tmp) / "out"
+            if command == "train":
+                argv = ["train", "--config", str(cfg), "--out", str(out)]
+            else:
+                argv = ["attack", "--config", str(cfg), "--kind", command,
+                        "--mode", mode, *ATTACK_FLAGS[command],
+                        "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            wrote = out.exists()
+        assert code in (0, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        assert wrote == (code == 0)
+        if code:
+            message = err.getvalue()
+            assert message.startswith(MESSAGES[code])
+            assert len(message.strip()) > len(MESSAGES[code])
