@@ -31,9 +31,7 @@ def sweep(make_trainer, prepared, kind, mode, budgets, seeds=range(3)):
         params = trainer.train(prepared)
         victims = select_victims(prepared.graph, predict(prepared, params),
                                  "random_1000", seed)
-        spec = AttackSpec(kind=kind, mode=mode, seed=seed,
-                          budget=(max(budgets) if kind != "random_global"
-                                  else None))
+        spec = AttackSpec(kind=kind, mode=mode, seed=seed)
         report = evaluate_attack(trainer, prepared, params, victims, spec,
                                  budgets)
         per_seed.append([report.accuracy[q] for q in budgets])

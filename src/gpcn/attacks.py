@@ -74,15 +74,6 @@ class AttackSpec:
             raise ValueError("influencer_count must be >= 1")
 
 
-@dataclass
-class VictimSet:
-    nodes: np.ndarray                  # unique node ids
-    provenance: np.ndarray             # per-node tag
-
-    def __len__(self):
-        return self.nodes.shape[0]
-
-
 @dataclass(frozen=True)
 class AttackStep:
     """Edit q of a targeted attack, the prepared graph after the first q
@@ -123,41 +114,31 @@ def candidate_pool(graph: Graph, strategy: str) -> np.ndarray:
 
 
 def select_victims(graph: Graph, probs: np.ndarray, strategy: str,
-                   seed: int) -> VictimSet:
-    """Pick victim nodes from the evaluation splits.
+                   seed: int) -> np.ndarray:
+    """The int64 ids of the victim nodes, drawn from the evaluation splits.
 
-    "nettack_style": 10 highest-margin plus 10 lowest-margin correctly
-    classified test nodes plus 20 random test nodes. "random_1000": up to
-    1000 nodes uniform without replacement from val and test.
+    "nettack_style": the 10 highest-margin test nodes, then the 10
+    lowest-margin correctly classified test nodes not among them, then 20
+    random test nodes from the rest, in that order. "random_1000": up to
+    1000 nodes uniform without replacement from val and test, sorted.
     """
     rng = np.random.default_rng(seed)
     pool = candidate_pool(graph, strategy)
     if strategy == "random_1000":
         candidates = np.flatnonzero(pool)
         take = min(1000, candidates.size)
-        nodes = np.sort(rng.choice(candidates, size=take, replace=False))
-        return VictimSet(nodes=nodes,
-                         provenance=np.full(take, "random_valtest"))
+        return np.sort(rng.choice(candidates, size=take, replace=False))
 
     records = classification_margins(probs, graph.labels, pool)
-    by_margin = sorted(records, key=lambda r: -r.margin)
-    chosen: list[int] = []
-    tags: list[str] = []
-    for r in by_margin[:10]:
-        chosen.append(r.node)
-        tags.append("high_margin")
-    correct_asc = [r for r in sorted(records, key=lambda r: r.margin)
+    chosen = [r.node for r in sorted(records, key=lambda r: -r.margin)[:10]]
+    correct_asc = [r.node for r in sorted(records, key=lambda r: r.margin)
                    if r.correct and r.node not in chosen]
-    for r in correct_asc[:10]:
-        chosen.append(r.node)
-        tags.append("low_margin")
+    chosen += correct_asc[:10]
     remaining = np.array([r.node for r in records if r.node not in chosen])
     take = min(20, remaining.size)
     if take:
-        for node in rng.choice(remaining, size=take, replace=False):
-            chosen.append(int(node))
-            tags.append("random")
-    return VictimSet(nodes=np.array(chosen), provenance=np.array(tags))
+        chosen += rng.choice(remaining, size=take, replace=False).tolist()
+    return np.array(chosen, dtype=np.int64)
 
 
 def poison_edge_count(graph: Graph, ptb_rate: float) -> int:
@@ -351,7 +332,7 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
 
 
 def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
-                    victims: VictimSet, spec: AttackSpec,
+                    victims: np.ndarray, spec: AttackSpec,
                     budgets) -> RobustnessReport:
     """Run the evasion or poisoning protocol over a budget sweep.
 
@@ -374,7 +355,7 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
         raise ValueError("budget sweep is empty")
     graph = prepared.graph
     vmask = np.zeros(graph.num_nodes, dtype=bool)
-    vmask[victims.nodes] = True
+    vmask[victims] = True
     clean = gcn_forward(prepared, params)
     clean_probs = softmax_rows(clean.logits)
     margins_before = classification_margins(clean_probs, graph.labels, vmask)
@@ -398,7 +379,7 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
         # its forward pass and the products X W^(1), .. of its gradient
         products = _layer_products(clean, params)
         walk_spec = replace(spec, budget=max(budgets))
-        for victim in victims.nodes.tolist():
+        for victim in victims.tolist():
             steps = fga_attack(params, prepared, victim, walk_spec, clean,
                                products)
             walk = [(prepared, clean)] + [(s.graph, s.cache) for s in steps]

@@ -127,16 +127,15 @@ def run(args) -> int:
                 raise ValueError("random_global takes --ptb-rate, not "
                                  "--budget")
             budgets = list(args.ptb_rate)
-            spec = AttackSpec(kind=args.kind, mode=args.mode,
-                              influencer_count=args.influencers)
         else:
             if args.budget is None:
                 raise ValueError(f"{args.kind} takes --budget, not "
                                  "--ptb-rate")
+            if args.budget < 1:
+                raise ValueError(f"--budget must be >= 1, got {args.budget}")
             budgets = list(range(1, args.budget + 1))
-            spec = AttackSpec(kind=args.kind, mode=args.mode,
-                              budget=args.budget,
-                              influencer_count=args.influencers)
+        spec = AttackSpec(kind=args.kind, mode=args.mode,
+                          influencer_count=args.influencers)
         cmd_attack(config, spec, budgets, args.out)
         print(f"wrote robustness.csv and margins.csv to {args.out}")
         return 0

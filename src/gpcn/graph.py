@@ -59,16 +59,23 @@ class Graph:
     """Immutable node/edge/feature/label/split container.
 
     ``edges`` holds each undirected edge once as (u, v) with u < v, no
-    self-loops. ``split`` holds one tag per node from SPLIT_TAGS.
+    self-loops. ``split`` holds one tag per node from SPLIT_TAGS. The node
+    and feature counts are the shape of ``features``.
     """
 
-    num_nodes: int
-    num_features: int
     num_classes: int
     edges: np.ndarray          # (E, 2) int64, u < v
     features: np.ndarray       # (num_nodes, num_features) float64
     labels: np.ndarray         # (num_nodes,) int64
     split: np.ndarray          # (num_nodes,) unicode, one of SPLIT_TAGS
+
+    @property
+    def num_nodes(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def num_features(self) -> int:
+        return self.features.shape[1]
 
     @property
     def num_edges(self) -> int:
@@ -198,15 +205,7 @@ def make_graph(num_nodes, features, labels, split, edges,
         raise DatasetError(f"unknown split tag(s): {sorted(bad)}")
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise DatasetError("edge endpoint out of range")
-    return Graph(
-        num_nodes=num_nodes,
-        num_features=features.shape[1],
-        num_classes=int(num_classes),
-        edges=edges,
-        features=features,
-        labels=labels,
-        split=split,
-    )
+    return Graph(int(num_classes), edges, features, labels, split)
 
 
 @dataclass(frozen=True)
@@ -243,10 +242,14 @@ class DatasetMeta:
 
 def _parse_lines(file: Path, fn, expect=None) -> list:
     """``fn`` of every nonblank, stripped line of ``file``; DatasetError
-    names the file and the line ``fn`` rejects, or a row count other than
-    ``expect``."""
+    names the file and its fault: bytes that are not UTF-8, a line ``fn``
+    rejects, or a row count other than ``expect``."""
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{file.name}: not UTF-8 text: {exc}") from None
     out = []
-    for i, line in enumerate(file.read_text().splitlines(), 1):
+    for i, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -652,10 +655,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Graph:
     blocks = np.repeat(np.arange(spec.num_blocks), spec.nodes_per_block)
     edges = _sbm_edges(rng, spec, n)
 
-    # one-hot block indicator (wrapped if feature_dim < num_blocks) + noise
-    features = np.zeros((n, spec.feature_dim))
-    features[np.arange(n), blocks % spec.feature_dim] = 1.0
-    features += rng.normal(0.0, spec.feature_noise_std, size=features.shape)
+    # noise + one-hot block indicator (wrapped if feature_dim < num_blocks),
+    # formed in the noise array; adding 0.0 first turns -0.0 into +0.0, as
+    # the sum 0.0 + noise off the indicator does
+    features = rng.normal(0.0, spec.feature_noise_std,
+                          size=(n, spec.feature_dim))
+    features += 0.0
+    features[np.arange(n), blocks % spec.feature_dim] += 1.0
 
     frac_train, frac_val, frac_test = spec.split_fractions
     order = rng.permutation(n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -60,9 +61,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
+        """The config in the JSON file ``path``, with the ``overrides`` that
+        are not None on top; ValueError, starting with ``path``, for a file
+        ``_read_json`` rejects or a key ``_check_config`` rejects."""
+        data = _read_json(path, _check_config)
         data.update({k: v for k, v in overrides.items() if v is not None})
-        _reject_unknown_keys(data, cls, "config")
         if "hidden_dims" in data:
             data["hidden_dims"] = tuple(data["hidden_dims"])
         if "seeds" in data:
@@ -85,29 +88,102 @@ class ExperimentConfig:
                       seed=seed, hidden_dims=self.hidden_dims)
         if self.model == "gcn":
             return train_bp, TrainConfig(**shared)
-        _reject_unknown_keys(self.pc, PCConfig, "pc", exclude=shared)
         return train_pc, PCConfig(**shared, **self.pc)
 
 
-def _reject_unknown_keys(data: dict, cls, where: str, exclude=()) -> None:
-    """ValueError naming the keys of ``data`` that are not fields of the
-    dataclass ``cls``, or that are in ``exclude``."""
-    known = {f.name for f in fields(cls)} - set(exclude)
-    unknown = sorted(set(data) - known)
+def _read_json(path, parse):
+    """``parse`` of the JSON object in the file ``path``; ValueError,
+    starting with ``path``, for bytes that are not UTF-8, text that is not
+    JSON, a JSON value that is not an object, or a ValueError of ``parse``."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got "
+                             f"{type(data).__name__}")
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_config(data: dict) -> dict:
+    """``data``, once its keys and those of its "pc" and "synthetic" objects
+    are known fields holding values of their fields' JSON types."""
+    _check_fields(data, ExperimentConfig, "config")
+    _check_fields(data.get("pc", {}), PCConfig, "pc",
+                  exclude={f.name for f in fields(TrainConfig)})
+    if data.get("synthetic") is not None:
+        _check_fields(data["synthetic"], SyntheticSpec, "synthetic",
+                      extra={"seed": int})
+    return data
+
+
+# JSON's name for the values of each field type
+_JSON_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
+               type(None): "null"}
+
+
+def _json_type(hint) -> str:
+    """The JSON type of the values a field of type ``hint`` takes:
+    "integer", "list of numbers", "string or null", ..."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"list of {count}{_JSON_NAMES[args[0]]}s"
+    if args:                                      # a union
+        return " or ".join(map(_json_type, args))
+    return _JSON_NAMES[hint]
+
+
+def _is_json_type(value, hint) -> bool:
+    """Whether the JSON value ``value`` is of the JSON type of ``hint``.
+    JSON true and false load as bool, a subclass of int that is no
+    integer here; an integer is a number."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return (len(value) == len(args)
+                and all(map(_is_json_type, value, args)))
+    if args:
+        return any(_is_json_type(value, a) for a in args)
+    return type(value) is hint or (hint is float and type(value) is int)
+
+
+def _check_fields(data: dict, cls, where: str, exclude=(),
+                  extra=None) -> None:
+    """Check the JSON object ``data`` against the fields of the dataclass
+    ``cls`` less ``exclude``, plus ``extra`` (name -> type). ValueError
+    names every key that is no such field, or else every field without a
+    default that is missing, or else the first key whose value is not of
+    its field's JSON type."""
+    hints = typing.get_type_hints(cls)
+    kept = [f for f in fields(cls) if f.name not in exclude]
+    types = {f.name: hints[f.name] for f in kept}
+    types.update(extra or {})
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): "
                          f"{', '.join(map(repr, unknown))}")
+    missing = [f.name for f in kept if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {where} key(s): "
+                         f"{', '.join(map(repr, missing))}")
+    for key, value in data.items():
+        if not _is_json_type(value, types[key]):
+            raise ValueError(f"{where} key {key!r} must be a JSON "
+                             f"{_json_type(types[key])}, got {value!r}")
 
 
 def _synthetic_spec(data: dict, where: str) -> SyntheticSpec:
     """The ``SyntheticSpec`` of the JSON object ``data``; ValueError naming
-    an unknown or a missing key."""
-    _reject_unknown_keys(data, SyntheticSpec, where)
-    missing = [f.name for f in fields(SyntheticSpec)
-               if f.name not in data and f.default is MISSING]
-    if missing:
-        raise ValueError(f"missing {where} key(s): "
-                         f"{', '.join(map(repr, missing))}")
+    an unknown or a missing key, or one of another JSON type."""
+    _check_fields(data, SyntheticSpec, where)
     if "split_fractions" in data:
         data = {**data, "split_fractions": tuple(data["split_fractions"])}
     return SyntheticSpec(**data)
@@ -186,15 +262,9 @@ def checkpoint_dict(config: ExperimentConfig, seed: int, params: ModelParams,
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """The params and the JSON object of a checkpoint; ValueError, starting
-    with ``path``, for a file that is not JSON, a missing or malformed key,
-    or a layer whose weights do not fill its shape in ``layer_dims``."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object, got "
-                         f"{type(data).__name__}")
+    with ``path``, for a file that is not UTF-8 JSON, a missing or malformed
+    key, or a layer whose weights do not fill its shape in ``layer_dims``."""
+    data = _read_json(path, lambda data: data)
     for key in ("layer_dims", "weights"):
         if key not in data:
             raise ValueError(f"{path}: missing key {key!r}")
@@ -217,7 +287,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                              f"its shape ({dims[k]}, {dims[k + 1]}) needs "
                              f"{dims[k] * dims[k + 1]}")
         weights.append(w.reshape(dims[k], dims[k + 1]))
-    return ModelParams(dims, weights), data
+    return ModelParams(weights), data
 
 
 def _train_one(config: ExperimentConfig, prepared: PreparedGraph,
@@ -393,7 +463,7 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
 
 
 def cmd_dataset_gen(spec_path, seed: int, out_dir) -> Graph:
-    spec = _synthetic_spec(json.loads(Path(spec_path).read_text()), "spec")
+    spec = _read_json(spec_path, lambda data: _synthetic_spec(data, "spec"))
     g = generate_synthetic(spec, seed)
     save_dataset(g, out_dir, name=f"sbm_seed{seed}")
     return g

@@ -7,7 +7,7 @@ network without bias terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,32 +16,33 @@ import numpy as np
 class ModelParams:
     """Per-layer weight matrices W^(k), shape d_{k-1} x d_k, no biases."""
 
-    layer_dims: list[int]
     weights: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.layer_dims) - 1:
-            raise ValueError("weights must chain layer_dims")
-        for k, w in enumerate(self.weights):
-            expect = (self.layer_dims[k], self.layer_dims[k + 1])
-            if w.shape != expect:
-                raise ValueError(
-                    f"weight {k} has shape {w.shape}, expected {expect}")
+        for k in range(1, len(self.weights)):
+            prev, w = self.weights[k - 1].shape, self.weights[k].shape
+            if w[0] != prev[1]:
+                raise ValueError(f"weight {k} has shape {w}, expected "
+                                 f"{prev[1]} rows after shape {prev}")
+
+    @property
+    def layer_dims(self) -> list[int]:
+        """d_0, .., d_K: the input width, then each layer's output width."""
+        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(list(self.layer_dims),
-                           [w.copy() for w in self.weights])
+        return ModelParams([w.copy() for w in self.weights])
 
 
 def init_params(layer_dims, rng) -> ModelParams:
     """Glorot-uniform initialized ModelParams for the given dimension chain."""
     weights = [glorot_init(layer_dims[k], layer_dims[k + 1], rng)
                for k in range(len(layer_dims) - 1)]
-    return ModelParams(list(layer_dims), weights)
+    return ModelParams(weights)
 
 
 def relu(m: np.ndarray) -> np.ndarray:
@@ -88,6 +89,12 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-a, a, size=(rows, cols))
 
 
+# Adam's decay rates and denominator offset, as Kingma and Ba (2015) give them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam accumulators for a list of weight matrices."""
@@ -96,9 +103,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams, lr: float) -> "AdamState":
@@ -112,12 +116,11 @@ def adam_step(params: ModelParams, grads, state: AdamState) -> None:
     if len(grads) != len(params.weights):
         raise ValueError("gradient count mismatch")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     for k, (w, g) in enumerate(zip(params.weights, grads)):
         if g.shape != w.shape:
             raise ValueError(f"gradient {k} shape {g.shape} != {w.shape}")
-        state.m[k] = b1 * state.m[k] + (1 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = state.m[k] / (1 - b1 ** state.t)
-        v_hat = state.v[k] / (1 - b2 ** state.t)
-        w -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[k] / (1 - ADAM_BETA1 ** state.t)
+        v_hat = state.v[k] / (1 - ADAM_BETA2 ** state.t)
+        w -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

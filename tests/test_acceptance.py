@@ -247,9 +247,7 @@ def _attack_sweep(graph, kind, mode, budgets, make_trainer):
         params = trainer.train(prepared)
         victims = select_victims(graph, predict(prepared, params),
                                  "random_1000", seed)
-        spec = AttackSpec(kind=kind, mode=mode, seed=seed,
-                          budget=(max(budgets) if kind != "random_global"
-                                  else None))
+        spec = AttackSpec(kind=kind, mode=mode, seed=seed)
         per_seed.append(evaluate_attack(trainer, prepared, params, victims,
                                         spec, budgets))
     means = np.array([[r.accuracy[q] for q in budgets] for r in per_seed])

@@ -11,8 +11,8 @@ from gpcn.graph import (EdgeEdit, Graph, apply_edits, make_graph,
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
-from gpcn.attacks import (AttackSpec, VictimSet, evaluate_attack,
-                          fga_attack, holistic_metric, random_global_poison,
+from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
+                          holistic_metric, random_global_poison,
                           select_victims)
 
 from conftest import (adjacency, dense_adjacency, has_edge, local_gradients,
@@ -70,15 +70,16 @@ class TestSelectVictims:
         probs = softmax_rows(rng.normal(size=(40, 2)))
         victims = select_victims(g, probs, "nettack_style", 0)
         test_count = int(g.mask("test").sum())
-        assert len(victims) == min(40, test_count)
-        assert np.unique(victims.nodes).shape[0] == len(victims)
+        assert victims.dtype == np.int64
+        assert victims.size == min(40, test_count)
+        assert np.unique(victims).size == victims.size
 
     def test_deterministic_given_seed(self, rng):
         g = random_graph(rng, 30)
         probs = softmax_rows(rng.normal(size=(30, 2)))
         a = select_victims(g, probs, "nettack_style", 5)
         b = select_victims(g, probs, "nettack_style", 5)
-        assert np.array_equal(a.nodes, b.nodes)
+        assert np.array_equal(a, b)
 
     def test_high_margin_subset_dominates(self, rng):
         g = random_graph(rng, 60)
@@ -86,19 +87,33 @@ class TestSelectVictims:
         victims = select_victims(g, probs, "nettack_style", 1)
         recs = {r.node: r.margin for r in classification_margins(
             probs, g.labels, g.mask("test"))}
-        high = [recs[n] for n, t in zip(victims.nodes, victims.provenance)
-                if t == "high_margin"]
-        others = [m for n, m in recs.items() if n not in set(
-            victims.nodes[victims.provenance == "high_margin"])]
-        assert min(high) >= max(others) - 1e-12
+        high = set(victims[:10].tolist())
+        assert len(high) == 10
+        assert (min(recs[n] for n in high)
+                >= max(m for n, m in recs.items() if n not in high) - 1e-12)
+
+    def test_low_margin_block_follows_high(self, rng):
+        """After the first ten come up to ten lowest-margin correctly
+        classified test nodes outside them, in ascending margin."""
+        g = random_graph(rng, 60)
+        probs = softmax_rows(rng.normal(size=(60, 2)))
+        victims = select_victims(g, probs, "nettack_style", 1).tolist()
+        recs = {r.node: r for r in classification_margins(
+            probs, g.labels, g.mask("test"))}
+        rest = sorted((r for n, r in recs.items()
+                       if r.correct and n not in victims[:10]),
+                      key=lambda r: r.margin)
+        low = [r.node for r in rest[:10]]
+        assert victims[10:10 + len(low)] == low
 
     def test_random_1000_draws_from_val_and_test(self, rng):
         g = random_graph(rng, 25)
         probs = softmax_rows(rng.normal(size=(25, 2)))
         victims = select_victims(g, probs, "random_1000", 3)
         pool = g.mask("val") | g.mask("test")
-        assert all(pool[n] for n in victims.nodes)
-        assert len(victims) == int(pool.sum())   # fewer than 1000 available
+        assert pool[victims].all()
+        assert victims.size == int(pool.sum())   # fewer than 1000 available
+        assert np.array_equal(victims, np.sort(victims))
 
 
 class TestRandomGlobalPoison:
@@ -201,8 +216,7 @@ class TestFgaAttack:
 
     def test_zero_weight_model_yields_no_edits(self):
         g, params = trained_instance(4)
-        zero = ModelParams(params.layer_dims,
-                           [np.zeros_like(w) for w in params.weights])
+        zero = ModelParams([np.zeros_like(w) for w in params.weights])
         spec = AttackSpec(kind="fga_structure", mode="evasion", budget=3)
         assert attack(zero, g, 1, spec) == []
 
@@ -413,10 +427,8 @@ class TestAttackWalk:
         spec = AttackSpec(kind=kind, mode=mode, budget=4, influencer_count=1)
         budgets = [1, 2, 3, 4]
         trainer = FixedParamsTrainer(params)
-        victims = VictimSet(nodes=np.arange(8),
-                            provenance=np.full(8, "random"))
-        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
-                                 budgets)
+        report = evaluate_attack(trainer, prepare(g), params, np.arange(8),
+                                 spec, budgets)
 
         per_victim = {v: attack(params, g, v, spec) for v in range(8)}
         lengths = [len(edits) for edits in per_victim.values()]
@@ -508,7 +520,7 @@ class TestEvaluateAttack:
         report = evaluate_attack(trainer, prepare(g), params, victims, spec,
                                  [1, 2, 3])
         per_victim = {int(v): attack(params, g, int(v), spec)
-                      for v in victims.nodes}
+                      for v in victims}
         assert any(len(e) > 1 for e in per_victim.values())
         want = reference_evasion_margins(params, g, per_victim, [1, 2, 3])
         assert report.margins_after == want
@@ -518,7 +530,7 @@ class TestEvaluateAttack:
         trainer = FixedParamsTrainer(params)
         probs = trainer.predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
-        spec = AttackSpec(kind="fga_structure", mode="evasion", budget=3)
+        spec = AttackSpec(kind="fga_structure", mode="evasion")
         report = evaluate_attack(trainer, prepare(g), params, victims, spec,
                                  [1, 2, 3])
         recomputed = sum(q * report.accuracy[q] for q in [1, 2, 3])
@@ -526,18 +538,16 @@ class TestEvaluateAttack:
 
     def test_zero_weight_model_accuracy_unchanged(self):
         g, params = trained_instance(11, n=14)
-        zero = ModelParams(params.layer_dims,
-                           [np.zeros_like(w) for w in params.weights])
+        zero = ModelParams([np.zeros_like(w) for w in params.weights])
         trainer = FixedParamsTrainer(zero)
         probs = trainer.predict(g, zero)
         victims = select_victims(g, probs, "random_1000", 0)
-        vmask = np.isin(np.arange(g.num_nodes), victims.nodes)
+        vmask = np.isin(np.arange(g.num_nodes), victims)
         clean = np.mean([r.correct for r in classification_margins(
             probs, g.labels, vmask)])
         for kind, budgets in (("random_global", [0.5]),
                               ("fga_structure", [1, 2])):
-            spec = AttackSpec(kind=kind, mode="evasion",
-                              budget=2 if kind != "random_global" else None)
+            spec = AttackSpec(kind=kind, mode="evasion")
             report = evaluate_attack(trainer, prepare(g), zero, victims,
                                      spec, budgets)
             for q in budgets:

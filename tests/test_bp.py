@@ -24,12 +24,12 @@ def permute_graph(g, perm):
 class TestForward:
     def test_one_node_identity_chain(self):
         g = make_graph(1, [[1.0]], [0], ["train"], [], num_classes=1)
-        params = ModelParams([1, 1], [np.array([[1.0]])])
+        params = ModelParams([np.array([[1.0]])])
         cache = gcn_forward(prepare(g), params)
         assert cache.logits[0, 0] == 1.0
 
     def test_two_node_path_hand_value(self, path_graph):
-        params = ModelParams([1, 1], [np.array([[2.0]])])
+        params = ModelParams([np.array([[2.0]])])
         cache = gcn_forward(prepare(path_graph), params)
         # A_hat = [[.5,.5],[.5,.5]], X = [[1],[0]] -> 2 * [.5, .5]
         assert np.allclose(cache.logits, [[1.0], [1.0]], atol=1e-15)
@@ -65,7 +65,7 @@ class TestBackward:
         assert all(np.array_equal(gr, np.zeros_like(gr)) for gr in grads)
 
     def test_one_layer_closed_form(self, path_graph):
-        params = ModelParams([1, 2], [np.array([[1.0, -1.0]])])
+        params = ModelParams([np.array([[1.0, -1.0]])])
         prepared = prepare(path_graph)
         adj = prepared.adj
         cache = gcn_forward(prepared, params)

@@ -543,21 +543,24 @@ class TestGenerateSyntheticMatchesReference:
     @settings(deadline=None, max_examples=150)
     @given(blocks=st.integers(1, 5), per_block=st.integers(1, 12),
            p_in=probabilities, p_out=probabilities,
-           feature_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           feature_dim=st.integers(1, 4), noise=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(0, 2**32 - 1),
            pair_block=st.one_of(st.integers(1, 70),
                                 st.just(gpcn.graph._PAIR_BLOCK)))
     @example(blocks=1, per_block=1, p_in=0.5, p_out=0.5, feature_dim=1,
-             seed=0, pair_block=1)                  # one node, no pair
+             noise=0.5, seed=0, pair_block=1)       # one node, no pair
     @example(blocks=3, per_block=4, p_in=0.0, p_out=0.0, feature_dim=2,
-             seed=1, pair_block=5)
+             noise=0.5, seed=1, pair_block=5)
     @example(blocks=3, per_block=4, p_in=1.0, p_out=1.0, feature_dim=2,
-             seed=1, pair_block=5)
+             noise=0.5, seed=1, pair_block=5)
     @example(blocks=1, per_block=12, p_in=0.3, p_out=0.7, feature_dim=3,
-             seed=2, pair_block=66)                 # one piece, exactly
+             noise=0.5, seed=2, pair_block=66)      # one piece, exactly
+    @example(blocks=3, per_block=4, p_in=0.3, p_out=0.1, feature_dim=2,
+             noise=0.0, seed=7, pair_block=5)       # features 0.0 and 1.0
     def test_same_graph(self, blocks, per_block, p_in, p_out, feature_dim,
-                        seed, pair_block):
+                        noise, seed, pair_block):
         spec = SyntheticSpec(blocks, per_block, p_in, p_out, feature_dim,
-                             0.5, (0.4, 0.3, 0.2))
+                             noise, (0.4, 0.3, 0.2))
         with mock.patch.object(gpcn.graph, "_PAIR_BLOCK", pair_block):
             got = generate_synthetic(spec, seed)
         assert same_bits(got, reference_generate_synthetic(spec, seed))
@@ -582,6 +585,19 @@ class TestGenerateSyntheticMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_one_feature_array(self):
+        """500 nodes of 2000 features take 7.6 MB; forming the noise apart
+        from the one-hot array, as the reference does, peaks near twice
+        that."""
+        spec = SyntheticSpec(2, 250, 0.05, 0.005, 2000, 0.5)
+        tracemalloc.start()
+        try:
+            g = generate_synthetic(spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.features.nbytes
 
 
 class TestLargestConnectedComponent:

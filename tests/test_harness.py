@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpcn.graph import load_dataset
@@ -247,13 +247,16 @@ class TestCalibrateCommand:
         (json.dumps({"layer_dims": [8, 2],
                      "weights": [[0.0] * 16, [0.0] * 4]}),
          "'weights' must hold one list per layer, 1 for"),
+        ('{"layer_dims": [8, 2], "weights": [[0.0]]}\udcff',
+         "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["missing_key", "short_row", "not_json", "text_dims",
-            "extra_layer"])
+            "extra_layer", "not_utf8"])
     def test_bad_checkpoint_names_file_and_fault(self, tmp_path, capsys,
                                                  text, named):
         data_dir = gen_dataset(tmp_path)
         ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(text)
+        # a lone surrogate escape writes its byte as it is
+        ckpt.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert main(["calibrate", "--checkpoint", str(ckpt),
                      "--data", str(data_dir),
                      "--out", str(tmp_path / "cal")]) == EXIT_USAGE
@@ -422,6 +425,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "meta.json" in err and f"'{key}' must be" in err
 
+    @pytest.mark.parametrize("name, byte", [
+        ("labels.csv", b"\xff"), ("features.csv", b"\xe9"),
+        ("edges.csv", b"\xff"), ("splits.csv", b"\xff")])
+    def test_data_error_on_non_utf8_file(self, data_dir, capsys, name, byte):
+        """A byte that is not UTF-8 in a dataset file exits 2 naming the
+        file; features.csv reaches the per-line reader through the fast
+        reader's grammar check."""
+        path = data_dir / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = byte + lines[2]
+        path.write_bytes(b"".join(lines))
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {name}: not UTF-8 text")
+
     def test_data_error_names_ragged_feature_row(self, data_dir, capsys):
         features = data_dir / "features.csv"
         rows = features.read_text().splitlines()
@@ -446,6 +464,61 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "'inference_step'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, content, named", [
+        ("train", [1, 2], "expected a JSON object, got list"),
+        ("train", {"synthetic": 5}, "'synthetic' must be a JSON object or "
+                                    "null, got 5"),
+        ("train", {"hidden_dims": 16}, "'hidden_dims' must be a JSON list "
+                                       "of integers, got 16"),
+        ("train", b'{"epochs": 2', "not valid JSON"),
+        ("train", b'{"dataset_name": "\xff"}', "not valid JSON"),
+        ("dataset gen", [1, 2], "expected a JSON object, got list"),
+        ("dataset gen", {**SBM_SPEC, "nodes_per_block": 3.5},
+         "spec key 'nodes_per_block' must be a JSON integer, got 3.5"),
+        ("dataset gen", {**SBM_SPEC, "split_fractions": [0.5, 0.5]},
+         "'split_fractions' must be a JSON list of 3 numbers"),
+        ("dataset gen", b"{", "not valid JSON"),
+    ])
+    def test_usage_error_on_wrong_json_shape(self, tmp_path, capsys,
+                                             monkeypatch, entry, content,
+                                             named):
+        """A config or spec that is not a JSON object, or holds a value of
+        another JSON type than its field's, exits 1 naming the file and
+        the key, before any seed trains (``TestConfigJsonTypes`` checks
+        every config field)."""
+        def no_training(prepared, config):
+            raise AssertionError("trained on a malformed config")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        monkeypatch.setattr("gpcn.harness.train_pc", no_training)
+        path = tmp_path / "in.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, dict) and entry == "train":
+            path = write_config(tmp_path, **content)
+        else:
+            path.write_text(json.dumps(content))
+        out = tmp_path / "o"
+        flag = "--config" if entry == "train" else "--spec"
+        assert main([*entry.split(), flag, str(path),
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: ") and named in err
+        assert not out.exists()
+
+    def test_usage_error_on_zero_budget(self, tmp_path, capsys, monkeypatch):
+        def no_training(prepared, config):
+            raise AssertionError("trained for an empty budget sweep")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        cfg = write_config(tmp_path, epochs=1, seeds=[0])
+        assert main(["attack", "--config", str(cfg), "--kind",
+                     "fga_structure", "--mode", "evasion", "--budget", "0",
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --budget must be >= 1, got 0")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, flags, named", [
         ("random_global", ["--ptb-rate", "inf"], "inf"),
@@ -682,3 +755,87 @@ class TestDegenerateGraphs:
             message = err.getvalue()
             assert message.startswith(MESSAGES[code])
             assert len(message.strip()) > len(MESSAGES[code])
+
+
+# A tiny valid config that sets every field, the JSON type of each field,
+# and per JSON type values of other JSON types.
+TINY_CONFIG = {
+    "dataset": None,
+    "synthetic": {**DEGENERATE_SPECS["isolated_victims"], "feature_dim": 3,
+                  "feature_noise_std": 0.5, "split_fractions": [0.4, 0.3, 0.3],
+                  "seed": 0},
+    "model": "gpcn", "epochs": 1, "weight_lr": 0.01, "hidden_dims": [3],
+    "pc": {"inference_steps": 2, "value_update_rate": 0.1,
+           "weight_update_timing": "end_of_T", "mode": "inter_layer"},
+    "seeds": [0], "bins": 5, "victim_strategy": "random_1000",
+    "dataset_name": "tiny"}
+FIELD_TYPES = {
+    ("dataset",): "string or null", ("synthetic",): "object or null",
+    ("model",): "string", ("epochs",): "integer", ("weight_lr",): "number",
+    ("hidden_dims",): "list of integers", ("pc",): "object",
+    ("seeds",): "list of integers", ("bins",): "integer",
+    ("victim_strategy",): "string", ("dataset_name",): "string",
+    ("pc", "inference_steps"): "integer",
+    ("pc", "value_update_rate"): "number",
+    ("pc", "weight_update_timing"): "string", ("pc", "mode"): "string",
+    ("synthetic", "num_blocks"): "integer",
+    ("synthetic", "nodes_per_block"): "integer",
+    ("synthetic", "intra_block_edge_prob"): "number",
+    ("synthetic", "inter_block_edge_prob"): "number",
+    ("synthetic", "feature_dim"): "integer",
+    ("synthetic", "feature_noise_std"): "number",
+    ("synthetic", "split_fractions"): "list of 3 numbers",
+    ("synthetic", "seed"): "integer"}
+WRONG_VALUES = {
+    "integer": [None, True, 2.5, "2", [1], {}],
+    "number": [None, False, "0.1", [0.1], {"x": 1}],
+    "string": [None, True, 3, 2.5, ["x"], {}],
+    "string or null": [True, 3, 2.5, ["x"], {}],
+    "object": [None, True, 3, 2.5, "x", [1]],
+    "object or null": [True, 3, 2.5, "x", [{}]],
+    "list of integers": [None, True, 3, "3", {}, [2.5], ["3"], [True],
+                         [1, None]],
+    "list of 3 numbers": [None, 0.5, "x", [0.5, 0.5], [0.5, "x", 0.0],
+                          [True, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2]],
+}
+
+
+class TestConfigJsonTypes:
+    def test_tiny_config_is_valid(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(TINY_CONFIG))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["train", "--config", str(cfg),
+                             "--out", str(Path(tmp) / "out")]) == 0
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=st.sampled_from(sorted(FIELD_TYPES)).flatmap(
+        lambda key: st.tuples(st.just(key),
+                              st.sampled_from(WRONG_VALUES[FIELD_TYPES[key]]))))
+    @example(case=(("seeds",), 3))
+    @example(case=(("epochs",), "5"))
+    @example(case=(("epochs",), True))
+    @example(case=(("pc", "inference_steps"), "12"))
+    def test_wrong_json_type_names_key(self, case):
+        """One field of the tiny config replaced by a value of another JSON
+        type exits 1 naming the file and the key, and writes nothing."""
+        key, value = case
+        config = json.loads(json.dumps(TINY_CONFIG))
+        parent = config if len(key) == 1 else config[key[0]]
+        parent[key[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["train", "--config", str(cfg),
+                             "--out", str(out)])
+            wrote = out.exists()
+        assert code == EXIT_USAGE
+        assert err.getvalue().startswith(f"usage error: {cfg}: ")
+        assert (f"key {key[-1]!r} must be a JSON {FIELD_TYPES[key]}, "
+                f"got {value!r}") in err.getvalue()
+        assert not wrote

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcn.nn import (AdamState, ModelParams, adam_step, cross_entropy_masked,
-                     glorot_init, init_params, relu, relu_prime, softmax_rows)
+from gpcn.nn import (ADAM_EPS, AdamState, ModelParams, adam_step,
+                     cross_entropy_masked, glorot_init, init_params, relu,
+                     relu_prime, softmax_rows)
 
 from conftest import central_difference, relative_error
 
@@ -107,13 +108,16 @@ class TestGlorot:
 class TestModelParams:
     def test_dimension_chain_enforced(self):
         with pytest.raises(ValueError, match="shape"):
-            ModelParams([2, 3, 4], [np.zeros((2, 3)), np.zeros((3, 5))])
+            ModelParams([np.zeros((2, 3)), np.zeros((4, 5))])
 
     def test_copy_is_deep(self, rng):
         p = init_params([2, 3, 2], rng)
         q = p.copy()
         q.weights[0][0, 0] += 1.0
         assert p.weights[0][0, 0] != q.weights[0][0, 0]
+
+    def test_layer_dims_read_off_weights(self, rng):
+        assert init_params([4, 3, 2], rng).layer_dims == [4, 3, 2]
 
 
 class TestAdam:
@@ -127,11 +131,11 @@ class TestAdam:
 
     def test_first_step_magnitude(self):
         # bias correction makes step 1 equal lr * g / (|g| + eps') ~ lr
-        p = ModelParams([1, 1], [np.array([[0.0]])])
+        p = ModelParams([np.array([[0.0]])])
         state = AdamState.for_params(p, lr=0.05)
         g = 3.7
         adam_step(p, [np.array([[g]])], state)
-        expect = 0.05 * g / (abs(g) + state.eps)
+        expect = 0.05 * g / (abs(g) + ADAM_EPS)
         assert abs(-p.weights[0][0, 0] - expect) <= 1e-12
 
     def test_determinism_with_cloned_state(self, rng):

@@ -25,7 +25,7 @@ from conftest import (random_graph, reference_effective_eps,
 def one_node_chain(target=2.0):
     """dims 1-1-1, unit weights, x = 1, clamped scalar target."""
     g = make_graph(1, [[1.0]], [0], ["train"], [], num_classes=1)
-    params = ModelParams([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])])
+    params = ModelParams([np.array([[1.0]]), np.array([[1.0]])])
     prepared = prepare(g)
     adj = prepared.adj
     state = pc_init_feedforward(gcn_forward(prepared, params))
@@ -198,7 +198,7 @@ class TestClampAndEnergy:
 
     def test_single_layer_example(self):
         g = make_graph(1, [[0.0, 0.0]], [0], ["none"], [], num_classes=1)
-        params = ModelParams([2, 2], [np.zeros((2, 2))])
+        params = ModelParams([np.zeros((2, 2))])
         state = pc_init_feedforward(
             gcn_forward(prepare(g), params))
         state.eps[0] = np.array([[1.0, -1.0]])
