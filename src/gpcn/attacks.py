@@ -42,8 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, apply_edits, prepare,
-                        propagate)
+from gpcn.graph import EdgeEdit, Graph, PreparedGraph, prepare, propagate
 from gpcn.nn import ModelParams, relu_prime, softmax_rows
 from gpcn.bp import ForwardCache, gcn_forward, predict
 from gpcn.calibration import classification_margins
@@ -175,7 +174,11 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
             continue
         present.add(pair)
         new_edges.append(pair)
-    return apply_edits(graph, [EdgeEdit("add", u, v) for u, v in new_edges])
+    # the drawn pairs are absent, in range and not loops, so the poisoned
+    # edges are the old ones and the drawn ones, sorted by key u * n + v
+    edges = np.concatenate([graph.edges, new_edges])
+    keys = np.unique(edges[:, 0] * n + edges[:, 1])
+    return replace(graph, edges=np.stack([keys // n, keys % n], axis=1))
 
 
 def _layer_products(cache: ForwardCache,

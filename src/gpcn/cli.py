@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from gpcn.attacks import ATTACK_KINDS, AttackSpec
 from gpcn.graph import DatasetError
@@ -92,6 +93,13 @@ def _ptb_rates(text: str):
 
 
 def run(args) -> int:
+    # every command makes --out only after its work, so a path it cannot
+    # make is refused first: one whose first existing part is no directory
+    if getattr(args, "out", None) is not None:
+        out = Path(args.out)
+        stop = next(p for p in (out, *out.parents) if p.exists())
+        if not stop.is_dir():
+            raise ValueError(f"--out {out}: {stop} is not a directory")
     if args.command == "dataset":
         if args.ds_command == "gen":
             g = cmd_dataset_gen(args.spec, args.seed, args.out)

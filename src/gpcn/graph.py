@@ -117,12 +117,13 @@ class PreparedGraph:
         edits = list(edits)
         graph = apply_edits(self.graph, edits)
         adj = normalize_adjacency(graph)
-        touched = np.unique(np.array(
-            [n for e in edits
-             for n in ((e.u,) if e.kind == "feature_flip" else (e.u, e.v))],
-            dtype=np.int64))
-        # the pattern of A_hat is A + I, so its rows hold closed neighbourhoods
-        rows = np.unique(adj[touched].indices)
+        touched = {n for e in edits for n in
+                   ((e.u,) if e.kind == "feature_flip" else (e.u, e.v))}
+        # the pattern of A_hat is A + I, so row t of its CSR arrays holds t's
+        # closed neighbourhood
+        ptr, indices = adj.indptr, adj.indices
+        rows = np.unique(np.concatenate(
+            [indices[:0], *(indices[ptr[t]:ptr[t + 1]] for t in touched)]))
         ax = self.ax.copy()
         ax[rows] = adj[rows] @ graph.features
         ax.flags.writeable = False
@@ -189,6 +190,9 @@ def make_graph(num_nodes, features, labels, split, edges,
     edges, dropped = _canonical_edges(np.asarray(edges))
     if dropped:
         warnings.warn(f"dropped {dropped} self-loop edge(s)")
+    if features.ndim != 2 or features.shape[1] < 1:
+        raise DatasetError(f"features must be a matrix of at least one "
+                           f"column, got shape {features.shape}")
     if features.shape[0] != num_nodes:
         raise DatasetError(
             f"feature rows {features.shape[0]} != num_nodes {num_nodes}")
@@ -237,6 +241,9 @@ class DatasetMeta:
                 raise DatasetError(f"{file}: {key!r} must be a nonnegative "
                                    f"integer, got {value!r}")
             counts[key] = value
+        if counts["num_features"] < 1:
+            raise DatasetError(f"{file}: 'num_features' must be at least 1, "
+                               f"got 0: a feature row is never empty")
         return cls(**counts)
 
 
@@ -342,8 +349,6 @@ def _read_features_fast(file: Path, num_nodes: int,
     # memory of scipy.io's dozens of modules
     from scipy.io import mmread
 
-    if num_features < 1:        # a line of the grammar is never empty
-        return None
     out = np.empty((num_nodes, num_features))
     row = 0
     rest = b""
@@ -526,9 +531,6 @@ def _write_features(file: Path, features: np.ndarray) -> None:
 
     num_nodes, num_features = features.shape
     with open(file, "wb") as fh:
-        if num_features == 0:
-            fh.write(b"\n" * num_nodes)
-            return
         rows = max(1, _SAVE_BLOCK_VALUES // num_features)
         for lo in range(0, num_nodes, rows):
             block = features[lo:lo + rows]
@@ -547,10 +549,13 @@ def _write_features(file: Path, features: np.ndarray) -> None:
 def save_dataset(g: Graph, path, name: str = "graph") -> None:
     """Write a Graph back out in the dataset directory format.
 
-    Raises DatasetError, before writing anything, on a non-finite feature:
-    ``load_dataset`` refuses those.
+    Raises DatasetError, before writing anything, on a graph without
+    feature columns or with a non-finite feature: ``load_dataset`` refuses
+    both.
     """
     features = np.asarray(g.features, dtype=np.float64)
+    if g.num_features < 1:
+        raise DatasetError("a dataset needs at least one feature column")
     finite = np.isfinite(features)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
@@ -702,21 +707,20 @@ def largest_connected_component(g: Graph) -> Graph:
 
 
 def apply_edits(g: Graph, edits) -> Graph:
-    """Apply a sequence of EdgeEdit in order, returning a new Graph."""
+    """Apply a sequence of EdgeEdit in order, returning a new Graph.
+
+    An edge edit finds its pair among the sorted edges by a binary search on
+    the keys u * n + v and inserts or deletes that one row; the first feature
+    flip copies the features."""
     n = g.num_nodes
-    # edges are sorted (u, v) rows, so their keys u * n + v are sorted
-    keys = g.edges[:, 0] * n + g.edges[:, 1]
-    touched: dict[int, bool] = {}      # key -> whether the edge is present now
-    features = g.features
-    features_copied = False
+    edges, features = g.edges, g.features
     for e in edits:
         if e.kind == "feature_flip":
             node, fidx = e.u, e.v
             if not (0 <= node < n and 0 <= fidx < g.num_features):
                 raise IndexError(f"feature_flip ({node},{fidx}) out of range")
-            if not features_copied:
+            if features is g.features:
                 features = features.copy()
-                features_copied = True
             val = features[node, fidx]
             if val not in (0.0, 1.0):
                 raise ValueError(
@@ -726,24 +730,19 @@ def apply_edits(g: Graph, edits) -> Graph:
         u, v = min(e.u, e.v), max(e.u, e.v)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise IndexError(f"edge ({e.u},{e.v}) out of range")
-        key = u * n + v
-        present = touched.get(key)
-        if present is None:
-            i = np.searchsorted(keys, key)
-            present = bool(i < keys.size and keys[i] == key)
+        # edges are sorted (u, v) rows, so their keys u * n + v are sorted
+        keys, key = edges[:, 0] * n + edges[:, 1], u * n + v
+        i = np.searchsorted(keys, key)
+        present = i < keys.size and keys[i] == key
         if e.kind == "add":
             if present:
                 raise ValueError(f"edge ({u},{v}) already present")
-        elif not present:
-            raise ValueError(f"edge ({u},{v}) not present")
-        touched[key] = e.kind == "add"
-    if not touched:
-        return replace(g, features=features)
-    flips = np.fromiter(touched, dtype=np.int64, count=len(touched))
-    now = np.fromiter(touched.values(), dtype=bool, count=len(touched))
-    keys = np.union1d(keys[~np.isin(keys, flips[~now])], flips[now])
-    edges = np.stack([keys // n, keys % n], axis=1)
+            edges = np.insert(edges, i, (u, v), axis=0)
+        else:
+            if not present:
+                raise ValueError(f"edge ({u},{v}) not present")
+            edges = np.delete(edges, i, axis=0)
     # edits leave the labels, the splits and the finiteness of the features
-    # as they were, and the keys are sorted and unique, so the graph is built
+    # as they were, and the edges sorted and unique, so the graph is built
     # without make_graph's validation and canonicalization
     return replace(g, edges=edges, features=features)

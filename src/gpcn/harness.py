@@ -93,10 +93,13 @@ class ExperimentConfig:
 
 def _read_json(path, parse):
     """``parse`` of the JSON object in the file ``path``; ValueError,
-    starting with ``path``, for bytes that are not UTF-8, text that is not
-    JSON, a JSON value that is not an object, or a ValueError of ``parse``."""
+    starting with ``path``, for a file that cannot be read, bytes that are
+    not UTF-8, text that is not JSON, a JSON value that is not an object, or
+    a ValueError of ``parse``."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:        # missing, a directory, no permission
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from None
     except ValueError as exc:     # JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     try:

@@ -81,9 +81,6 @@ class PCState:
     eps: list[np.ndarray]              # layers 1..K
     mode: str = "inter_layer"
     output_mask: np.ndarray | None = None
-    # energy of the current errors, left by the last inference step and
-    # cleared whenever the errors are recomputed or re-clamped elsewhere
-    energy: float | None = None
     # intra_layer only: aggregated-state value nodes, predicted by agg, and
     # their errors, one per layer 1..K
     h_agg: list[np.ndarray] = field(default_factory=list)
@@ -108,7 +105,6 @@ def pc_predictions(adj: sp.csr_matrix, state: PCState,
     values. agg[0] is kept: h[0] is the clamped input and never moves.
     ``keep_mu1`` keeps mu[0] as well, which is exact while W^(1) and what
     it multiplies stay as they were: in inter_layer mode that is agg[0]."""
-    state.energy = None
     for k in range(1, params.num_layers + 1):
         if k > 1:
             state.agg[k - 1] = propagate(adj, relu(state.h[k - 1]))
@@ -150,7 +146,6 @@ def clamp_targets(state: PCState, labels: np.ndarray,
     state.output_mask = train_mask
     state.eps[-1] = state.h[-1] - state.mu[-1]
     _mask_output_eps(state)
-    state.energy = None
     return state
 
 
@@ -191,9 +186,7 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
     dagg = [-ea + e @ w.T for ea, e, w
             in zip(state.eps_agg, state.eps, params.weights)]
 
-    before = state.energy
-    if before is None:
-        before = compute_energy(state)
+    before = compute_energy(state)
     h0, agg0 = state.h[1:F + 1], state.h_agg
     rate = gamma
     for halvings in range(MAX_HALVINGS + 1):
@@ -209,7 +202,6 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
                 f"inference diverges at rate {gamma!r}: energy "
                 f"{before!r} -> {after!r} in one step")
         if after <= before:
-            state.energy = after
             return state
         rate *= 0.5
     state.h[1:F + 1], state.h_agg = h0, agg0

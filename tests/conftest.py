@@ -9,7 +9,7 @@ from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
 from gpcn.nn import ModelParams, init_params, relu, relu_prime, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.pc import MAX_HALVINGS, compute_energy, pc_predictions
-from gpcn.attacks import loss_gradient_wrt_inputs
+from gpcn.attacks import loss_gradient_wrt_inputs, poison_edge_count
 from gpcn.calibration import classification_margins
 
 # verdict lines appended by the acceptance suite; echoed after the run
@@ -256,9 +256,7 @@ def _reference_descend(adj, state, params, gamma, moves):
     """Move ``values[index]`` to ``start + rate * direction`` for every
     (values, index, direction) triple in ``moves``, halving the rate from
     ``gamma`` while the energy rises; the zero step after MAX_HALVINGS."""
-    before = state.energy
-    if before is None:
-        before = compute_energy(state)
+    before = compute_energy(state)
     start = [values[i] for values, i, _ in moves]
     rate = gamma
     for halvings in range(MAX_HALVINGS + 1):
@@ -272,7 +270,6 @@ def _reference_descend(adj, state, params, gamma, moves):
                 f"inference diverges at rate {gamma!r}: energy "
                 f"{before!r} -> {after!r} in one step")
         if after <= before:
-            state.energy = after
             break
         rate *= 0.5
     else:
@@ -345,6 +342,30 @@ def reference_apply_edits(g, edits):
              if edge_set else np.zeros((0, 2), dtype=np.int64))
     return make_graph(g.num_nodes, features, g.labels, g.split, edges,
                       num_classes=g.num_classes)
+
+
+def reference_random_global_poison(graph, ptb_rate, seed):
+    """The drawn pairs inserted as ``EdgeEdit("add")`` through the set-based
+    edit oracle; the oracle for ``random_global_poison``, which merges them
+    into the edge keys."""
+    k = poison_edge_count(graph, ptb_rate)
+    if k == 0:
+        return graph
+    n = graph.num_nodes
+    rng = np.random.default_rng(seed)
+    present = {(int(u), int(v)) for u, v in graph.edges}
+    new_edges = []
+    while len(new_edges) < k:
+        u, v = rng.integers(0, n, size=2)
+        if u == v:
+            continue
+        pair = (min(int(u), int(v)), max(int(u), int(v)))
+        if pair in present:
+            continue
+        present.add(pair)
+        new_edges.append(pair)
+    return reference_apply_edits(graph, [EdgeEdit("add", u, v)
+                                         for u, v in new_edges])
 
 
 def reference_loss_gradient_wrt_inputs(params, graph, target_node):

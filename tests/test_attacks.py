@@ -15,11 +15,12 @@ from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
                           holistic_metric, random_global_poison,
                           select_victims)
 
-from conftest import (adjacency, dense_adjacency, has_edge, local_gradients,
-                      margin_shift_export, prepared_equal, random_graph,
-                      reference_evasion_margins, reference_fga_attack,
+from conftest import (adjacency, dense_adjacency, graphs_equal, has_edge,
+                      local_gradients, margin_shift_export, prepared_equal,
+                      random_graph, reference_evasion_margins,
+                      reference_fga_attack,
                       reference_loss_gradient_wrt_inputs,
-                      reference_prefix_graph)
+                      reference_prefix_graph, reference_random_global_poison)
 
 
 class FixedParamsTrainer:
@@ -141,6 +142,15 @@ class TestRandomGlobalPoison:
                        [[0, 1], [1, 2], [0, 2]], num_classes=1)
         with pytest.raises(ValueError, match="absent"):
             random_global_poison(g, 1.0, 0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_edit_oracle(self, rate, seed):
+        """The drawn pairs merged into the edge keys give the graph their
+        one-at-a-time insertion gives, on the same random stream."""
+        g = random_graph(np.random.default_rng(seed), 30, edge_prob=0.15)
+        assert graphs_equal(random_global_poison(g, rate, seed),
+                            reference_random_global_poison(g, rate, seed))
 
 
 class TestLossGradient:

@@ -84,6 +84,12 @@ class TestMakeGraph:
         with pytest.raises(DatasetError):
             make_graph(1, [[0.0]], [0], ["wat"], [], num_classes=1)
 
+    def test_refuses_zero_feature_columns(self):
+        with pytest.raises(DatasetError, match=r"at least one column, got "
+                                               r"shape \(3, 0\)"):
+            make_graph(3, np.zeros((3, 0)), [0] * 3, ["none"] * 3, [],
+                       num_classes=1)
+
     def test_csr_is_symmetric(self, rng):
         adj = normalize_adjacency(random_graph(rng, 9))
         assert (adj != adj.T).nnz == 0
@@ -133,6 +139,17 @@ class TestDatasetIO:
         g = replace(make_graph(3, np.zeros((3, 4)), [0] * 3, ["none"] * 3,
                                [], num_classes=1), features=features)
         with pytest.raises(DatasetError, match=f"row 1, column 2 is {value}"):
+            save_dataset(g, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_save_refuses_zero_feature_columns(self, tmp_path):
+        """features.csv could not hold an empty row, and load_dataset
+        refuses num_features 0, so nothing is written."""
+        # make_graph refuses zero columns, so build the Graph itself
+        g = replace(make_graph(3, np.zeros((3, 1)), [0] * 3, ["none"] * 3,
+                               [[0, 1]], num_classes=1),
+                    features=np.zeros((3, 0)))
+        with pytest.raises(DatasetError, match="at least one feature column"):
             save_dataset(g, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
@@ -332,8 +349,8 @@ feature_values = st.one_of(finite_bits, scaled_normals,
 
 
 @st.composite
-def feature_matrices(draw, min_features=0):
-    n, f = draw(st.integers(0, 6)), draw(st.integers(min_features, 5))
+def feature_matrices(draw):
+    n, f = draw(st.integers(0, 6)), draw(st.integers(1, 5))
     values = draw(st.lists(feature_values, min_size=n * f, max_size=n * f))
     return np.array(values, dtype=np.float64).reshape(n, f)
 
@@ -361,7 +378,7 @@ class TestFeatureWriterMatchesRepr:
         assert file.read_bytes() == reference_features_csv(features)
 
     @pytest.mark.parametrize("shape, text", [
-        ((1, 1), b"0.0\n"), ((0, 3), b""), ((4, 0), b"\n\n\n\n")])
+        ((1, 1), b"0.0\n"), ((0, 3), b"")])
     def test_small_and_empty_shapes(self, tmp_path, shape, text):
         file = saved_features(np.zeros(shape), tmp_path)
         assert file.read_bytes() == text
@@ -384,8 +401,7 @@ class TestFeatureWriterMatchesRepr:
             assert file.read_bytes() == reference_features_csv(features)
 
     @settings(deadline=None, max_examples=100)
-    @given(features=feature_matrices(min_features=1),
-           rows=st.sampled_from([1, 3, None]))
+    @given(features=feature_matrices(), rows=st.sampled_from([1, 3, None]))
     def test_fast_reader_reads_back_the_same_bits(self, features, rows):
         with tempfile.TemporaryDirectory() as tmp:
             file = saved_features(features, Path(tmp), rows)
@@ -755,6 +771,20 @@ class TestApplyEditsMatchesSetOracle:
         edits += [EdgeEdit("feature_flip", u % n, f) for u, f in flips]
         if last is not None:
             edits.append(EdgeEdit(*last))
+        assert_same_outcome(g, edits)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_long_toggle_chain_on_sbm(self, seed):
+        """Over 20 toggles on an SBM of over 1000 edges: random pairs, five
+        of them toggled back, and removals of edges spread over the array."""
+        spec = SyntheticSpec(4, 100, 0.05, 0.005, 2, 0.0, (0.5, 0.25, 0.25))
+        g = generate_synthetic(spec, seed)
+        assert g.num_edges >= 1000
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, g.num_nodes, (20, 2)).tolist()
+        pairs += pairs[:5] + [tuple(e) for e in g.edges[::200].tolist()]
+        edits = toggles(g, pairs)
+        assert len(edits) >= 20
         assert_same_outcome(g, edits)
 
 

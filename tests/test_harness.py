@@ -425,6 +425,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "meta.json" in err and f"'{key}' must be" in err
 
+    def test_data_error_on_zero_num_features(self, data_dir, capsys):
+        meta = json.loads((data_dir / "meta.json").read_text())
+        meta["num_features"] = 0
+        (data_dir / "meta.json").write_text(json.dumps(meta))
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "meta.json" in err
+        assert "'num_features' must be at least 1, got 0" in err
+
     @pytest.mark.parametrize("name, byte", [
         ("labels.csv", b"\xff"), ("features.csv", b"\xe9"),
         ("edges.csv", b"\xff"), ("splits.csv", b"\xff")])
@@ -649,6 +658,75 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "runs.csv" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, fault", [
+        ("--config", "directory"), ("--config", "missing"),
+        ("--spec", "directory"), ("--checkpoint", "directory"),
+        ("--checkpoint", "missing")])
+    def test_usage_error_on_unreadable_json_path(self, tmp_path, capsys,
+                                                 monkeypatch, flag, fault):
+        """A --config, --spec or checkpoint path that is a directory or
+        does not exist exits 1 with one line naming it, before any seed
+        trains."""
+        trained = []
+
+        def no_training(prepared, config):
+            trained.append(config.seed)
+            raise AssertionError("trained without a readable config")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        monkeypatch.setattr("gpcn.harness.train_pc", no_training)
+        path = tmp_path / "in.json"
+        if fault == "directory":
+            path.mkdir()
+        argv = {"--config": ["train", "--config", str(path)],
+                "--spec": ["dataset", "gen", "--spec", str(path)],
+                "--checkpoint": ["calibrate", "--checkpoint", str(path),
+                                 "--data", str(gen_dataset(tmp_path))]}[flag]
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path}: cannot read: ")
+        assert err.count("\n") == 1
+        assert trained == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "CFG"],
+        ["dataset", "gen", "--spec", "SPEC"],
+        ["dataset", "lcc", "DATA"],
+        ["calibrate", "--checkpoint", "CKPT", "--data", "DATA"],
+        ["attack", "--config", "CFG", "--kind", "fga_structure", "--mode",
+         "evasion", "--budget", "1"],
+        ["energy-study", "--config", "CFG", "--t-grid", "2"],
+    ], ids=["train", "gen", "lcc", "calibrate", "attack", "energy-study"])
+    def test_usage_error_on_out_that_is_a_file(self, tmp_path, capsys,
+                                               monkeypatch, argv, below):
+        """An --out that is a file, or lies below one, exits 1 naming the
+        file, before the command reads its inputs or trains a seed, and the
+        file is left as it was."""
+        called = []
+        for name in ("cmd_train", "cmd_dataset_gen", "cmd_dataset_lcc",
+                     "cmd_calibrate", "cmd_attack", "cmd_energy_study"):
+            monkeypatch.setattr(f"gpcn.cli.{name}",
+                                lambda *args, name=name, **kwargs:
+                                called.append(name))
+        cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SBM_SPEC))
+        paths = {"CFG": cfg, "SPEC": spec, "DATA": tmp_path / "data",
+                 "CKPT": tmp_path / "ckpt.json"}
+        file = tmp_path / "out.txt"
+        file.write_text("kept\n")
+        out = file / "sub" if below else file
+        assert main([str(paths.get(a, a)) for a in argv]
+                    + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"usage error: --out {out}: "
+                                           f"{file} is not a directory\n")
+        assert called == []
+        assert file.read_text() == "kept\n"
 
 
 class TestConfigObject:

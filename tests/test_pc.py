@@ -356,7 +356,6 @@ class TestStepMatchesReference:
             got, want = getattr(state, name), getattr(expected, name)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
-        assert state.energy == expected.energy
 
 
 class TestZeroStep:
@@ -432,7 +431,6 @@ def assert_matches_reference(adj, state, params):
     assert all(np.array_equal(a, b) for a, b in zip(state.eps_agg, eps_agg))
     energy = reference_energy(eps, eps_agg, state.output_mask)
     assert compute_energy(state) == energy
-    assert state.energy is None or state.energy == energy
 
 
 class TestCachedStateMatchesReference:
