@@ -19,20 +19,19 @@ The adjacency gradient is formed on those rows only (|rows| x n, with the
 transpose giving the columns), and only pairs with an endpoint there are
 scored: every other pair has zero gradient and cannot increase the loss.
 
-Targeted attacks form perturbed graphs only in the walk of ``fga_attack``,
-which applies each edit as soon as it is picked and keeps the graph and its
-forward pass; ``evaluate_attack`` reads budget q from step q. Each step is
-``PreparedGraph.with_edits`` of the one before, which normalizes A_hat again
-but forms again only the rows of A_hat X an edit can change: the closed
-neighbourhoods, in the old graph and in the new one, of every node an edit
-touches. Those are both endpoints of an edge edit, whose degrees change
-every entry of A_hat in their neighbours' rows, and the node of a feature
-flip, whose row of X enters its neighbours' rows. The patch is exact, not
-approximate: scipy's CSR product sums each row on its own, in stored index
-order, so a row formed through A_hat[rows] @ X has the bits of the same row
-of the full product. The dense product (A_hat X) W^(1) stays full-size,
-because a row subset of a BLAS matrix product is not bit-identical to the
-full one.
+Targeted attacks walk each victim in ``fga_attack``, which applies each
+edit as soon as it is picked and keeps the edit and the logits of its step;
+``evaluate_attack`` reads budget q from step q. The walk runs on the
+prepared graph's own A_hat X: each step normalizes A_hat again, saves the
+rows of A_hat X its edit can change (the closed neighbourhoods, in the old
+graph and in the new one, of every node the edit touches) and writes them
+formed again in place; the saved rows are written back before the walk
+returns or raises. The patch is exact, not approximate: scipy's CSR product
+sums each row on its own, in stored index order, so a row formed through
+the CSR of those rows has the bits of the same row of the full product.
+The dense product (A_hat X) W^(1) stays full-size, because a row subset of
+a BLAS matrix product is not bit-identical to the full one; X W^(1), which
+the adjacency gradient reads, is formed again only after a feature flip.
 """
 
 from __future__ import annotations
@@ -42,13 +41,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from gpcn.graph import EdgeEdit, Graph, PreparedGraph, prepare, propagate
+from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, _edited_rows,
+                        _row_positions, apply_edits, normalize_adjacency,
+                        prepare, propagate)
 from gpcn.nn import ModelParams, relu_prime, softmax_rows
 from gpcn.bp import ForwardCache, gcn_forward, predict
 from gpcn.calibration import classification_margins
 
 ATTACK_KINDS = ("random_global", "fga_structure", "fga_feature", "fga_both",
                 "fga_indirect")
+# the targeted kinds that toggle edges, and those that flip features
+_STRUCTURE_KINDS = ("fga_structure", "fga_both", "fga_indirect")
+_FEATURE_KINDS = ("fga_feature", "fga_both")
 # victim strategy -> the splits it draws victims from
 VICTIM_STRATEGIES = {"nettack_style": ("test",),
                      "random_1000": ("val", "test")}
@@ -75,12 +79,12 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class AttackStep:
-    """Edit q of a targeted attack, the prepared graph after the first q
-    edits, and that graph's forward pass under the attacked params."""
+    """Edit q of a targeted attack, and the logits of the graph after the
+    first q edits under the attacked params. The step's forward pass is not
+    kept: its A_hat X is the walk's, which is restored when the walk ends."""
 
     edit: EdgeEdit
-    graph: PreparedGraph
-    cache: ForwardCache
+    logits: np.ndarray
 
 
 @dataclass
@@ -181,11 +185,11 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
     return replace(graph, edges=np.stack([keys // n, keys % n], axis=1))
 
 
-def _layer_products(cache: ForwardCache,
-                    params: ModelParams) -> list[np.ndarray]:
-    """H^(k-1) W^(k) for k = 1..K: what the adjacency gradient of every
-    victim on the graph of ``cache`` multiplies."""
-    return [h @ w for h, w in zip(cache.act, params.weights)]
+def _layer_products(cache: ForwardCache, params: ModelParams,
+                    first: int = 0) -> list[np.ndarray]:
+    """H^(k-1) W^(k) for k = first + 1..K: what the adjacency gradient of
+    every victim on the graph of ``cache`` multiplies."""
+    return [h @ w for h, w in zip(cache.act[first:], params.weights[first:])]
 
 
 def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
@@ -253,7 +257,9 @@ def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
     (score, EdgeEdit)."""
     n = adj.shape[0]
     # the pattern of A_hat is A + I; its diagonal is never a legal toggle
-    present = adj[rows].toarray() != 0
+    lens, at = _row_positions(adj, rows)
+    present = np.zeros((rows.size, n), dtype=bool)
+    present[np.repeat(np.arange(rows.size), lens), adj.indices[at]] = True
     # toggling from a to 1-a changes loss by roughly grad * (1 - 2a)
     scores = grad * (1.0 - 2.0 * present)
     scores[np.arange(rows.size), rows] = -np.inf          # no self-loops
@@ -272,6 +278,45 @@ def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
     return float(best), EdgeEdit(kind, int(lo[j]), int(hi[j]))
 
 
+def _best_edit(params: ModelParams, prepared: PreparedGraph,
+               cache: ForwardCache, victim: int, spec: AttackSpec,
+               products: list[np.ndarray]) -> EdgeEdit | None:
+    """The legal edge toggle or feature flip of ``spec.kind`` with the
+    largest loss-increasing score on ``prepared``, whose forward pass is
+    ``cache`` and ``_layer_products`` are ``products``; None when no legal
+    move increases the victim's loss."""
+    adj = prepared.adj
+    rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
+                                                  victim, products)
+    if rows.size == 0:
+        return None         # zero gradient: no move increases the loss
+    best_score = 0.0
+    best_edit = None
+    if spec.kind in _STRUCTURE_KINDS:
+        allowed = None
+        if spec.kind == "fga_indirect":
+            # the victim's row of A_hat holds it and its neighbours
+            neigh = adj.indices[adj.indptr[victim]:adj.indptr[victim + 1]]
+            neigh = neigh[neigh != victim]
+            if neigh.size == 0:
+                return None
+            strength = np.abs(_gradient_band(
+                adj.shape[0], rows, grad, neigh)).sum(axis=1)
+            order = np.argsort(-strength, kind="stable")
+            allowed = neigh[order[:spec.influencer_count]]
+        score, edit = _best_toggle(adj, rows, grad, victim, allowed)
+        if score > best_score:
+            best_score, best_edit = score, edit
+    if spec.kind in _FEATURE_KINDS:
+        x = prepared.graph.features
+        grad_x = propagate(adj, signal @ params.weights[0].T)
+        fsc = grad_x * (1.0 - 2.0 * x)
+        node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
+        if fsc[node, fidx] > best_score:
+            best_edit = EdgeEdit("feature_flip", int(node), int(fidx))
+    return best_edit
+
+
 def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
                spec: AttackSpec, cache: ForwardCache,
                products: list[np.ndarray] | None = None) -> list[AttackStep]:
@@ -282,55 +327,47 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
     the forward pass of ``prepared`` under ``params``, and ``products``, if
     given, its ``_layer_products``. Returns one ``AttackStep`` per applied
     edit, at most ``spec.budget``: each edit is applied as soon as it is
-    picked, and the next iteration starts from its step."""
+    picked, and the next iteration starts from its step.
+
+    The walk patches the rows of ``prepared.ax`` that each edit changes in
+    place, and writes the saved rows back, in reverse order, before it
+    returns or raises: ``prepared`` comes back bit for bit, with ``ax`` as
+    writeable as it was."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
-    use_structure = spec.kind in ("fga_structure", "fga_both", "fga_indirect")
-    use_features = spec.kind in ("fga_feature", "fga_both")
-    if not (use_structure or use_features):
+    if spec.kind not in _STRUCTURE_KINDS + _FEATURE_KINDS:
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
-    if use_features and not np.isin(prepared.graph.features,
-                                    (0.0, 1.0)).all():
+    if spec.kind in _FEATURE_KINDS and not np.isin(prepared.graph.features,
+                                                   (0.0, 1.0)).all():
         raise ValueError("feature attacks require binary features")
+    if products is None:
+        products = _layer_products(cache, params)
 
     steps: list[AttackStep] = []
-    for _ in range(spec.budget):
-        adj = prepared.adj
-        rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
-                                                      victim, products)
-        if rows.size == 0:
-            break           # zero gradient: no move increases the loss
-        best_score = 0.0
-        best_edit = None
-        if use_structure:
-            allowed = None
-            if spec.kind == "fga_indirect":
-                # the victim's row of A_hat holds it and its neighbours
-                neigh = adj.indices[adj.indptr[victim]:adj.indptr[victim + 1]]
-                neigh = neigh[neigh != victim]
-                if neigh.size == 0:
-                    break
-                strength = np.abs(_gradient_band(
-                    adj.shape[0], rows, grad, neigh)).sum(axis=1)
-                order = np.argsort(-strength, kind="stable")
-                allowed = neigh[order[:spec.influencer_count]]
-            score, edit = _best_toggle(adj, rows, grad, victim, allowed)
-            if score > best_score:
-                best_score, best_edit = score, edit
-        if use_features:
-            x = prepared.graph.features
-            grad_x = propagate(adj, signal @ params.weights[0].T)
-            fsc = grad_x * (1.0 - 2.0 * x)
-            node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
-            if fsc[node, fidx] > best_score:
-                best_score = float(fsc[node, fidx])
-                best_edit = EdgeEdit("feature_flip", int(node), int(fidx))
-        if best_edit is None:
-            break           # no loss-increasing legal move remains
-        prepared = prepared.with_edits([best_edit])
-        cache = gcn_forward(prepared, params)
-        products = None
-        steps.append(AttackStep(best_edit, prepared, cache))
+    ax = prepared.ax
+    saved: list[tuple[np.ndarray, np.ndarray]] = []   # (rows, old values)
+    writeable = ax.flags.writeable
+    ax.flags.writeable = True
+    try:
+        for _ in range(spec.budget):
+            edit = _best_edit(params, prepared, cache, victim, spec, products)
+            if edit is None:
+                break
+            graph = apply_edits(prepared.graph, [edit])
+            adj = normalize_adjacency(graph)
+            rows, block = _edited_rows(graph, adj, [edit])
+            saved.append((rows, ax[rows]))
+            ax[rows] = block
+            prepared = PreparedGraph(graph, adj, ax)
+            cache = gcn_forward(prepared, params)
+            # an edge toggle leaves X, and with it X W^(1), as it was
+            kept = products[:1] if edit.kind != "feature_flip" else []
+            products = kept + _layer_products(cache, params, len(kept))
+            steps.append(AttackStep(edit, cache.logits))
+    finally:
+        for rows, old in reversed(saved):
+            ax[rows] = old
+        ax.flags.writeable = writeable
     return steps
 
 
@@ -347,11 +384,11 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
     read the same step of a walk share its prediction: poisoning trains
     once per rate that adds edges, or per walk step that a budget reads.
 
-    A targeted attack walks each victim once, to the largest budget, and
-    budget q reads step q (evasion its forward pass, poisoning its graph),
-    or the last step, or the clean graph, if the attack stopped earlier.
-    Victims are walked one at a time: one victim's steps, each with its own
-    copy of A_hat X, are held at once.
+    A targeted attack walks each victim once, to the largest budget, on the
+    A_hat X of ``prepared``, and budget q reads step q, or the last step, or
+    the clean graph, if the attack stopped earlier: evasion the step's
+    logits, poisoning a retrain on ``prepared.with_edits`` of the first q
+    edits, which holds one copy of A_hat X while it trains.
     """
     budgets = list(budgets)
     if not budgets:
@@ -385,20 +422,23 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
         for victim in victims.tolist():
             steps = fga_attack(params, prepared, victim, walk_spec, clean,
                                products)
-            walk = [(prepared, clean)] + [(s.graph, s.cache) for s in steps]
             one = np.zeros(graph.num_nodes, dtype=bool)
             one[victim] = True
             margin_at: dict = {}           # walk index -> victim's margin
             for q in margins_after:
                 i = min(q, len(steps))
                 if i not in margin_at:
-                    perturbed, cache = walk[i]
-                    probs = (predict(perturbed, trainer.train(perturbed))
-                             if poisoning and i else softmax_rows(cache.logits))
+                    if poisoning and i:
+                        perturbed = prepared.with_edits(
+                            [s.edit for s in steps[:i]])
+                        probs = predict(perturbed, trainer.train(perturbed))
+                        del perturbed     # one copy of A_hat X at a time
+                    else:
+                        probs = (softmax_rows(steps[i - 1].logits) if i
+                                 else clean_probs)
                     margin_at[i] = classification_margins(
                         probs, graph.labels, one)[0]
                 margins_after[q].append(margin_at[i])
-            del steps, walk, perturbed, cache     # freed before the next walk
     accuracy = {q: float(np.mean([r.correct for r in recs]))
                 for q, recs in margins_after.items()}
 

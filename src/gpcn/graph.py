@@ -14,7 +14,8 @@ sum of ones, which is the same integer.
 ``prepare`` forms the graph constants every forward pass reads, A_hat and
 the first-layer aggregate A_hat X, once per graph. ``PreparedGraph.with_edits``
 derives a perturbed copy that re-forms only the rows of A_hat X an edit can
-change.
+change; ``_edited_rows``, which forms those rows, also serves the attack
+walk, which patches them into the prepared graph's own A_hat X in place.
 
 ``load_dataset`` reads features.csv, the bulk of a dataset, with scipy's
 Matrix Market reader when one numpy pass over the file's non-digit bytes
@@ -90,9 +91,12 @@ class PreparedGraph:
     """A graph with the normalized adjacency ``adj`` (A_hat) and the
     first-layer aggregate ``ax`` (A_hat X), formed once by ``prepare``.
 
-    ``ax`` is read-only and no method writes into a shared array, so one
-    prepared graph serves every seed and every attack victim;
-    ``with_edits`` copies ``ax`` before it forms rows again.
+    ``ax`` is read-only, so one prepared graph serves every seed and every
+    attack victim. The one writer is ``fga_attack``'s walk, which patches
+    the rows of ``ax`` its edits change in place and restores them, and the
+    read-only flag, before it returns or raises; nothing else may read the
+    prepared graph during a walk. ``with_edits`` copies ``ax`` before it
+    forms rows again.
     """
 
     graph: Graph
@@ -100,34 +104,57 @@ class PreparedGraph:
     ax: np.ndarray
 
     def with_edits(self, edits) -> "PreparedGraph":
-        """The prepared graph of ``apply_edits(self.graph, edits)``.
-
-        A_hat is normalized again; A_hat X is a copy of this one with the
-        rows an edit can change formed again. Those rows are the closed
-        neighbourhoods, in the old graph and the new one, of every touched
-        node: both endpoints of an edge edit (their degrees change, and with
-        them every entry of A_hat in their neighbours' rows) and the node of
-        a feature flip (its row of X enters its neighbours' rows). Every
-        added or removed edge joins two touched nodes, so the union of those
-        neighbourhoods is the same in both graphs and is read off the new
-        one. Each row is summed alone in stored order, as the full product
-        sums it, so the result is bit-identical to
-        ``prepare(apply_edits(graph, edits))``.
-        """
+        """The prepared graph of ``apply_edits(self.graph, edits)``: A_hat
+        normalized again, and a copy of A_hat X with the rows of
+        ``_edited_rows`` formed again, bit-identical to
+        ``prepare(apply_edits(graph, edits))``."""
         edits = list(edits)
         graph = apply_edits(self.graph, edits)
         adj = normalize_adjacency(graph)
-        touched = {n for e in edits for n in
-                   ((e.u,) if e.kind == "feature_flip" else (e.u, e.v))}
-        # the pattern of A_hat is A + I, so row t of its CSR arrays holds t's
-        # closed neighbourhood
-        ptr, indices = adj.indptr, adj.indices
-        rows = np.unique(np.concatenate(
-            [indices[:0], *(indices[ptr[t]:ptr[t + 1]] for t in touched)]))
+        rows, block = _edited_rows(graph, adj, edits)
         ax = self.ax.copy()
-        ax[rows] = adj[rows] @ graph.features
+        ax[rows] = block
         ax.flags.writeable = False
         return PreparedGraph(graph, adj, ax)
+
+
+def _row_positions(csr: sp.csr_matrix,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry count of each row of ``rows``, and the positions of their
+    entries in ``csr.indices`` and ``csr.data``, row by row in stored
+    order."""
+    starts = csr.indptr[rows]
+    lens = csr.indptr[rows + 1] - starts
+    return lens, _ranges(starts, lens)
+
+
+def _edited_rows(graph: Graph, adj: sp.csr_matrix,
+                 edits) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of A_hat X that ``edits`` can change, formed on the edited
+    ``graph`` and its A_hat ``adj``: returns ``(rows, block)``, block being
+    those rows of ``adj @ graph.features``.
+
+    The rows are the closed neighbourhoods, in the old graph and the new
+    one, of every touched node: both endpoints of an edge edit (their
+    degrees change, and with them every entry of A_hat in their neighbours'
+    rows) and the node of a feature flip (its row of X enters its
+    neighbours' rows). Every added or removed edge joins two touched nodes,
+    so the union of those neighbourhoods is the same in both graphs and is
+    read off the new one. The block's CSR is sliced straight from the
+    arrays of ``adj``, and scipy's CSR product sums each row on its own in
+    stored order, so each row has the bits of the same row of the full
+    product.
+    """
+    touched = np.array([n for e in edits for n in (
+        (e.u,) if e.kind == "feature_flip" else (e.u, e.v))], dtype=np.int64)
+    # the pattern of A_hat is A + I, so row t of its CSR arrays holds t's
+    # closed neighbourhood
+    rows = np.unique(adj.indices[_row_positions(adj, touched)[1]])
+    lens, at = _row_positions(adj, rows)
+    sub = sp.csr_matrix((adj.data[at], adj.indices[at],
+                         np.concatenate([[0], np.cumsum(lens)])),
+                        shape=(rows.size, adj.shape[1]))
+    return rows, sub @ graph.features
 
 
 @dataclass(frozen=True)

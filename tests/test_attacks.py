@@ -1,13 +1,18 @@
 """Attack generation and robustness protocols: victim selection, random
 poisoning, gradient attacks, and the evasion/poisoning evaluation loop."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpcn.graph import (EdgeEdit, Graph, apply_edits, make_graph,
-                        normalize_adjacency, prepare)
+import gpcn.attacks
+from gpcn.graph import (EdgeEdit, Graph, SyntheticSpec, apply_edits,
+                        generate_synthetic, make_graph, normalize_adjacency,
+                        prepare)
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
@@ -55,6 +60,13 @@ def attack(params, g, victim, spec):
     prepared = prepare(g)
     return [step.edit for step in fga_attack(params, prepared, victim, spec,
                                              gcn_forward(prepared, params))]
+
+
+def assert_restored(prepared, before):
+    """``prepared`` holds the bits of its deep copy ``before``, and its
+    A_hat X is read-only again."""
+    assert prepared_equal(prepared, before)
+    assert not prepared.ax.flags.writeable
 
 
 def assert_valid_graph(g: Graph):
@@ -401,9 +413,10 @@ class TestLocalPathMatchesDense:
 
 
 class TestAttackWalk:
-    """The graphs and forward passes of ``fga_attack``'s steps, and the
-    budgets ``evaluate_attack`` reads from them, against every prefix
-    rebuilt from scratch by the oracle in conftest."""
+    """The logits of ``fga_attack``'s steps, and the budgets
+    ``evaluate_attack`` reads from them, against every prefix rebuilt from
+    scratch by the oracle in conftest; and the prepared graph the walk
+    patches in place, which must come back bit for bit."""
 
     @settings(deadline=None, max_examples=60)
     @given(instance=instances, kind=st.sampled_from(TARGETED_KINDS),
@@ -413,17 +426,67 @@ class TestAttackWalk:
         g, params = shaped_instance(seed, shape, n, hidden,
                                     binary=kind in ("fga_feature", "fga_both"))
         prepared = prepare(g)
+        before = copy.deepcopy(prepared)
         spec = AttackSpec(kind=kind, budget=budget, influencer_count=2)
         steps = fga_attack(params, prepared, 0, spec,
                            gcn_forward(prepared, params))
         assert len(steps) <= budget
         edits = [step.edit for step in steps]
         for q, step in enumerate(steps, start=1):
-            want = reference_prefix_graph(g, edits, q)
-            assert prepared_equal(step.graph, want)
-            assert np.array_equal(
-                step.cache.logits.view(np.int64),
-                gcn_forward(want, params).logits.view(np.int64))
+            want = gcn_forward(reference_prefix_graph(g, edits, q), params)
+            assert np.array_equal(step.logits.view(np.int64),
+                                  want.logits.view(np.int64))
+        assert_restored(prepared, before)
+
+    # Budget 4 on the 8-node binary random instance: victim 2 takes all
+    # four steps, and victim 7 stops early under both kinds.
+    @pytest.mark.parametrize("kind", ["fga_structure", "fga_both"])
+    @pytest.mark.parametrize("end", ["return", "early_stop", "exception"])
+    def test_walk_restores_prepared_graph(self, kind, end, monkeypatch):
+        g, params = shaped_instance(0, "random", 8, 1, binary=True)
+        prepared = prepare(g)
+        clean = gcn_forward(prepared, params)
+        before = copy.deepcopy(prepared)
+        spec = AttackSpec(kind=kind, budget=4)
+        victim = 7 if end == "early_stop" else 2
+        if end == "exception":
+            calls = []
+
+            def failing_forward(*args):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise FloatingPointError("step 2")
+                return gcn_forward(*args)
+
+            monkeypatch.setattr(gpcn.attacks, "gcn_forward", failing_forward)
+            with pytest.raises(FloatingPointError, match="step 2"):
+                fga_attack(params, prepared, victim, spec, clean)
+            assert len(calls) == 2
+        else:
+            steps = fga_attack(params, prepared, victim, spec, clean)
+            assert (0 < len(steps) < 4) == (end == "early_stop")
+        assert_restored(prepared, before)
+
+    def test_walk_copies_no_aggregate(self):
+        # The walk's own arrays are O(n * hidden + |E|), about 2.3 MB here,
+        # whatever the feature count; one copy of the 8 MB A_hat X per step
+        # would take twice the bound.
+        g = generate_synthetic(SyntheticSpec(
+            num_blocks=2, nodes_per_block=1000, intra_block_edge_prob=0.005,
+            inter_block_edge_prob=0.0005, feature_dim=512,
+            feature_noise_std=0.5), seed=0)
+        params = init_params([512, 16, 2], np.random.default_rng(0))
+        prepared = prepare(g)
+        clean = gcn_forward(prepared, params)
+        spec = AttackSpec(kind="fga_structure", budget=3)
+        tracemalloc.start()
+        try:
+            steps = fga_attack(params, prepared, 0, spec, clean)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 3
+        assert peak < 0.5 * prepared.ax.nbytes
 
     # Every node of the 8-node instance is a victim at budgets 1..4. In the
     # indirect case victim 0 is isolated, so it has no influencer and the
