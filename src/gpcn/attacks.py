@@ -21,17 +21,11 @@ scored: every other pair has zero gradient and cannot increase the loss.
 
 Targeted attacks walk each victim in ``fga_attack``, which applies each
 edit as soon as it is picked and keeps the edit and the logits of its step;
-``evaluate_attack`` reads budget q from step q. The walk runs on the
-prepared graph's own A_hat X: each step normalizes A_hat again, saves the
-rows of A_hat X its edit can change (the closed neighbourhoods, in the old
-graph and in the new one, of every node the edit touches) and writes them
-formed again in place; the saved rows are written back before the walk
-returns or raises. The patch is exact, not approximate: scipy's CSR product
-sums each row on its own, in stored index order, so a row formed through
-the CSR of those rows has the bits of the same row of the full product.
-The dense product (A_hat X) W^(1) stays full-size, because a row subset of
-a BLAS matrix product is not bit-identical to the full one; X W^(1), which
-the adjacency gradient reads, is formed again only after a feature flip.
+``evaluate_attack`` reads budget q from step q. The first GCN layer is
+A_hat (X W^(1)), so an edge toggle leaves X W^(1) as it was: a step after
+one normalizes A_hat again and forms one n x hidden product A_hat (X W^(1))
+and the hidden layers, with no n x d array and no dense product over the
+features. X W^(1) is formed again only after a feature flip.
 """
 
 from __future__ import annotations
@@ -41,8 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, _edited_rows,
-                        _row_positions, apply_edits, normalize_adjacency,
+from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, _row_positions,
                         prepare, propagate)
 from gpcn.nn import ModelParams, relu_prime, softmax_rows
 from gpcn.bp import ForwardCache, gcn_forward, predict
@@ -80,8 +73,7 @@ class AttackSpec:
 @dataclass(frozen=True)
 class AttackStep:
     """Edit q of a targeted attack, and the logits of the graph after the
-    first q edits under the attacked params. The step's forward pass is not
-    kept: its A_hat X is the walk's, which is restored when the walk ends."""
+    first q edits under the attacked params."""
 
     edit: EdgeEdit
     logits: np.ndarray
@@ -185,21 +177,11 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
     return replace(graph, edges=np.stack([keys // n, keys % n], axis=1))
 
 
-def _layer_products(cache: ForwardCache, params: ModelParams,
-                    first: int = 0) -> list[np.ndarray]:
-    """H^(k-1) W^(k) for k = first + 1..K: what the adjacency gradient of
-    every victim on the graph of ``cache`` multiplies."""
-    return [h @ w for h, w in zip(cache.act[first:], params.weights[first:])]
-
-
 def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
-                             cache: ForwardCache, target_node: int,
-                             products: list[np.ndarray] | None = None):
+                             cache: ForwardCache, target_node: int):
     """Gradient of the target node's cross-entropy w.r.t. the adjacency, on
     the rows the gradient can touch, with normalization coefficients frozen
-    at the current degrees. ``cache`` is the forward pass of ``prepared``;
-    ``products``, its ``_layer_products``, is formed here unless the caller
-    shares it between victims.
+    at the current degrees. ``cache`` is the forward pass of ``prepared``.
 
     Returns ``(rows, grad, signal)``. ``rows`` is the sorted set of nodes
     whose backprop signal is nonzero at some layer, the victim's (K-1)-hop
@@ -221,9 +203,10 @@ def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
         signals.append(g)
     rows = np.flatnonzero(np.any([s.any(axis=1) for s in signals], axis=0))
 
-    # d loss / d A_hat = sum_k g^(k) (H^(k-1) W^(k))T, nonzero on ``rows``
-    if products is None:
-        products = _layer_products(cache, params)
+    # d loss / d A_hat = sum_k g^(k) (H^(k-1) W^(k))T, nonzero on ``rows``;
+    # X W^(1) is the cache's
+    products = [cache.xw] + [h @ w for h, w in zip(cache.act[1:],
+                                                    params.weights[1:])]
     grad = sum(s[rows] @ p.T for s, p in zip(signals, reversed(products)))
     # symmetric pairs share one value: G[u, v] + G[v, u], where G[v, u] is
     # nonzero only for v in ``rows``
@@ -279,15 +262,14 @@ def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
 
 
 def _best_edit(params: ModelParams, prepared: PreparedGraph,
-               cache: ForwardCache, victim: int, spec: AttackSpec,
-               products: list[np.ndarray]) -> EdgeEdit | None:
+               cache: ForwardCache, victim: int,
+               spec: AttackSpec) -> EdgeEdit | None:
     """The legal edge toggle or feature flip of ``spec.kind`` with the
     largest loss-increasing score on ``prepared``, whose forward pass is
-    ``cache`` and ``_layer_products`` are ``products``; None when no legal
-    move increases the victim's loss."""
+    ``cache``; None when no legal move increases the victim's loss."""
     adj = prepared.adj
     rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
-                                                  victim, products)
+                                                  victim)
     if rows.size == 0:
         return None         # zero gradient: no move increases the loss
     best_score = 0.0
@@ -318,21 +300,15 @@ def _best_edit(params: ModelParams, prepared: PreparedGraph,
 
 
 def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
-               spec: AttackSpec, cache: ForwardCache,
-               products: list[np.ndarray] | None = None) -> list[AttackStep]:
+               spec: AttackSpec, cache: ForwardCache) -> list[AttackStep]:
     """Greedy gradient attack: per iteration, recompute gradients and apply
     the legal edge toggle / feature flip with the largest loss-increasing
     score. Indirect attacks only touch edges that avoid the victim and have
     an endpoint among the top-gradient influencer neighbors. ``cache`` is
-    the forward pass of ``prepared`` under ``params``, and ``products``, if
-    given, its ``_layer_products``. Returns one ``AttackStep`` per applied
-    edit, at most ``spec.budget``: each edit is applied as soon as it is
-    picked, and the next iteration starts from its step.
-
-    The walk patches the rows of ``prepared.ax`` that each edit changes in
-    place, and writes the saved rows back, in reverse order, before it
-    returns or raises: ``prepared`` comes back bit for bit, with ``ax`` as
-    writeable as it was."""
+    the forward pass of ``prepared`` under ``params``. Returns one
+    ``AttackStep`` per applied edit, at most ``spec.budget``: each edit is
+    applied as soon as it is picked, and the next iteration starts from its
+    step, on a graph of its own; ``prepared`` is left as it was."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     if spec.kind not in _STRUCTURE_KINDS + _FEATURE_KINDS:
@@ -340,34 +316,17 @@ def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
     if spec.kind in _FEATURE_KINDS and not np.isin(prepared.graph.features,
                                                    (0.0, 1.0)).all():
         raise ValueError("feature attacks require binary features")
-    if products is None:
-        products = _layer_products(cache, params)
 
     steps: list[AttackStep] = []
-    ax = prepared.ax
-    saved: list[tuple[np.ndarray, np.ndarray]] = []   # (rows, old values)
-    writeable = ax.flags.writeable
-    ax.flags.writeable = True
-    try:
-        for _ in range(spec.budget):
-            edit = _best_edit(params, prepared, cache, victim, spec, products)
-            if edit is None:
-                break
-            graph = apply_edits(prepared.graph, [edit])
-            adj = normalize_adjacency(graph)
-            rows, block = _edited_rows(graph, adj, [edit])
-            saved.append((rows, ax[rows]))
-            ax[rows] = block
-            prepared = PreparedGraph(graph, adj, ax)
-            cache = gcn_forward(prepared, params)
-            # an edge toggle leaves X, and with it X W^(1), as it was
-            kept = products[:1] if edit.kind != "feature_flip" else []
-            products = kept + _layer_products(cache, params, len(kept))
-            steps.append(AttackStep(edit, cache.logits))
-    finally:
-        for rows, old in reversed(saved):
-            ax[rows] = old
-        ax.flags.writeable = writeable
+    for _ in range(spec.budget):
+        edit = _best_edit(params, prepared, cache, victim, spec)
+        if edit is None:
+            break
+        prepared = prepared.with_edits([edit])
+        # an edge toggle leaves X, and with it X W^(1), as it was
+        xw = cache.xw if edit.kind != "feature_flip" else None
+        cache = gcn_forward(prepared, params, xw)
+        steps.append(AttackStep(edit, cache.logits))
     return steps
 
 
@@ -384,11 +343,11 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
     read the same step of a walk share its prediction: poisoning trains
     once per rate that adds edges, or per walk step that a budget reads.
 
-    A targeted attack walks each victim once, to the largest budget, on the
-    A_hat X of ``prepared``, and budget q reads step q, or the last step, or
+    A targeted attack walks each victim once, to the largest budget, from
+    the clean forward pass, and budget q reads step q, or the last step, or
     the clean graph, if the attack stopped earlier: evasion the step's
     logits, poisoning a retrain on ``prepared.with_edits`` of the first q
-    edits, which holds one copy of A_hat X while it trains.
+    edits.
     """
     budgets = list(budgets)
     if not budgets:
@@ -416,12 +375,10 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
     else:
         margins_after = {q: [] for q in budgets}
         # every victim's first step runs on the clean graph, so they share
-        # its forward pass and the products X W^(1), .. of its gradient
-        products = _layer_products(clean, params)
+        # its forward pass
         walk_spec = replace(spec, budget=max(budgets))
         for victim in victims.tolist():
-            steps = fga_attack(params, prepared, victim, walk_spec, clean,
-                               products)
+            steps = fga_attack(params, prepared, victim, walk_spec, clean)
             one = np.zeros(graph.num_nodes, dtype=bool)
             one[victim] = True
             margin_at: dict = {}           # walk index -> victim's margin
@@ -432,7 +389,6 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
                         perturbed = prepared.with_edits(
                             [s.edit for s in steps[:i]])
                         probs = predict(perturbed, trainer.train(perturbed))
-                        del perturbed     # one copy of A_hat X at a time
                     else:
                         probs = (softmax_rows(steps[i - 1].logits) if i
                                  else clean_probs)

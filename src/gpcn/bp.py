@@ -16,11 +16,18 @@ from gpcn.nn import (AdamState, ModelParams, adam_step, cross_entropy_masked,
 
 @dataclass
 class ForwardCache:
-    """Aggregates A_hat H^(k-1), pre-activations Z^(k) and activations
-    H^(k); H^(0) is the input. The one place aggregates are formed: the
-    reverse pass and the predictive-coding state read them from here."""
+    """The product X W^(1), aggregates A_hat H^(k-1), pre-activations Z^(k)
+    and activations H^(k); H^(0) is the input X. The one place aggregates
+    are formed: the reverse pass and the predictive-coding state read them
+    from here.
 
-    agg: list[np.ndarray]          # A_hat H^(0) .. A_hat H^(K-1)
+    The first layer is Z^(1) = A_hat (X W^(1)), the order of Kipf and
+    Welling's GCN, so it has no aggregate: agg[0] is None, and no n x d
+    array A_hat X is formed. An edge edit leaves ``xw`` as it was.
+    """
+
+    xw: np.ndarray                 # X W^(1)
+    agg: list[np.ndarray | None]   # None, A_hat H^(1) .. A_hat H^(K-1)
     pre: list[np.ndarray]          # Z^(1) .. Z^(K)
     act: list[np.ndarray]          # H^(0) .. H^(K); H^(K) = Z^(K) (linear out)
 
@@ -52,35 +59,43 @@ class TrainHistory:
     selected_epoch: int = 0
 
 
-def gcn_forward(prepared: PreparedGraph, params: ModelParams) -> ForwardCache:
+def gcn_forward(prepared: PreparedGraph, params: ModelParams,
+                xw: np.ndarray | None = None) -> ForwardCache:
     """Hidden layers ReLU(A_hat H W); output layer linear (logits). The
-    first aggregate A_hat X is the prepared graph's."""
-    agg, pre, act = [], [], [prepared.graph.features]
-    h = act[0]
+    first layer propagates X W^(1): ``xw`` if the caller holds it, as the
+    attack walk does across edge edits, else formed here."""
+    x = prepared.graph.features
+    if xw is None:
+        xw = x @ params.weights[0]
+    agg, pre, act = [None], [], [x]
     K = params.num_layers
     for k, w in enumerate(params.weights, start=1):
-        agg.append(prepared.ax if k == 1 else propagate(prepared.adj, h))
-        z = agg[-1] @ w
+        if k == 1:
+            z = propagate(prepared.adj, xw)
+        else:
+            agg.append(propagate(prepared.adj, h))
+            z = agg[-1] @ w
         pre.append(z)
         h = z if k == K else relu(z)
         act.append(h)
-    return ForwardCache(agg=agg, pre=pre, act=act)
+    return ForwardCache(xw=xw, agg=agg, pre=pre, act=act)
 
 
 def gcn_backward(adj: sp.csr_matrix, cache: ForwardCache,
                  grad_logits: np.ndarray, params: ModelParams):
     """Reverse pass; returns per-layer weight gradients.
 
-    A_hat is symmetric, so propagate serves as its own transpose.
+    A_hat is symmetric, so propagate serves as its own transpose: the
+    first layer's gradient is X^T (A_hat g).
     """
     K = params.num_layers
     grads = [None] * K
     g = grad_logits
-    for k in range(K, 0, -1):
+    for k in range(K, 1, -1):
         grads[k - 1] = cache.agg[k - 1].T @ g
-        if k > 1:
-            g = propagate(adj, g @ params.weights[k - 1].T)
-            g = g * relu_prime(cache.pre[k - 2])
+        g = propagate(adj, g @ params.weights[k - 1].T)
+        g = g * relu_prime(cache.pre[k - 2])
+    grads[0] = cache.act[0].T @ propagate(adj, g)
     return grads
 
 

@@ -11,11 +11,10 @@ an approximation of the D (A + I) D product: the product forms each entry
 as (inv[r] * 1.0) * inv[c], which is the same float, and each degree as a
 sum of ones, which is the same integer.
 
-``prepare`` forms the graph constants every forward pass reads, A_hat and
-the first-layer aggregate A_hat X, once per graph. ``PreparedGraph.with_edits``
-derives a perturbed copy that re-forms only the rows of A_hat X an edit can
-change; ``_edited_rows``, which forms those rows, also serves the attack
-walk, which patches them into the prepared graph's own A_hat X in place.
+``prepare`` forms the one graph constant every forward pass reads, A_hat,
+once per graph. The first GCN layer is A_hat (X W^(1)), so no n x d
+aggregate A_hat X is formed: an edge edit leaves X W^(1) as it was, and
+the graph it makes costs its edges and its A_hat, O(n + |E|).
 
 ``load_dataset`` reads features.csv, the bulk of a dataset, with scipy's
 Matrix Market reader when one numpy pass over the file's non-digit bytes
@@ -88,34 +87,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class PreparedGraph:
-    """A graph with the normalized adjacency ``adj`` (A_hat) and the
-    first-layer aggregate ``ax`` (A_hat X), formed once by ``prepare``.
-
-    ``ax`` is read-only, so one prepared graph serves every seed and every
-    attack victim. The one writer is ``fga_attack``'s walk, which patches
-    the rows of ``ax`` its edits change in place and restores them, and the
-    read-only flag, before it returns or raises; nothing else may read the
-    prepared graph during a walk. ``with_edits`` copies ``ax`` before it
-    forms rows again.
-    """
+    """A graph with its normalized adjacency ``adj`` (A_hat), formed once
+    by ``prepare`` and shared by every seed and every attack victim."""
 
     graph: Graph
     adj: sp.csr_matrix
-    ax: np.ndarray
 
     def with_edits(self, edits) -> "PreparedGraph":
-        """The prepared graph of ``apply_edits(self.graph, edits)``: A_hat
-        normalized again, and a copy of A_hat X with the rows of
-        ``_edited_rows`` formed again, bit-identical to
-        ``prepare(apply_edits(graph, edits))``."""
-        edits = list(edits)
-        graph = apply_edits(self.graph, edits)
-        adj = normalize_adjacency(graph)
-        rows, block = _edited_rows(graph, adj, edits)
-        ax = self.ax.copy()
-        ax[rows] = block
-        ax.flags.writeable = False
-        return PreparedGraph(graph, adj, ax)
+        """The prepared graph of ``apply_edits(self.graph, edits)``."""
+        return prepare(apply_edits(self.graph, edits))
 
 
 def _row_positions(csr: sp.csr_matrix,
@@ -126,35 +106,6 @@ def _row_positions(csr: sp.csr_matrix,
     starts = csr.indptr[rows]
     lens = csr.indptr[rows + 1] - starts
     return lens, _ranges(starts, lens)
-
-
-def _edited_rows(graph: Graph, adj: sp.csr_matrix,
-                 edits) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of A_hat X that ``edits`` can change, formed on the edited
-    ``graph`` and its A_hat ``adj``: returns ``(rows, block)``, block being
-    those rows of ``adj @ graph.features``.
-
-    The rows are the closed neighbourhoods, in the old graph and the new
-    one, of every touched node: both endpoints of an edge edit (their
-    degrees change, and with them every entry of A_hat in their neighbours'
-    rows) and the node of a feature flip (its row of X enters its
-    neighbours' rows). Every added or removed edge joins two touched nodes,
-    so the union of those neighbourhoods is the same in both graphs and is
-    read off the new one. The block's CSR is sliced straight from the
-    arrays of ``adj``, and scipy's CSR product sums each row on its own in
-    stored order, so each row has the bits of the same row of the full
-    product.
-    """
-    touched = np.array([n for e in edits for n in (
-        (e.u,) if e.kind == "feature_flip" else (e.u, e.v))], dtype=np.int64)
-    # the pattern of A_hat is A + I, so row t of its CSR arrays holds t's
-    # closed neighbourhood
-    rows = np.unique(adj.indices[_row_positions(adj, touched)[1]])
-    lens, at = _row_positions(adj, rows)
-    sub = sp.csr_matrix((adj.data[at], adj.indices[at],
-                         np.concatenate([[0], np.cumsum(lens)])),
-                        shape=(rows.size, adj.shape[1]))
-    return rows, sub @ graph.features
 
 
 @dataclass(frozen=True)
@@ -618,11 +569,8 @@ def normalize_adjacency(g: Graph) -> sp.csr_matrix:
 
 
 def prepare(g: Graph) -> PreparedGraph:
-    """A_hat and A_hat X of ``g``, formed once for every pass over it."""
-    adj = normalize_adjacency(g)
-    ax = propagate(adj, g.features)
-    ax.flags.writeable = False
-    return PreparedGraph(g, adj, ax)
+    """A_hat of ``g``, formed once for every pass over it."""
+    return PreparedGraph(g, normalize_adjacency(g))
 
 
 def propagate(adj: sp.csr_matrix, m: np.ndarray) -> np.ndarray:

@@ -3,14 +3,19 @@ dynamics, and local weight updates.
 
 Each layer k >= 1 holds value nodes h^(k), a prediction mu^(k) computed from
 the layer below through the graph propagation operator, and an error
-eps^(k) = h^(k) - mu^(k). The scalar energy is half the squared error sum;
-inference moves unclamped value nodes down the energy gradient while weights
-are fixed, and weight updates descend the same energy with values fixed.
+eps^(k) = h^(k) - mu^(k). The first layer predicts A_hat (X W^(1)), the GCN
+forward pass's own pre-activation, so the inter_layer feedforward state has
+exactly zero error and no n x d aggregate A_hat X is formed; the layers
+above predict (A_hat relu(h^(k-1))) W^(k). The scalar energy is half the
+squared error sum; inference moves unclamped value nodes down the energy
+gradient while weights are fixed, and weight updates descend the same
+energy with values fixed.
 
 Two modes are supported. "inter_layer" predicts across consecutive layers
 only. "intra_layer" additionally gives the neighborhood-aggregation stage its
 own value nodes h_agg^(k), predicted by the aggregation of the layer below,
-extending the energy with the aggregation errors.
+extending the energy with the aggregation errors. There A_hat X is layer 1's
+aggregate by definition, n x d; ``train_pc`` forms it once per call.
 
 Inference is one step for both modes, ``inference_step``; the modes differ
 only in the moves it forms. The layer value nodes h^(k) move by
@@ -67,16 +72,18 @@ class PCConfig(TrainConfig):
 class PCState:
     """Value nodes, aggregates, predictions, and errors of a K-layer network.
 
-    h[0] is the clamped input; h[1..K] are free unless clamped. agg[k-1] is
-    the aggregate A_hat f(h^(k-1)) that layer k's prediction reads, with f
-    the identity at the input and ReLU above; agg[0] never changes. When
-    output_mask is set (training), those rows of h[K] are clamped to one-hot
-    targets and only they count in the output layer: eps[-1] is stored with
-    its unclamped rows zeroed, so every reader sees the errors of the energy.
+    h[0] is the clamped input X; h[1..K] are free unless clamped. agg[k-1]
+    is the aggregate A_hat relu(h^(k-1)) that layer k's prediction reads,
+    for k >= 2. agg[0] is A_hat X in intra_layer mode, where it predicts
+    h_agg[0], and never changes; in inter_layer mode layer 1 predicts
+    A_hat (X W^(1)) and agg[0] is None. When output_mask is set (training),
+    those rows of h[K] are clamped to one-hot targets and only they count in
+    the output layer: eps[-1] is stored with its unclamped rows zeroed, so
+    every reader sees the errors of the energy.
     """
 
     h: list[np.ndarray]                # layers 0..K
-    agg: list[np.ndarray]              # layers 1..K, shape (n, d_{k-1})
+    agg: list[np.ndarray | None]       # layers 1..K, shape (n, d_{k-1})
     mu: list[np.ndarray]               # layers 1..K
     eps: list[np.ndarray]              # layers 1..K
     mode: str = "inter_layer"
@@ -88,9 +95,12 @@ class PCState:
 
     @property
     def weight_inputs(self) -> list[np.ndarray]:
-        """What each layer's weight multiplies: the aggregates, or in
-        intra_layer mode the aggregated-state value nodes."""
-        return self.h_agg if self.mode == "intra_layer" else self.agg
+        """What each layer's weight multiplies: the input and the
+        aggregates, or in intra_layer mode the aggregated-state value
+        nodes."""
+        if self.mode == "intra_layer":
+            return self.h_agg
+        return [self.h[0], *self.agg[1:]]
 
 
 def _mask_output_eps(state: PCState) -> None:
@@ -102,35 +112,54 @@ def _mask_output_eps(state: PCState) -> None:
 def pc_predictions(adj: sp.csr_matrix, state: PCState,
                    params: ModelParams, keep_mu1: bool = False) -> None:
     """Recompute aggregates, predictions and errors in place from current
-    values. agg[0] is kept: h[0] is the clamped input and never moves.
-    ``keep_mu1`` keeps mu[0] as well, which is exact while W^(1) and what
-    it multiplies stay as they were: in inter_layer mode that is agg[0]."""
-    for k in range(1, params.num_layers + 1):
-        if k > 1:
-            state.agg[k - 1] = propagate(adj, relu(state.h[k - 1]))
+    values. agg[0] is kept: it reads only h[0], the clamped input."""
+    for k in range(2, params.num_layers + 1):
+        state.agg[k - 1] = propagate(adj, relu(state.h[k - 1]))
+    _predict(adj, state, params, keep_mu1)
+
+
+def _predict(adj: sp.csr_matrix, state: PCState, params: ModelParams,
+             keep_mu1: bool = False) -> None:
+    """Recompute predictions and errors in place from the current
+    aggregates, which is all a weight update changes. ``keep_mu1`` keeps
+    mu[0] as well, which is exact while W^(1) and what it multiplies stay
+    as they were: in inter_layer mode that is the input."""
+    inter = state.mode == "inter_layer"
+    for k, (x, w) in enumerate(zip(state.weight_inputs, params.weights),
+                               start=1):
         if k > 1 or not keep_mu1:
-            state.mu[k - 1] = (state.weight_inputs[k - 1]
-                               @ params.weights[k - 1])
+            mu = x @ w
+            # mu^(1) = A_hat (X W^(1)) in inter_layer mode
+            state.mu[k - 1] = propagate(adj, mu) if k == 1 and inter else mu
         state.eps[k - 1] = state.h[k] - state.mu[k - 1]
     state.eps_agg = [h - a for h, a in zip(state.h_agg, state.agg)]
     _mask_output_eps(state)
 
 
-def pc_init_feedforward(cache: ForwardCache,
-                        mode: str = "inter_layer") -> PCState:
-    """Fresh state with every value node set to its prediction (zero energy),
-    built from the GCN forward pass ``cache`` of the current weights.
+def pc_init_feedforward(cache: ForwardCache, params: ModelParams,
+                        mode: str = "inter_layer",
+                        ax: np.ndarray | None = None) -> PCState:
+    """Fresh state with every value node set to its prediction, built from
+    the GCN forward pass ``cache`` of ``params``.
 
     Only the value nodes are copies, h[1..K] and in intra_layer mode h_agg,
     since clamping writes into them; aggregates and predictions share the
-    cache's arrays, which the state only ever replaces.
+    cache's arrays, which the state only ever replaces. In inter_layer mode
+    every prediction is the cache's pre-activation, so the energy is exactly
+    zero. intra_layer mode needs ``ax``, A_hat X, at which h_agg[0] starts:
+    its mu^(1) = (A_hat X) W^(1) rounds apart from the cache's
+    A_hat (X W^(1)), which h[1] holds, so eps^(1) is of rounding size.
     """
     state = PCState(h=[cache.act[0], *(z.copy() for z in cache.pre)],
-                    agg=list(cache.agg), mu=list(cache.pre),
+                    agg=[ax, *cache.agg[1:]], mu=list(cache.pre),
                     eps=[np.zeros_like(z) for z in cache.pre], mode=mode)
     if mode == "intra_layer":
-        state.h_agg = [a.copy() for a in cache.agg]
-        state.eps_agg = [np.zeros_like(a) for a in cache.agg]
+        if ax is None:
+            raise ValueError("intra_layer mode needs A_hat X")
+        state.h_agg = [a.copy() for a in state.agg]
+        state.eps_agg = [np.zeros_like(a) for a in state.agg]
+        state.mu[0] = ax @ params.weights[0]
+        state.eps[0] = state.h[1] - state.mu[0]
     return state
 
 
@@ -193,7 +222,7 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
         # each trial replaces the list entries, so h0 and agg0 stay intact
         state.h[1:F + 1] = [x + rate * d for x, d in zip(h0, dh)]
         state.h_agg = [x + rate * d for x, d in zip(agg0, dagg)]
-        # mu^(1) = (A_hat X) W^(1) reads no free value in inter_layer mode
+        # mu^(1) = A_hat (X W^(1)) reads no free value in inter_layer mode
         pc_predictions(adj, state, params, keep_mu1=not intra)
         after = compute_energy(state)
         diverged = not (np.isfinite(after) and after <= 2.0 * before)
@@ -209,30 +238,41 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
     return state
 
 
-def pc_weight_gradients(state: PCState):
+def pc_weight_gradients(adj: sp.csr_matrix, state: PCState):
     """Energy gradients w.r.t. weights with values fixed (loss-style, so a
-    descent step on them reduces the energy)."""
-    return [-x.T @ e for x, e in zip(state.weight_inputs, state.eps)]
+    descent step on them reduces the energy). In inter_layer mode
+    mu^(1) = A_hat (X W^(1)) and A_hat is symmetric, so layer 1's gradient
+    is X^T (A_hat (-eps^(1)))."""
+    errors = [-e for e in state.eps]
+    if state.mode == "inter_layer":
+        errors[0] = propagate(adj, errors[0])
+    return [x.T @ e for x, e in zip(state.weight_inputs, errors)]
 
 
 def train_pc(prepared: PreparedGraph, config: PCConfig):
     """Predictive-coding training through ``bp.fit``.
 
     Each epoch: feedforward init, clamp targets, T inference steps, weight
-    update(s) through Adam. The epoch returns the settled training energy,
-    so selection breaks val-accuracy ties by lowest energy.
+    update(s) through Adam, each followed by the predictions of the new
+    weights (the values, and with them the aggregates, stay as they were).
+    The epoch returns the settled training energy, so selection breaks
+    val-accuracy ties by lowest energy. intra_layer mode forms A_hat X once,
+    for every epoch.
     """
+    ax = (propagate(prepared.adj, prepared.graph.features)
+          if config.mode == "intra_layer" else None)
+
     def epoch(adj, cache, params, opt, train_mask):
-        state = pc_init_feedforward(cache, config.mode)
+        state = pc_init_feedforward(cache, params, config.mode, ax)
         clamp_targets(state, prepared.graph.labels, train_mask)
         for _ in range(config.inference_steps):
             inference_step(adj, state, params, config.value_update_rate)
             if config.weight_update_timing == "every_step":
-                adam_step(params, pc_weight_gradients(state), opt)
-                pc_predictions(adj, state, params)
+                adam_step(params, pc_weight_gradients(adj, state), opt)
+                _predict(adj, state, params)
         if config.weight_update_timing == "end_of_T":
-            adam_step(params, pc_weight_gradients(state), opt)
-            pc_predictions(adj, state, params)
+            adam_step(params, pc_weight_gradients(adj, state), opt)
+            _predict(adj, state, params)
         return compute_energy(state)
 
     return fit(prepared, config, epoch)

@@ -8,7 +8,8 @@ from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
                         make_graph, prepare, propagate)
 from gpcn.nn import ModelParams, init_params, relu, relu_prime, softmax_rows
 from gpcn.bp import gcn_forward, predict
-from gpcn.pc import MAX_HALVINGS, compute_energy, pc_predictions
+from gpcn.pc import (MAX_HALVINGS, compute_energy, pc_init_feedforward,
+                     pc_predictions)
 from gpcn.attacks import loss_gradient_wrt_inputs, poison_edge_count
 from gpcn.calibration import classification_margins
 
@@ -144,11 +145,8 @@ def csr_equal(a, b) -> bool:
 
 
 def prepared_equal(a, b) -> bool:
-    """Same graph, and A_hat and A_hat X bit for bit."""
-    return (graphs_equal(a.graph, b.graph)
-            and csr_equal(a.adj, b.adj)
-            and a.ax.shape == b.ax.shape
-            and np.array_equal(a.ax.view(np.int64), b.ax.view(np.int64)))
+    """Same graph, and A_hat bit for bit."""
+    return graphs_equal(a.graph, b.graph) and csr_equal(a.adj, b.adj)
 
 
 def dense_adjacency(adj) -> np.ndarray:
@@ -184,16 +182,40 @@ def margin_shift_export(before, after, condition: dict) -> list[dict]:
 
 def reference_gcn_backward(adj, cache, grad_logits, params):
     """Reverse pass that forms every aggregate again from the activations;
-    the exact oracle for ``gcn_backward``, which reads the forward cache."""
+    the exact oracle for ``gcn_backward``, which reads the forward cache.
+    The first layer is A_hat (X W^(1)), so its gradient is X^T (A_hat g)."""
     K = params.num_layers
     grads = [None] * K
     g = grad_logits
-    for k in range(K, 0, -1):
+    for k in range(K, 1, -1):
         grads[k - 1] = propagate(adj, cache.act[k - 1]).T @ g
+        g = propagate(adj, g @ params.weights[k - 1].T)
+        g = g * relu_prime(cache.pre[k - 2])
+    grads[0] = cache.act[0].T @ propagate(adj, g)
+    return grads
+
+
+def reference_aggregate_first(prepared, params, grad_of_logits):
+    """Logits and weight gradients with every layer formed as
+    (A_hat H) W, the first as (A_hat X) W^(1); the oracle, up to rounding,
+    for ``gcn_forward`` and ``gcn_backward``, which form the first layer as
+    A_hat (X W^(1)). ``grad_of_logits`` maps the logits to the loss
+    gradient that the reverse pass starts from."""
+    adj, h = prepared.adj, prepared.graph.features
+    K = params.num_layers
+    aggs, pres = [], []
+    for k, w in enumerate(params.weights, start=1):
+        aggs.append(propagate(adj, h))
+        pres.append(aggs[-1] @ w)
+        h = pres[-1] if k == K else relu(pres[-1])
+    g = grad_of_logits(h)
+    grads = [None] * K
+    for k in range(K, 0, -1):
+        grads[k - 1] = aggs[k - 1].T @ g
         if k > 1:
             g = propagate(adj, g @ params.weights[k - 1].T)
-            g = g * relu_prime(cache.pre[k - 2])
-    return grads
+            g = g * relu_prime(pres[k - 2])
+    return h, grads
 
 
 def _reference_layer_input(h, k):
@@ -204,17 +226,34 @@ def _reference_layer_input(h, k):
 def reference_pc_predictions(adj, params, h, h_agg, mode):
     """Predictions that recompute every aggregate, the first layer's
     included, with one branch per mode and unmasked output errors; the exact
-    oracle for ``pc_predictions``. Returns (agg, mu, eps, eps_agg)."""
+    oracle for ``pc_predictions``. In inter_layer mode the first layer
+    predicts A_hat (X W^(1)) and has no aggregate (None). Returns
+    (agg, mu, eps, eps_agg)."""
     agg, mu, eps, eps_agg = [], [], [], []
     for k in range(1, params.num_layers + 1):
-        agg.append(propagate(adj, _reference_layer_input(h, k)))
-        if mode == "intra_layer":
-            eps_agg.append(h_agg[k - 1] - agg[k - 1])
-            mu.append(h_agg[k - 1] @ params.weights[k - 1])
+        w = params.weights[k - 1]
+        if mode == "inter_layer" and k == 1:
+            agg.append(None)
+            mu.append(propagate(adj, h[0] @ w))
         else:
-            mu.append(agg[k - 1] @ params.weights[k - 1])
+            agg.append(propagate(adj, _reference_layer_input(h, k)))
+            if mode == "intra_layer":
+                eps_agg.append(h_agg[k - 1] - agg[k - 1])
+                mu.append(h_agg[k - 1] @ w)
+            else:
+                mu.append(agg[k - 1] @ w)
         eps.append(h[k] - mu[k - 1])
     return agg, mu, eps, eps_agg
+
+
+def feedforward_state(prepared, params, mode="inter_layer"):
+    """``pc_init_feedforward`` of ``prepared``'s forward pass under
+    ``params``, given A_hat X in intra_layer mode, as ``train_pc`` gives
+    it."""
+    ax = (propagate(prepared.adj, prepared.graph.features)
+          if mode == "intra_layer" else None)
+    return pc_init_feedforward(gcn_forward(prepared, params), params, mode,
+                               ax)
 
 
 def reference_effective_eps(eps, output_mask, k):
@@ -240,15 +279,19 @@ def reference_energy(eps, eps_agg, output_mask):
 
 
 def reference_pc_weight_gradients(adj, params, h, h_agg, mode, output_mask):
-    """Weight gradients that form the inter-layer aggregate again."""
+    """Weight gradients that form the inter-layer aggregate again; in
+    inter_layer mode the first layer's is -X^T (A_hat eps^(1))."""
     _, _, eps, _ = reference_pc_predictions(adj, params, h, h_agg, mode)
     grads = []
     for k in range(1, params.num_layers + 1):
+        e = reference_effective_eps(eps, output_mask, k)
         if mode == "intra_layer":
-            pre = h_agg[k - 1]
+            grads.append(-h_agg[k - 1].T @ e)
+        elif k == 1:
+            grads.append(-(h[0].T @ propagate(adj, e)))
         else:
             pre = propagate(adj, _reference_layer_input(h, k))
-        grads.append(-pre.T @ reference_effective_eps(eps, output_mask, k))
+            grads.append(-pre.T @ e)
     return grads
 
 
@@ -474,8 +517,8 @@ def local_gradients(params, graph, target_node):
 
 def reference_prefix_graph(graph, edits, q):
     """The prepared graph of the first q edits, rebuilt from scratch by the
-    set-based edit oracle with a fresh A_hat and A_hat X; the oracle for
-    the graphs of ``fga_attack``'s steps."""
+    set-based edit oracle with a fresh A_hat; the oracle for the graphs of
+    ``fga_attack``'s steps."""
     return prepare(reference_apply_edits(graph, edits[:q]))
 
 

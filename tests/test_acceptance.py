@@ -76,7 +76,7 @@ def test_criterion_1_gradient_correctness():
 
         # weight gradients of the energy, values held fixed
         adj2, state2, params2 = clamped_random_state(1000 + i, mode=mode, n=n)
-        grads = pc_weight_gradients(state2)
+        grads = pc_weight_gradients(adj2, state2)
         for k in range(params2.num_layers):
             def energy_of(w, k=k):
                 trial = params2.copy()
@@ -353,10 +353,9 @@ def test_criterion_9_structural_invariants():
     out = gcn_forward(prepare(g), params).logits
     out_p = gcn_forward(prepare(gp), params).logits
     checks.append(np.allclose(out_p[perm], out, rtol=0, atol=1e-12))
-    pc = pc_init_feedforward(
-        gcn_forward(prepare(g), params)).h[-1]
-    pc_p = pc_init_feedforward(
-        gcn_forward(prepare(gp), params)).h[-1]
+    pc = pc_init_feedforward(gcn_forward(prepare(g), params), params).h[-1]
+    pc_p = pc_init_feedforward(gcn_forward(prepare(gp), params),
+                               params).h[-1]
     checks.append(np.allclose(pc_p[perm], pc, rtol=0, atol=1e-12))
 
     # margin sign characterizes correctness

@@ -63,10 +63,8 @@ def attack(params, g, victim, spec):
 
 
 def assert_restored(prepared, before):
-    """``prepared`` holds the bits of its deep copy ``before``, and its
-    A_hat X is read-only again."""
+    """``prepared`` holds the bits of its deep copy ``before``."""
     assert prepared_equal(prepared, before)
-    assert not prepared.ax.flags.writeable
 
 
 def assert_valid_graph(g: Graph):
@@ -416,7 +414,8 @@ class TestAttackWalk:
     """The logits of ``fga_attack``'s steps, and the budgets
     ``evaluate_attack`` reads from them, against every prefix rebuilt from
     scratch by the oracle in conftest; and the prepared graph the walk
-    patches in place, which must come back bit for bit."""
+    starts from, which every victim shares and which must come back bit
+    for bit."""
 
     @settings(deadline=None, max_examples=60)
     @given(instance=instances, kind=st.sampled_from(TARGETED_KINDS),
@@ -468,9 +467,9 @@ class TestAttackWalk:
         assert_restored(prepared, before)
 
     def test_walk_copies_no_aggregate(self):
-        # The walk's own arrays are O(n * hidden + |E|), about 2.3 MB here,
-        # whatever the feature count; one copy of the 8 MB A_hat X per step
-        # would take twice the bound.
+        # The walk's own arrays are O(n * hidden + |E|), whatever the
+        # feature count; one n x d array, such as A_hat X, would take twice
+        # the bound.
         g = generate_synthetic(SyntheticSpec(
             num_blocks=2, nodes_per_block=1000, intra_block_edge_prob=0.005,
             inter_block_edge_prob=0.0005, feature_dim=512,
@@ -486,7 +485,7 @@ class TestAttackWalk:
         finally:
             tracemalloc.stop()
         assert len(steps) == 3
-        assert peak < 0.5 * prepared.ax.nbytes
+        assert peak < 0.5 * g.features.nbytes
 
     # Every node of the 8-node instance is a victim at budgets 1..4. In the
     # indirect case victim 0 is isolated, so it has no influencer and the

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpcn.graph import make_graph, prepare
+import gpcn.pc
+from gpcn.graph import make_graph, prepare, propagate
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
 from gpcn.bp import accuracy, gcn_forward, predict
 from gpcn.pc import (MAX_HALVINGS, PCConfig, PCState, clamp_targets,
                      compute_energy, inference_step, pc_init_feedforward,
                      pc_predictions, pc_weight_gradients, train_pc)
 
-from conftest import (random_graph, reference_effective_eps,
+from conftest import (feedforward_state, random_graph,
+                      reference_effective_eps,
                       reference_energy, reference_inference_step,
                       reference_pc_predictions,
                       reference_pc_weight_gradients, relative_error)
@@ -28,7 +30,7 @@ def one_node_chain(target=2.0):
     params = ModelParams([np.array([[1.0]]), np.array([[1.0]])])
     prepared = prepare(g)
     adj = prepared.adj
-    state = pc_init_feedforward(gcn_forward(prepared, params))
+    state = feedforward_state(prepared, params)
     state.h[-1][0, 0] = target
     state.output_mask = np.array([True])
     pc_predictions(adj, state, params)
@@ -49,7 +51,7 @@ def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
         params.weights[-1] = 20.0 * params.weights[-1]
     prepared = prepare(g)
     adj = prepared.adj
-    state = pc_init_feedforward(gcn_forward(prepared, params), mode)
+    state = feedforward_state(prepared, params, mode)
     if clamped:
         clamp_targets(state, g.labels, g.mask("train"))
     if scatter:
@@ -126,8 +128,7 @@ class TestPredictionsAndInit:
     def test_feedforward_state_has_zero_errors_and_energy(self, rng):
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
-        state = pc_init_feedforward(
-            gcn_forward(prepare(g), params))
+        state = feedforward_state(prepare(g), params)
         for eps in state.eps:
             assert np.array_equal(eps, np.zeros_like(eps))
         assert compute_energy(state) == 0.0
@@ -144,8 +145,7 @@ class TestPredictionsAndInit:
         params = init_params([3, 5, 2], rng)
         prepared = prepare(g)
         adj = prepared.adj
-        state = pc_init_feedforward(gcn_forward(prepared, params),
-                                    mode)
+        state = feedforward_state(prepared, params, mode)
         logits = gcn_forward(prepared, params).logits
         assert np.array_equal(state.h[-1], logits)
 
@@ -155,8 +155,9 @@ class TestPredictionsAndInit:
         prepared = prepare(g)
         adj = prepared.adj
         cache = gcn_forward(prepared, params)
-        inter = pc_init_feedforward(cache, "inter_layer")
-        intra = pc_init_feedforward(cache, "intra_layer")
+        inter = pc_init_feedforward(cache, params, "inter_layer")
+        intra = pc_init_feedforward(cache, params, "intra_layer",
+                                    propagate(adj, g.features))
         for a, b in zip(inter.mu, intra.mu):
             assert np.allclose(a, b, atol=1e-15)
         for eps in intra.eps_agg:
@@ -169,7 +170,7 @@ class TestClampAndEnergy:
         params = init_params([3, 4, 3], rng)
         prepared = prepare(g)
         adj = prepared.adj
-        state = pc_init_feedforward(gcn_forward(prepared, params))
+        state = feedforward_state(prepared, params)
         mu_before = state.mu[-1].copy()
         clamp_targets(state, g.labels, g.mask("train"))
         row = np.flatnonzero(g.mask("train"))[0]
@@ -183,7 +184,7 @@ class TestClampAndEnergy:
         params = init_params([3, 4, 3], rng)
         prepared = prepare(g)
         adj = prepared.adj
-        state = pc_init_feedforward(gcn_forward(prepared, params))
+        state = feedforward_state(prepared, params)
         clamp_targets(state, g.labels, g.mask("train"))
         base = compute_energy(state)
         free = ~state.output_mask
@@ -199,8 +200,7 @@ class TestClampAndEnergy:
     def test_single_layer_example(self):
         g = make_graph(1, [[0.0, 0.0]], [0], ["none"], [], num_classes=1)
         params = ModelParams([np.zeros((2, 2))])
-        state = pc_init_feedforward(
-            gcn_forward(prepare(g), params))
+        state = feedforward_state(prepare(g), params)
         state.eps[0] = np.array([[1.0, -1.0]])
         assert compute_energy(state) == 1.0
 
@@ -211,7 +211,7 @@ class TestInferenceStep:
         params = init_params([3, 4, 2], rng)
         prepared = prepare(g)
         adj = prepared.adj
-        state = pc_init_feedforward(gcn_forward(prepared, params))
+        state = feedforward_state(prepared, params)
         before = [h.copy() for h in state.h]
         inference_step(adj, state, params, 0.1)
         for a, b in zip(before, state.h):
@@ -383,13 +383,13 @@ class TestWeightGradients:
         params = init_params([3, 4, 2], rng)
         prepared = prepare(g)
         adj = prepared.adj
-        state = pc_init_feedforward(gcn_forward(prepared, params))
-        for gr in pc_weight_gradients(state):
+        state = feedforward_state(prepared, params)
+        for gr in pc_weight_gradients(adj, state):
             assert np.array_equal(gr, np.zeros_like(gr))
 
     def test_one_node_chain_output_gradient(self):
         adj, state, params = one_node_chain()
-        grads = pc_weight_gradients(state)
+        grads = pc_weight_gradients(adj, state)
         # -f(h1) * eps2 with h1 = 1 and eps2 = 1
         assert grads[1][0, 0] == -1.0
 
@@ -398,7 +398,7 @@ class TestWeightGradients:
            mode=st.sampled_from(["inter_layer", "intra_layer"]))
     def test_matches_finite_differences(self, seed, mode):
         adj, state, params = clamped_random_state(seed, mode=mode)
-        grads = pc_weight_gradients(state)
+        grads = pc_weight_gradients(adj, state)
         step = 1e-5
         for k in range(params.num_layers):
             fd = np.zeros_like(params.weights[k])
@@ -446,19 +446,23 @@ class TestCachedStateMatchesReference:
         prepared = prepare(g)
         adj = prepared.adj
         opt = AdamState.for_params(params, 0.01)
+        # train_pc's A_hat X, formed once for every epoch
+        ax = propagate(adj, g.features) if mode == "intra_layer" else None
 
         def update():
-            grads = pc_weight_gradients(state)
+            grads = pc_weight_gradients(adj, state)
             expected = reference_pc_weight_gradients(
                 adj, params, state.h, state.h_agg, mode, state.output_mask)
             assert all(np.array_equal(a, b) for a, b in zip(grads, expected))
             adam_step(params, grads, opt)
-            pc_predictions(adj, state, params)
+            # as train_pc does: the values, and so the aggregates, are
+            # those of the last inference trial
+            gpcn.pc._predict(adj, state, params)
             assert_matches_reference(adj, state, params)
 
         for _ in range(3):
             cache = gcn_forward(prepared, params)
-            state = pc_init_feedforward(cache, mode)
+            state = pc_init_feedforward(cache, params, mode, ax)
             assert_matches_reference(adj, state, params)
             clamp_targets(state, g.labels, g.mask("train"))
             assert_matches_reference(adj, state, params)
