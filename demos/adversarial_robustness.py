@@ -11,11 +11,10 @@ model holds up at least as well as the backprop baseline here.
 
 import numpy as np
 
-from gpcn.graph import SyntheticSpec, generate_synthetic, prepare
+from gpcn.graph import SyntheticSpec, generate_synthetic
 from gpcn.bp import TrainConfig, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
-from gpcn.harness import Trainer
 
 SPEC = SyntheticSpec(num_blocks=2, nodes_per_block=75,
                      intra_block_edge_prob=0.12, inter_block_edge_prob=0.02,
@@ -24,38 +23,41 @@ SPEC = SyntheticSpec(num_blocks=2, nodes_per_block=75,
 EPOCHS = 150
 
 
-def sweep(make_trainer, prepared, kind, mode, budgets, seeds=range(3)):
+def sweep(learner, graph, kind, mode, budgets, seeds=range(3)):
     per_seed = []
     for seed in seeds:
-        trainer = make_trainer(seed)
-        params = trainer.train(prepared)
-        victims = select_victims(prepared.graph, predict(prepared, params),
+        train_fn, config = learner(seed)
+
+        def train(g):
+            return train_fn(g, config)[0]
+
+        params = train(graph)
+        victims = select_victims(graph, predict(graph, params),
                                  "random_1000", seed)
         spec = AttackSpec(kind=kind, mode=mode, seed=seed)
-        report = evaluate_attack(trainer, prepared, params, victims, spec,
-                                 budgets)
+        report = evaluate_attack(train, graph, params, victims, spec, budgets)
         per_seed.append([report.accuracy[q] for q in budgets])
     return np.mean(per_seed, axis=0)
 
 
 def main():
-    prepared = prepare(generate_synthetic(SPEC, seed=42))
-    trainers = {
-        "gcn": lambda s: Trainer(train_bp, TrainConfig(epochs=EPOCHS, seed=s)),
-        "gpcn": lambda s: Trainer(train_pc, PCConfig(epochs=EPOCHS, seed=s)),
+    graph = generate_synthetic(SPEC, seed=42)
+    learners = {
+        "gcn": lambda s: (train_bp, TrainConfig(epochs=EPOCHS, seed=s)),
+        "gpcn": lambda s: (train_pc, PCConfig(epochs=EPOCHS, seed=s)),
     }
 
     rates = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     print("random global poisoning (fraction of edges rewired):")
-    for name, make in trainers.items():
-        accs = sweep(make, prepared, "random_global", "poisoning", rates)
+    for name, learner in learners.items():
+        accs = sweep(learner, graph, "random_global", "poisoning", rates)
         curve = "  ".join(f"{r:.0%}:{a:.3f}" for r, a in zip(rates, accs))
         print(f"  {name}: {curve}")
 
     budgets = [1, 2, 3, 4, 5]
     print("\nfast gradient attack, evasion (per-victim edge budget):")
-    for name, make in trainers.items():
-        accs = sweep(make, prepared, "fga_structure", "evasion", budgets)
+    for name, learner in learners.items():
+        accs = sweep(learner, graph, "fga_structure", "evasion", budgets)
         curve = "  ".join(f"{b}:{a:.3f}" for b, a in zip(budgets, accs))
         print(f"  {name}: {curve}")
 

@@ -11,7 +11,7 @@ reliability table below shows where the gap lives.
 
 import numpy as np
 
-from gpcn.graph import SyntheticSpec, generate_synthetic, prepare
+from gpcn.graph import SyntheticSpec, generate_synthetic
 from gpcn.bp import TrainConfig, train_bp, predict
 from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import expected_calibration_error
@@ -34,15 +34,14 @@ def reliability_table(report):
 
 def main():
     graph = generate_synthetic(SPEC, seed=42)
-    prepared = prepare(graph)
     mask = graph.mask("test")
 
     for name, trainer, config in [
         ("gcn", train_bp, TrainConfig(epochs=300, weight_lr=0.001, seed=0)),
         ("gpcn", train_pc, PCConfig(epochs=300, weight_lr=0.001, seed=0)),
     ]:
-        params, _ = trainer(prepared, config)
-        probs = predict(prepared, params)
+        params, _ = trainer(graph, config)
+        probs = predict(graph, params)
         report = expected_calibration_error(probs, graph.labels, mask)
         print(f"{name}: ece={report.ece:.4f}  mce={report.mce:.4f}")
         print(reliability_table(report))

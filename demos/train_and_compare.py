@@ -11,7 +11,7 @@ is a drop-in replacement, not a different classifier.
 
 import numpy as np
 
-from gpcn.graph import SyntheticSpec, generate_synthetic, prepare
+from gpcn.graph import SyntheticSpec, generate_synthetic
 from gpcn.bp import TrainConfig, train_bp
 from gpcn.pc import PCConfig, train_pc
 
@@ -23,15 +23,14 @@ SPEC = SyntheticSpec(num_blocks=2, nodes_per_block=50,
 
 def main():
     graph = generate_synthetic(SPEC, seed=42)
-    prepared = prepare(graph)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges, "
           f"{graph.num_classes} classes")
 
     gcn_acc, gpcn_acc = [], []
     for seed in range(5):
-        _, hist = train_bp(prepared, TrainConfig(epochs=300, seed=seed))
+        _, hist = train_bp(graph, TrainConfig(epochs=300, seed=seed))
         gcn_acc.append(hist.test_acc[hist.selected_epoch])
-        _, hist = train_pc(prepared, PCConfig(epochs=300, seed=seed))
+        _, hist = train_pc(graph, PCConfig(epochs=300, seed=seed))
         gpcn_acc.append(hist.test_acc[hist.selected_epoch])
         print(f"seed {seed}: gcn {gcn_acc[-1]:.4f}  gpcn {gpcn_acc[-1]:.4f}")
 

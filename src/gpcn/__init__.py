@@ -4,14 +4,12 @@ coding, plus calibration and adversarial-robustness evaluation tooling."""
 from gpcn.graph import (
     EdgeEdit,
     Graph,
-    PreparedGraph,
     SyntheticSpec,
     apply_edits,
     generate_synthetic,
     largest_connected_component,
     load_dataset,
     normalize_adjacency,
-    prepare,
     propagate,
     save_dataset,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "ModelParams",
     "PCConfig",
     "PCState",
-    "PreparedGraph",
     "RobustnessReport",
     "SyntheticSpec",
     "TrainConfig",
@@ -63,7 +60,6 @@ __all__ = [
     "load_dataset",
     "normalize_adjacency",
     "predict",
-    "prepare",
     "propagate",
     "random_global_poison",
     "save_dataset",

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from gpcn.graph import (EdgeEdit, Graph, PreparedGraph, _row_positions,
-                        prepare, propagate)
+from gpcn.graph import (EdgeEdit, Graph, _row_positions, apply_edits,
+                        propagate)
 from gpcn.nn import ModelParams, relu_prime, softmax_rows
 from gpcn.bp import ForwardCache, gcn_forward, predict
 from gpcn.calibration import classification_margins
@@ -177,11 +177,11 @@ def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
     return replace(graph, edges=np.stack([keys // n, keys % n], axis=1))
 
 
-def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
+def loss_gradient_wrt_inputs(params: ModelParams, graph: Graph,
                              cache: ForwardCache, target_node: int):
     """Gradient of the target node's cross-entropy w.r.t. the adjacency, on
     the rows the gradient can touch, with normalization coefficients frozen
-    at the current degrees. ``cache`` is the forward pass of ``prepared``.
+    at the current degrees. ``cache`` is the forward pass of ``graph``.
 
     Returns ``(rows, grad, signal)``. ``rows`` is the sorted set of nodes
     whose backprop signal is nonzero at some layer, the victim's (K-1)-hop
@@ -191,7 +191,7 @@ def loss_gradient_wrt_inputs(params: ModelParams, prepared: PreparedGraph,
     first layer's pre-activation Z^(1), so the feature gradient is
     A_hat (signal W^(1)T).
     """
-    graph, adj = prepared.graph, prepared.adj
+    adj = graph.adj
     probs = softmax_rows(cache.logits[target_node:target_node + 1])
     g = np.zeros_like(cache.logits)
     g[target_node] = probs[0]
@@ -261,14 +261,13 @@ def _best_toggle(adj: sp.csr_matrix, rows: np.ndarray, grad: np.ndarray,
     return float(best), EdgeEdit(kind, int(lo[j]), int(hi[j]))
 
 
-def _best_edit(params: ModelParams, prepared: PreparedGraph,
-               cache: ForwardCache, victim: int,
-               spec: AttackSpec) -> EdgeEdit | None:
+def _best_edit(params: ModelParams, graph: Graph, cache: ForwardCache,
+               victim: int, spec: AttackSpec) -> EdgeEdit | None:
     """The legal edge toggle or feature flip of ``spec.kind`` with the
-    largest loss-increasing score on ``prepared``, whose forward pass is
+    largest loss-increasing score on ``graph``, whose forward pass is
     ``cache``; None when no legal move increases the victim's loss."""
-    adj = prepared.adj
-    rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
+    adj = graph.adj
+    rows, grad, signal = loss_gradient_wrt_inputs(params, graph, cache,
                                                   victim)
     if rows.size == 0:
         return None         # zero gradient: no move increases the loss
@@ -290,7 +289,7 @@ def _best_edit(params: ModelParams, prepared: PreparedGraph,
         if score > best_score:
             best_score, best_edit = score, edit
     if spec.kind in _FEATURE_KINDS:
-        x = prepared.graph.features
+        x = graph.features
         grad_x = propagate(adj, signal @ params.weights[0].T)
         fsc = grad_x * (1.0 - 2.0 * x)
         node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
@@ -299,63 +298,62 @@ def _best_edit(params: ModelParams, prepared: PreparedGraph,
     return best_edit
 
 
-def fga_attack(params: ModelParams, prepared: PreparedGraph, victim: int,
+def fga_attack(params: ModelParams, graph: Graph, victim: int,
                spec: AttackSpec, cache: ForwardCache) -> list[AttackStep]:
     """Greedy gradient attack: per iteration, recompute gradients and apply
     the legal edge toggle / feature flip with the largest loss-increasing
     score. Indirect attacks only touch edges that avoid the victim and have
     an endpoint among the top-gradient influencer neighbors. ``cache`` is
-    the forward pass of ``prepared`` under ``params``. Returns one
+    the forward pass of ``graph`` under ``params``. Returns one
     ``AttackStep`` per applied edit, at most ``spec.budget``: each edit is
     applied as soon as it is picked, and the next iteration starts from its
-    step, on a graph of its own; ``prepared`` is left as it was."""
+    step, on a graph of its own with its own A_hat; ``graph`` is left as it
+    was."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     if spec.kind not in _STRUCTURE_KINDS + _FEATURE_KINDS:
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
-    if spec.kind in _FEATURE_KINDS and not np.isin(prepared.graph.features,
+    if spec.kind in _FEATURE_KINDS and not np.isin(graph.features,
                                                    (0.0, 1.0)).all():
         raise ValueError("feature attacks require binary features")
 
     steps: list[AttackStep] = []
     for _ in range(spec.budget):
-        edit = _best_edit(params, prepared, cache, victim, spec)
+        edit = _best_edit(params, graph, cache, victim, spec)
         if edit is None:
             break
-        prepared = prepared.with_edits([edit])
+        graph = apply_edits(graph, [edit])
         # an edge toggle leaves X, and with it X W^(1), as it was
         xw = cache.xw if edit.kind != "feature_flip" else None
-        cache = gcn_forward(prepared, params, xw)
+        cache = gcn_forward(graph, params, xw)
         steps.append(AttackStep(edit, cache.logits))
     return steps
 
 
-def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
+def evaluate_attack(train, graph: Graph, params: ModelParams,
                     victims: np.ndarray, spec: AttackSpec,
                     budgets) -> RobustnessReport:
     """Run the evasion or poisoning protocol over a budget sweep.
 
-    ``params`` are the weights ``trainer`` trained on the clean graph of
-    ``prepared``. ``trainer`` must expose train(prepared) -> params;
-    evasion predicts with ``params`` on the perturbed graphs, and poisoning
-    retrains from scratch on each of them. A budget that leaves the clean
-    graph reads the clean prediction under ``params``, and budgets that
-    read the same step of a walk share its prediction: poisoning trains
-    once per rate that adds edges, or per walk step that a budget reads.
+    ``params`` are the weights ``train``, a function from a Graph to its
+    trained ModelParams, gave on the clean ``graph``. Evasion predicts with
+    ``params`` on the perturbed graphs, and poisoning calls ``train`` on
+    each of them. A budget that leaves the clean graph reads the clean
+    prediction under ``params``, and budgets that read the same step of a
+    walk share its prediction: poisoning trains once per rate that adds
+    edges, or per walk step that a budget reads.
 
     A targeted attack walks each victim once, to the largest budget, from
     the clean forward pass, and budget q reads step q, or the last step, or
     the clean graph, if the attack stopped earlier: evasion the step's
-    logits, poisoning a retrain on ``prepared.with_edits`` of the first q
-    edits.
+    logits, poisoning a retrain on ``apply_edits`` of the first q edits.
     """
     budgets = list(budgets)
     if not budgets:
         raise ValueError("budget sweep is empty")
-    graph = prepared.graph
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims] = True
-    clean = gcn_forward(prepared, params)
+    clean = gcn_forward(graph, params)
     clean_probs = softmax_rows(clean.logits)
     margins_before = classification_margins(clean_probs, graph.labels, vmask)
     poisoning = spec.mode == "poisoning"
@@ -366,9 +364,8 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
             # a rate that adds no edge leaves the clean graph
             probs = clean_probs
             if poison_edge_count(graph, rate):
-                perturbed = prepare(random_global_poison(graph, rate,
-                                                         spec.seed))
-                rate_params = trainer.train(perturbed) if poisoning else params
+                perturbed = random_global_poison(graph, rate, spec.seed)
+                rate_params = train(perturbed) if poisoning else params
                 probs = predict(perturbed, rate_params)
             margins_after[rate] = classification_margins(probs, graph.labels,
                                                          vmask)
@@ -378,7 +375,7 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
         # its forward pass
         walk_spec = replace(spec, budget=max(budgets))
         for victim in victims.tolist():
-            steps = fga_attack(params, prepared, victim, walk_spec, clean)
+            steps = fga_attack(params, graph, victim, walk_spec, clean)
             one = np.zeros(graph.num_nodes, dtype=bool)
             one[victim] = True
             margin_at: dict = {}           # walk index -> victim's margin
@@ -386,9 +383,9 @@ def evaluate_attack(trainer, prepared: PreparedGraph, params: ModelParams,
                 i = min(q, len(steps))
                 if i not in margin_at:
                     if poisoning and i:
-                        perturbed = prepared.with_edits(
-                            [s.edit for s in steps[:i]])
-                        probs = predict(perturbed, trainer.train(perturbed))
+                        perturbed = apply_edits(
+                            graph, [s.edit for s in steps[:i]])
+                        probs = predict(perturbed, train(perturbed))
                     else:
                         probs = (softmax_rows(steps[i - 1].logits) if i
                                  else clean_probs)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from gpcn.graph import PreparedGraph, propagate
+from gpcn.graph import Graph, propagate
 from gpcn.nn import (AdamState, ModelParams, adam_step, cross_entropy_masked,
                      init_params, relu, relu_prime, softmax_rows)
 
@@ -59,21 +59,21 @@ class TrainHistory:
     selected_epoch: int = 0
 
 
-def gcn_forward(prepared: PreparedGraph, params: ModelParams,
+def gcn_forward(graph: Graph, params: ModelParams,
                 xw: np.ndarray | None = None) -> ForwardCache:
     """Hidden layers ReLU(A_hat H W); output layer linear (logits). The
     first layer propagates X W^(1): ``xw`` if the caller holds it, as the
     attack walk does across edge edits, else formed here."""
-    x = prepared.graph.features
+    x = graph.features
     if xw is None:
         xw = x @ params.weights[0]
     agg, pre, act = [None], [], [x]
     K = params.num_layers
     for k, w in enumerate(params.weights, start=1):
         if k == 1:
-            z = propagate(prepared.adj, xw)
+            z = propagate(graph.adj, xw)
         else:
-            agg.append(propagate(prepared.adj, h))
+            agg.append(propagate(graph.adj, h))
             z = agg[-1] @ w
         pre.append(z)
         h = z if k == K else relu(z)
@@ -107,11 +107,10 @@ def accuracy(probs_or_logits, labels, mask) -> float:
     return float(np.mean(pred == labels[sel]))
 
 
-def fit(prepared: PreparedGraph, config: TrainConfig, epoch):
-    """Full-batch training loop shared by both backends, on the graph of
-    ``prepared``.
+def fit(graph: Graph, config: TrainConfig, epoch):
+    """Full-batch training loop shared by both backends, on ``graph``.
 
-    ``epoch(adj, cache, params, opt, train_mask)`` updates ``params`` in
+    ``epoch(cache, params, opt, train_mask)`` updates ``params`` in
     place through the Adam state ``opt`` and returns the settled energy
     (predictive coding) or None (backprop). ``cache``, read-only, is the GCN
     forward pass of the current weights: the previous epoch's eval pass,
@@ -119,7 +118,6 @@ def fit(prepared: PreparedGraph, config: TrainConfig, epoch):
     Returns the snapshot with the best val accuracy, ties broken by lowest
     energy, then earliest epoch, together with the epoch history.
     """
-    graph = prepared.graph
     train_mask = graph.mask("train")
     val_mask = graph.mask("val")
     if not train_mask.any() or not val_mask.any():
@@ -134,15 +132,15 @@ def fit(prepared: PreparedGraph, config: TrainConfig, epoch):
     history = TrainHistory()
     best_key = None
     best_params = None
-    cache = gcn_forward(prepared, params)
+    cache = gcn_forward(graph, params)
     for i in range(config.epochs):
-        energy = epoch(prepared.adj, cache, params, opt, train_mask)
+        energy = epoch(cache, params, opt, train_mask)
         if energy is not None:
             if not np.isfinite(energy):
                 raise FloatingPointError(f"non-finite energy at epoch {i}")
             history.energy.append(energy)
 
-        cache = gcn_forward(prepared, params)
+        cache = gcn_forward(graph, params)
         logits = cache.logits
         history.train_acc.append(accuracy(logits, graph.labels, train_mask))
         val = accuracy(logits, graph.labels, val_mask)
@@ -156,21 +154,21 @@ def fit(prepared: PreparedGraph, config: TrainConfig, epoch):
     return best_params, history
 
 
-def train_bp(prepared: PreparedGraph, config: TrainConfig):
+def train_bp(graph: Graph, config: TrainConfig):
     """Backprop training through ``fit``: one cross-entropy gradient step
     per epoch, so selection is best val accuracy, then earliest epoch."""
 
-    def epoch(adj, cache, params, opt, train_mask):
-        loss, grad = cross_entropy_masked(cache.logits,
-                                          prepared.graph.labels, train_mask)
+    def epoch(cache, params, opt, train_mask):
+        loss, grad = cross_entropy_masked(cache.logits, graph.labels,
+                                          train_mask)
         if not np.isfinite(loss):
             # one Adam step per epoch, so opt.t counts the epochs done
             raise FloatingPointError(f"non-finite loss at epoch {opt.t}")
-        adam_step(params, gcn_backward(adj, cache, grad, params), opt)
+        adam_step(params, gcn_backward(graph.adj, cache, grad, params), opt)
 
-    return fit(prepared, config, epoch)
+    return fit(graph, config, epoch)
 
 
-def predict(prepared: PreparedGraph, params: ModelParams) -> np.ndarray:
+def predict(graph: Graph, params: ModelParams) -> np.ndarray:
     """Class probabilities: softmax of the forward-pass logits."""
-    return softmax_rows(gcn_forward(prepared, params).logits)
+    return softmax_rows(gcn_forward(graph, params).logits)

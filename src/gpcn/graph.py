@@ -11,10 +11,12 @@ an approximation of the D (A + I) D product: the product forms each entry
 as (inv[r] * 1.0) * inv[c], which is the same float, and each degree as a
 sum of ones, which is the same integer.
 
-``prepare`` forms the one graph constant every forward pass reads, A_hat,
-once per graph. The first GCN layer is A_hat (X W^(1)), so no n x d
-aggregate A_hat X is formed: an edge edit leaves X W^(1) as it was, and
-the graph it makes costs its edges and its A_hat, O(n + |E|).
+``Graph.adj`` is the one graph constant every forward pass reads, A_hat,
+formed on first use and kept for the life of the graph object. An edited
+graph is a new object, so it forms its own A_hat and never reads its
+source's. The first GCN layer is A_hat (X W^(1)), so no n x d aggregate
+A_hat X is formed: an edge edit leaves X W^(1) as it was, and the graph it
+makes costs its edges and its A_hat, O(n + |E|).
 
 ``load_dataset`` reads features.csv, the bulk of a dataset, with scipy's
 Matrix Market reader when one numpy pass over the file's non-digit bytes
@@ -42,6 +44,7 @@ import io
 import json
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -84,18 +87,11 @@ class Graph:
     def mask(self, tag: str) -> np.ndarray:
         return self.split == tag
 
-
-@dataclass(frozen=True)
-class PreparedGraph:
-    """A graph with its normalized adjacency ``adj`` (A_hat), formed once
-    by ``prepare`` and shared by every seed and every attack victim."""
-
-    graph: Graph
-    adj: sp.csr_matrix
-
-    def with_edits(self, edits) -> "PreparedGraph":
-        """The prepared graph of ``apply_edits(self.graph, edits)``."""
-        return prepare(apply_edits(self.graph, edits))
+    @cached_property
+    def adj(self) -> sp.csr_matrix:
+        """A_hat, formed on first use and shared by every seed and every
+        attack victim that reads this graph."""
+        return normalize_adjacency(self)
 
 
 def _row_positions(csr: sp.csr_matrix,
@@ -568,11 +564,6 @@ def normalize_adjacency(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((inv[rows] * inv[cols], cols, indptr), shape=(n, n))
 
 
-def prepare(g: Graph) -> PreparedGraph:
-    """A_hat of ``g``, formed once for every pass over it."""
-    return PreparedGraph(g, normalize_adjacency(g))
-
-
 def propagate(adj: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
     """Sparse-dense product of the normalized adjacency with a node matrix."""
     m = np.asarray(m, dtype=np.float64)
@@ -682,7 +673,8 @@ def largest_connected_component(g: Graph) -> Graph:
 
 
 def apply_edits(g: Graph, edits) -> Graph:
-    """Apply a sequence of EdgeEdit in order, returning a new Graph.
+    """Apply a sequence of EdgeEdit in order, returning a new Graph, which
+    forms its own A_hat.
 
     An edge edit finds its pair among the sorted edges by a binary search on
     the keys u * n + v and inserts or deletes that one row; the first feature

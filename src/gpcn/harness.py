@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gpcn.graph import (Graph, PreparedGraph, SyntheticSpec,
-                        generate_synthetic, largest_connected_component,
-                        load_dataset, prepare, save_dataset)
+from gpcn.graph import (Graph, SyntheticSpec, generate_synthetic,
+                        largest_connected_component, load_dataset,
+                        save_dataset)
 from gpcn.nn import ModelParams
 from gpcn.bp import TrainConfig, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
@@ -200,20 +200,6 @@ class RunRecord:
     wall_clock: float
 
 
-class Trainer:
-    """A learner (train_bp or train_pc) and its config behind the
-    attack-protocol trainer interface. Both learners train the same GCN, so
-    ``bp.predict`` predicts for either."""
-
-    def __init__(self, train_fn, config: TrainConfig):
-        self.train_fn = train_fn
-        self.config = config
-
-    def train(self, prepared: PreparedGraph) -> ModelParams:
-        params, _ = self.train_fn(prepared, self.config)
-        return params
-
-
 def _require_bins(bins: int) -> None:
     """Calibration needs at least one bin; checked before any seed trains
     or any output directory is made."""
@@ -293,13 +279,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     return ModelParams(weights), data
 
 
-def _train_one(config: ExperimentConfig, prepared: PreparedGraph,
+def _train_one(config: ExperimentConfig, graph: Graph,
                seed: int) -> tuple[RunRecord, ModelParams, object]:
     start = time.perf_counter()
     train_fn, train_config = config.learner(seed)
-    params, history = train_fn(prepared, train_config)
-    probs = predict(prepared, params)
-    graph = prepared.graph
+    params, history = train_fn(graph, train_config)
+    probs = predict(graph, params)
     test_mask = graph.mask("test")
     cal = expected_calibration_error(probs, graph.labels, test_mask,
                                      config.bins)
@@ -323,10 +308,9 @@ def cmd_train(config: ExperimentConfig, out_dir) -> list[RunRecord]:
     population std per metric."""
     graph = config.load_graph()
     _require_test_split(graph)
-    prepared = prepare(graph)
     # every seed trains before the output directory is made, so a failing
     # seed leaves no partial output
-    results = [_train_one(config, prepared, seed) for seed in config.seeds]
+    results = [_train_one(config, graph, seed) for seed in config.seeds]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -363,7 +347,7 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
         raise ValueError("checkpoint output width does not match classes")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    probs = predict(prepare(graph), params)
+    probs = predict(graph, params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
 
@@ -397,15 +381,19 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
     if spec.kind == "random_global":
         for rate in budgets:
             poison_edge_count(graph, rate)
-    prepared = prepare(graph)
 
     rob_rows, margin_rows = [], []
     for seed in config.seeds:
-        trainer = Trainer(*config.learner(seed))
-        params = trainer.train(prepared)
-        victims = select_victims(graph, predict(prepared, params),
+        train_fn, train_config = config.learner(seed)
+
+        # positional: perfbench's tracer reads the config off args[1]
+        def train(g: Graph) -> ModelParams:
+            return train_fn(g, train_config)[0]
+
+        params = train(graph)
+        victims = select_victims(graph, predict(graph, params),
                                  config.victim_strategy, seed)
-        report = evaluate_attack(trainer, prepared, params, victims,
+        report = evaluate_attack(train, graph, params, victims,
                                  replace(spec, seed=seed), budgets)
         for q in budgets:
             rob_rows.append({
@@ -443,7 +431,6 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
         raise ValueError("empty inference-step grid")
     graph = config.load_graph()
     _require_test_split(graph)
-    prepared = prepare(graph)
 
     # every grid point's learner config is built here, so a bad T fails
     # before any seed trains
@@ -455,7 +442,7 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
     rows = []
     for t in t_grid:
         for seed in config.seeds:
-            metrics = _train_one(studies[t], prepared, seed)[0].metrics
+            metrics = _train_one(studies[t], graph, seed)[0].metrics
             rows.append({"T": t, "seed": seed,
                          "final_energy": metrics["final_energy"],
                          "ece": metrics["ece"], "mce": metrics["mce"]})

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from gpcn.graph import PreparedGraph, propagate
+from gpcn.graph import Graph, propagate
 from gpcn.nn import ModelParams, adam_step, relu, relu_prime
 from gpcn.bp import ForwardCache, TrainConfig, fit
 
@@ -249,7 +249,7 @@ def pc_weight_gradients(adj: sp.csr_matrix, state: PCState):
     return [x.T @ e for x, e in zip(state.weight_inputs, errors)]
 
 
-def train_pc(prepared: PreparedGraph, config: PCConfig):
+def train_pc(graph: Graph, config: PCConfig):
     """Predictive-coding training through ``bp.fit``.
 
     Each epoch: feedforward init, clamp targets, T inference steps, weight
@@ -259,12 +259,13 @@ def train_pc(prepared: PreparedGraph, config: PCConfig):
     val-accuracy ties by lowest energy. intra_layer mode forms A_hat X once,
     for every epoch.
     """
-    ax = (propagate(prepared.adj, prepared.graph.features)
+    adj = graph.adj
+    ax = (propagate(adj, graph.features)
           if config.mode == "intra_layer" else None)
 
-    def epoch(adj, cache, params, opt, train_mask):
+    def epoch(cache, params, opt, train_mask):
         state = pc_init_feedforward(cache, params, config.mode, ax)
-        clamp_targets(state, prepared.graph.labels, train_mask)
+        clamp_targets(state, graph.labels, train_mask)
         for _ in range(config.inference_steps):
             inference_step(adj, state, params, config.value_update_rate)
             if config.weight_update_timing == "every_step":
@@ -275,4 +276,4 @@ def train_pc(prepared: PreparedGraph, config: PCConfig):
             _predict(adj, state, params)
         return compute_energy(state)
 
-    return fit(prepared, config, epoch)
+    return fit(graph, config, epoch)

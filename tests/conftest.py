@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, generate_synthetic,
-                        make_graph, prepare, propagate)
+                        make_graph, propagate)
 from gpcn.nn import ModelParams, init_params, relu, relu_prime, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.pc import (MAX_HALVINGS, compute_energy, pc_init_feedforward,
@@ -144,9 +144,9 @@ def csr_equal(a, b) -> bool:
             and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
 
 
-def prepared_equal(a, b) -> bool:
-    """Same graph, and A_hat bit for bit."""
-    return graphs_equal(a.graph, b.graph) and csr_equal(a.adj, b.adj)
+def graphs_and_adj_equal(a, b) -> bool:
+    """Same graph, and ``Graph.adj`` bit for bit."""
+    return graphs_equal(a, b) and csr_equal(a.adj, b.adj)
 
 
 def dense_adjacency(adj) -> np.ndarray:
@@ -195,13 +195,13 @@ def reference_gcn_backward(adj, cache, grad_logits, params):
     return grads
 
 
-def reference_aggregate_first(prepared, params, grad_of_logits):
+def reference_aggregate_first(graph, params, grad_of_logits):
     """Logits and weight gradients with every layer formed as
     (A_hat H) W, the first as (A_hat X) W^(1); the oracle, up to rounding,
     for ``gcn_forward`` and ``gcn_backward``, which form the first layer as
     A_hat (X W^(1)). ``grad_of_logits`` maps the logits to the loss
     gradient that the reverse pass starts from."""
-    adj, h = prepared.adj, prepared.graph.features
+    adj, h = graph.adj, graph.features
     K = params.num_layers
     aggs, pres = [], []
     for k, w in enumerate(params.weights, start=1):
@@ -246,14 +246,12 @@ def reference_pc_predictions(adj, params, h, h_agg, mode):
     return agg, mu, eps, eps_agg
 
 
-def feedforward_state(prepared, params, mode="inter_layer"):
-    """``pc_init_feedforward`` of ``prepared``'s forward pass under
-    ``params``, given A_hat X in intra_layer mode, as ``train_pc`` gives
-    it."""
-    ax = (propagate(prepared.adj, prepared.graph.features)
+def feedforward_state(graph, params, mode="inter_layer"):
+    """``pc_init_feedforward`` of ``graph``'s forward pass under ``params``,
+    given A_hat X in intra_layer mode, as ``train_pc`` gives it."""
+    ax = (propagate(graph.adj, graph.features)
           if mode == "intra_layer" else None)
-    return pc_init_feedforward(gcn_forward(prepared, params), params, mode,
-                               ax)
+    return pc_init_feedforward(gcn_forward(graph, params), params, mode, ax)
 
 
 def reference_effective_eps(eps, output_mask, k):
@@ -414,9 +412,8 @@ def reference_random_global_poison(graph, ptb_rate, seed):
 def reference_loss_gradient_wrt_inputs(params, graph, target_node):
     """Dense n x n adjacency gradient and n x d feature gradient; the oracle
     for the local ``loss_gradient_wrt_inputs``."""
-    prepared = prepare(graph)
-    adj = prepared.adj
-    cache = gcn_forward(prepared, params)
+    adj = graph.adj
+    cache = gcn_forward(graph, params)
     K = params.num_layers
     probs = softmax_rows(cache.logits[target_node:target_node + 1])
     g = np.zeros_like(cache.logits)
@@ -505,21 +502,20 @@ def local_gradients(params, graph, target_node):
     rows spread into the dense n x n adjacency gradient (stored rows
     verbatim, their transpose elsewhere) and the feature gradient formed
     as ``fga_attack`` forms it. Returns (rows, grad_adj, grad_x)."""
-    prepared = prepare(graph)
-    cache = gcn_forward(prepared, params)
-    rows, grad, signal = loss_gradient_wrt_inputs(params, prepared, cache,
+    cache = gcn_forward(graph, params)
+    rows, grad, signal = loss_gradient_wrt_inputs(params, graph, cache,
                                                   target_node)
     full = np.zeros((graph.num_nodes, graph.num_nodes))
     full[:, rows] = grad.T
     full[rows] = grad
-    return rows, full, propagate(prepared.adj, signal @ params.weights[0].T)
+    return rows, full, propagate(graph.adj, signal @ params.weights[0].T)
 
 
 def reference_prefix_graph(graph, edits, q):
-    """The prepared graph of the first q edits, rebuilt from scratch by the
-    set-based edit oracle with a fresh A_hat; the oracle for the graphs of
+    """The graph of the first q edits, rebuilt from scratch by the set-based
+    edit oracle, with an A_hat of its own; the oracle for the graphs of
     ``fga_attack``'s steps."""
-    return prepare(reference_apply_edits(graph, edits[:q]))
+    return reference_apply_edits(graph, edits[:q])
 
 
 def reference_evasion_margins(params, graph, per_victim_edits, budgets):

@@ -15,8 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, apply_edits,
-                        generate_synthetic, make_graph, normalize_adjacency,
-                        prepare)
+                        generate_synthetic, make_graph, normalize_adjacency)
 from gpcn.nn import ModelParams, cross_entropy_masked, init_params
 from gpcn.bp import TrainConfig, gcn_backward, gcn_forward, predict, train_bp
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
@@ -25,7 +24,7 @@ from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
 from gpcn.calibration import (classification_margins,
                               expected_calibration_error)
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
-from gpcn.harness import ExperimentConfig, Trainer
+from gpcn.harness import ExperimentConfig
 from gpcn.cli import main as cli_main
 
 import conftest
@@ -97,17 +96,16 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(2000 + i)
         g = random_graph(rng, n, num_features=3, num_classes=2)
         bp_params = init_params([3, 4, 2], rng)
-        prepared = prepare(g)
-        adj3 = prepared.adj
+        adj3 = g.adj
         mask = g.mask("train")
-        cache = gcn_forward(prepared, bp_params)
+        cache = gcn_forward(g, bp_params)
         _, grad_logits = cross_entropy_masked(cache.logits, g.labels, mask)
         bp_grads = gcn_backward(adj3, cache, grad_logits, bp_params)
         for k in range(bp_params.num_layers):
             def loss_of(w, k=k):
                 trial = bp_params.copy()
                 trial.weights[k] = w
-                out = gcn_forward(prepared, trial)
+                out = gcn_forward(g, trial)
                 return cross_entropy_masked(out.logits, g.labels, mask)[0]
 
             fd = central_difference(loss_of, bp_params.weights[k])
@@ -156,12 +154,12 @@ def test_criterion_2_energy_descent():
 
 def test_criterion_3_accuracy_parity():
     start = time.time()
-    prepared = prepare(generate_synthetic(EASY_SPEC, 42))
+    graph = generate_synthetic(EASY_SPEC, 42)
     gcn, gpcn = [], []
     for seed in SEEDS:
-        _, h = train_bp(prepared, TrainConfig(epochs=300, seed=seed))
+        _, h = train_bp(graph, TrainConfig(epochs=300, seed=seed))
         gcn.append(h.test_acc[h.selected_epoch])
-        _, h = train_pc(prepared, PCConfig(epochs=300, seed=seed))
+        _, h = train_pc(graph, PCConfig(epochs=300, seed=seed))
         gpcn.append(h.test_acc[h.selected_epoch])
     m_gcn, m_gpcn = float(np.mean(gcn)), float(np.mean(gpcn))
     elapsed = time.time() - start
@@ -173,18 +171,17 @@ def test_criterion_3_accuracy_parity():
 
 def test_criterion_4_calibration_ordering():
     graph = generate_synthetic(CALIBRATION_SPEC, 42)
-    prepared = prepare(graph)
     test_mask = graph.mask("test")
     gcn_ece, gpcn_ece = [], []
     for seed in SEEDS:
-        params, _ = train_bp(prepared, TrainConfig(epochs=300,
-                                                   weight_lr=0.001, seed=seed))
-        probs = predict(prepared, params)
+        params, _ = train_bp(graph, TrainConfig(epochs=300, weight_lr=0.001,
+                                                seed=seed))
+        probs = predict(graph, params)
         gcn_ece.append(expected_calibration_error(probs, graph.labels,
                                                   test_mask).ece)
-        params, _ = train_pc(prepared, PCConfig(epochs=300, weight_lr=0.001,
-                                                seed=seed))
-        probs = predict(prepared, params)
+        params, _ = train_pc(graph, PCConfig(epochs=300, weight_lr=0.001,
+                                             seed=seed))
+        probs = predict(graph, params)
         gpcn_ece.append(expected_calibration_error(probs, graph.labels,
                                                    test_mask).ece)
     m_gcn, m_gpcn = float(np.mean(gcn_ece)), float(np.mean(gpcn_ece))
@@ -239,16 +236,21 @@ def test_criterion_5_energy_calibration_correlation(tmp_path):
             f"energy T12 {mean12:.3f} vs T36 {mean36:.3f}, spearman {rho:.3f}")
 
 
-def _attack_sweep(graph, kind, mode, budgets, make_trainer):
-    prepared = prepare(graph)
+def _attack_sweep(graph, kind, mode, budgets, train_fn, config_cls):
+    """Per seed, the attack protocol on a model that ``train_fn`` trains
+    for 150 epochs."""
     per_seed = []
     for seed in SEEDS:
-        trainer = make_trainer(seed)
-        params = trainer.train(prepared)
-        victims = select_victims(graph, predict(prepared, params),
+        config = config_cls(epochs=150, seed=seed)
+
+        def train(g):
+            return train_fn(g, config)[0]
+
+        params = train(graph)
+        victims = select_victims(graph, predict(graph, params),
                                  "random_1000", seed)
         spec = AttackSpec(kind=kind, mode=mode, seed=seed)
-        per_seed.append(evaluate_attack(trainer, prepared, params, victims,
+        per_seed.append(evaluate_attack(train, graph, params, victims,
                                         spec, budgets))
     means = np.array([[r.accuracy[q] for q in budgets] for r in per_seed])
     return means.mean(axis=0), per_seed
@@ -257,12 +259,10 @@ def _attack_sweep(graph, kind, mode, budgets, make_trainer):
 def test_criterion_6_random_poisoning():
     graph = generate_synthetic(ATTACK_SPEC, 42)
     rates = [0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    gcn, _ = _attack_sweep(
-        graph, "random_global", "poisoning", rates,
-        lambda s: Trainer(train_bp, TrainConfig(epochs=150, seed=s)))
-    gpcn, _ = _attack_sweep(
-        graph, "random_global", "poisoning", rates,
-        lambda s: Trainer(train_pc, PCConfig(epochs=150, seed=s)))
+    gcn, _ = _attack_sweep(graph, "random_global", "poisoning", rates,
+                           train_bp, TrainConfig)
+    gpcn, _ = _attack_sweep(graph, "random_global", "poisoning", rates,
+                            train_pc, PCConfig)
     monotone = all(b <= a + 0.01 for a, b in zip(gcn, gcn[1:])) \
         and all(b <= a + 0.01 for a, b in zip(gpcn, gpcn[1:]))
     ordered = gpcn[-1] >= gcn[-1]
@@ -274,12 +274,10 @@ def test_criterion_6_random_poisoning():
 def test_criterion_7_fga_evasion():
     graph = generate_synthetic(ATTACK_SPEC, 42)
     budgets = [1, 2, 3, 4, 5]
-    gcn, gcn_reports = _attack_sweep(
-        graph, "fga_structure", "evasion", budgets,
-        lambda s: Trainer(train_bp, TrainConfig(epochs=150, seed=s)))
-    gpcn, gpcn_reports = _attack_sweep(
-        graph, "fga_structure", "evasion", budgets,
-        lambda s: Trainer(train_pc, PCConfig(epochs=150, seed=s)))
+    gcn, gcn_reports = _attack_sweep(graph, "fga_structure", "evasion",
+                                     budgets, train_bp, TrainConfig)
+    gpcn, gpcn_reports = _attack_sweep(graph, "fga_structure", "evasion",
+                                       budgets, train_pc, PCConfig)
     holistic_exact = all(
         r.holistic == sum(q * r.accuracy[q] for q in budgets)
         for r in gcn_reports + gpcn_reports)
@@ -350,12 +348,11 @@ def test_criterion_9_structural_invariants():
     inv[perm] = np.arange(9)
     gp = make_graph(9, g.features[inv], g.labels[inv], g.split[inv],
                     perm[g.edges], num_classes=2)
-    out = gcn_forward(prepare(g), params).logits
-    out_p = gcn_forward(prepare(gp), params).logits
+    out = gcn_forward(g, params).logits
+    out_p = gcn_forward(gp, params).logits
     checks.append(np.allclose(out_p[perm], out, rtol=0, atol=1e-12))
-    pc = pc_init_feedforward(gcn_forward(prepare(g), params), params).h[-1]
-    pc_p = pc_init_feedforward(gcn_forward(prepare(gp), params),
-                               params).h[-1]
+    pc = pc_init_feedforward(gcn_forward(g, params), params).h[-1]
+    pc_p = pc_init_feedforward(gcn_forward(gp, params), params).h[-1]
     checks.append(np.allclose(pc_p[perm], pc, rtol=0, atol=1e-12))
 
     # margin sign characterizes correctness

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import gpcn.attacks
 from gpcn.graph import (EdgeEdit, Graph, SyntheticSpec, apply_edits,
-                        generate_synthetic, make_graph, normalize_adjacency,
-                        prepare)
+                        generate_synthetic, make_graph, normalize_adjacency)
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
@@ -20,17 +19,18 @@ from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
                           holistic_metric, random_global_poison,
                           select_victims)
 
-from conftest import (adjacency, dense_adjacency, graphs_equal, has_edge,
-                      local_gradients, margin_shift_export, prepared_equal,
-                      random_graph, reference_evasion_margins,
+from conftest import (adjacency, dense_adjacency, graphs_and_adj_equal,
+                      graphs_equal, has_edge, local_gradients,
+                      margin_shift_export, random_graph,
+                      reference_evasion_margins,
                       reference_fga_attack,
                       reference_loss_gradient_wrt_inputs,
                       reference_prefix_graph, reference_random_global_poison)
 
 
-class FixedParamsTrainer:
-    """Trainer stub returning preset params; records the prepared graphs
-    it is trained on."""
+class FixedParamsTrain:
+    """A ``train`` stub for ``evaluate_attack``: returns preset params and
+    records the graphs it is called on."""
 
     def __init__(self, params):
         self.params = params
@@ -40,12 +40,9 @@ class FixedParamsTrainer:
     def train_calls(self):
         return len(self.graphs)
 
-    def train(self, prepared):
-        self.graphs.append(prepared)
+    def __call__(self, graph):
+        self.graphs.append(graph)
         return self.params
-
-    def predict(self, graph, params):
-        return predict(prepare(graph), params)
 
 
 def trained_instance(seed, n=12):
@@ -57,14 +54,13 @@ def trained_instance(seed, n=12):
 
 def attack(params, g, victim, spec):
     """The edit list of ``fga_attack`` from ``g``'s own forward pass."""
-    prepared = prepare(g)
-    return [step.edit for step in fga_attack(params, prepared, victim, spec,
-                                             gcn_forward(prepared, params))]
+    return [step.edit for step in fga_attack(params, g, victim, spec,
+                                             gcn_forward(g, params))]
 
 
-def assert_restored(prepared, before):
-    """``prepared`` holds the bits of its deep copy ``before``."""
-    assert prepared_equal(prepared, before)
+def assert_restored(graph, before):
+    """``graph`` and its A_hat hold the bits of its deep copy ``before``."""
+    assert graphs_and_adj_equal(graph, before)
 
 
 def assert_valid_graph(g: Graph):
@@ -271,7 +267,7 @@ class TestFgaAttack:
             pytest.skip("no loss-increasing move on this instance")
 
         def victim_loss(graph):
-            probs = predict(prepare(graph), params)
+            probs = predict(graph, params)
             return -np.log(probs[victim, g.labels[victim]])
 
         assert victim_loss(apply_edits(g, edits)) > victim_loss(g)
@@ -413,8 +409,8 @@ class TestLocalPathMatchesDense:
 class TestAttackWalk:
     """The logits of ``fga_attack``'s steps, and the budgets
     ``evaluate_attack`` reads from them, against every prefix rebuilt from
-    scratch by the oracle in conftest; and the prepared graph the walk
-    starts from, which every victim shares and which must come back bit
+    scratch by the oracle in conftest; and the graph the walk starts from,
+    with its A_hat, which every victim shares and which must come back bit
     for bit."""
 
     @settings(deadline=None, max_examples=60)
@@ -424,18 +420,17 @@ class TestAttackWalk:
         seed, shape, n, hidden = instance
         g, params = shaped_instance(seed, shape, n, hidden,
                                     binary=kind in ("fga_feature", "fga_both"))
-        prepared = prepare(g)
-        before = copy.deepcopy(prepared)
+        clean = gcn_forward(g, params)
+        before = copy.deepcopy(g)
         spec = AttackSpec(kind=kind, budget=budget, influencer_count=2)
-        steps = fga_attack(params, prepared, 0, spec,
-                           gcn_forward(prepared, params))
+        steps = fga_attack(params, g, 0, spec, clean)
         assert len(steps) <= budget
         edits = [step.edit for step in steps]
         for q, step in enumerate(steps, start=1):
             want = gcn_forward(reference_prefix_graph(g, edits, q), params)
             assert np.array_equal(step.logits.view(np.int64),
                                   want.logits.view(np.int64))
-        assert_restored(prepared, before)
+        assert_restored(g, before)
 
     # Budget 4 on the 8-node binary random instance: victim 2 takes all
     # four steps, and victim 7 stops early under both kinds.
@@ -443,9 +438,8 @@ class TestAttackWalk:
     @pytest.mark.parametrize("end", ["return", "early_stop", "exception"])
     def test_walk_restores_prepared_graph(self, kind, end, monkeypatch):
         g, params = shaped_instance(0, "random", 8, 1, binary=True)
-        prepared = prepare(g)
-        clean = gcn_forward(prepared, params)
-        before = copy.deepcopy(prepared)
+        clean = gcn_forward(g, params)
+        before = copy.deepcopy(g)
         spec = AttackSpec(kind=kind, budget=4)
         victim = 7 if end == "early_stop" else 2
         if end == "exception":
@@ -459,12 +453,12 @@ class TestAttackWalk:
 
             monkeypatch.setattr(gpcn.attacks, "gcn_forward", failing_forward)
             with pytest.raises(FloatingPointError, match="step 2"):
-                fga_attack(params, prepared, victim, spec, clean)
+                fga_attack(params, g, victim, spec, clean)
             assert len(calls) == 2
         else:
-            steps = fga_attack(params, prepared, victim, spec, clean)
+            steps = fga_attack(params, g, victim, spec, clean)
             assert (0 < len(steps) < 4) == (end == "early_stop")
-        assert_restored(prepared, before)
+        assert_restored(g, before)
 
     def test_walk_copies_no_aggregate(self):
         # The walk's own arrays are O(n * hidden + |E|), whatever the
@@ -475,12 +469,11 @@ class TestAttackWalk:
             inter_block_edge_prob=0.0005, feature_dim=512,
             feature_noise_std=0.5), seed=0)
         params = init_params([512, 16, 2], np.random.default_rng(0))
-        prepared = prepare(g)
-        clean = gcn_forward(prepared, params)
+        clean = gcn_forward(g, params)
         spec = AttackSpec(kind="fga_structure", budget=3)
         tracemalloc.start()
         try:
-            steps = fga_attack(params, prepared, 0, spec, clean)
+            steps = fga_attack(params, g, 0, spec, clean)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -498,9 +491,8 @@ class TestAttackWalk:
         g, params = shaped_instance(seed, shape, 8, 1, binary=False)
         spec = AttackSpec(kind=kind, mode=mode, budget=4, influencer_count=1)
         budgets = [1, 2, 3, 4]
-        trainer = FixedParamsTrainer(params)
-        report = evaluate_attack(trainer, prepare(g), params, np.arange(8),
-                                 spec, budgets)
+        train = FixedParamsTrain(params)
+        report = evaluate_attack(train, g, params, np.arange(8), spec, budgets)
 
         per_victim = {v: attack(params, g, v, spec) for v in range(8)}
         lengths = [len(edits) for edits in per_victim.values()]
@@ -510,7 +502,7 @@ class TestAttackWalk:
         assert report.margins_after == reference_evasion_margins(
             params, g, per_victim, budgets)
         if mode == "evasion":
-            assert trainer.graphs == []
+            assert train.graphs == []
         else:
             # one retrain per new step of each walk: budgets past an early
             # stop read the last step, and step 0 is the clean graph
@@ -519,8 +511,8 @@ class TestAttackWalk:
             want = [reference_prefix_graph(g, per_victim[v], q)
                     for v in range(8) for q in steps[v]]
             assert len(want) == {"fga_indirect": 17, "fga_structure": 28}[kind]
-            assert len(trainer.graphs) == len(want)
-            assert all(map(prepared_equal, trainer.graphs, want))
+            assert len(train.graphs) == len(want)
+            assert all(map(graphs_and_adj_equal, train.graphs, want))
 
 
 class TestHolisticMetric:
@@ -534,29 +526,28 @@ class TestHolisticMetric:
 class TestEvaluateAttack:
     def test_rate_zero_equals_clean_accuracy(self):
         g, params = trained_instance(8, n=14)
-        trainer = FixedParamsTrainer(params)
-        probs = trainer.predict(g, params)
+        train = FixedParamsTrain(params)
+        probs = predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
         spec = AttackSpec(kind="random_global", mode="evasion")
-        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
-                                 [0])
+        report = evaluate_attack(train, g, params, victims, spec, [0])
         clean = np.mean([r.correct for r in report.margins_before])
         assert report.accuracy[0] == pytest.approx(clean)
 
     def test_evasion_trains_once_poisoning_retrains(self):
         # the clean model is trained once, by the caller that passes params
         g, params = trained_instance(9, n=14)
-        probs = FixedParamsTrainer(params).predict(g, params)
+        probs = predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
 
-        ev = FixedParamsTrainer(params)
+        ev = FixedParamsTrain(params)
         spec = AttackSpec(kind="random_global", mode="evasion")
-        evaluate_attack(ev, prepare(g), params, victims, spec, [0.2, 0.5])
+        evaluate_attack(ev, g, params, victims, spec, [0.2, 0.5])
         assert ev.train_calls == 0
 
-        po = FixedParamsTrainer(params)
+        po = FixedParamsTrain(params)
         spec = AttackSpec(kind="random_global", mode="poisoning")
-        evaluate_attack(po, prepare(g), params, victims, spec, [0.2, 0.5])
+        evaluate_attack(po, g, params, victims, spec, [0.2, 0.5])
         assert po.train_calls == 2    # one per rate
 
     def test_rate_adding_no_edge_is_not_retrained(self):
@@ -564,14 +555,12 @@ class TestEvaluateAttack:
         graph, on which ``params`` were trained: poisoning reads their
         margins and trains only for the rate that adds edges."""
         g, params = trained_instance(9, n=14)
-        victims = select_victims(g, predict(prepare(g), params),
-                                 "random_1000", 0)
-        trainer = FixedParamsTrainer(params)
+        victims = select_victims(g, predict(g, params), "random_1000", 0)
+        train = FixedParamsTrain(params)
         spec = AttackSpec(kind="random_global", mode="poisoning")
         rates = [0.0, 0.5 / g.num_edges, 0.5]
-        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
-                                 rates)
-        assert trainer.train_calls == 1
+        report = evaluate_attack(train, g, params, victims, spec, rates)
+        assert train.train_calls == 1
         assert report.margins_after[0.0] == report.margins_before
         assert report.margins_after[rates[1]] == report.margins_before
 
@@ -585,12 +574,10 @@ class TestEvaluateAttack:
         g = make_graph(g0.num_nodes, (g0.features > 0).astype(float),
                        g0.labels, g0.split, g0.edges,
                        num_classes=g0.num_classes)
-        trainer = FixedParamsTrainer(params)
-        victims = select_victims(g, trainer.predict(g, params),
-                                 "random_1000", 0)
+        train = FixedParamsTrain(params)
+        victims = select_victims(g, predict(g, params), "random_1000", 0)
         spec = AttackSpec(kind=kind, mode=mode, budget=3, influencer_count=2)
-        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
-                                 [1, 2, 3])
+        report = evaluate_attack(train, g, params, victims, spec, [1, 2, 3])
         per_victim = {int(v): attack(params, g, int(v), spec)
                       for v in victims}
         assert any(len(e) > 1 for e in per_victim.values())
@@ -599,20 +586,19 @@ class TestEvaluateAttack:
 
     def test_holistic_equals_recomputation(self):
         g, params = trained_instance(10, n=14)
-        trainer = FixedParamsTrainer(params)
-        probs = trainer.predict(g, params)
+        train = FixedParamsTrain(params)
+        probs = predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
         spec = AttackSpec(kind="fga_structure", mode="evasion")
-        report = evaluate_attack(trainer, prepare(g), params, victims, spec,
-                                 [1, 2, 3])
+        report = evaluate_attack(train, g, params, victims, spec, [1, 2, 3])
         recomputed = sum(q * report.accuracy[q] for q in [1, 2, 3])
         assert report.holistic == recomputed
 
     def test_zero_weight_model_accuracy_unchanged(self):
         g, params = trained_instance(11, n=14)
         zero = ModelParams([np.zeros_like(w) for w in params.weights])
-        trainer = FixedParamsTrainer(zero)
-        probs = trainer.predict(g, zero)
+        train = FixedParamsTrain(zero)
+        probs = predict(g, zero)
         victims = select_victims(g, probs, "random_1000", 0)
         vmask = np.isin(np.arange(g.num_nodes), victims)
         clean = np.mean([r.correct for r in classification_margins(
@@ -620,26 +606,23 @@ class TestEvaluateAttack:
         for kind, budgets in (("random_global", [0.5]),
                               ("fga_structure", [1, 2])):
             spec = AttackSpec(kind=kind, mode="evasion")
-            report = evaluate_attack(trainer, prepare(g), zero, victims,
-                                     spec, budgets)
+            report = evaluate_attack(train, g, zero, victims, spec, budgets)
             for q in budgets:
                 assert report.accuracy[q] == pytest.approx(clean)
 
     def test_empty_budget_sweep_rejected(self):
         g, params = trained_instance(12)
-        trainer = FixedParamsTrainer(params)
-        victims = select_victims(g, trainer.predict(g, params),
-                                 "random_1000", 0)
+        train = FixedParamsTrain(params)
+        victims = select_victims(g, predict(g, params), "random_1000", 0)
         spec = AttackSpec(kind="random_global", mode="evasion")
         with pytest.raises(ValueError, match="empty"):
-            evaluate_attack(trainer, prepare(g), params, victims, spec, [])
+            evaluate_attack(train, g, params, victims, spec, [])
 
 
 class TestMarginShiftExport:
     def test_clean_vs_clean(self):
         g, params = trained_instance(13)
-        trainer = FixedParamsTrainer(params)
-        probs = trainer.predict(g, params)
+        probs = predict(g, params)
         recs = classification_margins(probs, g.labels, g.mask("test"))
         rows = margin_shift_export(recs, recs, {"model": "gcn", "budget": 0})
         assert len(rows) == len(recs)
@@ -647,8 +630,7 @@ class TestMarginShiftExport:
 
     def test_mismatched_victims_rejected(self):
         g, params = trained_instance(14)
-        trainer = FixedParamsTrainer(params)
-        probs = trainer.predict(g, params)
+        probs = predict(g, params)
         recs = classification_margins(probs, g.labels, g.mask("test"))
         with pytest.raises(ValueError, match="match"):
             margin_shift_export(recs, recs[:-1], {})

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 import gpcn.graph
 from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
                         generate_synthetic, largest_connected_component,
-                        load_dataset, make_graph, normalize_adjacency, prepare,
+                        load_dataset, make_graph, normalize_adjacency,
                         propagate, save_dataset)
 
-from conftest import (adjacency, csr_equal, dense_adjacency, graphs_equal,
-                      has_edge, inverse_edit, prepared_equal, random_graph,
+from conftest import (adjacency, csr_equal, dense_adjacency,
+                      graphs_and_adj_equal, graphs_equal, has_edge,
+                      inverse_edit, random_graph,
                       reference_apply_edits, reference_features_csv,
                       reference_generate_synthetic,
                       reference_largest_connected_component,
@@ -811,12 +812,27 @@ def toggles(g, pairs):
     return edits
 
 
-class TestPreparedGraphPatchMatchesRebuild:
-    """``with_edits`` against a full ``prepare`` of the graph the set-based
-    oracle edits, bit for bit."""
+def assert_matches_rebuild(g, edits):
+    """``apply_edits(g, edits)`` against the set-based oracle's graph, with
+    A_hat bit for bit against ``reference_normalize_adjacency`` of it.
+    ``g.adj`` is formed first, so an edited graph that read its source's
+    cached A_hat would fail. Returns the edited graph."""
+    source_adj = g.adj
+    edited = apply_edits(g, edits)
+    want = reference_apply_edits(g, edits)
+    assert graphs_equal(edited, want)
+    assert edited.adj is not source_adj
+    assert csr_equal(edited.adj, reference_normalize_adjacency(want))
+    return edited
 
-    def test_prepare_forms_a_hat_only(self):
-        # prepare peaks at about 0.2 MB on 600 nodes and about 1,900 edges;
+
+class TestEditedGraphAdj:
+    """``Graph.adj`` is A_hat, formed once per graph object; a graph made by
+    ``apply_edits`` forms its own, bit for bit the A_hat of the graph the
+    set-based oracle edits."""
+
+    def test_adj_forms_a_hat_only(self):
+        # A_hat peaks at about 0.2 MB on 600 nodes and about 1,900 edges;
         # an n x d array such as A_hat X would take the 4.8 MB of the
         # features
         g = generate_synthetic(SyntheticSpec(
@@ -825,12 +841,16 @@ class TestPreparedGraphPatchMatchesRebuild:
             feature_noise_std=0.5), seed=0)
         tracemalloc.start()
         try:
-            p = prepare(g)
+            adj = g.adj
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert csr_equal(p.adj, normalize_adjacency(g))
+        assert csr_equal(adj, normalize_adjacency(g))
         assert peak < 0.5 * g.features.nbytes
+
+    def test_adj_is_formed_once(self, rng):
+        g = random_graph(rng, 7, edge_prob=0.3)
+        assert g.adj is g.adj
 
     @pytest.mark.parametrize("first, second", [("add", "remove"),
                                                ("remove", "add")])
@@ -838,27 +858,24 @@ class TestPreparedGraphPatchMatchesRebuild:
         g = make_graph(4, np.arange(8.0).reshape(4, 2), [0] * 4, ["none"] * 4,
                        [[0, 1], [2, 3]] if first == "remove" else [[2, 3]],
                        num_classes=1)
-        p = prepare(g)
-        once = p.with_edits([EdgeEdit(first, 1, 0)])
-        assert prepared_equal(once, prepare(apply_edits(g, [EdgeEdit(
-            first, 1, 0)])))
-        assert prepared_equal(once.with_edits([EdgeEdit(second, 0, 1)]), p)
-        assert prepared_equal(p.with_edits([EdgeEdit(first, 1, 0),
-                                            EdgeEdit(second, 0, 1)]), p)
+        once = assert_matches_rebuild(g, [EdgeEdit(first, 1, 0)])
+        assert graphs_and_adj_equal(
+            assert_matches_rebuild(once, [EdgeEdit(second, 0, 1)]), g)
+        assert graphs_and_adj_equal(apply_edits(
+            g, [EdgeEdit(first, 1, 0), EdgeEdit(second, 0, 1)]), g)
 
     def test_source_is_left_unchanged(self, rng):
         g = random_graph(rng, 6, edge_prob=0.3)
-        p = prepare(g)
-        edges = g.edges.copy()
-        q = p.with_edits([EdgeEdit("remove" if has_edge(g, 0, 5) else "add",
-                                   0, 5)])
-        assert q.graph.num_edges != g.num_edges
-        assert np.array_equal(p.graph.edges, edges)
-        assert prepared_equal(p, prepare(g))
+        edges, adj = g.edges.copy(), g.adj.copy()
+        q = assert_matches_rebuild(
+            g, [EdgeEdit("remove" if has_edge(g, 0, 5) else "add", 0, 5)])
+        assert q.num_edges != g.num_edges
+        assert np.array_equal(g.edges, edges)
+        assert csr_equal(g.adj, adj)
 
     def test_empty_edit_list(self, rng):
         g = random_graph(rng, 5)
-        assert prepared_equal(prepare(g).with_edits([]), prepare(g))
+        assert graphs_and_adj_equal(assert_matches_rebuild(g, []), g)
 
     @settings(deadline=None, max_examples=200)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 9),
@@ -868,28 +885,21 @@ class TestPreparedGraphPatchMatchesRebuild:
                         max_size=4),
                st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2)),
                         max_size=2)), min_size=1, max_size=4))
-    def test_matches_prepare_of_apply_edits(self, seed, n, edge_prob, steps):
+    def test_matches_rebuild_along_edit_chain(self, seed, n, edge_prob,
+                                              steps):
         """Chained edit batches of legal toggles (repeated pairs toggle
         back) and feature flips, on edgeless, sparse (isolated nodes),
         dense and complete graphs."""
         g = binary_random_graph(seed, n, edge_prob)
-        p = prepare(g)
         for pairs, flips in steps:
-            edits = toggles(p.graph, pairs)
+            edits = toggles(g, pairs)
             edits += [EdgeEdit("feature_flip", u % n, f) for u, f in flips]
-            patched = p.with_edits(edits)
-            assert prepared_equal(
-                patched, prepare(reference_apply_edits(p.graph, edits)))
-            p = patched
+            g = assert_matches_rebuild(g, edits)
 
     def test_sbm_toggle_sequence_bit_identical(self):
         spec = SyntheticSpec(7, 60, 0.05, 0.002, 300, 1.0, (0.2, 0.2, 0.6))
         g = generate_synthetic(spec, 3)
         rng = np.random.default_rng(0)
-        p = prepare(g)
         for _ in range(10):
-            edits = toggles(p.graph, rng.integers(0, g.num_nodes, (2, 2)))
-            patched = p.with_edits(edits)
-            assert prepared_equal(patched,
-                                  prepare(apply_edits(p.graph, edits)))
-            p = patched
+            g = assert_matches_rebuild(
+                g, toggles(g, rng.integers(0, g.num_nodes, (2, 2))))

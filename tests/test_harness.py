@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpcn.graph import load_dataset
+from gpcn.graph import load_dataset, normalize_adjacency
 from gpcn.bp import train_bp
 from gpcn.pc import train_pc
 from gpcn.calibration import expected_calibration_error
@@ -152,6 +152,26 @@ class TestTrainCommand:
         for d in ("r1", "r2"):
             main(["train", "--config", str(cfg), "--out", str(tmp_path / d)])
         assert tree_bytes(tmp_path / "r1") == tree_bytes(tmp_path / "r2")
+
+
+@pytest.mark.parametrize("command, flags, model", [
+    ("train", [], "gcn"),
+    ("energy-study", ["--t-grid", "2,3"], "gpcn")])
+def test_a_hat_formed_once(tmp_path, monkeypatch, command, flags, model):
+    """Every seed, and every T of the energy study, trains on one graph
+    object, so A_hat is formed once per command."""
+    calls = []
+
+    def counting(g):
+        calls.append(g.num_nodes)
+        return normalize_adjacency(g)
+
+    monkeypatch.setattr("gpcn.graph.normalize_adjacency", counting)
+    cfg = write_config(tmp_path, model=model, epochs=2, seeds=[0, 1],
+                       pc={"inference_steps": 2})
+    assert main([command, "--config", str(cfg), *flags,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == [60]
 
 
 class TestCalibrateCommand:
@@ -327,9 +347,9 @@ class TestEnergyStudy:
         at the good grid points before it."""
         trained = []
 
-        def counting(prepared, config):
+        def counting(graph, config):
             trained.append((config.inference_steps, config.seed))
-            return train_pc(prepared, config)
+            return train_pc(graph, config)
 
         monkeypatch.setattr("gpcn.harness.train_pc", counting)
         cfg = write_config(tmp_path, model="gpcn", epochs=1, seeds=[0, 1, 2])
@@ -496,7 +516,7 @@ class TestExitCodes:
         another JSON type than its field's, exits 1 naming the file and
         the key, before any seed trains (``TestConfigJsonTypes`` checks
         every config field)."""
-        def no_training(prepared, config):
+        def no_training(graph, config):
             raise AssertionError("trained on a malformed config")
 
         monkeypatch.setattr("gpcn.harness.train_bp", no_training)
@@ -517,7 +537,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_usage_error_on_zero_budget(self, tmp_path, capsys, monkeypatch):
-        def no_training(prepared, config):
+        def no_training(graph, config):
             raise AssertionError("trained for an empty budget sweep")
 
         monkeypatch.setattr("gpcn.harness.train_bp", no_training)
@@ -555,7 +575,7 @@ class TestExitCodes:
         (attack) fails before the first seed trains, naming the cause."""
         trained = []
 
-        def no_training(prepared, config):
+        def no_training(graph, config):
             trained.append(config.seed)
             raise AssertionError("trained before the dataset was checked")
 
@@ -581,9 +601,9 @@ class TestExitCodes:
         trained = []
 
         def counting(train_fn):
-            def wrapper(prepared, config):
+            def wrapper(graph, config):
                 trained.append(config.seed)
-                return train_fn(prepared, config)
+                return train_fn(graph, config)
             return wrapper
 
         monkeypatch.setattr("gpcn.harness.train_bp", counting(train_bp))
@@ -609,9 +629,9 @@ class TestExitCodes:
         fails before the first seed trains, naming the strategy or split."""
         trained = []
 
-        def counting(prepared, config):
+        def counting(graph, config):
             trained.append(config.seed)
-            return train_bp(prepared, config)
+            return train_bp(graph, config)
 
         monkeypatch.setattr("gpcn.harness.train_bp", counting)
         cfg = write_config(tmp_path, epochs=1, victim_strategy=strategy,
@@ -631,9 +651,9 @@ class TestExitCodes:
         node pairs fails before the first seed trains, at any grid point."""
         trained = []
 
-        def counting(prepared, config):
+        def counting(graph, config):
             trained.append(config.seed)
-            return train_bp(prepared, config)
+            return train_bp(graph, config)
 
         monkeypatch.setattr("gpcn.harness.train_bp", counting)
         cfg = write_config(tmp_path, epochs=1)
@@ -670,7 +690,7 @@ class TestExitCodes:
         trains."""
         trained = []
 
-        def no_training(prepared, config):
+        def no_training(graph, config):
             trained.append(config.seed)
             raise AssertionError("trained without a readable config")
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpcn.pc
-from gpcn.graph import make_graph, prepare, propagate
+from gpcn.graph import make_graph, propagate
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
 from gpcn.bp import accuracy, gcn_forward, predict
 from gpcn.pc import (MAX_HALVINGS, PCConfig, PCState, clamp_targets,
@@ -28,9 +28,8 @@ def one_node_chain(target=2.0):
     """dims 1-1-1, unit weights, x = 1, clamped scalar target."""
     g = make_graph(1, [[1.0]], [0], ["train"], [], num_classes=1)
     params = ModelParams([np.array([[1.0]]), np.array([[1.0]])])
-    prepared = prepare(g)
-    adj = prepared.adj
-    state = feedforward_state(prepared, params)
+    adj = g.adj
+    state = feedforward_state(g, params)
     state.h[-1][0, 0] = target
     state.output_mask = np.array([True])
     pc_predictions(adj, state, params)
@@ -49,9 +48,8 @@ def clamped_random_state(seed, mode="inter_layer", n=5, dims=(3, 4, 2),
     params = init_params(list(dims), rng)
     if kinked:
         params.weights[-1] = 20.0 * params.weights[-1]
-    prepared = prepare(g)
-    adj = prepared.adj
-    state = feedforward_state(prepared, params, mode)
+    adj = g.adj
+    state = feedforward_state(g, params, mode)
     if clamped:
         clamp_targets(state, g.labels, g.mask("train"))
     if scatter:
@@ -128,7 +126,7 @@ class TestPredictionsAndInit:
     def test_feedforward_state_has_zero_errors_and_energy(self, rng):
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
-        state = feedforward_state(prepare(g), params)
+        state = feedforward_state(g, params)
         for eps in state.eps:
             assert np.array_equal(eps, np.zeros_like(eps))
         assert compute_energy(state) == 0.0
@@ -143,18 +141,16 @@ class TestPredictionsAndInit:
         # training evaluates and predict scores PC weights by gcn_forward
         g = random_graph(rng, 7)
         params = init_params([3, 5, 2], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
-        state = feedforward_state(prepared, params, mode)
-        logits = gcn_forward(prepared, params).logits
+        adj = g.adj
+        state = feedforward_state(g, params, mode)
+        logits = gcn_forward(g, params).logits
         assert np.array_equal(state.h[-1], logits)
 
     def test_intra_init_reduces_to_inter_predictions(self, rng):
         g = random_graph(rng, 6)
         params = init_params([3, 4, 2], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
-        cache = gcn_forward(prepared, params)
+        adj = g.adj
+        cache = gcn_forward(g, params)
         inter = pc_init_feedforward(cache, params, "inter_layer")
         intra = pc_init_feedforward(cache, params, "intra_layer",
                                     propagate(adj, g.features))
@@ -168,9 +164,8 @@ class TestClampAndEnergy:
     def test_clamped_row_error_is_onehot_minus_mu(self, rng):
         g = random_graph(rng, 6, num_classes=3)
         params = init_params([3, 4, 3], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
-        state = feedforward_state(prepared, params)
+        adj = g.adj
+        state = feedforward_state(g, params)
         mu_before = state.mu[-1].copy()
         clamp_targets(state, g.labels, g.mask("train"))
         row = np.flatnonzero(g.mask("train"))[0]
@@ -182,9 +177,8 @@ class TestClampAndEnergy:
     def test_unclamped_output_rows_do_not_count(self, rng):
         g = random_graph(rng, 6, num_classes=3)
         params = init_params([3, 4, 3], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
-        state = feedforward_state(prepared, params)
+        adj = g.adj
+        state = feedforward_state(g, params)
         clamp_targets(state, g.labels, g.mask("train"))
         base = compute_energy(state)
         free = ~state.output_mask
@@ -200,7 +194,7 @@ class TestClampAndEnergy:
     def test_single_layer_example(self):
         g = make_graph(1, [[0.0, 0.0]], [0], ["none"], [], num_classes=1)
         params = ModelParams([np.zeros((2, 2))])
-        state = feedforward_state(prepare(g), params)
+        state = feedforward_state(g, params)
         state.eps[0] = np.array([[1.0, -1.0]])
         assert compute_energy(state) == 1.0
 
@@ -209,9 +203,8 @@ class TestInferenceStep:
     def test_zero_error_state_is_fixed_point(self, rng):
         g = random_graph(rng, 5)
         params = init_params([3, 4, 2], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
-        state = feedforward_state(prepared, params)
+        adj = g.adj
+        state = feedforward_state(g, params)
         before = [h.copy() for h in state.h]
         inference_step(adj, state, params, 0.1)
         for a, b in zip(before, state.h):
@@ -381,9 +374,8 @@ class TestWeightGradients:
     def test_zero_errors_zero_gradients(self, rng):
         g = random_graph(rng, 5)
         params = init_params([3, 4, 2], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
-        state = feedforward_state(prepared, params)
+        adj = g.adj
+        state = feedforward_state(g, params)
         for gr in pc_weight_gradients(adj, state):
             assert np.array_equal(gr, np.zeros_like(gr))
 
@@ -443,8 +435,7 @@ class TestCachedStateMatchesReference:
         rng = np.random.default_rng(11)
         g = random_graph(rng, 12, num_features=5, num_classes=3)
         params = init_params([5, 4, 4, 3], rng)
-        prepared = prepare(g)
-        adj = prepared.adj
+        adj = g.adj
         opt = AdamState.for_params(params, 0.01)
         # train_pc's A_hat X, formed once for every epoch
         ax = propagate(adj, g.features) if mode == "intra_layer" else None
@@ -461,7 +452,7 @@ class TestCachedStateMatchesReference:
             assert_matches_reference(adj, state, params)
 
         for _ in range(3):
-            cache = gcn_forward(prepared, params)
+            cache = gcn_forward(g, params)
             state = pc_init_feedforward(cache, params, mode, ax)
             assert_matches_reference(adj, state, params)
             clamp_targets(state, g.labels, g.mask("train"))
@@ -477,29 +468,28 @@ class TestCachedStateMatchesReference:
 
 class TestTraining:
     def test_sbm_fixture_reaches_95(self, sbm_easy):
-        params, history = train_pc(prepare(sbm_easy),
-                                   PCConfig(epochs=150, seed=0))
+        params, history = train_pc(sbm_easy, PCConfig(epochs=150, seed=0))
         assert history.test_acc[history.selected_epoch] >= 0.95
 
     def test_history_records_energy_per_epoch(self, sbm_easy):
-        _, history = train_pc(prepare(sbm_easy), PCConfig(epochs=10, seed=0))
+        _, history = train_pc(sbm_easy, PCConfig(epochs=10, seed=0))
         assert len(history.energy) == 10
         assert all(e >= 0 for e in history.energy)
 
     def test_determinism(self, sbm_easy):
-        _, h1 = train_pc(prepare(sbm_easy), PCConfig(epochs=8, seed=2))
-        _, h2 = train_pc(prepare(sbm_easy), PCConfig(epochs=8, seed=2))
+        _, h1 = train_pc(sbm_easy, PCConfig(epochs=8, seed=2))
+        _, h2 = train_pc(sbm_easy, PCConfig(epochs=8, seed=2))
         assert h1.energy == h2.energy
         assert h1.val_acc == h2.val_acc
 
     def test_every_step_timing_trains(self, sbm_easy):
         cfg = PCConfig(epochs=30, seed=0, weight_update_timing="every_step")
-        _, history = train_pc(prepare(sbm_easy), cfg)
+        _, history = train_pc(sbm_easy, cfg)
         assert history.test_acc[history.selected_epoch] >= 0.95
 
     def test_intra_layer_mode_trains(self, sbm_easy):
         cfg = PCConfig(epochs=150, seed=0, mode="intra_layer")
-        _, history = train_pc(prepare(sbm_easy), cfg)
+        _, history = train_pc(sbm_easy, cfg)
         assert history.test_acc[history.selected_epoch] >= 0.9
 
     def test_config_validation(self):
@@ -515,16 +505,16 @@ class TestTraining:
 
 class TestPredict:
     def test_rows_sum_to_one(self, sbm_easy):
-        params, _ = train_pc(prepare(sbm_easy), PCConfig(epochs=5, seed=0))
-        probs = predict(prepare(sbm_easy), params)
+        params, _ = train_pc(sbm_easy, PCConfig(epochs=5, seed=0))
+        probs = predict(sbm_easy, params)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_equals_bp_predict_exactly(self, sbm_easy):
         # the accuracies recorded for the selected epoch are those that
         # predict gives the returned snapshot
         cfg = PCConfig(epochs=10, seed=1, mode="intra_layer")
-        params, history = train_pc(prepare(sbm_easy), cfg)
-        probs = predict(prepare(sbm_easy), params)
+        params, history = train_pc(sbm_easy, cfg)
+        probs = predict(sbm_easy, params)
         sel = history.selected_epoch
         for tag, recorded in (("train", history.train_acc),
                               ("val", history.val_acc),
