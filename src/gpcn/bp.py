@@ -48,6 +48,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if any(d < 1 for d in self.hidden_dims):
             raise ValueError("hidden dims must be positive")
+        if not 0.0 < self.weight_lr < np.inf:
+            raise ValueError(f"weight_lr must be finite and positive, got "
+                             f"{self.weight_lr}")
 
 
 @dataclass

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(model,seed,train_acc,val_acc,test_acc,ece,mce,"
                     "final_energy,selected_epoch; std rows use population "
                     "std), bins.csv (bin_lo,bin_hi,count,mean_conf,mean_acc),"
-                    " robustness.csv (dataset,model,attack_kind,mode,budget,"
+                    " histogram.csv (bin_lo,bin_hi,count), robustness.csv (dataset,model,attack_kind,mode,budget,"
                     "seed,accuracy,holistic_metric), margins.csv (node,"
                     "margin,correct,seed,condition,budget,attack_kind), "
                     "study.csv (T,seed,final_energy,ece,mce).")

@@ -123,8 +123,12 @@ class SyntheticSpec:
         for p in (self.intra_block_edge_prob, self.inter_block_edge_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"edge probability {p} outside [0, 1]")
-        if any(f < 0 for f in self.split_fractions):
-            raise ValueError("split fractions must be nonnegative")
+        if not 0.0 <= self.feature_noise_std < np.inf:
+            raise ValueError(f"feature_noise_std must be finite and >= 0, "
+                             f"got {self.feature_noise_std}")
+        if not all(0.0 <= f < np.inf for f in self.split_fractions):
+            raise ValueError(f"split_fractions must be finite and "
+                             f"nonnegative, got {self.split_fractions}")
         if sum(self.split_fractions) > 1.0 + 1e-12:
             raise ValueError("split fractions sum above 1")
 
@@ -156,7 +160,7 @@ def _canonical_edges(raw: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def make_graph(num_nodes, features, labels, split, edges,
-               num_classes=None) -> Graph:
+               num_classes) -> Graph:
     """Validate raw arrays and assemble a Graph (edges symmetrized, deduped)."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -174,8 +178,6 @@ def make_graph(num_nodes, features, labels, split, edges,
         raise DatasetError("features must be finite")
     if labels.shape[0] != num_nodes or split.shape[0] != num_nodes:
         raise DatasetError("labels/splits length mismatch against num_nodes")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 0
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise DatasetError("label out of range")
     bad = set(np.unique(split)) - set(SPLIT_TAGS)

@@ -51,8 +51,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("gcn", "gpcn"):
             raise ValueError(f"unknown model {self.model!r}")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be nonempty and distinct")
+        if not self.seeds:
+            raise ValueError("seeds must be nonempty")
+        _require_distinct(self.seeds, "seeds")
         _require_bins(self.bins)
         if self.victim_strategy not in VICTIM_STRATEGIES:
             raise ValueError(f"unknown victim_strategy "
@@ -198,6 +199,16 @@ class RunRecord:
     seed: int
     metrics: dict
     wall_clock: float
+
+
+def _require_distinct(values, what: str) -> None:
+    """Each seed and grid point trains and writes its rows once, so a
+    repeated value is refused before any seed trains."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{v!r} appears twice in {what}")
+        seen.add(v)
 
 
 def _require_bins(bins: int) -> None:
@@ -373,6 +384,7 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
                out_dir) -> None:
     """Run the attack protocol for every seed; emit robustness.csv and
     margins.csv."""
+    _require_distinct(budgets, "the budget grid")
     graph = config.load_graph()
     if graph.num_classes < 2:
         raise ValueError(f"attack margins need at least 2 classes; the "
@@ -429,6 +441,7 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
         raise ValueError("the energy study applies to the gpcn model only")
     if not t_grid:
         raise ValueError("empty inference-step grid")
+    _require_distinct(t_grid, "the inference-step grid")
     graph = config.load_graph()
     _require_test_split(graph)
 
@@ -436,8 +449,7 @@ def cmd_energy_study(config: ExperimentConfig, t_grid, out_dir) -> None:
     # before any seed trains
     studies = {}
     for t in t_grid:
-        studies[t] = ExperimentConfig(**{**config.__dict__, "pc": {
-            **config.pc, "inference_steps": t}})
+        studies[t] = replace(config, pc={**config.pc, "inference_steps": t})
         studies[t].learner(config.seeds[0])
     rows = []
     for t in t_grid:

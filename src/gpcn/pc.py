@@ -60,8 +60,9 @@ class PCConfig(TrainConfig):
         super().__post_init__()
         if self.inference_steps < 1:
             raise ValueError("inference_steps must be >= 1")
-        if self.value_update_rate <= 0:
-            raise ValueError("value_update_rate must be positive")
+        if not 0.0 < self.value_update_rate < np.inf:
+            raise ValueError(f"value_update_rate must be finite and "
+                             f"positive, got {self.value_update_rate}")
         if self.weight_update_timing not in ("end_of_T", "every_step"):
             raise ValueError(f"bad timing {self.weight_update_timing!r}")
         if self.mode not in ("inter_layer", "intra_layer"):

@@ -58,7 +58,8 @@ def write_dataset(tmp_path, num_nodes, edges, features, labels, splits,
 
 class TestMakeGraph:
     def test_smallest_nonempty_graph(self):
-        g = make_graph(2, [[1.0], [0.0]], [0, 1], ["train", "test"], [[0, 1]])
+        g = make_graph(2, [[1.0], [0.0]], [0, 1], ["train", "test"], [[0, 1]],
+                       num_classes=2)
         assert np.array_equal(g.edges, [[0, 1]])
 
     def test_symmetrization_dedupes_reversed_pair(self):

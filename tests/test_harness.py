@@ -508,14 +508,21 @@ class TestExitCodes:
         ("dataset gen", {**SBM_SPEC, "split_fractions": [0.5, 0.5]},
          "'split_fractions' must be a JSON list of 3 numbers"),
         ("dataset gen", b"{", "not valid JSON"),
+        ("dataset gen", {**SBM_SPEC, "feature_noise_std": float("nan")},
+         "feature_noise_std must be finite and >= 0, got nan"),
+        ("dataset gen", {**SBM_SPEC, "feature_noise_std": -1.0},
+         "feature_noise_std must be finite and >= 0, got -1.0"),
+        ("dataset gen", {**SBM_SPEC, "split_fractions": [float("nan"), 0.2,
+                                                         0.2]},
+         "split_fractions must be finite and nonnegative, got (nan, "),
     ])
     def test_usage_error_on_wrong_json_shape(self, tmp_path, capsys,
                                              monkeypatch, entry, content,
                                              named):
         """A config or spec that is not a JSON object, or holds a value of
-        another JSON type than its field's, exits 1 naming the file and
-        the key, before any seed trains (``TestConfigJsonTypes`` checks
-        every config field)."""
+        another JSON type than its field's or one its field refuses, exits
+        1 naming the file and the key, before any seed trains
+        (``TestConfigJsonTypes`` checks every config field's type)."""
         def no_training(graph, config):
             raise AssertionError("trained on a malformed config")
 
@@ -563,6 +570,64 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage error" in err and named in err
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"weight_lr": -1.0}, "weight_lr must be finite and positive, "
+                              "got -1.0"),
+        ({"weight_lr": float("nan")}, "weight_lr must be finite and "
+                                      "positive, got nan"),
+        ({"pc": {"value_update_rate": float("nan")}},
+         "value_update_rate must be finite and positive, got nan"),
+        ({"pc": {"value_update_rate": float("inf")}},
+         "value_update_rate must be finite and positive, got inf"),
+    ])
+    def test_usage_error_on_bad_learning_rate(self, tmp_path, capsys,
+                                              monkeypatch, overrides, named):
+        """A learning rate that is not finite and positive exits 1 naming
+        the field, before any seed trains."""
+        trained = []
+
+        def no_training(graph, config):
+            trained.append(config.seed)
+            raise AssertionError("trained with a bad learning rate")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        monkeypatch.setattr("gpcn.harness.train_pc", no_training)
+        model = "gpcn" if "pc" in overrides else "gcn"
+        cfg = write_config(tmp_path, model=model, epochs=1, **overrides)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["energy-study", "--t-grid", "2,3,2"],
+         "2 appears twice in the inference-step grid"),
+        (["attack", "--kind", "random_global", "--mode", "poisoning",
+          "--ptb-rate", "0.5,0.50"], "0.5 appears twice in the budget grid"),
+    ], ids=["t-grid", "ptb-rate"])
+    def test_usage_error_on_repeated_grid_value(self, tmp_path, capsys,
+                                                monkeypatch, argv, named):
+        """A grid value given twice would train and write its rows twice:
+        it exits 1 naming the value, before any seed trains."""
+        trained = []
+
+        def no_training(graph, config):
+            trained.append(config.seed)
+            raise AssertionError("trained on a repeated grid value")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        monkeypatch.setattr("gpcn.harness.train_pc", no_training)
+        model = "gpcn" if argv[0] == "energy-study" else "gcn"
+        cfg = write_config(tmp_path, model=model, epochs=1)
+        assert main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, synthetic, named", [
         ("train", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
@@ -677,7 +742,8 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "runs.csv" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "runs.csv" in out and "histogram.csv" in out
 
     @pytest.mark.parametrize("flag, fault", [
         ("--config", "directory"), ("--config", "missing"),
@@ -751,7 +817,7 @@ class TestExitCodes:
 
 class TestConfigObject:
     def test_seeds_must_be_distinct(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 appears twice in seeds"):
             ExperimentConfig(synthetic=SBM_SPEC, seeds=(0, 0))
 
     def test_unknown_victim_strategy_rejected(self):
