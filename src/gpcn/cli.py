@@ -16,8 +16,8 @@ from pathlib import Path
 
 from gpcn.attacks import ATTACK_KINDS, AttackSpec
 from gpcn.graph import DatasetError
-from gpcn.harness import (ExperimentConfig, cmd_attack, cmd_calibrate,
-                          cmd_dataset_gen, cmd_dataset_inspect,
+from gpcn.harness import (ExperimentConfig, check_seeds, cmd_attack,
+                          cmd_calibrate, cmd_dataset_gen, cmd_dataset_inspect,
                           cmd_dataset_lcc, cmd_energy_study, cmd_train)
 
 EXIT_USAGE = 1
@@ -102,6 +102,7 @@ def run(args) -> int:
             raise ValueError(f"--out {out}: {stop} is not a directory")
     if args.command == "dataset":
         if args.ds_command == "gen":
+            check_seeds([args.seed], "--seed")
             g = cmd_dataset_gen(args.spec, args.seed, args.out)
             print(f"wrote {g.num_nodes} nodes, {g.num_edges} edges to "
                   f"{args.out}")
@@ -114,6 +115,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "train":
+        check_seeds(args.seed_list or (), "--seed-list")
         config = ExperimentConfig.from_json(args.config, model=args.model,
                                             seeds=args.seed_list)
         records = cmd_train(config, args.out)

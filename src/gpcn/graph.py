@@ -22,7 +22,15 @@ makes costs its edges and its A_hat, O(n + |E|).
 Matrix Market reader when one numpy pass over the file's non-digit bytes
 proves every value is in the plain decimal grammar on which that reader and
 ``float`` agree; any other file goes through ``float`` line by line, which
-also names the line of a malformed value.
+also names the line of a malformed value. The file is read through one
+buffer of ``_FAST_BLOCK_BYTES``. Per block of whole lines in it, the reader
+holds a byte mask of the block, the positions of its non-digit bytes (8
+bytes each), one copy of the block as the Matrix Market input, and the
+values parsed from it: about three blocks on top of the features.
+
+The features of a loaded graph and of its largest component, the one array
+of a dataset's size, are made in an anonymous memory map of their own
+(``_mapped``), so a graph that is dropped gives that memory back to the OS.
 
 ``save_dataset`` writes each feature as its Python ``repr``, in blocks of
 rows. scipy's Matrix Market writer gives each value's shortest round-trip
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import io
 import json
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -144,6 +153,24 @@ class EdgeEdit:
     def __post_init__(self):
         if self.kind not in ("add", "remove", "feature_flip"):
             raise ValueError(f"unknown edit kind {self.kind!r}")
+
+
+def _mapped(rows: int, cols: int) -> np.ndarray:
+    """A zeroed (rows, cols) float64 array in an anonymous memory map of its
+    own, for the features that ``load_dataset``'s fast reader and
+    ``largest_connected_component`` make: the one array of a dataset's size,
+    which lives as long as its graph.
+
+    Freeing the array unmaps it, so its memory goes back to the OS. From
+    malloc, an array of Cora's 31 MB is put in glibc's heap once a freed
+    mapped block of that size has raised glibc's mmap threshold (as the
+    features of a generated graph do), and when freed it stays in the
+    process: glibc gives back the top of its heap only when twice that
+    threshold is free there.
+    """
+    size = rows * cols
+    data = mmap.mmap(-1, max(8 * size, 1), mmap.MAP_PRIVATE)
+    return np.frombuffer(data, count=size).reshape(rows, cols)
 
 
 def _canonical_edges(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -263,8 +290,12 @@ def _parse_features(file: Path, num_nodes: int,
 
 
 # Bytes of features.csv that _read_features_fast checks and parses at a time.
-_FAST_BLOCK_BYTES = 1 << 23
+# A block's working memory, about three blocks, stays in glibc's heap once
+# freed, so the block is 4 MiB: 8 MiB loads Cora-sized features as fast
+# (0.99 against 1.01 s) but kept 15 MB more in the process.
+_FAST_BLOCK_BYTES = 1 << 22
 _NL, _COMMA, _MINUS, _PLUS, _DOT, _E, _E_UPPER = b"\n,-+.eE"
+_ZERO = np.uint8(ord("0"))
 
 
 def _check_block(a: np.ndarray, num_features: int) -> np.ndarray | None:
@@ -277,34 +308,79 @@ def _check_block(a: np.ndarray, num_features: int) -> np.ndarray | None:
     non-digit byte before it (p1), the one before that (p2), and whether
     digits stand between them (run1 between p1 and itself, run2 between p2
     and p1). The block starts a line, so two line ends stand before it.
+
+    Besides ``a``, this holds a byte mask of ``a`` while it finds the
+    positions of the non-digit bytes (8 bytes each), the positions until
+    the token ends are taken from them, and then a byte per non-digit byte
+    for each term of the rule.
     """
-    pos = np.flatnonzero(a - np.uint8(ord("0")) > 9)
-    chars = np.concatenate([np.full(2, _NL, dtype=np.uint8), a[pos]])
-    c, p1, p2 = chars[2:], chars[1:-1], chars[:-2]
-    run1 = np.diff(pos, prepend=-1) > 1
-    run2 = np.concatenate([[False], run1[:-1]])
-    end = (c == _NL) | (c == _COMMA)
-    e = (c == _E) | (c == _E_UPPER)
-    after_end = (p1 == _NL) | (p1 == _COMMA)
-    after_e = (p1 == _E) | (p1 == _E_UPPER)
-    after_dot = p1 == _DOT
+    mask = a - _ZERO
+    pos = np.flatnonzero(np.greater(mask, 9, out=mask.view(bool)))
+    del mask
+    # chars[2:] are the non-digit bytes, chars[1:-1] p1 and chars[:-2] p2
+    chars = np.full(pos.size + 2, _NL, dtype=np.uint8)
+    np.take(a, pos, out=chars[2:])
+    # runs[1:] is run1 and runs[:-1] run2: a digit just before each byte;
+    # the byte before position 0 is a[-1], the block's last line end
+    runs = np.zeros(pos.size + 1, dtype=bool)
+    pos -= 1
+    np.less_equal(a[pos] - _ZERO, 9, out=runs[1:])
+    pos += 1
+    sep = (chars == _NL) | (chars == _COMMA)
+    ends = pos[sep[2:]]
+    del pos
+    is_e = (chars == _E) | (chars == _E_UPPER)
+    minus, dot = chars == _MINUS, chars == _DOT
+    c, e = chars[2:], is_e[2:]
+    end, after_end = sep[2:], sep[1:-1]
+    after_e, after_dot = is_e[1:-1], dot[1:-1]
+    run1, run2 = runs[1:], runs[:-1]
     # a leading sign, as against the sign of an exponent
-    after_sign = (p1 == _MINUS) & ((p2 == _NL) | (p2 == _COMMA))
-    ok = ((end & (run1 | (after_dot & run2)))
-          | ((c == _MINUS) & ~run1 & (after_end | after_e))
-          | ((c == _PLUS) & ~run1 & after_e)
-          | ((c == _DOT) & (after_end | after_sign))
-          | (e & run1 & (after_end | after_sign))
-          | (e & after_dot & (run1 | run2)))
+    after_sign = minus[1:-1] & sep[:-2]
+    ok = end & (run1 | (after_dot & run2))
+    ok |= minus[2:] & ~run1 & (after_end | after_e)
+    ok |= (c == _PLUS) & ~run1 & after_e
+    ok |= dot[2:] & (after_end | after_sign)
+    ok |= e & run1 & (after_end | after_sign)
+    ok |= e & after_dot & (run1 | run2)
     if not ok.all():
         return None
-    ends = c[end]
     if ends.size % num_features:
         return None
-    lines = ends.reshape(-1, num_features)
+    lines = c[end].reshape(-1, num_features)
     if not ((lines[:, :-1] == _COMMA).all() and (lines[:, -1] == _NL).all()):
         return None
-    return pos[end]
+    return ends
+
+
+def _read_block(block: bytearray, size: int, out: np.ndarray) -> int | None:
+    """Parse the whole lines ``block[:size]`` into the first rows of ``out``;
+    their count, or None when ``_check_block`` rejects them or they are more
+    than the rows of ``out``. The bytes are copied once, into the Matrix
+    Market input, and every array made here is dropped on return."""
+    # imported here, so that commands which load no dataset do not pay the
+    # memory of scipy.io's dozens of modules
+    from scipy.io import mmread
+
+    a = np.frombuffer(block, dtype=np.uint8, count=size)
+    ends = _check_block(a, out.shape[1])
+    if ends is None or ends.size > out.size:
+        return None
+    lines = ends.size // out.shape[1]
+    header = (b"%%%%MatrixMarket matrix array real general\n%d %d\n"
+              % (out.shape[1], lines))
+    mm = io.BytesIO()
+    mm.write(header)
+    mm.write(a)
+    body = np.frombuffer(mm.getbuffer(), dtype=np.uint8, offset=len(header))
+    body[ends] = _NL
+    mm.seek(0)
+    out[:lines] = mmread(mm).T
+    flat = out[:lines].reshape(-1)
+    zero = np.flatnonzero(flat == 0.0)
+    first = np.where(zero > 0, ends[zero - 1] + 1, 0)
+    flat[zero[a[first] == _MINUS]] = -0.0
+    return lines
 
 
 def _read_features_fast(file: Path, num_nodes: int,
@@ -317,41 +393,33 @@ def _read_features_fast(file: Path, num_nodes: int,
     valid prefix of a token ('1.5.3' reads 1.5, '1_0' reads 1.0) and drops
     the sign of zero ('-0.0' and '-1e-400' read +0.0). The grammar check
     rules out the first; for the second, every zero whose token starts with
-    '-' is set to -0.0. Blocks of whole lines go to the reader as an 'array
-    real' body of num_features x lines values, which it reads in
-    column-major order, with the commas made line ends.
-    """
-    # imported here, so that commands which load no dataset do not pay the
-    # memory of scipy.io's dozens of modules
-    from scipy.io import mmread
+    '-' is set to -0.0.
 
-    out = np.empty((num_nodes, num_features))
+    The file is read into one buffer of ``_FAST_BLOCK_BYTES``, kept for the
+    whole file; the whole lines in it go to ``_read_block`` as an 'array
+    real' body of num_features x lines values, which the reader reads in
+    column-major order, with the commas made line ends. The line begun at
+    the buffer's end moves to its front for the next read, and the buffer
+    doubles when a line does not fit in it.
+    """
+    out = _mapped(num_nodes, num_features)
     row = 0
-    rest = b""
+    block = bytearray(_FAST_BLOCK_BYTES)
+    kept = 0                # bytes of the line at block's front
     with open(file, "rb") as fh:
-        while chunk := fh.read(_FAST_BLOCK_BYTES):
-            block = rest + chunk
-            cut = block.rfind(b"\n") + 1
-            block, rest = block[:cut], block[cut:]
-            if not block:
-                continue
-            a = np.frombuffer(block, dtype=np.uint8)
-            ends = _check_block(a, num_features)
-            if ends is None:
-                return None
-            lines = ends.size // num_features
-            if row + lines > num_nodes:
-                return None
-            header = (b"%%%%MatrixMarket matrix array real general\n%d %d\n"
-                      % (num_features, lines))
-            values = mmread(io.BytesIO((header + block).replace(b",", b"\n")))
-            out[row:row + lines] = values.T
-            flat = out[row:row + lines].reshape(-1)
-            zero = np.flatnonzero(flat == 0.0)
-            first = np.where(zero > 0, ends[zero - 1] + 1, 0)
-            flat[zero[a[first] == _MINUS]] = -0.0
-            row += lines
-    if rest or row != num_nodes:
+        while got := fh.readinto(memoryview(block)[kept:]):
+            size = kept + got
+            cut = block.rfind(b"\n", 0, size) + 1
+            if cut:
+                lines = _read_block(block, cut, out[row:])
+                if lines is None:
+                    return None
+                row += lines
+                block[:size - cut] = block[cut:size]
+            kept = size - cut
+            if kept == len(block):
+                block.extend(bytes(kept))
+    if kept or row != num_nodes:
         return None
     return out
 
@@ -387,9 +455,13 @@ def load_dataset(path) -> Graph:
 
 # Values of features.csv that _write_features formats and writes at a time,
 # in whole rows: enough that mmwrite's cost per call (about 1 ms) is small,
-# few enough that the gather's index (8 bytes per output byte) stays near
-# 10 MB.
-_SAVE_BLOCK_VALUES = 1 << 16
+# few enough that a block's working memory (about 9 MB on normal values, the
+# gather's index taking 8 bytes per output byte) stays small, as it stays in
+# glibc's heap once freed. 2^16 values took about 40 MB, past glibc's trim
+# threshold in a fresh process (twice the mmap threshold: 16 MiB after the
+# 8 MiB pieces of SBM generation), so that the heap grew and shrank again in
+# every block: 325k page faults per Cora-sized save, against 2k at 2^14.
+_SAVE_BLOCK_VALUES = 1 << 14
 # The decimal exponents of finite nonzero doubles, and those repr writes
 # positionally.
 _EXPONENTS = range(-324, 309)
@@ -502,7 +574,7 @@ def _repr_layout(body: np.ndarray, rows: int,
 def _write_features(file: Path, features: np.ndarray) -> None:
     """features.csv: every value as its repr, comma-separated, one row a
     line, laid out by ``_repr_layout`` and written in blocks of rows."""
-    # imported here, as in _read_features_fast
+    # imported here, as in _read_block
     from scipy.io import mmwrite
 
     num_nodes, num_features = features.shape
@@ -669,7 +741,11 @@ def largest_connected_component(g: Graph) -> Graph:
     remap[old_ids] = np.arange(old_ids.shape[0])
     mask_e = keep[g.edges[:, 0]] & keep[g.edges[:, 1]]
     new_edges = remap[g.edges[mask_e]]
-    return make_graph(old_ids.shape[0], g.features[old_ids],
+    features = _mapped(old_ids.size, g.num_features)
+    # every index is in range; with mode "raise", take would fill a copy of
+    # out and then copy it over
+    np.take(g.features, old_ids, axis=0, out=features, mode="clip")
+    return make_graph(old_ids.shape[0], features,
                       g.labels[old_ids], g.split[old_ids], new_edges,
                       num_classes=g.num_classes)
 

@@ -54,6 +54,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         _require_distinct(self.seeds, "seeds")
+        check_seeds(self.seeds, "config key 'seeds'")
         _require_bins(self.bins)
         if self.victim_strategy not in VICTIM_STRATEGIES:
             raise ValueError(f"unknown victim_strategy "
@@ -121,6 +122,8 @@ def _check_config(data: dict) -> dict:
     if data.get("synthetic") is not None:
         _check_fields(data["synthetic"], SyntheticSpec, "synthetic",
                       extra={"seed": int})
+        check_seeds([data["synthetic"].get("seed", 0)],
+                    "synthetic key 'seed'")
     return data
 
 
@@ -209,6 +212,14 @@ def _require_distinct(values, what: str) -> None:
         if v in seen:
             raise ValueError(f"{v!r} appears twice in {what}")
         seen.add(v)
+
+
+def check_seeds(seeds, where: str) -> None:
+    """numpy's generators take no negative seed, so one is refused before
+    any seed trains, naming ``where`` it came from and the value."""
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"{where}: seeds must be >= 0, got {seed}")
 
 
 def _require_bins(bins: int) -> None:

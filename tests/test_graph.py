@@ -293,6 +293,30 @@ class TestFastFeatureReaderMatchesPerLineParser:
                                               12, 5)
         assert np.array_equal(fast.view(np.int64), features.view(np.int64))
 
+    @pytest.mark.parametrize("block", [1 << 20, 1 << 23])
+    def test_working_memory_bounded_by_block(self, tmp_path, block):
+        """Besides what it returns, a load holds the read buffer and, per
+        block, a byte mask of it, the positions of its non-digit bytes (8
+        bytes each) and the Matrix Market copy: about 3 blocks on normal
+        values. A reader that copied each block four times held 6.0 blocks
+        at 1 MiB and 5.2 at 8 MiB. The features themselves are in a memory
+        map, which tracemalloc does not see, so the working memory is the
+        peak less what is still held at the end."""
+        n = 600
+        features = np.random.default_rng(0).normal(size=(n, 1000))
+        save_dataset(make_graph(n, features, [0] * n, ["none"] * n, [],
+                                num_classes=1), tmp_path)
+        load_dataset(tmp_path)          # scipy.io is imported untraced
+        with mock.patch.object(gpcn.graph, "_FAST_BLOCK_BYTES", block):
+            tracemalloc.start()
+            try:
+                g = load_dataset(tmp_path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(g.features, features)
+        assert peak - held < 4 * block
+
     @pytest.mark.parametrize("text, n", [
         ("1,2,3\n4\n", 2),           # ragged rows of 2 x 2 tokens in all
         ("1,2\n", 2),                 # fewer lines than meta.json declares

@@ -629,6 +629,41 @@ class TestExitCodes:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, config, named", [
+        (["dataset", "gen", "--seed", "-1"], None,
+         "--seed: seeds must be >= 0, got -1"),
+        (["train", "--seed-list", "0,-3"], {},
+         "--seed-list: seeds must be >= 0, got -3"),
+        (["train"], {"seeds": [0, -1]},
+         "config key 'seeds': seeds must be >= 0, got -1"),
+        (["train"], {"synthetic": {**SBM_SPEC, "seed": -2}},
+         "synthetic key 'seed': seeds must be >= 0, got -2"),
+    ], ids=["gen-seed", "seed-list", "config-seeds", "synthetic-seed"])
+    def test_usage_error_on_negative_seed(self, tmp_path, capsys, monkeypatch,
+                                          argv, config, named):
+        """numpy's generators take no negative seed: each way one comes in
+        exits 1 naming the flag or key and the value, before any seed
+        trains and before --out is made."""
+        trained = []
+
+        def no_training(graph, config):
+            trained.append(config.seed)
+            raise AssertionError("trained with a negative seed")
+
+        monkeypatch.setattr("gpcn.harness.train_bp", no_training)
+        monkeypatch.setattr("gpcn.harness.train_pc", no_training)
+        if config is None:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(SBM_SPEC))
+            argv = [*argv, "--spec", str(spec)]
+        else:
+            argv = [*argv, "--config", str(write_config(tmp_path, **config))]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and named in err
+        assert trained == []
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, synthetic, named", [
         ("train", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
         ("energy-study", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
