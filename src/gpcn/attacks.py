@@ -291,7 +291,10 @@ def _best_edit(params: ModelParams, graph: Graph, cache: ForwardCache,
     if spec.kind in _FEATURE_KINDS:
         x = graph.features
         grad_x = propagate(adj, signal @ params.weights[0].T)
-        fsc = grad_x * (1.0 - 2.0 * x)
+        # grad_x * (1 - 2x), bit for bit, in one array of x's size
+        fsc = x * -2.0
+        fsc += 1.0
+        fsc *= grad_x
         node, fidx = np.unravel_index(np.argmax(fsc), fsc.shape)
         if fsc[node, fidx] > best_score:
             best_edit = EdgeEdit("feature_flip", int(node), int(fidx))

@@ -186,6 +186,14 @@ def _canonical_edges(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return edges, self_loops
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, with no mask of a's size:
+    min and max propagate NaN, and an infinity is one of the two."""
+    if a.size == 0:
+        return True
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def make_graph(num_nodes, features, labels, split, edges,
                num_classes) -> Graph:
     """Validate raw arrays and assemble a Graph (edges symmetrized, deduped)."""
@@ -201,7 +209,7 @@ def make_graph(num_nodes, features, labels, split, edges,
     if features.shape[0] != num_nodes:
         raise DatasetError(
             f"feature rows {features.shape[0]} != num_nodes {num_nodes}")
-    if not np.isfinite(features).all():
+    if not _all_finite(features):
         raise DatasetError("features must be finite")
     if labels.shape[0] != num_nodes or split.shape[0] != num_nodes:
         raise DatasetError("labels/splits length mismatch against num_nodes")
@@ -457,11 +465,20 @@ def load_dataset(path) -> Graph:
 # in whole rows: enough that mmwrite's cost per call (about 1 ms) is small,
 # few enough that a block's working memory (about 9 MB on normal values, the
 # gather's index taking 8 bytes per output byte) stays small, as it stays in
-# glibc's heap once freed. 2^16 values took about 40 MB, past glibc's trim
-# threshold in a fresh process (twice the mmap threshold: 16 MiB after the
-# 8 MiB pieces of SBM generation), so that the heap grew and shrank again in
-# every block: 325k page faults per Cora-sized save, against 2k at 2^14.
+# glibc's heap once freed. 2^16 values took about 40 MB, past the 16 MiB
+# trim threshold that _SAVE_HEAP_BYTES sets, so that the heap grew and
+# shrank again in every block: 325k page faults per Cora-sized save, against
+# 2k at 2^14.
 _SAVE_BLOCK_VALUES = 1 << 14
+# glibc gives back the free top of its heap once it passes twice the mmap
+# threshold, and raises that threshold to the size of each mapped block it
+# frees. _write_features first allocates and frees a block of this size,
+# whose pages are never touched, so that a save block's working memory stays
+# in the heap from one block to the next, whatever the process freed before.
+# A fresh process that has freed no block of about 4 MB otherwise grows and
+# trims the heap in every block: a Cora-sized save after generating the SBM
+# took 318k page faults and 2.9 s, against 3k and 1.8 s.
+_SAVE_HEAP_BYTES = 8 << 20
 # The decimal exponents of finite nonzero doubles, and those repr writes
 # positionally.
 _EXPONENTS = range(-324, 309)
@@ -578,6 +595,7 @@ def _write_features(file: Path, features: np.ndarray) -> None:
     from scipy.io import mmwrite
 
     num_nodes, num_features = features.shape
+    np.empty(_SAVE_HEAP_BYTES, dtype=np.uint8)     # freed at once, untouched
     with open(file, "wb") as fh:
         rows = max(1, _SAVE_BLOCK_VALUES // num_features)
         for lo in range(0, num_nodes, rows):
@@ -604,9 +622,8 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
     features = np.asarray(g.features, dtype=np.float64)
     if g.num_features < 1:
         raise DatasetError("a dataset needs at least one feature column")
-    finite = np.isfinite(features)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
+    if not _all_finite(features):
+        r, c = np.argwhere(~np.isfinite(features))[0]
         raise DatasetError(f"feature row {r}, column {c} is "
                            f"{float(features[r, c])}; features must be "
                            f"finite")
@@ -647,10 +664,11 @@ def propagate(adj: sp.csr_matrix, m: np.ndarray) -> np.ndarray:
     return adj @ m
 
 
-# Node pairs whose edge uniforms _sbm_edges draws at a time: 8 MB of
+# Node pairs whose edge uniforms _sbm_edges draws at a time: 0.5 MB of
 # uniforms, whatever the node count, and index arrays over the pairs below
-# the larger edge probability.
-_PAIR_BLOCK = 1 << 20
+# the larger edge probability. Smaller pieces cost time in per-call
+# overhead: 2^14 made 20,000-node generation a third slower.
+_PAIR_BLOCK = 1 << 16
 
 
 def _sbm_edges(rng: np.random.Generator, spec: SyntheticSpec,

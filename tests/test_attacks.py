@@ -258,6 +258,28 @@ class TestFgaAttack:
         edits = attack(params, g, 1, spec)
         assert all(e.kind == "feature_flip" for e in edits)
 
+    def test_feature_scores_take_one_array(self):
+        # Forming grad_x takes two n x d arrays (X-sized), and the scores
+        # grad_x * (1 - 2x) one more besides grad_x; forming 1 - 2x apart
+        # from 2x would take two more, three in all.
+        g0 = generate_synthetic(SyntheticSpec(
+            num_blocks=2, nodes_per_block=500, intra_block_edge_prob=0.01,
+            inter_block_edge_prob=0.001, feature_dim=512,
+            feature_noise_std=0.5), seed=0)
+        g = make_graph(g0.num_nodes, (g0.features > 0.5).astype(float),
+                       g0.labels, g0.split, g0.edges, num_classes=2)
+        params = init_params([512, 16, 2], np.random.default_rng(0))
+        cache = gcn_forward(g, params)
+        spec = AttackSpec(kind="fga_feature", budget=1)
+        tracemalloc.start()
+        try:
+            edit = gpcn.attacks._best_edit(params, g, cache, 0, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edit is not None and edit.kind == "feature_flip"
+        assert peak < 2.5 * g.features.nbytes
+
     def test_attack_raises_victim_loss(self):
         g, params = trained_instance(7, n=15)
         spec = AttackSpec(kind="fga_structure", mode="evasion", budget=2)
