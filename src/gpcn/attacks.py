@@ -55,7 +55,7 @@ VICTIM_STRATEGIES = {"nettack_style": ("test",),
 class AttackSpec:
     kind: str
     mode: str = "evasion"              # or "poisoning"
-    budget: int | None = None          # edit count for targeted attacks
+    budget: int | None = None          # fga_attack's walk length
     influencer_count: int = 5          # indirect attacks only
     seed: int = 0
 
@@ -152,8 +152,23 @@ def poison_edge_count(graph: Graph, ptb_rate: float) -> int:
     return k
 
 
+def check_attack(graph: Graph, spec: AttackSpec, budgets) -> None:
+    """ValueError for an empty budget sweep, a ``random_global`` rate that
+    ``poison_edge_count`` refuses, or a feature attack on features that
+    are not all 0 or 1."""
+    if len(budgets) == 0:
+        raise ValueError("budget sweep is empty")
+    if spec.kind == "random_global":
+        for rate in budgets:
+            poison_edge_count(graph, rate)
+    if spec.kind in _FEATURE_KINDS and not np.isin(graph.features,
+                                                   (0.0, 1.0)).all():
+        raise ValueError("feature attacks require binary features")
+
+
 def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:
-    """Insert floor(ptb_rate * |E|) uniformly random absent edges."""
+    """Insert floor(ptb_rate * |E|) uniformly random absent edges; ``graph``
+    itself when that is none."""
     k = poison_edge_count(graph, ptb_rate)
     if k == 0:
         return graph
@@ -311,14 +326,11 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
     ``AttackStep`` per applied edit, at most ``spec.budget``: each edit is
     applied as soon as it is picked, and the next iteration starts from its
     step, on a graph of its own with its own A_hat; ``graph`` is left as it
-    was."""
+    was. Feature kinds take binary features, as ``check_attack`` checks."""
     if spec.budget is None:
         raise ValueError("targeted attack needs a budget")
     if spec.kind not in _STRUCTURE_KINDS + _FEATURE_KINDS:
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
-    if spec.kind in _FEATURE_KINDS and not np.isin(graph.features,
-                                                   (0.0, 1.0)).all():
-        raise ValueError("feature attacks require binary features")
 
     steps: list[AttackStep] = []
     for _ in range(spec.budget):
@@ -350,10 +362,10 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
     the clean forward pass, and budget q reads step q, or the last step, or
     the clean graph, if the attack stopped earlier: evasion the step's
     logits, poisoning a retrain on ``apply_edits`` of the first q edits.
+    ``check_attack`` first refuses what the attack cannot take.
     """
     budgets = list(budgets)
-    if not budgets:
-        raise ValueError("budget sweep is empty")
+    check_attack(graph, spec, budgets)
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims] = True
     clean = gcn_forward(graph, params)
@@ -364,10 +376,10 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
     margins_after: dict = {}
     if spec.kind == "random_global":
         for rate in budgets:
+            perturbed = random_global_poison(graph, rate, spec.seed)
             # a rate that adds no edge leaves the clean graph
             probs = clean_probs
-            if poison_edge_count(graph, rate):
-                perturbed = random_global_poison(graph, rate, spec.seed)
+            if perturbed is not graph:
                 rate_params = train(perturbed) if poisoning else params
                 probs = predict(perturbed, rate_params)
             margins_after[rate] = classification_margins(probs, graph.labels,

@@ -166,7 +166,9 @@ def _mapped(rows: int, cols: int) -> np.ndarray:
     mapped block of that size has raised glibc's mmap threshold (as the
     features of a generated graph do), and when freed it stays in the
     process: glibc gives back the top of its heap only when twice that
-    threshold is free there.
+    threshold is free there. On the benchmark's cora_train workload (seed
+    0, 2-core Xeon, glibc) peak RSS read 164 MB with this map and 205 MB
+    with ``np.zeros`` in its place.
     """
     size = rows * cols
     data = mmap.mmap(-1, max(8 * size, 1), mmap.MAP_PRIVATE)
@@ -477,7 +479,12 @@ _SAVE_BLOCK_VALUES = 1 << 14
 # in the heap from one block to the next, whatever the process freed before.
 # A fresh process that has freed no block of about 4 MB otherwise grows and
 # trims the heap in every block: a Cora-sized save after generating the SBM
-# took 318k page faults and 2.9 s, against 3k and 1.8 s.
+# took 318k page faults and 2.9 s, against 3k and 1.8 s. A whole fresh
+# ``gpcn dataset gen`` of the Cora-sized SBM (2-core Xeon, five runs each)
+# took 15.6k-16.5k minor faults and 2.0-2.5 s with this block, 330k-332k
+# and 3.2-3.9 s without; peak RSS was 96 MB either way. A long-lived
+# process that has freed larger blocks, as the benchmark's is, has its
+# thresholds raised already and shows no change.
 _SAVE_HEAP_BYTES = 8 << 20
 # The decimal exponents of finite nonzero doubles, and those repr writes
 # positionally.

@@ -27,7 +27,7 @@ from gpcn.bp import TrainConfig, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import classification_margins, expected_calibration_error
 from gpcn.attacks import (VICTIM_STRATEGIES, AttackSpec, candidate_pool,
-                          evaluate_attack, poison_edge_count, select_victims)
+                          check_attack, evaluate_attack, select_victims)
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -401,9 +401,7 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
         raise ValueError(f"attack margins need at least 2 classes; the "
                          f"dataset has {graph.num_classes}")
     candidate_pool(graph, config.victim_strategy)
-    if spec.kind == "random_global":
-        for rate in budgets:
-            poison_edge_count(graph, rate)
+    check_attack(graph, spec, budgets)
 
     rob_rows, margin_rows = [], []
     for seed in config.seeds:

@@ -15,8 +15,8 @@ from gpcn.graph import (EdgeEdit, Graph, SyntheticSpec, apply_edits,
 from gpcn.nn import ModelParams, init_params, softmax_rows
 from gpcn.bp import gcn_forward, predict
 from gpcn.calibration import classification_margins
-from gpcn.attacks import (AttackSpec, evaluate_attack, fga_attack,
-                          holistic_metric, random_global_poison,
+from gpcn.attacks import (AttackSpec, check_attack, evaluate_attack,
+                          fga_attack, holistic_metric, random_global_poison,
                           select_victims)
 
 from conftest import (adjacency, dense_adjacency, graphs_and_adj_equal,
@@ -244,10 +244,17 @@ class TestFgaAttack:
             assert 2 not in (e.u, e.v)
 
     def test_feature_attack_requires_binary_features(self):
+        """The walk takes the features as they are: ``evaluate_attack``
+        refuses non-binary ones through ``check_attack``, before any walk
+        or retrain."""
         g, params = trained_instance(6)
-        spec = AttackSpec(kind="fga_feature", mode="evasion", budget=1)
-        with pytest.raises(ValueError, match="binary"):
-            attack(params, g, 0, spec)
+        for kind in ("fga_feature", "fga_both"):
+            train = FixedParamsTrain(params)
+            spec = AttackSpec(kind=kind, mode="poisoning")
+            with pytest.raises(ValueError,
+                               match="feature attacks require binary"):
+                evaluate_attack(train, g, params, np.arange(3), spec, [1])
+            assert train.graphs == []
 
     def test_feature_attack_flips_binary_features(self, rng):
         g0 = random_graph(rng, 10, num_features=4, num_classes=2)
@@ -639,6 +646,56 @@ class TestEvaluateAttack:
         spec = AttackSpec(kind="random_global", mode="evasion")
         with pytest.raises(ValueError, match="empty"):
             evaluate_attack(train, g, params, victims, spec, [])
+
+
+class TestCheckAttack:
+    """What an attack may take, checked once per call and before any walk:
+    a nonempty sweep, rates that ``poison_edge_count`` admits, and binary
+    features for the feature kinds."""
+
+    @pytest.mark.parametrize("kind, budgets, named", [
+        ("random_global", [], "budget sweep is empty"),
+        ("fga_structure", [], "budget sweep is empty"),
+        ("random_global", [0.1, -0.5], "not a finite nonnegative"),
+        ("random_global", [float("nan")], "not a finite nonnegative"),
+        ("random_global", [1e6], "not enough absent node pairs"),
+        ("fga_feature", [1], "feature attacks require binary"),
+        ("fga_both", [1, 2], "feature attacks require binary"),
+    ])
+    def test_refuses(self, kind, budgets, named):
+        g, _ = shaped_instance(0, "random", 8, 1, binary=False)
+        with pytest.raises(ValueError, match=named):
+            check_attack(g, AttackSpec(kind=kind), budgets)
+
+    @pytest.mark.parametrize("kind, budgets, binary", [
+        ("random_global", [0.0, 0.5], False),
+        ("fga_structure", [1], False),
+        ("fga_indirect", [1, 2], False),
+        ("fga_feature", [1], True),
+        ("fga_both", [3], True),
+    ])
+    def test_admits(self, kind, budgets, binary):
+        g, _ = shaped_instance(0, "random", 8, 1, binary=binary)
+        check_attack(g, AttackSpec(kind=kind), budgets)
+
+    def test_features_scanned_once_per_call(self, monkeypatch):
+        """Eight victims walked to budget 3 scan the n x d features once,
+        in ``evaluate_attack``'s ``check_attack``, not once per walk."""
+        g, params = shaped_instance(0, "random", 8, 1, binary=True)
+        scans = []
+        isin = np.isin
+
+        def counting_isin(element, *args, **kwargs):
+            if element is g.features:
+                scans.append(None)
+            return isin(element, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isin", counting_isin)
+        spec = AttackSpec(kind="fga_both", mode="evasion")
+        report = evaluate_attack(FixedParamsTrain(params), g, params,
+                                 np.arange(8), spec, [1, 2, 3])
+        assert len(report.margins_after[3]) == 8
+        assert len(scans) == 1
 
 
 class TestMarginShiftExport:

@@ -225,6 +225,42 @@ class TestFinitenessMatchesIsfinite:
                 assert not path.exists()
 
 
+@st.composite
+def arrays_with_planted_non_finite(draw):
+    """A float64 array of 0 to 3 dimensions of 0 to 5 entries each, of
+    finite values (the edge ones among them), with NaN of either sign,
+    +inf or -inf planted at any positions; maybe transposed, so that
+    min and max read it strided."""
+    shape = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    size = math.prod(shape)
+    finite = st.one_of(
+        st.sampled_from([v for v in FINITENESS_EDGES if math.isfinite(v)]),
+        st.floats(allow_nan=False, allow_infinity=False))
+    flat = draw(st.lists(finite, min_size=size, max_size=size))
+    planted = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+    for value in draw(st.lists(planted, max_size=3 if size else 0)):
+        flat[draw(st.integers(0, size - 1))] = value
+    a = np.array(flat, dtype=np.float64).reshape(shape)
+    return a.T if draw(st.booleans()) else a
+
+
+class TestAllFinite:
+    """``_all_finite`` reads only the min and the max; it agrees with
+    ``np.isfinite(a).all()`` on every array."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(a=arrays_with_planted_non_finite())
+    @example(a=np.zeros(0))
+    @example(a=np.zeros((3, 0)))
+    @example(a=np.array(math.nan))
+    @example(a=np.array([1.0, 2.0, -math.nan]))
+    @example(a=np.array([math.inf, 0.0]))
+    @example(a=np.array([[-1.7976931348623157e308, -math.inf]]))
+    @example(a=np.array([[-0.0, 5e-324], [-5e-324, 1.7976931348623157e308]]))
+    def test_matches_isfinite(self, a):
+        assert gpcn.graph._all_finite(a) is bool(np.isfinite(a).all())
+
+
 # The number grammar of features.csv's fast path.
 GRAMMAR = r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?"
 # Tokens in the grammar on which scipy's reader and float() part ways

@@ -664,15 +664,27 @@ class TestExitCodes:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command, synthetic, named", [
-        ("train", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
-        ("energy-study", {"split_fractions": [0.5, 0.5, 0.0]}, "test split"),
-        ("attack", {"num_blocks": 1}, "has 1"),
-    ])
+    @pytest.mark.parametrize("command, synthetic, flags, named", [
+        ("train", {"split_fractions": [0.5, 0.5, 0.0]}, [], "test split"),
+        ("energy-study", {"split_fractions": [0.5, 0.5, 0.0]},
+         ["--t-grid", "2"], "test split"),
+        ("attack", {"num_blocks": 1},
+         ["--kind", "fga_structure", "--mode", "evasion", "--budget", "1"],
+         "has 1"),
+        ("attack", {},
+         ["--kind", "fga_feature", "--mode", "evasion", "--budget", "1"],
+         "binary"),
+        ("attack", {},
+         ["--kind", "fga_both", "--mode", "poisoning", "--budget", "2"],
+         "binary"),
+    ], ids=["train-synthetic0-test split",
+            "energy-study-synthetic1-test split", "attack-synthetic2-has 1",
+            "attack-fga_feature-binary", "attack-fga_both-binary"])
     def test_usage_error_before_training(self, tmp_path, capsys, monkeypatch,
-                                         command, synthetic, named):
-        """An empty test split (train, energy-study) or a single class
-        (attack) fails before the first seed trains, naming the cause."""
+                                         command, synthetic, flags, named):
+        """An empty test split (train, energy-study), a single class
+        (attack), or a feature attack on the SBM's Gaussian features fails
+        before the first seed trains, naming the cause."""
         trained = []
 
         def no_training(graph, config):
@@ -684,10 +696,6 @@ class TestExitCodes:
         model = "gpcn" if command == "energy-study" else "gcn"
         cfg = write_config(tmp_path, model=model, epochs=1,
                            synthetic={**SBM_SPEC, **synthetic, "seed": 5})
-        flags = {"train": [],
-                 "energy-study": ["--t-grid", "2"],
-                 "attack": ["--kind", "fga_structure", "--mode", "evasion",
-                            "--budget", "1"]}[command]
         assert main([command, "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err
