@@ -32,6 +32,22 @@ The features of a loaded graph and of its largest component, the one array
 of a dataset's size, are made in an anonymous memory map of their own
 (``_mapped``), so a graph that is dropped gives that memory back to the OS.
 
+Parsed features are cached, as Python's hash-checked .pyc files cache
+compiled source: an entry ``<cache>/gpcn/<sha256 of features.csv>.f64``,
+with ``<cache>`` ``$XDG_CACHE_HOME`` or ``~/.cache``, holds (n, d) as two
+little-endian int64 and then the features as little-endian float64, row by
+row. ``save_dataset`` stores the entry of the file it writes, from the
+digest ``_write_features`` forms as it writes, and a load that parses the
+file stores it too, once the file hashes to the same digest after the
+parse. ``load_dataset`` hashes features.csv and reads a matching entry
+straight into the ``_mapped`` features, skipping the parse: the digest
+pins the bytes, the header pins meta.json's shape, and the parse is
+deterministic, so a hit gives the parse's bits. At most
+``_CACHE_ENTRIES`` entries are kept, the least recently used going first.
+The cache is an optimization only: any OS error, or a host whose floats are
+big-endian, leaves it out, and a dataset directory holds the same five
+files either way.
+
 ``save_dataset`` writes each feature as its Python ``repr``, in blocks of
 rows. scipy's Matrix Market writer gives each value's shortest round-trip
 digits, the digits ``repr`` gives, as -d.dddE-x; one numpy pass over the
@@ -48,9 +64,15 @@ memory and not O(n^2).
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import mmap
+import os
+import struct
+import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -157,7 +179,7 @@ class EdgeEdit:
 
 def _mapped(rows: int, cols: int) -> np.ndarray:
     """A zeroed (rows, cols) float64 array in an anonymous memory map of its
-    own, for the features that ``load_dataset``'s fast reader and
+    own, for the features that ``load_dataset``'s fast reader and cache and
     ``largest_connected_component`` make: the one array of a dataset's size,
     which lives as long as its graph.
 
@@ -434,6 +456,122 @@ def _read_features_fast(file: Path, num_nodes: int,
     return out
 
 
+# Cache entries of parsed features kept at most; the one used least recently
+# (by mtime: a hit touches its entry) goes first.
+_CACHE_ENTRIES = 8
+# Bytes of features.csv that _file_digest hashes at a time, through one buffer.
+_HASH_BLOCK_BYTES = 1 << 20
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/gpcn``, or ``~/.cache/gpcn``; None on a big-endian
+    host, whose float64 bytes are not an entry's, or when no home is
+    known."""
+    if sys.byteorder != "little":
+        return None
+    root = os.environ.get("XDG_CACHE_HOME")
+    if not root or not os.path.isabs(root):     # relative is invalid in XDG
+        try:
+            root = Path.home() / ".cache"
+        except (RuntimeError, OSError):
+            return None
+    return Path(root) / "gpcn"
+
+
+def _file_digest(file: Path) -> str:
+    """The SHA-256 hex digest of ``file``'s bytes."""
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK_BYTES)
+    view = memoryview(block)
+    with open(file, "rb", buffering=0) as fh:
+        while got := fh.readinto(block):
+            digest.update(view[:got])
+    return digest.hexdigest()
+
+
+def _entry_fits(fh, num_nodes: int, num_features: int) -> bool:
+    """Whether the cache entry open as ``fh`` holds (num_nodes,
+    num_features) features: its header says so and its size agrees."""
+    return (fh.read(16) == struct.pack("<2q", num_nodes, num_features)
+            and os.fstat(fh.fileno()).st_size
+            == 16 + 8 * num_nodes * num_features)
+
+
+def _cached_features(entry: Path, num_nodes: int,
+                     num_features: int) -> np.ndarray | None:
+    """The features of the cache entry ``entry``, read into a ``_mapped``
+    array, or None when there is no entry of this shape. Not
+    ``np.fromfile``: that would allocate through malloc, and glibc keeps
+    such an array in its heap once freed (see ``_mapped``). A hit touches
+    the entry, for the cap."""
+    try:
+        with open(entry, "rb") as fh:
+            if not _entry_fits(fh, num_nodes, num_features):
+                return None
+            out = _mapped(num_nodes, num_features)
+            raw = out.reshape(-1).view(np.uint8)
+            if fh.readinto(raw) != raw.size:
+                return None
+    except OSError:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return out
+
+
+def _store_features(entry: Path, features: np.ndarray) -> None:
+    """Keep ``features`` as the cache entry ``entry``, unless an entry of
+    their shape is there already, then evict past ``_CACHE_ENTRIES``. The
+    entry is written to a temporary file and renamed into place, so a
+    reader sees a whole entry or none. An OS error leaves the cache out."""
+    cache = entry.parent
+    num_nodes, num_features = features.shape
+    try:
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError), open(entry, "rb") as fh:
+            if _entry_fits(fh, num_nodes, num_features):
+                return
+        # named *.f64 too, so that the cap also clears a write cut short
+        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".f64")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(struct.pack("<2q", num_nodes, num_features))
+                fh.write(np.ascontiguousarray(features, dtype="<f8")
+                         .reshape(-1).view(np.uint8))
+            os.replace(tmp, entry)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        entries = sorted(cache.glob("*.f64"),
+                         key=lambda p: (p.stat().st_mtime_ns, p.name))
+        for old in entries[:-_CACHE_ENTRIES]:
+            old.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
+def _load_features(file: Path, num_nodes: int,
+                   num_features: int) -> np.ndarray:
+    """features.csv from its cache entry, or else parsed, by
+    ``_read_features_fast`` or failing that ``_parse_features``, and then
+    cached, if the file still has the digest it had: a file rewritten while
+    it was read would put the parse of other bytes under that digest."""
+    cache = _cache_dir()
+    if cache is not None:
+        digest = _file_digest(file)
+        entry = cache / f"{digest}.f64"
+        features = _cached_features(entry, num_nodes, num_features)
+        if features is not None:
+            return features
+    features = _read_features_fast(file, num_nodes, num_features)
+    if features is None:
+        features = _parse_features(file, num_nodes, num_features)
+    if cache is not None and _file_digest(file) == digest:
+        _store_features(entry, features)
+    return features
+
+
 def load_dataset(path) -> Graph:
     """Load a dataset directory (meta.json, edges/features/labels/splits.csv)."""
     path = Path(path)
@@ -451,11 +589,7 @@ def load_dataset(path) -> Graph:
         return ends
 
     edges = _parse_lines(path / "edges.csv", endpoints)
-    features = _read_features_fast(path / "features.csv", n,
-                                   meta.num_features)
-    if features is None:
-        features = _parse_features(path / "features.csv", n,
-                                   meta.num_features)
+    features = _load_features(path / "features.csv", n, meta.num_features)
     labels = _parse_lines(path / "labels.csv", int, expect=n)
     split = _parse_lines(path / "splits.csv", str, expect=n)
     return make_graph(n, features, labels, split,
@@ -595,14 +729,16 @@ def _repr_layout(body: np.ndarray, rows: int,
     return src[_ranges(starts.ravel(), lens.ravel())]
 
 
-def _write_features(file: Path, features: np.ndarray) -> None:
+def _write_features(file: Path, features: np.ndarray) -> str:
     """features.csv: every value as its repr, comma-separated, one row a
-    line, laid out by ``_repr_layout`` and written in blocks of rows."""
+    line, laid out by ``_repr_layout`` and written in blocks of rows. The
+    SHA-256 hex digest of the bytes written, hashed block by block."""
     # imported here, as in _read_block
     from scipy.io import mmwrite
 
     num_nodes, num_features = features.shape
     np.empty(_SAVE_HEAP_BYTES, dtype=np.uint8)     # freed at once, untouched
+    digest = hashlib.sha256()
     with open(file, "wb") as fh:
         rows = max(1, _SAVE_BLOCK_VALUES // num_features)
         for lo in range(0, num_nodes, rows):
@@ -616,11 +752,16 @@ def _write_features(file: Path, features: np.ndarray) -> None:
             size = b"\n%d %d\n" % block.T.shape     # the header's last line
             body = np.frombuffer(text, dtype=np.uint8,
                                  offset=text.index(size) + len(size))
-            fh.write(_repr_layout(body, *block.shape))
+            text = _repr_layout(body, *block.shape)
+            digest.update(text)
+            fh.write(text)
+    return digest.hexdigest()
 
 
 def save_dataset(g: Graph, path, name: str = "graph") -> None:
-    """Write a Graph back out in the dataset directory format.
+    """Write a Graph back out in the dataset directory format, and cache its
+    features under the digest of the features.csv written: they are the
+    bits that file loads to.
 
     Raises DatasetError, before writing anything, on a graph without
     feature columns or with a non-finite feature: ``load_dataset`` refuses
@@ -641,7 +782,10 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     (path / "edges.csv").write_text(
         "".join(f"{u},{v}\n" for u, v in g.edges))
-    _write_features(path / "features.csv", features)
+    digest = _write_features(path / "features.csv", features)
+    cache = _cache_dir()
+    if cache is not None:
+        _store_features(cache / f"{digest}.f64", features)
     (path / "labels.csv").write_text(
         "".join(f"{int(y)}\n" for y in g.labels))
     (path / "splits.csv").write_text("".join(f"{s}\n" for s in g.split))

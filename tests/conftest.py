@@ -555,6 +555,16 @@ def relative_error(a, b) -> float:
     return float(np.abs(a - b).max() / denom)
 
 
+@pytest.fixture(autouse=True)
+def feature_cache(tmp_path_factory, monkeypatch):
+    """Each test's cache of parsed features, in a fresh directory of its
+    own: never the user's ~/.cache, and never an entry of another test.
+    The directory the entries go in."""
+    root = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "gpcn"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

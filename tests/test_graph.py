@@ -1,5 +1,8 @@
 """Graph container, dataset I/O, normalization, SBM generation, and edits."""
 
+import contextlib
+import hashlib
+import json
 import math
 import os
 import platform
@@ -22,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpcn.graph
+from gpcn.cli import main
 from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
                         generate_synthetic, largest_connected_component,
                         load_dataset, make_graph, normalize_adjacency,
@@ -375,8 +379,12 @@ class TestFastFeatureReaderMatchesPerLineParser:
                           ["train"] * n, num_features=f, num_classes=1)
             (path / "features.csv").write_bytes(text.encode())
             loaded = features_or_error(path)
+            # the cache off, or an entry stored by the first load (or by an
+            # earlier example of the same text) would answer the second
             with mock.patch.object(gpcn.graph, "_read_features_fast",
-                                   return_value=None):
+                                   return_value=None), \
+                    mock.patch.object(gpcn.graph, "_cache_dir",
+                                      return_value=None):
                 assert features_or_error(path) == loaded
 
     def test_reads_saved_dataset(self, tmp_path, rng):
@@ -402,8 +410,10 @@ class TestFastFeatureReaderMatchesPerLineParser:
         features = np.random.default_rng(0).normal(size=(n, 1000))
         save_dataset(make_graph(n, features, [0] * n, ["none"] * n, [],
                                 num_classes=1), tmp_path)
-        load_dataset(tmp_path)          # scipy.io is imported untraced
-        with mock.patch.object(gpcn.graph, "_FAST_BLOCK_BYTES", block):
+        # the cache off, so that each load parses the file
+        with mock.patch.object(gpcn.graph, "_cache_dir", return_value=None), \
+                mock.patch.object(gpcn.graph, "_FAST_BLOCK_BYTES", block):
+            load_dataset(tmp_path)      # scipy.io is imported untraced
             tracemalloc.start()
             try:
                 g = load_dataset(tmp_path)
@@ -440,6 +450,207 @@ class TestFastFeatureReaderMatchesPerLineParser:
         file.write_text(f"1.0,{token}\n")
         assert gpcn.graph._read_features_fast(file, 1, 2) is None
 
+
+
+# repr's layouts: a signed zero, positional, e-XX, e+XX and a subnormal
+CACHE_PINNED = [-0.0, 0.1, 1e-05, 1e+16, 5e-324]
+
+
+def saved_graph(path: Path, features) -> Path:
+    """save_dataset of a graph with ``features`` into ``path``."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    save_dataset(make_graph(n, features, [0] * n, ["none"] * n, [],
+                            num_classes=1), path)
+    return path
+
+
+@contextlib.contextmanager
+def no_parse():
+    """Both features.csv parsers failing: only a cache hit loads."""
+    never = AssertionError("features.csv was parsed")
+    with mock.patch.object(gpcn.graph, "_read_features_fast",
+                           side_effect=never), \
+            mock.patch.object(gpcn.graph, "_parse_features",
+                              side_effect=never):
+        yield
+
+
+def equal_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestFeatureCache:
+    """The cache of parsed features: a hit gives the parse's bits; an edited
+    file, an entry that does not fit, or a cache that cannot be used falls
+    back to the parse, and save and load go on as without the cache."""
+
+    FEATURES = [CACHE_PINNED, CACHE_PINNED[::-1]]
+
+    @pytest.mark.parametrize("stored_by", ["save", "load"])
+    def test_hit_gives_the_parsed_bits(self, tmp_path, feature_cache,
+                                       stored_by):
+        if stored_by == "save":
+            saved_graph(tmp_path, self.FEATURES)
+        else:
+            write_dataset(tmp_path, 2, [], self.FEATURES, [0, 0],
+                          ["none"] * 2)
+            assert not feature_cache.exists()
+            load_dataset(tmp_path)
+        file = tmp_path / "features.csv"
+        digest = hashlib.sha256(file.read_bytes()).hexdigest()
+        assert [p.name for p in feature_cache.iterdir()] == [f"{digest}.f64"]
+        with no_parse():
+            hit = load_dataset(tmp_path).features
+        assert equal_bits(hit, np.array(self.FEATURES))
+        assert equal_bits(hit, gpcn.graph._read_features_fast(file, 2, 5))
+        assert equal_bits(hit, gpcn.graph._parse_features(file, 2, 5))
+
+    def test_entry_layout(self, tmp_path, feature_cache):
+        saved_graph(tmp_path, self.FEATURES)
+        (entry,) = feature_cache.iterdir()
+        assert entry.read_bytes() == (struct.pack("<2q", 2, 5)
+                                      + np.array(self.FEATURES,
+                                                 dtype="<f8").tobytes())
+        assert feature_cache.stat().st_mode & 0o777 == 0o700
+
+    def test_edited_byte_is_not_served_stale(self, tmp_path, feature_cache):
+        saved_graph(tmp_path, self.FEATURES)
+        file = tmp_path / "features.csv"
+        text = file.read_bytes()
+        file.write_bytes(text.replace(b"0.1", b"0.3", 1))
+        features = load_dataset(tmp_path).features
+        assert features[0, 1] == 0.3 and features[1, 3] == 0.1
+        assert len(list(feature_cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_features", 6, "features.csv:1: malformed line: 5 values, "
+                            "expected 6 per meta.json"),
+        ("num_nodes", 3, "features.csv: 2 rows, expected 3 per meta.json")])
+    def test_meta_mismatch_exits_2(self, tmp_path, capsys, key, value,
+                                   message):
+        saved_graph(tmp_path, self.FEATURES)
+        load_dataset(tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta[key] = value
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        assert main(["dataset", "inspect", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[:-8], lambda b: b[:-1], lambda b: b + b"\0" * 8,
+        lambda b: struct.pack("<2q", 5, 2) + b[16:],
+        lambda b: struct.pack("<2q", 1, 10) + b[16:]],
+        ids=["row-short", "byte-short", "long", "swapped-header",
+             "other-header"])
+    def test_entry_that_does_not_fit_is_parsed_again(self, tmp_path,
+                                                     feature_cache, corrupt):
+        saved_graph(tmp_path, self.FEATURES)
+        (entry,) = feature_cache.iterdir()
+        good = entry.read_bytes()
+        entry.write_bytes(corrupt(good))
+        reads = []
+        fast = gpcn.graph._read_features_fast
+        with mock.patch.object(gpcn.graph, "_read_features_fast",
+                               lambda *a: reads.append(a) or fast(*a)):
+            features = load_dataset(tmp_path).features
+        assert len(reads) == 1
+        assert equal_bits(features, np.array(self.FEATURES))
+        # the parse put back a whole entry, which the next load reads
+        assert entry.read_bytes() == good
+        with no_parse():
+            load_dataset(tmp_path)
+
+    def test_file_changed_during_load_is_not_stored(self, tmp_path,
+                                                    feature_cache):
+        """A features.csv rewritten between the hash and the parse: the
+        parse reads the new bytes, which must not be stored under the old
+        digest."""
+        write_dataset(tmp_path, 2, [], self.FEATURES, [0, 0], ["none"] * 2)
+        file = tmp_path / "features.csv"
+        old = hashlib.sha256(file.read_bytes()).hexdigest()
+        fast = gpcn.graph._read_features_fast
+
+        def rewrite_then_read(*args):
+            file.write_bytes(file.read_bytes().replace(b"0.1", b"0.3", 1))
+            return fast(*args)
+
+        with mock.patch.object(gpcn.graph, "_read_features_fast",
+                               rewrite_then_read):
+            assert load_dataset(tmp_path).features[0, 1] == 0.3
+        assert not (feature_cache / f"{old}.f64").exists()
+
+    def _save_and_load(self, tmp_path):
+        saved_graph(tmp_path / "d", self.FEATURES)
+        for _ in range(2):
+            assert equal_bits(load_dataset(tmp_path / "d").features,
+                             np.array(self.FEATURES))
+
+    def test_cache_that_is_a_file(self, tmp_path, monkeypatch):
+        """$XDG_CACHE_HOME a regular file: gpcn/ cannot be made in it."""
+        (tmp_path / "xdg").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        self._save_and_load(tmp_path)
+
+    def test_cache_that_refuses_writes(self, tmp_path, feature_cache,
+                                       monkeypatch):
+        def refuse(*args):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        self._save_and_load(tmp_path)
+        assert list(feature_cache.iterdir()) == []      # no temporary left
+
+    def test_no_home(self, tmp_path, monkeypatch):
+        def no_home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(Path, "home", classmethod(no_home))
+        assert gpcn.graph._cache_dir() is None
+        self._save_and_load(tmp_path)
+
+    def test_no_cache_on_big_endian_host(self, tmp_path, feature_cache,
+                                         monkeypatch):
+        monkeypatch.setattr(gpcn.graph.sys, "byteorder", "big")
+        self._save_and_load(tmp_path)
+        assert not feature_cache.exists()
+
+    def test_cap_evicts_least_recently_used(self, tmp_path, feature_cache):
+        """Eight entries of mtimes 1 to 8; a hit on the oldest makes it the
+        newest, so the ninth entry evicts the one of mtime 2."""
+        saved_graph(tmp_path / "a", [[1.0]])
+        (first,) = feature_cache.iterdir()
+        others = [feature_cache / f"{i:064x}.f64" for i in range(7)]
+        for p in others:
+            p.write_bytes(b"")
+        for t, p in enumerate([first, *others], 1):
+            os.utime(p, (t, t))
+        with no_parse():
+            load_dataset(tmp_path / "a")
+        saved_graph(tmp_path / "b", [[2.0]])
+        assert len(list(feature_cache.iterdir())) == gpcn.graph._CACHE_ENTRIES
+        assert first.exists() and not others[0].exists()
+        assert all(p.exists() for p in others[1:])
+
+    def test_hit_working_memory(self, tmp_path):
+        """A hit holds the hash buffer and no parse working memory; the
+        features are in a memory map, which tracemalloc does not see."""
+        n = 600
+        features = np.random.default_rng(0).normal(size=(n, 1000))
+        saved_graph(tmp_path, features)
+        load_dataset(tmp_path)
+        tracemalloc.start()
+        try:
+            with no_parse():
+                g = load_dataset(tmp_path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert equal_bits(g.features, features)
+        assert peak - held < 2 * gpcn.graph._HASH_BLOCK_BYTES
 
 def neighbours(x: float) -> list[float]:
     return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
