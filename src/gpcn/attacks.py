@@ -152,22 +152,6 @@ def poison_edge_count(graph: Graph, ptb_rate: float) -> int:
     return k
 
 
-# Feature values _all_binary compares at a time, in whole rows: its masks
-# take a byte per value, so they stay small whatever the features' size.
-_BINARY_BLOCK_VALUES = 1 << 16
-
-
-def _all_binary(features: np.ndarray) -> bool:
-    """Whether every feature is 0 or 1 (-0.0 is 0), checked a block of
-    rows at a time, with no mask of the features' size."""
-    rows = max(1, _BINARY_BLOCK_VALUES // max(1, features.shape[1]))
-    for lo in range(0, features.shape[0], rows):
-        block = features[lo:lo + rows]
-        if not ((block == 0.0) | (block == 1.0)).all():
-            return False
-    return True
-
-
 def check_attack(graph: Graph, spec: AttackSpec, budgets) -> None:
     """ValueError for an empty budget sweep, a ``random_global`` rate that
     ``poison_edge_count`` refuses, or a feature attack on features that
@@ -177,7 +161,8 @@ def check_attack(graph: Graph, spec: AttackSpec, budgets) -> None:
     if spec.kind == "random_global":
         for rate in budgets:
             poison_edge_count(graph, rate)
-    if spec.kind in _FEATURE_KINDS and not _all_binary(graph.features):
+    if spec.kind in _FEATURE_KINDS and not np.isin(graph.features,
+                                                   (0.0, 1.0)).all():
         raise ValueError("feature attacks require binary features")
 
 

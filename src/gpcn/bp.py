@@ -114,12 +114,10 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     """Full-batch training loop shared by both backends, on ``graph``.
 
     ``epoch(cache, params, opt, train_mask)`` updates ``params`` in
-    place through the Adam state ``opt`` and returns a pair: the settled
-    energy (predictive coding) or None (backprop), and X W^(1) of the
-    updated weights if the epoch formed it, else None, which the eval pass
-    then takes as it is. ``cache``, read-only, is the GCN forward pass of
-    the current weights: the previous epoch's eval pass, which is also the
-    feedforward state of a predictive-coding network.
+    place through the Adam state ``opt`` and returns the settled energy
+    (predictive coding) or None (backprop). ``cache``, read-only, is the GCN
+    forward pass of the current weights: the previous epoch's eval pass,
+    which is also the feedforward state of a predictive-coding network.
     Returns the snapshot with the best val accuracy, ties broken by lowest
     energy, then earliest epoch, together with the epoch history.
     """
@@ -139,13 +137,13 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     best_params = None
     cache = gcn_forward(graph, params)
     for i in range(config.epochs):
-        energy, xw = epoch(cache, params, opt, train_mask)
+        energy = epoch(cache, params, opt, train_mask)
         if energy is not None:
             if not np.isfinite(energy):
                 raise FloatingPointError(f"non-finite energy at epoch {i}")
             history.energy.append(energy)
 
-        cache = gcn_forward(graph, params, xw)
+        cache = gcn_forward(graph, params)
         logits = cache.logits
         history.train_acc.append(accuracy(logits, graph.labels, train_mask))
         val = accuracy(logits, graph.labels, val_mask)
@@ -170,7 +168,6 @@ def train_bp(graph: Graph, config: TrainConfig):
             # one Adam step per epoch, so opt.t counts the epochs done
             raise FloatingPointError(f"non-finite loss at epoch {opt.t}")
         adam_step(params, gcn_backward(graph.adj, cache, grad, params), opt)
-        return None, None
 
     return fit(graph, config, epoch)
 

@@ -457,7 +457,7 @@ def _read_features_fast(file: Path, num_nodes: int,
 
 
 # Cache entries of parsed features kept at most; the one used least recently
-# (by mtime: a hit touches its entry) goes first.
+# (by mtime: a hit, or a save that finds it, touches its entry) goes first.
 _CACHE_ENTRIES = 8
 # Bytes of features.csv that _file_digest hashes at a time, through one buffer.
 _HASH_BLOCK_BYTES = 1 << 20
@@ -521,15 +521,17 @@ def _cached_features(entry: Path, num_nodes: int,
 
 def _store_features(entry: Path, features: np.ndarray) -> None:
     """Keep ``features`` as the cache entry ``entry``, unless an entry of
-    their shape is there already, then evict past ``_CACHE_ENTRIES``. The
-    entry is written to a temporary file and renamed into place, so a
-    reader sees a whole entry or none. An OS error leaves the cache out."""
+    their shape is there already, which is then touched as a hit is, and
+    evict past ``_CACHE_ENTRIES``. The entry is written to a temporary file
+    and renamed into place, so a reader sees a whole entry or none. An OS
+    error leaves the cache out."""
     cache = entry.parent
     num_nodes, num_features = features.shape
     try:
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         with contextlib.suppress(FileNotFoundError), open(entry, "rb") as fh:
             if _entry_fits(fh, num_nodes, num_features):
+                os.utime(entry)
                 return
         # named *.f64 too, so that the cap also clears a write cut short
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".f64")

@@ -120,26 +120,21 @@ def pc_predictions(adj: sp.csr_matrix, state: PCState,
 
 
 def _predict(adj: sp.csr_matrix, state: PCState, params: ModelParams,
-             keep_mu1: bool = False) -> np.ndarray | None:
+             keep_mu1: bool = False) -> None:
     """Recompute predictions and errors in place from the current
     aggregates, which is all a weight update changes. ``keep_mu1`` keeps
     mu[0] as well, which is exact while W^(1) and what it multiplies stay
-    as they were: in inter_layer mode that is the input. Returns the
-    product X W^(1) when it formed one, in inter_layer mode, else None."""
+    as they were: in inter_layer mode that is the input."""
     inter = state.mode == "inter_layer"
-    xw = None
     for k, (x, w) in enumerate(zip(state.weight_inputs, params.weights),
                                start=1):
         if k > 1 or not keep_mu1:
             mu = x @ w
-            if k == 1 and inter:
-                # mu^(1) = A_hat (X W^(1)) in inter_layer mode
-                xw, mu = mu, propagate(adj, mu)
-            state.mu[k - 1] = mu
+            # mu^(1) = A_hat (X W^(1)) in inter_layer mode
+            state.mu[k - 1] = propagate(adj, mu) if k == 1 and inter else mu
         state.eps[k - 1] = state.h[k] - state.mu[k - 1]
     state.eps_agg = [h - a for h, a in zip(state.h_agg, state.agg)]
     _mask_output_eps(state)
-    return xw
 
 
 def pc_init_feedforward(cache: ForwardCache, params: ModelParams,
@@ -262,10 +257,8 @@ def train_pc(graph: Graph, config: PCConfig):
     update(s) through Adam, each followed by the predictions of the new
     weights (the values, and with them the aggregates, stay as they were).
     The epoch returns the settled training energy, so selection breaks
-    val-accuracy ties by lowest energy, and in inter_layer mode the X W^(1)
-    of its last prediction, which is that of the updated weights, so that
-    the eval pass does not form it again. intra_layer mode forms A_hat X
-    once, for every epoch.
+    val-accuracy ties by lowest energy. intra_layer mode forms A_hat X once,
+    for every epoch.
     """
     adj = graph.adj
     ax = (propagate(adj, graph.features)
@@ -278,10 +271,10 @@ def train_pc(graph: Graph, config: PCConfig):
             inference_step(adj, state, params, config.value_update_rate)
             if config.weight_update_timing == "every_step":
                 adam_step(params, pc_weight_gradients(adj, state), opt)
-                xw = _predict(adj, state, params)
+                _predict(adj, state, params)
         if config.weight_update_timing == "end_of_T":
             adam_step(params, pc_weight_gradients(adj, state), opt)
-            xw = _predict(adj, state, params)
-        return compute_energy(state), xw
+            _predict(adj, state, params)
+        return compute_energy(state)
 
     return fit(graph, config, epoch)

@@ -2,9 +2,7 @@
 poisoning, gradient attacks, and the evasion/poisoning evaluation loop."""
 
 import copy
-import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -685,67 +683,19 @@ class TestCheckAttack:
         in ``evaluate_attack``'s ``check_attack``, not once per walk."""
         g, params = shaped_instance(0, "random", 8, 1, binary=True)
         scans = []
-        all_binary = gpcn.attacks._all_binary
+        isin = np.isin
 
-        def counting_all_binary(features):
-            if features is g.features:
+        def counting_isin(element, *args, **kwargs):
+            if element is g.features:
                 scans.append(None)
-            return all_binary(features)
+            return isin(element, *args, **kwargs)
 
-        monkeypatch.setattr(gpcn.attacks, "_all_binary", counting_all_binary)
+        monkeypatch.setattr(np, "isin", counting_isin)
         spec = AttackSpec(kind="fga_both", mode="evasion")
         report = evaluate_attack(FixedParamsTrain(params), g, params,
                                  np.arange(8), spec, [1, 2, 3])
         assert len(report.margins_after[3]) == 8
         assert len(scans) == 1
-
-
-# 0, 1 and the values nearest them: both zeros, the subnormals, the float
-# after 1 and the one before it, and NaN, which equals nothing
-BINARY_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
-                2.2250738585072014e-308, 1.0000000000000002,
-                0.9999999999999999, 2.0, math.nan, math.inf]
-
-
-@st.composite
-def near_binary_features(draw):
-    """Mostly 0 and 1, with edge values among them at random places."""
-    n, d = draw(st.integers(0, 9)), draw(st.integers(1, 7))
-    values = st.one_of(st.sampled_from([0.0, 1.0]),
-                       st.sampled_from(BINARY_EDGES),
-                       st.floats(allow_nan=True, allow_infinity=True))
-    cells = draw(st.lists(values, min_size=n * d, max_size=n * d))
-    return np.array(cells, dtype=np.float64).reshape(n, d)
-
-
-class TestAllBinary:
-    """``_all_binary``, blockwise, against one ``np.isin`` mask over the
-    whole array."""
-
-    @settings(deadline=None, max_examples=300)
-    @given(features=near_binary_features(),
-           block=st.sampled_from([1, 2, 5, 1 << 16]))
-    @example(features=np.array([[1.0, -0.0], [0.0, 1.0]]), block=1)
-    @example(features=np.array([[1.0, 0.0], [0.0, math.nan]]), block=2)
-    @example(features=np.array([[1.0000000000000002]]), block=1)
-    @example(features=np.array([[0.0, 5e-324]]), block=1)
-    def test_matches_isin(self, features, block):
-        with mock.patch.object(gpcn.attacks, "_BINARY_BLOCK_VALUES", block):
-            got = gpcn.attacks._all_binary(features)
-        assert got == bool(np.isin(features, (0.0, 1.0)).all())
-
-    def test_no_mask_of_the_features_size(self):
-        """2000 x 1000 binary features: a mask over them all would take
-        2 MB; the blocks' masks take well under one."""
-        features = np.zeros((2000, 1000))
-        features[::3] = 1.0
-        tracemalloc.start()
-        try:
-            assert gpcn.attacks._all_binary(features)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < features.size // 4
 
 
 class TestMarginShiftExport:

@@ -165,7 +165,6 @@ class TestTraining:
                                            train_mask)
             adam_step(params,
                       gcn_backward(sbm_easy.adj, cache, grad, params), opt)
-            return None, None
 
         fit(sbm_easy, TrainConfig(epochs=5, seed=0), epoch)
         assert seen == [True] * 5

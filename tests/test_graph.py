@@ -618,9 +618,12 @@ class TestFeatureCache:
         self._save_and_load(tmp_path)
         assert not feature_cache.exists()
 
-    def test_cap_evicts_least_recently_used(self, tmp_path, feature_cache):
-        """Eight entries of mtimes 1 to 8; a hit on the oldest makes it the
-        newest, so the ninth entry evicts the one of mtime 2."""
+    @pytest.mark.parametrize("refresh", ["load", "save"])
+    def test_cap_evicts_least_recently_used(self, tmp_path, feature_cache,
+                                            refresh):
+        """Eight entries of mtimes 1 to 8; a hit on the oldest, or a save of
+        the file it holds, makes it the newest, so the ninth entry evicts
+        the one of mtime 2."""
         saved_graph(tmp_path / "a", [[1.0]])
         (first,) = feature_cache.iterdir()
         others = [feature_cache / f"{i:064x}.f64" for i in range(7)]
@@ -628,8 +631,11 @@ class TestFeatureCache:
             p.write_bytes(b"")
         for t, p in enumerate([first, *others], 1):
             os.utime(p, (t, t))
-        with no_parse():
-            load_dataset(tmp_path / "a")
+        if refresh == "load":
+            with no_parse():
+                load_dataset(tmp_path / "a")
+        else:
+            saved_graph(tmp_path / "a2", [[1.0]])
         saved_graph(tmp_path / "b", [[2.0]])
         assert len(list(feature_cache.iterdir())) == gpcn.graph._CACHE_ENTRIES
         assert first.exists() and not others[0].exists()

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gpcn.bp
 import gpcn.pc
 from gpcn.graph import make_graph, propagate
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
@@ -482,32 +481,6 @@ class TestTraining:
         _, h2 = train_pc(sbm_easy, PCConfig(epochs=8, seed=2))
         assert h1.energy == h2.energy
         assert h1.val_acc == h2.val_acc
-
-    @pytest.mark.parametrize("mode, timing", [
-        ("inter_layer", "end_of_T"), ("inter_layer", "every_step"),
-        ("intra_layer", "end_of_T")])
-    def test_eval_pass_reuses_xw_bit_identically(self, sbm_easy, mode,
-                                                 timing):
-        """In inter_layer mode each epoch hands the X W^(1) of its last
-        prediction to the eval pass; training equals, bit for bit, a run
-        whose eval pass forms X W^(1) itself."""
-        cfg = PCConfig(epochs=6, seed=0, mode=mode,
-                       weight_update_timing=timing)
-        handed = []
-        forward = gpcn.bp.gcn_forward
-
-        def fresh_forward(graph, params, xw=None):
-            handed.append(xw is not None)
-            return forward(graph, params)
-
-        reused = train_pc(sbm_easy, cfg)
-        with mock.patch.object(gpcn.bp, "gcn_forward", fresh_forward):
-            formed = train_pc(sbm_easy, cfg)
-        assert handed == [False] + [mode == "inter_layer"] * cfg.epochs
-        (p1, h1), (p2, h2) = reused, formed
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(p1.weights, p2.weights))
-        assert h1 == h2
 
     def test_every_step_timing_trains(self, sbm_easy):
         cfg = PCConfig(epochs=30, seed=0, weight_update_timing="every_step")
