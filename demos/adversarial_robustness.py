@@ -34,8 +34,8 @@ def sweep(learner, graph, kind, mode, budgets, seeds=range(3)):
         params = train(graph)
         victims = select_victims(graph, predict(graph, params),
                                  "random_1000", seed)
-        spec = AttackSpec(kind=kind, mode=mode, seed=seed)
-        report = evaluate_attack(train, graph, params, victims, spec, budgets)
+        spec = AttackSpec(kind=kind, budgets=budgets, mode=mode, seed=seed)
+        report = evaluate_attack(train, graph, params, victims, spec)
         per_seed.append([report.accuracy[q] for q in budgets])
     return np.mean(per_seed, axis=0)
 

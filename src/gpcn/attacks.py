@@ -21,11 +21,13 @@ scored: every other pair has zero gradient and cannot increase the loss.
 
 Targeted attacks walk each victim in ``fga_attack``, which applies each
 edit as soon as it is picked and keeps the edit and the logits of its step;
-``evaluate_attack`` reads budget q from step q. The first GCN layer is
-A_hat (X W^(1)), so an edge toggle leaves X W^(1) as it was: a step after
-one normalizes A_hat again and forms one n x hidden product A_hat (X W^(1))
-and the hidden layers, with no n x d array and no dense product over the
-features. X W^(1) is formed again only after a feature flip.
+the sweep lives in ``AttackSpec.budgets``, the walk runs to its largest
+budget, and ``evaluate_attack`` reads budget q from step q. The first GCN
+layer is A_hat (X W^(1)), so an edge toggle leaves X W^(1) as it was: a
+step after one normalizes A_hat again and forms one n x hidden product
+A_hat (X W^(1)) and the hidden layers, with no n x d array and no dense
+product over the features. X W^(1) is formed again only after a feature
+flip.
 """
 
 from __future__ import annotations
@@ -53,9 +55,15 @@ VICTIM_STRATEGIES = {"nettack_style": ("test",),
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """One attack and its sweep. ``budgets`` holds the edit budgets of a
+    targeted kind, integers from 0, or the edge rates of ``random_global``;
+    ``evaluate_attack`` reports each of them, in order, and a targeted walk
+    runs to the largest, ``budget``. Construction refuses an empty sweep
+    and a value given twice, whose rows would be reported twice."""
+
     kind: str
+    budgets: tuple
     mode: str = "evasion"              # or "poisoning"
-    budget: int | None = None          # fga_attack's walk length
     influencer_count: int = 5          # indirect attacks only
     seed: int = 0
 
@@ -64,10 +72,24 @@ class AttackSpec:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.mode not in ("evasion", "poisoning"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
         if self.influencer_count < 1:
             raise ValueError("influencer_count must be >= 1")
+        object.__setattr__(self, "budgets", tuple(self.budgets))
+        if not self.budgets:
+            raise ValueError("budget sweep is empty")
+        seen = set()
+        for q in self.budgets:
+            if q in seen:
+                raise ValueError(f"{q!r} appears twice in the budget grid")
+            seen.add(q)
+            if self.kind != "random_global" and not (
+                    isinstance(q, (int, np.integer)) and q >= 0):
+                raise ValueError(f"budget {q!r} is not an integer >= 0")
+
+    @property
+    def budget(self):
+        """The largest value of the sweep: a targeted walk's length."""
+        return max(self.budgets)
 
 
 @dataclass(frozen=True)
@@ -152,14 +174,13 @@ def poison_edge_count(graph: Graph, ptb_rate: float) -> int:
     return k
 
 
-def check_attack(graph: Graph, spec: AttackSpec, budgets) -> None:
-    """ValueError for an empty budget sweep, a ``random_global`` rate that
-    ``poison_edge_count`` refuses, or a feature attack on features that
-    are not all 0 or 1."""
-    if len(budgets) == 0:
-        raise ValueError("budget sweep is empty")
+def check_attack(graph: Graph, spec: AttackSpec) -> None:
+    """ValueError for a rate of the sweep in ``spec`` that
+    ``poison_edge_count`` refuses on ``graph``, or a feature attack on
+    features that are not all 0 or 1. What needs no graph, such as an empty
+    sweep, the spec refused when it was built."""
     if spec.kind == "random_global":
-        for rate in budgets:
+        for rate in spec.budgets:
             poison_edge_count(graph, rate)
     if spec.kind in _FEATURE_KINDS and not np.isin(graph.features,
                                                    (0.0, 1.0)).all():
@@ -323,12 +344,11 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
     score. Indirect attacks only touch edges that avoid the victim and have
     an endpoint among the top-gradient influencer neighbors. ``cache`` is
     the forward pass of ``graph`` under ``params``. Returns one
-    ``AttackStep`` per applied edit, at most ``spec.budget``: each edit is
-    applied as soon as it is picked, and the next iteration starts from its
-    step, on a graph of its own with its own A_hat; ``graph`` is left as it
-    was. Feature kinds take binary features, as ``check_attack`` checks."""
-    if spec.budget is None:
-        raise ValueError("targeted attack needs a budget")
+    ``AttackStep`` per applied edit, at most ``spec.budget``, the largest
+    budget of the spec's sweep: each edit is applied as soon as it is
+    picked, and the next iteration starts from its step, on a graph of its
+    own with its own A_hat; ``graph`` is left as it was. Feature kinds take
+    binary features, as ``check_attack`` checks."""
     if spec.kind not in _STRUCTURE_KINDS + _FEATURE_KINDS:
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
 
@@ -346,9 +366,9 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
 
 
 def evaluate_attack(train, graph: Graph, params: ModelParams,
-                    victims: np.ndarray, spec: AttackSpec,
-                    budgets) -> RobustnessReport:
-    """Run the evasion or poisoning protocol over a budget sweep.
+                    victims: np.ndarray, spec: AttackSpec) -> RobustnessReport:
+    """Run the evasion or poisoning protocol over the sweep
+    ``spec.budgets``; the report holds each budget in the sweep's order.
 
     ``params`` are the weights ``train``, a function from a Graph to its
     trained ModelParams, gave on the clean ``graph``. Evasion predicts with
@@ -358,14 +378,14 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
     walk share its prediction: poisoning trains once per rate that adds
     edges, or per walk step that a budget reads.
 
-    A targeted attack walks each victim once, to the largest budget, from
-    the clean forward pass, and budget q reads step q, or the last step, or
-    the clean graph, if the attack stopped earlier: evasion the step's
-    logits, poisoning a retrain on ``apply_edits`` of the first q edits.
+    A targeted attack walks each victim once, to the largest budget
+    ``spec.budget``, from the clean forward pass, and budget q reads step
+    q, or the last step, or the clean graph, if the attack stopped earlier:
+    evasion the step's logits, poisoning a retrain on ``apply_edits`` of
+    the first q edits.
     ``check_attack`` first refuses what the attack cannot take.
     """
-    budgets = list(budgets)
-    check_attack(graph, spec, budgets)
+    check_attack(graph, spec)
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims] = True
     clean = gcn_forward(graph, params)
@@ -375,7 +395,7 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
 
     margins_after: dict = {}
     if spec.kind == "random_global":
-        for rate in budgets:
+        for rate in spec.budgets:
             perturbed = random_global_poison(graph, rate, spec.seed)
             # a rate that adds no edge leaves the clean graph
             probs = clean_probs
@@ -385,12 +405,11 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
             margins_after[rate] = classification_margins(probs, graph.labels,
                                                          vmask)
     else:
-        margins_after = {q: [] for q in budgets}
+        margins_after = {q: [] for q in spec.budgets}
         # every victim's first step runs on the clean graph, so they share
         # its forward pass
-        walk_spec = replace(spec, budget=max(budgets))
         for victim in victims.tolist():
-            steps = fga_attack(params, graph, victim, walk_spec, clean)
+            steps = fga_attack(params, graph, victim, spec, clean)
             one = np.zeros(graph.num_nodes, dtype=bool)
             one[victim] = True
             margin_at: dict = {}           # walk index -> victim's margin

@@ -136,17 +136,17 @@ def run(args) -> int:
             if args.ptb_rate is None:
                 raise ValueError("random_global takes --ptb-rate, not "
                                  "--budget")
-            budgets = list(args.ptb_rate)
+            budgets = args.ptb_rate
         else:
             if args.budget is None:
                 raise ValueError(f"{args.kind} takes --budget, not "
                                  "--ptb-rate")
             if args.budget < 1:
                 raise ValueError(f"--budget must be >= 1, got {args.budget}")
-            budgets = list(range(1, args.budget + 1))
-        spec = AttackSpec(kind=args.kind, mode=args.mode,
+            budgets = range(1, args.budget + 1)
+        spec = AttackSpec(kind=args.kind, budgets=budgets, mode=args.mode,
                           influencer_count=args.influencers)
-        cmd_attack(config, spec, budgets, args.out)
+        cmd_attack(config, spec, args.out)
         print(f"wrote robustness.csv and margins.csv to {args.out}")
         return 0
 

@@ -274,7 +274,8 @@ def checkpoint_dict(config: ExperimentConfig, seed: int, params: ModelParams,
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """The params and the JSON object of a checkpoint; ValueError, starting
     with ``path``, for a file that is not UTF-8 JSON, a missing or malformed
-    key, or a layer whose weights do not fill its shape in ``layer_dims``."""
+    key, or a layer whose weights do not fill its shape in ``layer_dims``
+    or are not all finite (JSON readers take NaN, Infinity and 1e400)."""
     data = _read_json(path, lambda data: data)
     for key in ("layer_dims", "weights"):
         if key not in data:
@@ -297,6 +298,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}: layer {k + 1} has {w.size} weights, "
                              f"its shape ({dims[k]}, {dims[k + 1]}) needs "
                              f"{dims[k] * dims[k + 1]}")
+        if not np.isfinite(w).all():
+            raise ValueError(f"{path}: layer {k + 1} holds a non-finite "
+                             "weight")
         weights.append(w.reshape(dims[k], dims[k + 1]))
     return ModelParams(weights), data
 
@@ -367,11 +371,11 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
         raise ValueError("checkpoint input width does not match dataset")
     if params.layer_dims[-1] != graph.num_classes:
         raise ValueError("checkpoint output width does not match classes")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     probs = predict(graph, params)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     bin_rows = []
     for b in range(bins):
@@ -391,17 +395,15 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
     return payload
 
 
-def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
-               out_dir) -> None:
-    """Run the attack protocol for every seed; emit robustness.csv and
-    margins.csv."""
-    _require_distinct(budgets, "the budget grid")
+def cmd_attack(config: ExperimentConfig, spec: AttackSpec, out_dir) -> None:
+    """Run the attack protocol over ``spec``'s sweep for every seed; emit
+    robustness.csv and margins.csv."""
     graph = config.load_graph()
     if graph.num_classes < 2:
         raise ValueError(f"attack margins need at least 2 classes; the "
                          f"dataset has {graph.num_classes}")
     candidate_pool(graph, config.victim_strategy)
-    check_attack(graph, spec, budgets)
+    check_attack(graph, spec)
 
     rob_rows, margin_rows = [], []
     for seed in config.seeds:
@@ -415,8 +417,8 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, budgets,
         victims = select_victims(graph, predict(graph, params),
                                  config.victim_strategy, seed)
         report = evaluate_attack(train, graph, params, victims,
-                                 replace(spec, seed=seed), budgets)
-        for q in budgets:
+                                 replace(spec, seed=seed))
+        for q in spec.budgets:
             rob_rows.append({
                 "dataset": config.dataset_name, "model": config.model,
                 "attack_kind": spec.kind, "mode": spec.mode, "budget": q,

@@ -249,9 +249,8 @@ def _attack_sweep(graph, kind, mode, budgets, train_fn, config_cls):
         params = train(graph)
         victims = select_victims(graph, predict(graph, params),
                                  "random_1000", seed)
-        spec = AttackSpec(kind=kind, mode=mode, seed=seed)
-        per_seed.append(evaluate_attack(train, graph, params, victims,
-                                        spec, budgets))
+        spec = AttackSpec(kind=kind, budgets=budgets, mode=mode, seed=seed)
+        per_seed.append(evaluate_attack(train, graph, params, victims, spec))
     means = np.array([[r.accuracy[q] for q in budgets] for r in per_seed])
     return means.mean(axis=0), per_seed
 

@@ -2,6 +2,7 @@
 poisoning, gradient attacks, and the evasion/poisoning evaluation loop."""
 
 import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -222,7 +223,7 @@ class TestLossGradient:
 class TestFgaAttack:
     def test_budget_contract_and_legality(self):
         g, params = trained_instance(3, n=15)
-        spec = AttackSpec(kind="fga_structure", mode="evasion", budget=4)
+        spec = AttackSpec(kind="fga_structure", budgets=(4,), mode="evasion")
         edits = attack(params, g, 0, spec)
         assert len(edits) <= 4
         current = g
@@ -233,12 +234,12 @@ class TestFgaAttack:
     def test_zero_weight_model_yields_no_edits(self):
         g, params = trained_instance(4)
         zero = ModelParams([np.zeros_like(w) for w in params.weights])
-        spec = AttackSpec(kind="fga_structure", mode="evasion", budget=3)
+        spec = AttackSpec(kind="fga_structure", budgets=(3,), mode="evasion")
         assert attack(zero, g, 1, spec) == []
 
     def test_indirect_edits_avoid_victim(self):
         g, params = trained_instance(5, n=15)
-        spec = AttackSpec(kind="fga_indirect", mode="evasion", budget=4,
+        spec = AttackSpec(kind="fga_indirect", budgets=(4,), mode="evasion",
                           influencer_count=3)
         for e in attack(params, g, 2, spec):
             assert 2 not in (e.u, e.v)
@@ -250,10 +251,10 @@ class TestFgaAttack:
         g, params = trained_instance(6)
         for kind in ("fga_feature", "fga_both"):
             train = FixedParamsTrain(params)
-            spec = AttackSpec(kind=kind, mode="poisoning")
+            spec = AttackSpec(kind=kind, budgets=(1,), mode="poisoning")
             with pytest.raises(ValueError,
                                match="feature attacks require binary"):
-                evaluate_attack(train, g, params, np.arange(3), spec, [1])
+                evaluate_attack(train, g, params, np.arange(3), spec)
             assert train.graphs == []
 
     def test_feature_attack_flips_binary_features(self, rng):
@@ -261,7 +262,7 @@ class TestFgaAttack:
         g = make_graph(10, (g0.features > 0).astype(float), g0.labels,
                        g0.split, g0.edges, num_classes=2)
         params = init_params([4, 5, 2], rng)
-        spec = AttackSpec(kind="fga_feature", mode="evasion", budget=3)
+        spec = AttackSpec(kind="fga_feature", budgets=(3,), mode="evasion")
         edits = attack(params, g, 1, spec)
         assert all(e.kind == "feature_flip" for e in edits)
 
@@ -277,7 +278,7 @@ class TestFgaAttack:
                        g0.labels, g0.split, g0.edges, num_classes=2)
         params = init_params([512, 16, 2], np.random.default_rng(0))
         cache = gcn_forward(g, params)
-        spec = AttackSpec(kind="fga_feature", budget=1)
+        spec = AttackSpec(kind="fga_feature", budgets=(1,))
         tracemalloc.start()
         try:
             edit = gpcn.attacks._best_edit(params, g, cache, 0, spec)
@@ -289,7 +290,7 @@ class TestFgaAttack:
 
     def test_attack_raises_victim_loss(self):
         g, params = trained_instance(7, n=15)
-        spec = AttackSpec(kind="fga_structure", mode="evasion", budget=2)
+        spec = AttackSpec(kind="fga_structure", budgets=(2,), mode="evasion")
         victim = 0
         edits = attack(params, g, victim, spec)
         if not edits:
@@ -386,7 +387,7 @@ class TestLocalPathMatchesDense:
         seed, shape, n, hidden = instance
         g, params = shaped_instance(seed, shape, n, hidden,
                                     binary=kind in ("fga_feature", "fga_both"))
-        spec = AttackSpec(kind=kind, budget=budget,
+        spec = AttackSpec(kind=kind, budgets=(budget,),
                           influencer_count=influencers)
         assert_same_edits(params, g, 0, attack(params, g, 0, spec),
                           reference_fga_attack(params, g, 0, spec))
@@ -407,7 +408,7 @@ class TestLocalPathMatchesDense:
         params = init_params([4, 5, 3], rng)
         grad_adj, _ = reference_loss_gradient_wrt_inputs(params, g, 0)
         assert grad_adj[1, 4] == grad_adj[3, 5] == grad_adj.max()
-        spec = AttackSpec(kind="fga_structure", budget=1)
+        spec = AttackSpec(kind="fga_structure", budgets=(1,))
         assert attack(params, g, 0, spec) == [EdgeEdit("add", 1, 4)]
 
     @settings(deadline=None, max_examples=100)
@@ -451,7 +452,7 @@ class TestAttackWalk:
                                     binary=kind in ("fga_feature", "fga_both"))
         clean = gcn_forward(g, params)
         before = copy.deepcopy(g)
-        spec = AttackSpec(kind=kind, budget=budget, influencer_count=2)
+        spec = AttackSpec(kind=kind, budgets=(budget,), influencer_count=2)
         steps = fga_attack(params, g, 0, spec, clean)
         assert len(steps) <= budget
         edits = [step.edit for step in steps]
@@ -469,7 +470,7 @@ class TestAttackWalk:
         g, params = shaped_instance(0, "random", 8, 1, binary=True)
         clean = gcn_forward(g, params)
         before = copy.deepcopy(g)
-        spec = AttackSpec(kind=kind, budget=4)
+        spec = AttackSpec(kind=kind, budgets=(4,))
         victim = 7 if end == "early_stop" else 2
         if end == "exception":
             calls = []
@@ -499,7 +500,7 @@ class TestAttackWalk:
             feature_noise_std=0.5), seed=0)
         params = init_params([512, 16, 2], np.random.default_rng(0))
         clean = gcn_forward(g, params)
-        spec = AttackSpec(kind="fga_structure", budget=3)
+        spec = AttackSpec(kind="fga_structure", budgets=(3,))
         tracemalloc.start()
         try:
             steps = fga_attack(params, g, 0, spec, clean)
@@ -518,10 +519,11 @@ class TestAttackWalk:
         ("fga_structure", 0, "random")])
     def test_early_stop_reads_last_step(self, kind, seed, shape, mode):
         g, params = shaped_instance(seed, shape, 8, 1, binary=False)
-        spec = AttackSpec(kind=kind, mode=mode, budget=4, influencer_count=1)
         budgets = [1, 2, 3, 4]
+        spec = AttackSpec(kind=kind, budgets=budgets, mode=mode,
+                          influencer_count=1)
         train = FixedParamsTrain(params)
-        report = evaluate_attack(train, g, params, np.arange(8), spec, budgets)
+        report = evaluate_attack(train, g, params, np.arange(8), spec)
 
         per_victim = {v: attack(params, g, v, spec) for v in range(8)}
         lengths = [len(edits) for edits in per_victim.values()]
@@ -558,8 +560,8 @@ class TestEvaluateAttack:
         train = FixedParamsTrain(params)
         probs = predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
-        spec = AttackSpec(kind="random_global", mode="evasion")
-        report = evaluate_attack(train, g, params, victims, spec, [0])
+        spec = AttackSpec(kind="random_global", budgets=(0,), mode="evasion")
+        report = evaluate_attack(train, g, params, victims, spec)
         clean = np.mean([r.correct for r in report.margins_before])
         assert report.accuracy[0] == pytest.approx(clean)
 
@@ -570,13 +572,15 @@ class TestEvaluateAttack:
         victims = select_victims(g, probs, "random_1000", 0)
 
         ev = FixedParamsTrain(params)
-        spec = AttackSpec(kind="random_global", mode="evasion")
-        evaluate_attack(ev, g, params, victims, spec, [0.2, 0.5])
+        spec = AttackSpec(kind="random_global", budgets=(0.2, 0.5),
+                          mode="evasion")
+        evaluate_attack(ev, g, params, victims, spec)
         assert ev.train_calls == 0
 
         po = FixedParamsTrain(params)
-        spec = AttackSpec(kind="random_global", mode="poisoning")
-        evaluate_attack(po, g, params, victims, spec, [0.2, 0.5])
+        spec = AttackSpec(kind="random_global", budgets=(0.2, 0.5),
+                          mode="poisoning")
+        evaluate_attack(po, g, params, victims, spec)
         assert po.train_calls == 2    # one per rate
 
     def test_rate_adding_no_edge_is_not_retrained(self):
@@ -586,9 +590,10 @@ class TestEvaluateAttack:
         g, params = trained_instance(9, n=14)
         victims = select_victims(g, predict(g, params), "random_1000", 0)
         train = FixedParamsTrain(params)
-        spec = AttackSpec(kind="random_global", mode="poisoning")
         rates = [0.0, 0.5 / g.num_edges, 0.5]
-        report = evaluate_attack(train, g, params, victims, spec, rates)
+        spec = AttackSpec(kind="random_global", budgets=rates,
+                          mode="poisoning")
+        report = evaluate_attack(train, g, params, victims, spec)
         assert train.train_calls == 1
         assert report.margins_after[0.0] == report.margins_before
         assert report.margins_after[rates[1]] == report.margins_before
@@ -605,8 +610,9 @@ class TestEvaluateAttack:
                        num_classes=g0.num_classes)
         train = FixedParamsTrain(params)
         victims = select_victims(g, predict(g, params), "random_1000", 0)
-        spec = AttackSpec(kind=kind, mode=mode, budget=3, influencer_count=2)
-        report = evaluate_attack(train, g, params, victims, spec, [1, 2, 3])
+        spec = AttackSpec(kind=kind, budgets=(1, 2, 3), mode=mode,
+                          influencer_count=2)
+        report = evaluate_attack(train, g, params, victims, spec)
         per_victim = {int(v): attack(params, g, int(v), spec)
                       for v in victims}
         assert any(len(e) > 1 for e in per_victim.values())
@@ -618,8 +624,9 @@ class TestEvaluateAttack:
         train = FixedParamsTrain(params)
         probs = predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
-        spec = AttackSpec(kind="fga_structure", mode="evasion")
-        report = evaluate_attack(train, g, params, victims, spec, [1, 2, 3])
+        spec = AttackSpec(kind="fga_structure", budgets=(1, 2, 3),
+                          mode="evasion")
+        report = evaluate_attack(train, g, params, victims, spec)
         recomputed = sum(q * report.accuracy[q] for q in [1, 2, 3])
         assert report.holistic == recomputed
 
@@ -634,24 +641,64 @@ class TestEvaluateAttack:
             probs, g.labels, vmask)])
         for kind, budgets in (("random_global", [0.5]),
                               ("fga_structure", [1, 2])):
-            spec = AttackSpec(kind=kind, mode="evasion")
-            report = evaluate_attack(train, g, zero, victims, spec, budgets)
+            spec = AttackSpec(kind=kind, budgets=budgets, mode="evasion")
+            report = evaluate_attack(train, g, zero, victims, spec)
             for q in budgets:
                 assert report.accuracy[q] == pytest.approx(clean)
 
-    def test_empty_budget_sweep_rejected(self):
-        g, params = trained_instance(12)
+    @pytest.mark.parametrize("mode", ["evasion", "poisoning"])
+    def test_targeted_budget_zero_reads_clean_margins(self, mode):
+        """A targeted sweep of budget 0 walks no step: every victim keeps
+        its clean margin, and poisoning trains no model."""
+        g, params = trained_instance(10, n=14)
         train = FixedParamsTrain(params)
         victims = select_victims(g, predict(g, params), "random_1000", 0)
-        spec = AttackSpec(kind="random_global", mode="evasion")
-        with pytest.raises(ValueError, match="empty"):
-            evaluate_attack(train, g, params, victims, spec, [])
+        spec = AttackSpec(kind="fga_structure", budgets=(0,), mode=mode)
+        report = evaluate_attack(train, g, params, victims, spec)
+        assert report.margins_after == {0: report.margins_before}
+        assert report.holistic == 0.0
+        assert train.graphs == []
+
+
+class TestAttackSpec:
+    """The spec holds the sweep, as a tuple; it refuses an empty sweep and a
+    repeated value when it is built, and its ``budget`` is the largest
+    value, the length of a targeted walk."""
+
+    def test_empty_budget_sweep_rejected(self):
+        for kind in ("random_global", "fga_structure"):
+            with pytest.raises(ValueError, match="budget sweep is empty"):
+                AttackSpec(kind=kind, budgets=())
+
+    @pytest.mark.parametrize("kind, budgets, named", [
+        ("fga_structure", [1, 2, 1], "1 appears twice in the budget grid"),
+        ("random_global", (0.5, 0.2, 0.50), "0.5 appears twice in the budget "
+                                            "grid"),
+        ("fga_indirect", range(-1, 2), "budget -1 is not an integer >= 0"),
+        ("fga_feature", [1.5], "budget 1.5 is not an integer >= 0"),
+    ], ids=["repeated_budget", "repeated_rate", "negative", "fraction"])
+    def test_refuses(self, kind, budgets, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            AttackSpec(kind=kind, budgets=budgets)
+
+    @given(budgets=st.one_of(
+        st.lists(st.integers(0, 50), min_size=1, unique=True),
+        st.lists(st.floats(0.0, 1.0), min_size=1, unique=True)))
+    def test_budget_is_largest_of_sweep(self, budgets):
+        kind = "random_global" if isinstance(budgets[0], float) \
+            else "fga_structure"
+        spec = AttackSpec(kind=kind, budgets=budgets)
+        assert spec.budgets == tuple(budgets)
+        assert spec.budget == max(budgets)
+        with pytest.raises(AttributeError):
+            spec.budget = 1
 
 
 class TestCheckAttack:
     """What an attack may take, checked once per call and before any walk:
-    a nonempty sweep, rates that ``poison_edge_count`` admits, and binary
-    features for the feature kinds."""
+    a nonempty sweep (refused when the spec is built), rates that
+    ``poison_edge_count`` admits, and binary features for the feature
+    kinds."""
 
     @pytest.mark.parametrize("kind, budgets, named", [
         ("random_global", [], "budget sweep is empty"),
@@ -665,7 +712,7 @@ class TestCheckAttack:
     def test_refuses(self, kind, budgets, named):
         g, _ = shaped_instance(0, "random", 8, 1, binary=False)
         with pytest.raises(ValueError, match=named):
-            check_attack(g, AttackSpec(kind=kind), budgets)
+            check_attack(g, AttackSpec(kind=kind, budgets=budgets))
 
     @pytest.mark.parametrize("kind, budgets, binary", [
         ("random_global", [0.0, 0.5], False),
@@ -676,7 +723,7 @@ class TestCheckAttack:
     ])
     def test_admits(self, kind, budgets, binary):
         g, _ = shaped_instance(0, "random", 8, 1, binary=binary)
-        check_attack(g, AttackSpec(kind=kind), budgets)
+        check_attack(g, AttackSpec(kind=kind, budgets=budgets))
 
     def test_features_scanned_once_per_call(self, monkeypatch):
         """Eight victims walked to budget 3 scan the n x d features once,
@@ -691,9 +738,9 @@ class TestCheckAttack:
             return isin(element, *args, **kwargs)
 
         monkeypatch.setattr(np, "isin", counting_isin)
-        spec = AttackSpec(kind="fga_both", mode="evasion")
+        spec = AttackSpec(kind="fga_both", budgets=(1, 2, 3), mode="evasion")
         report = evaluate_attack(FixedParamsTrain(params), g, params,
-                                 np.arange(8), spec, [1, 2, 3])
+                                 np.arange(8), spec)
         assert len(report.margins_after[3]) == 8
         assert len(scans) == 1
 

@@ -240,11 +240,19 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("fractions, bins, named", [
         ([0.5, 0.5, 0.0], "10", "test split is empty"),
         ([0.2, 0.2, 0.6], "0", "bins must be >= 1, got 0"),
-    ], ids=["empty_test_split", "zero_bins"])
-    def test_checks_before_writing(self, tmp_path, capsys, fractions, bins,
-                                   named):
-        """An empty test split or a bin count below 1 exits 1 naming the
-        cause, and leaves no output directory behind."""
+        ([0.2, 0.2, 0.6], "10", "calibration failed"),
+    ], ids=["empty_test_split", "zero_bins", "failing_ece"])
+    def test_checks_before_writing(self, tmp_path, capsys, monkeypatch,
+                                   fractions, bins, named):
+        """An empty test split, a bin count below 1, or an error in the
+        report's own work exits 1 naming the cause, and leaves no output
+        directory behind."""
+        def failing_ece(*args):
+            raise ValueError("calibration failed")
+
+        if named == "calibration failed":
+            monkeypatch.setattr("gpcn.harness.expected_calibration_error",
+                                failing_ece)
         data_dir = gen_dataset(tmp_path, split_fractions=fractions)
         ckpt = tmp_path / "ckpt.json"
         ckpt.write_text(json.dumps({"layer_dims": [8, 2],
@@ -269,19 +277,24 @@ class TestCalibrateCommand:
          "'weights' must hold one list per layer, 1 for"),
         ('{"layer_dims": [8, 2], "weights": [[0.0]]}\udcff',
          "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        # JSON readers take these tokens as floats: nan, inf and inf
+        *[('{"layer_dims": [8, 2], "weights": [[%s%s]]}'
+           % (token, ", 0.0" * 15), "layer 1 holds a non-finite weight")
+          for token in ("NaN", "-Infinity", "1e400")],
     ], ids=["missing_key", "short_row", "not_json", "text_dims",
-            "extra_layer", "not_utf8"])
+            "extra_layer", "not_utf8", "nan", "infinity", "overflow"])
     def test_bad_checkpoint_names_file_and_fault(self, tmp_path, capsys,
                                                  text, named):
         data_dir = gen_dataset(tmp_path)
         ckpt = tmp_path / "ckpt.json"
         # a lone surrogate escape writes its byte as it is
         ckpt.write_bytes(text.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "cal"
         assert main(["calibrate", "--checkpoint", str(ckpt),
-                     "--data", str(data_dir),
-                     "--out", str(tmp_path / "cal")]) == EXIT_USAGE
+                     "--data", str(data_dir), "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {ckpt}: ") and named in err
+        assert not out.exists()
 
 
 class TestAttackCommand:
