@@ -48,6 +48,8 @@ ATTACK_KINDS = ("random_global", "fga_structure", "fga_feature", "fga_both",
 # the targeted kinds that toggle edges, and those that flip features
 _STRUCTURE_KINDS = ("fga_structure", "fga_both", "fga_indirect")
 _FEATURE_KINDS = ("fga_feature", "fga_both")
+# Feature values _is_binary checks at a time: two 64 KB boolean masks.
+_BINARY_BLOCK_VALUES = 1 << 16
 # victim strategy -> the splits it draws victims from
 VICTIM_STRATEGIES = {"nettack_style": ("test",),
                      "random_1000": ("val", "test")}
@@ -182,9 +184,22 @@ def check_attack(graph: Graph, spec: AttackSpec) -> None:
     if spec.kind == "random_global":
         for rate in spec.budgets:
             poison_edge_count(graph, rate)
-    if spec.kind in _FEATURE_KINDS and not np.isin(graph.features,
-                                                   (0.0, 1.0)).all():
+    if spec.kind in _FEATURE_KINDS and not _is_binary(graph.features):
         raise ValueError("feature attacks require binary features")
+
+
+def _is_binary(x: np.ndarray) -> bool:
+    """Whether every value of the matrix ``x`` equals 0 or 1, checked in
+    blocks of rows of about ``_BINARY_BLOCK_VALUES`` values, so that no
+    mask of x's size is formed."""
+    rows = max(1, _BINARY_BLOCK_VALUES // x.shape[1])
+    for lo in range(0, x.shape[0], rows):
+        block = x[lo:lo + rows]
+        ok = block == 0.0
+        ok |= block == 1.0
+        if not ok.all():
+            return False
+    return True
 
 
 def random_global_poison(graph: Graph, ptb_rate: float, seed: int) -> Graph:

@@ -34,19 +34,34 @@ of a dataset's size, are made in an anonymous memory map of their own
 
 Parsed features are cached, as Python's hash-checked .pyc files cache
 compiled source: an entry ``<cache>/gpcn/<sha256 of features.csv>.f64``,
-with ``<cache>`` ``$XDG_CACHE_HOME`` or ``~/.cache``, holds (n, d) as two
-little-endian int64 and then the features as little-endian float64, row by
-row. ``save_dataset`` stores the entry of the file it writes, from the
-digest ``_write_features`` forms as it writes, and a load that parses the
-file stores it too, once the file hashes to the same digest after the
-parse. ``load_dataset`` hashes features.csv and reads a matching entry
-straight into the ``_mapped`` features, skipping the parse: the digest
-pins the bytes, the header pins meta.json's shape, and the parse is
-deterministic, so a hit gives the parse's bits. At most
-``_CACHE_ENTRIES`` entries are kept, the least recently used going first.
-The cache is an optimization only: any OS error, or a host whose floats are
-big-endian, leaves it out, and a dataset directory holds the same five
-files either way.
+with ``<cache>`` ``$XDG_CACHE_HOME`` or ``~/.cache``, holds (n, d) and a
+mark as three little-endian int64 and then the features as little-endian
+float64, row by row. ``save_dataset`` stores the entry of the file it
+writes, from the digest ``_write_features`` forms as it writes, marked 1;
+a load that parses the file stores it too, marked 0, once the file hashes
+to the same digest after the parse. A save that finds an entry a parse
+stored marks it 1: repr round-trips, so the parse of the bytes it wrote
+gave its features. ``load_dataset`` hashes features.csv and reads a
+matching entry straight into the ``_mapped`` features, skipping the parse:
+the digest pins the bytes, the header pins meta.json's shape, and the parse
+is deterministic, so a hit gives the parse's bits. An entry of the earlier
+two-int64 header does not fit, so its file is parsed once and its entry
+stored again. At most ``_CACHE_ENTRIES`` entries are kept, the least
+recently used going first. The cache is an optimization only: any OS
+error, or a host whose floats are big-endian, leaves it out, and a dataset
+directory holds the same five files either way.
+
+``save_largest_component`` (``gpcn dataset lcc``) copies features.csv
+lines instead of formatting values when it can prove the copy exact. A load
+whose features came from an entry marked 1 read F, and the file hashed to
+the digest ``_write_features(F)`` returned, so the file is
+``_write_features(F)``. ``_write_features`` is row-local, each line the
+reprs of one row alone, and the component takes whole rows in order
+(``np.take`` of ``old_ids``), so ``_write_features(F[old_ids])`` is the
+lines ``old_ids`` of that file, byte for byte. ``_copy_rows`` hashes the
+file again as it copies, so a file rewritten since the load is caught, and
+then the values are formatted. An entry marked 0 proves nothing: a parse
+reads '1.50' and '1E0', which ``_write_features`` never writes.
 
 ``save_dataset`` writes each feature as its Python ``repr``, in blocks of
 rows. scipy's Matrix Market writer gives each value's shortest round-trip
@@ -460,8 +475,12 @@ def _read_features_fast(file: Path, num_nodes: int,
 # Cache entries of parsed features kept at most; the one used least recently
 # (by mtime: a hit, or a save that finds it, touches its entry) goes first.
 _CACHE_ENTRIES = 8
-# Bytes of features.csv that _file_digest hashes at a time, through one buffer.
+# Bytes of features.csv that _file_digest hashes, and _copy_rows copies, at a
+# time, through one buffer.
 _HASH_BLOCK_BYTES = 1 << 20
+# A cache entry's header: the features' (n, d), and 1 when save_dataset stored
+# the entry, 0 when a load that parsed the file did.
+_ENTRY_HEADER = struct.Struct("<3q")
 
 
 def _cache_dir() -> Path | None:
@@ -490,24 +509,33 @@ def _file_digest(file: Path) -> str:
     return digest.hexdigest()
 
 
-def _entry_fits(fh, num_nodes: int, num_features: int) -> bool:
-    """Whether the cache entry open as ``fh`` holds (num_nodes,
-    num_features) features: its header says so and its size agrees."""
-    return (fh.read(16) == struct.pack("<2q", num_nodes, num_features)
-            and os.fstat(fh.fileno()).st_size
-            == 16 + 8 * num_nodes * num_features)
+def _entry_state(fh, num_nodes: int, num_features: int) -> bool | None:
+    """Whether ``save_dataset`` stored the cache entry open as ``fh``
+    (True) or a load that parsed its file did (False); None when the entry
+    does not hold (num_nodes, num_features) features: its header says
+    otherwise or its size disagrees."""
+    header = fh.read(_ENTRY_HEADER.size)
+    if len(header) != _ENTRY_HEADER.size:
+        return None
+    rows, cols, written = _ENTRY_HEADER.unpack(header)
+    if ((rows, cols) != (num_nodes, num_features) or written not in (0, 1)
+            or os.fstat(fh.fileno()).st_size
+            != _ENTRY_HEADER.size + 8 * num_nodes * num_features):
+        return None
+    return bool(written)
 
 
 def _cached_features(entry: Path, num_nodes: int,
-                     num_features: int) -> np.ndarray | None:
+                     num_features: int) -> tuple[np.ndarray, bool] | None:
     """The features of the cache entry ``entry``, read into a ``_mapped``
-    array, or None when there is no entry of this shape. Not
-    ``np.fromfile``: that would allocate through malloc, and glibc keeps
-    such an array in its heap once freed (see ``_mapped``). A hit touches
-    the entry, for the cap."""
+    array, and whether a save stored it; None when there is no entry of
+    this shape. Not ``np.fromfile``: that would allocate through malloc,
+    and glibc keeps such an array in its heap once freed (see ``_mapped``).
+    A hit touches the entry, for the cap."""
     try:
         with open(entry, "rb") as fh:
-            if not _entry_fits(fh, num_nodes, num_features):
+            written = _entry_state(fh, num_nodes, num_features)
+            if written is None:
                 return None
             out = _mapped(num_nodes, num_features)
             raw = out.reshape(-1).view(np.uint8)
@@ -517,28 +545,37 @@ def _cached_features(entry: Path, num_nodes: int,
         return None
     with contextlib.suppress(OSError):
         os.utime(entry)
-    return out
+    return out, written
 
 
-def _store_features(entry: Path, features: np.ndarray) -> None:
-    """Keep ``features`` as the cache entry ``entry``, unless an entry of
-    their shape is there already, which is then touched as a hit is, and
-    evict past ``_CACHE_ENTRIES``. The entry is written to a temporary file
-    and renamed into place, so a reader sees a whole entry or none. An OS
-    error leaves the cache out."""
+def _store_features(entry: Path, features: np.ndarray, written: bool) -> None:
+    """Keep ``features`` as the cache entry ``entry``, marked as stored by a
+    save when ``written``, unless an entry of their shape is there already,
+    which is then touched as a hit is (and marked, if a save finds an entry
+    a parse stored), and evict past ``_CACHE_ENTRIES``. The entry is written
+    to a temporary file and renamed into place, so a reader sees a whole
+    entry or none. An OS error leaves the cache out."""
     cache = entry.parent
     num_nodes, num_features = features.shape
+    header = _ENTRY_HEADER.pack(num_nodes, num_features, written)
     try:
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        found = None
         with contextlib.suppress(FileNotFoundError), open(entry, "rb") as fh:
-            if _entry_fits(fh, num_nodes, num_features):
-                os.utime(entry)
-                return
+            found = _entry_state(fh, num_nodes, num_features)
+        if found is not None:
+            if written and not found:
+                # the file the parse read is the one the save wrote, and
+                # repr round-trips, so the parse gave the save's features
+                with open(entry, "r+b") as fh:
+                    fh.write(header)
+            os.utime(entry)
+            return
         # named *.f64 too, so that the cap also clears a write cut short
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".f64")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(struct.pack("<2q", num_nodes, num_features))
+                fh.write(header)
                 fh.write(np.ascontiguousarray(features, dtype="<f8")
                          .reshape(-1).view(np.uint8))
             os.replace(tmp, entry)
@@ -555,28 +592,34 @@ def _store_features(entry: Path, features: np.ndarray) -> None:
 
 
 def _load_features(file: Path, num_nodes: int,
-                   num_features: int) -> np.ndarray:
+                   num_features: int) -> tuple[np.ndarray, str | None]:
     """features.csv from its cache entry, or else parsed, by
     ``_read_features_fast`` or failing that ``_parse_features``, and then
     cached, if the file still has the digest it had: a file rewritten while
-    it was read would put the parse of other bytes under that digest."""
+    it was read would put the parse of other bytes under that digest.
+
+    Also the digest of the file when the features came from an entry a save
+    stored, which proves the file is ``_write_features``' output for them;
+    None otherwise."""
     cache = _cache_dir()
     if cache is not None:
         digest = _file_digest(file)
         entry = cache / f"{digest}.f64"
-        features = _cached_features(entry, num_nodes, num_features)
-        if features is not None:
-            return features
+        hit = _cached_features(entry, num_nodes, num_features)
+        if hit is not None:
+            features, written = hit
+            return features, digest if written else None
     features = _read_features_fast(file, num_nodes, num_features)
     if features is None:
         features = _parse_features(file, num_nodes, num_features)
     if cache is not None and _file_digest(file) == digest:
-        _store_features(entry, features)
-    return features
+        _store_features(entry, features, written=False)
+    return features, None
 
 
-def load_dataset(path) -> Graph:
-    """Load a dataset directory (meta.json, edges/features/labels/splits.csv)."""
+def _load_dataset(path) -> tuple[Graph, str | None]:
+    """``load_dataset``, and the digest ``_load_features`` gives for its
+    features.csv."""
     path = Path(path)
     for name in ("meta.json", "edges.csv", "features.csv", "labels.csv",
                  "splits.csv"):
@@ -592,12 +635,18 @@ def load_dataset(path) -> Graph:
         return ends
 
     edges = _parse_lines(path / "edges.csv", endpoints)
-    features = _load_features(path / "features.csv", n, meta.num_features)
+    features, written = _load_features(path / "features.csv", n,
+                                       meta.num_features)
     labels = _parse_lines(path / "labels.csv", int, expect=n)
     split = _parse_lines(path / "splits.csv", str, expect=n)
     return make_graph(n, features, labels, split,
                       np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                      num_classes=meta.num_classes)
+                      num_classes=meta.num_classes), written
+
+
+def load_dataset(path) -> Graph:
+    """Load a dataset directory (meta.json, edges/features/labels/splits.csv)."""
+    return _load_dataset(path)[0]
 
 
 # Values of features.csv that _write_features formats and writes at a time,
@@ -761,15 +810,48 @@ def _write_features(file: Path, features: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def save_dataset(g: Graph, path, name: str = "graph") -> None:
-    """Write a Graph back out in the dataset directory format, and cache its
-    features under the digest of the features.csv written: they are the
-    bits that file loads to.
+def _copy_rows(src: Path, dst: Path, rows: np.ndarray, num_rows: int,
+               digest: str) -> str | None:
+    """Write to ``dst`` the lines of ``src`` numbered ``rows`` (ascending,
+    each below ``num_rows``), in order, and return the SHA-256 hex digest of
+    the bytes written; None when ``src`` does not hash to ``digest``, and
+    then what ``dst`` holds is not those lines. A file of that digest has
+    ``num_rows`` lines; the lines of any other are not kept past it.
 
-    Raises DatasetError, before writing anything, on a graph without
-    feature columns or with a non-finite feature: ``load_dataset`` refuses
-    both.
+    ``src`` is read through one buffer of ``_HASH_BLOCK_BYTES`` and hashed
+    as it is read. In each block, the pieces of lines between its line ends
+    are numbered, and each run of pieces of kept lines is written at once.
     """
+    keep = np.zeros(num_rows + 1, dtype=bool)     # + 1: a last, empty piece
+    keep[rows] = True
+    read, wrote = hashlib.sha256(), hashlib.sha256()
+    block = bytearray(_HASH_BLOCK_BYTES)
+    view = memoryview(block)
+    line = 0                # the number of the line the block starts in
+    with open(src, "rb", buffering=0) as fin, open(dst, "wb") as fout:
+        while got := fin.readinto(block):
+            read.update(view[:got])
+            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8,
+                                                count=got) == _NL) + 1
+            starts = np.concatenate([[0], ends])
+            stops = np.append(ends, got)
+            # piece i of the block is part of line `line + i`; the changes
+            # of keep over the pieces bound the runs of kept pieces
+            runs = np.flatnonzero(np.diff(keep[line:line + ends.size + 1],
+                                          prepend=False, append=False))
+            for lo, hi in zip(starts[runs[::2]], stops[runs[1::2] - 1]):
+                wrote.update(view[lo:hi])
+                fout.write(view[lo:hi])
+            line += ends.size
+    if read.hexdigest() != digest:
+        return None
+    return wrote.hexdigest()
+
+
+def _save_dataset(g: Graph, path, name: str, write_features) -> None:
+    """``save_dataset``, with features.csv written by ``write_features(file,
+    features)``, which returns the SHA-256 hex digest of the bytes it wrote;
+    they must be the bytes ``_write_features`` writes."""
     features = np.asarray(g.features, dtype=np.float64)
     if g.num_features < 1:
         raise DatasetError("a dataset needs at least one feature column")
@@ -785,13 +867,53 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     (path / "edges.csv").write_text(
         "".join(f"{u},{v}\n" for u, v in g.edges))
-    digest = _write_features(path / "features.csv", features)
+    digest = write_features(path / "features.csv", features)
     cache = _cache_dir()
     if cache is not None:
-        _store_features(cache / f"{digest}.f64", features)
+        _store_features(cache / f"{digest}.f64", features, written=True)
     (path / "labels.csv").write_text(
         "".join(f"{int(y)}\n" for y in g.labels))
     (path / "splits.csv").write_text("".join(f"{s}\n" for s in g.split))
+
+
+def save_dataset(g: Graph, path, name: str = "graph") -> None:
+    """Write a Graph back out in the dataset directory format, and cache its
+    features under the digest of the features.csv written: they are the
+    bits that file loads to.
+
+    Raises DatasetError, before writing anything, on a graph without
+    feature columns or with a non-finite feature: ``load_dataset`` refuses
+    both.
+    """
+    _save_dataset(g, path, name, _write_features)
+
+
+def save_largest_component(data_dir, out_dir, name: str = "lcc") -> Graph:
+    """``save_dataset(largest_connected_component(load_dataset(data_dir)),
+    out_dir, name)``, the same bytes, and the component.
+
+    When the features of ``data_dir`` came from a cache entry a save
+    stored, its features.csv is ``_write_features``' output for them, so
+    the component's features.csv is the kept lines of that file, which
+    ``_copy_rows`` copies instead of formatting the values again. If the
+    file no longer hashes to the digest it loaded by, the copy is dropped
+    and the values are formatted.
+    """
+    g, written = _load_dataset(data_dir)
+    lcc, old_ids = _largest_component(g)
+    num_nodes = g.num_nodes
+    del g               # the component's save needs only its own features
+    src = Path(data_dir) / "features.csv"
+
+    def write_features(file: Path, features: np.ndarray) -> str:
+        if written is not None:
+            digest = _copy_rows(src, file, old_ids, num_nodes, written)
+            if digest is not None:
+                return digest
+        return _write_features(file, features)
+
+    _save_dataset(lcc, out_dir, name, write_features)
+    return lcc
 
 
 def normalize_adjacency(g: Graph) -> sp.csr_matrix:
@@ -900,6 +1022,12 @@ def largest_connected_component(g: Graph) -> Graph:
     Size ties are broken by the lowest original node id contained in the
     component, which is seed-free and deterministic.
     """
+    return _largest_component(g)[0]
+
+
+def _largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
+    """``largest_connected_component(g)``, and the ids its nodes had in
+    ``g``, ascending: its node i is node old_ids[i] of ``g``."""
     # self-loops join no components and leave scipy's labels as they are
     n_comp, comp = sp.csgraph.connected_components(normalize_adjacency(g),
                                                    directed=False)
@@ -919,7 +1047,7 @@ def largest_connected_component(g: Graph) -> Graph:
     np.take(g.features, old_ids, axis=0, out=features, mode="clip")
     return make_graph(old_ids.shape[0], features,
                       g.labels[old_ids], g.split[old_ids], new_edges,
-                      num_classes=g.num_classes)
+                      num_classes=g.num_classes), old_ids
 
 
 def apply_edits(g: Graph, edits) -> Graph:

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from gpcn.graph import (Graph, SyntheticSpec, generate_synthetic,
-                        largest_connected_component, load_dataset,
-                        save_dataset)
-from gpcn.nn import ModelParams
-from gpcn.bp import TrainConfig, predict, train_bp
+                        load_dataset, save_dataset, save_largest_component)
+from gpcn.nn import ModelParams, softmax_rows
+from gpcn.bp import TrainConfig, gcn_forward, predict, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import classification_margins, expected_calibration_error
 from gpcn.attacks import (VICTIM_STRATEGIES, AttackSpec, candidate_pool,
@@ -371,7 +370,15 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
         raise ValueError("checkpoint input width does not match dataset")
     if params.layer_dims[-1] != graph.num_classes:
         raise ValueError("checkpoint output width does not match classes")
-    probs = predict(graph, params)
+    # finite weights can still overflow; that is a numeric failure of the
+    # checkpoint, named as one, not a warning and then non-finite probs
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = gcn_forward(graph, params).logits
+    if not np.isfinite(logits).all():
+        raise FloatingPointError(f"{checkpoint}: the forward pass overflows "
+                                 f"on these weights: the logits are not "
+                                 f"finite")
+    probs = softmax_rows(logits)
     test_mask = graph.mask("test")
     report = expected_calibration_error(probs, graph.labels, test_mask, bins)
     out = Path(out_dir)
@@ -492,6 +499,4 @@ def cmd_dataset_inspect(data_dir) -> dict:
 
 
 def cmd_dataset_lcc(data_dir, out_dir) -> Graph:
-    g = largest_connected_component(load_dataset(data_dir))
-    save_dataset(g, out_dir, name="lcc")
-    return g
+    return save_largest_component(data_dir, out_dir, name="lcc")

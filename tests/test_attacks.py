@@ -4,6 +4,7 @@ poisoning, gradient attacks, and the evasion/poisoning evaluation loop."""
 import copy
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -730,19 +731,61 @@ class TestCheckAttack:
         in ``evaluate_attack``'s ``check_attack``, not once per walk."""
         g, params = shaped_instance(0, "random", 8, 1, binary=True)
         scans = []
-        isin = np.isin
+        is_binary = gpcn.attacks._is_binary
 
-        def counting_isin(element, *args, **kwargs):
-            if element is g.features:
+        def counting_is_binary(x):
+            if x is g.features:
                 scans.append(None)
-            return isin(element, *args, **kwargs)
+            return is_binary(x)
 
-        monkeypatch.setattr(np, "isin", counting_isin)
+        monkeypatch.setattr(gpcn.attacks, "_is_binary", counting_is_binary)
         spec = AttackSpec(kind="fga_both", budgets=(1, 2, 3), mode="evasion")
         report = evaluate_attack(FixedParamsTrain(params), g, params,
                                  np.arange(8), spec)
         assert len(report.margins_after[3]) == 8
         assert len(scans) == 1
+
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0,
+                                            1.0 + 2.0 ** -52, 5e-324,
+                                            float("nan"), float("inf")]),
+                           min_size=1, max_size=24),
+           cols=st.integers(1, 4), block=st.integers(1, 9),
+           binary=st.booleans())
+    def test_binary_check_matches_isin(self, values, cols, block, binary):
+        """The blockwise check accepts what ``np.isin(x, (0.0, 1.0))``
+        accepts, whichever block of rows holds the value at fault."""
+        if binary:
+            values = [v if v in (0.0, 1.0) else 1.0 for v in values]
+        x = np.resize(np.array(values), (-(-len(values) // cols), cols))
+        with mock.patch.object(gpcn.attacks, "_BINARY_BLOCK_VALUES", block):
+            assert (gpcn.attacks._is_binary(x)
+                    == bool(np.isin(x, (0.0, 1.0)).all()))
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_binary_check_forms_no_mask_of_the_features(self, binary):
+        """A PubMed-wide feature matrix of 2^21 values: an n x d mask would
+        be 2 MiB; the check holds two masks of a block of rows."""
+        rng = np.random.default_rng(0)
+        features = (rng.random((4096, 512)) < 0.1).astype(float)
+        if not binary:
+            features[-1, -1] = 0.5
+        g = make_graph(4096, features, np.zeros(4096, dtype=int),
+                       ["test"] * 4096, [(0, 1)], num_classes=2)
+        spec = AttackSpec(kind="fga_feature", budgets=(1,))
+        tracemalloc.start()
+        try:
+            if binary:
+                check_attack(g, spec)
+            else:
+                with pytest.raises(ValueError,
+                                   match="feature attacks require binary"):
+                    check_attack(g, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < features.size // 8
 
 
 class TestMarginShiftExport:

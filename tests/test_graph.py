@@ -510,10 +510,29 @@ class TestFeatureCache:
     def test_entry_layout(self, tmp_path, feature_cache):
         saved_graph(tmp_path, self.FEATURES)
         (entry,) = feature_cache.iterdir()
-        assert entry.read_bytes() == (struct.pack("<2q", 2, 5)
+        assert entry.read_bytes() == (struct.pack("<3q", 2, 5, 1)
                                       + np.array(self.FEATURES,
                                                  dtype="<f8").tobytes())
         assert feature_cache.stat().st_mode & 0o777 == 0o700
+
+    def test_save_marks_an_entry_a_parse_stored(self, tmp_path,
+                                                feature_cache):
+        """A hand-written file with the bytes a save writes: its load stores
+        an entry marked 0, and the save of the same bytes marks it 1, in
+        place, without changing the features."""
+        (tmp_path / "hand").mkdir()
+        write_dataset(tmp_path / "hand", 2, [], self.FEATURES, [0, 0],
+                      ["none"] * 2)
+        load_dataset(tmp_path / "hand")
+        (entry,) = feature_cache.iterdir()
+        parsed = entry.read_bytes()
+        assert parsed == (struct.pack("<3q", 2, 5, 0)
+                          + np.array(self.FEATURES, dtype="<f8").tobytes())
+        saved_graph(tmp_path / "saved", self.FEATURES)
+        assert ((tmp_path / "saved" / "features.csv").read_bytes()
+                == (tmp_path / "hand" / "features.csv").read_bytes())
+        assert list(feature_cache.iterdir()) == [entry]
+        assert entry.read_bytes() == struct.pack("<3q", 2, 5, 1) + parsed[24:]
 
     def test_edited_byte_is_not_served_stale(self, tmp_path, feature_cache):
         saved_graph(tmp_path, self.FEATURES)
@@ -540,16 +559,20 @@ class TestFeatureCache:
 
     @pytest.mark.parametrize("corrupt", [
         lambda b: b[:-8], lambda b: b[:-1], lambda b: b + b"\0" * 8,
-        lambda b: struct.pack("<2q", 5, 2) + b[16:],
-        lambda b: struct.pack("<2q", 1, 10) + b[16:]],
+        lambda b: struct.pack("<3q", 5, 2, 1) + b[24:],
+        lambda b: struct.pack("<3q", 1, 10, 1) + b[24:],
+        lambda b: struct.pack("<3q", 2, 5, 2) + b[24:],
+        lambda b: struct.pack("<2q", 2, 5) + b[24:]],
         ids=["row-short", "byte-short", "long", "swapped-header",
-             "other-header"])
+             "other-header", "other-mark", "two-field-header"])
     def test_entry_that_does_not_fit_is_parsed_again(self, tmp_path,
                                                      feature_cache, corrupt):
         saved_graph(tmp_path, self.FEATURES)
         (entry,) = feature_cache.iterdir()
-        good = entry.read_bytes()
-        entry.write_bytes(corrupt(good))
+        saved = entry.read_bytes()
+        # the parse stores the entry it finds no fit for, marked as a parse's
+        good = struct.pack("<3q", 2, 5, 0) + saved[24:]
+        entry.write_bytes(corrupt(saved))
         reads = []
         fast = gpcn.graph._read_features_fast
         with mock.patch.object(gpcn.graph, "_read_features_fast",
@@ -773,6 +796,225 @@ class TestFeatureWriterMatchesRepr:
             [sys.executable, "-c", code, str(tmp_path / "d")], env=env,
             capture_output=True, text=True, check=True)
         assert int(done.stdout) < 15_000
+
+
+def lcc_tree(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def formatted_lcc(src: Path, out: Path) -> dict:
+    """The files of ``save_dataset(largest_connected_component(
+    load_dataset(src)))``, with the cache off, so that the component's
+    values are formatted, never copied."""
+    with mock.patch.object(gpcn.graph, "_cache_dir", return_value=None):
+        save_dataset(largest_connected_component(load_dataset(src)), out,
+                     name="lcc")
+    return lcc_tree(out)
+
+
+@contextlib.contextmanager
+def counted_writes():
+    """The feature arrays ``_write_features`` formats, in call order."""
+    calls = []
+    write = gpcn.graph._write_features
+
+    def counting(file, features):
+        calls.append(features)
+        return write(file, features)
+
+    with mock.patch.object(gpcn.graph, "_write_features", counting):
+        yield calls
+
+
+def source_graph(features, edges):
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    return make_graph(n, features, np.arange(n) % 2, ["train"] * n, edges,
+                      num_classes=2)
+
+
+# repr's layouts, at the float range's edges too: a signed zero, e-XX, e+XX,
+# a subnormal, the largest finite value and positional ones, with both signs
+LCC_PINNED = [v for x in [0.0, 1e-05, 1e+16, 5e-324, 2.2250738585072e-309,
+                          1.7976931348623157e308, 0.1, 123.0]
+              for v in (x, -x)]
+
+
+@st.composite
+def lcc_sources(draw):
+    n, f = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    values = draw(st.lists(st.one_of(st.sampled_from(LCC_PINNED),
+                                     finite_bits),
+                           min_size=n * f, max_size=n * f))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    edges = [e for e in edges if e[0] != e[1]]
+    return source_graph(np.reshape(values, (n, f)), np.reshape(edges, (-1, 2)))
+
+
+class TestLargestComponentCopy:
+    """``save_largest_component`` copies the kept lines of a features.csv a
+    save wrote, and formats in every other case; either way its files are
+    those of ``save_dataset(largest_connected_component(load_dataset(
+    src)))``."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(g=lcc_sources(), block=st.sampled_from([1, 7, 64, 1 << 20]))
+    @example(g=source_graph([[-0.0, 1e-05], [1e+16, 5e-324],
+                             [1.7976931348623157e308, -2.5e-310]],
+                            [[1, 2]]), block=3)
+    def test_copy_gives_the_bytes_of_the_formatted_rows(self, g, block):
+        lcc = largest_connected_component(g)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_dataset(g, tmp / "src")
+            with counted_writes() as writes, \
+                    mock.patch.object(gpcn.graph, "_HASH_BLOCK_BYTES", block):
+                got = gpcn.graph.save_largest_component(tmp / "src",
+                                                        tmp / "out")
+            assert writes == []
+            assert graphs_equal(got, lcc)
+            gpcn.graph._write_features(tmp / "rows.csv", lcc.features)
+            assert ((tmp / "out" / "features.csv").read_bytes()
+                    == (tmp / "rows.csv").read_bytes())
+            assert lcc_tree(tmp / "out") == formatted_lcc(tmp / "src",
+                                                          tmp / "ref")
+
+    def test_written_source_is_copied_not_formatted(self, tmp_path,
+                                                    feature_cache):
+        g = generate_synthetic(SyntheticSpec(3, 20, 0.3, 0.02, 6, 1.0), 0)
+        save_dataset(g, tmp_path / "src")
+        with counted_writes() as writes:
+            assert main(["dataset", "lcc", str(tmp_path / "src"), "--out",
+                         str(tmp_path / "out")]) == 0
+        assert writes == []
+        assert (lcc_tree(tmp_path / "out")
+                == formatted_lcc(tmp_path / "src", tmp_path / "ref"))
+        # the copy stored the component's entry, marked as a save's
+        out = (tmp_path / "out" / "features.csv").read_bytes()
+        entry = feature_cache / f"{hashlib.sha256(out).hexdigest()}.f64"
+        assert entry.read_bytes()[:24] == struct.pack(
+            "<3q", *largest_connected_component(g).features.shape, 1)
+
+    # two components; the hand-written file spells values as repr does not,
+    # and has blank lines, which a load skips
+    HAND_WRITTEN = b"1.50,1E0\n\n-0.0,2.5e-3\n0.1,1e+16\n\n"
+
+    def hand_written(self, path: Path) -> Path:
+        path.mkdir()
+        write_dataset(path, 3, [(0, 1)], [[0.0, 0.0]] * 3, [0, 1, 0],
+                      ["train"] * 3)
+        (path / "features.csv").write_bytes(self.HAND_WRITTEN)
+        return path
+
+    def test_hand_written_source_is_formatted(self, tmp_path):
+        src = self.hand_written(tmp_path / "src")
+        ref = formatted_lcc(src, tmp_path / "ref")
+        # a cold cache, then the entry the first load's parse stored
+        for out in ("cold", "warm"):
+            with counted_writes() as writes:
+                gpcn.graph.save_largest_component(src, tmp_path / out)
+            assert len(writes) == 1
+            assert lcc_tree(tmp_path / out) == ref
+        assert ref["features.csv"] == b"1.5,1.0\n-0.0,0.0025\n"
+
+    def test_no_cache_formats(self, tmp_path, monkeypatch):
+        """$XDG_CACHE_HOME a regular file: no entry is stored or found."""
+        (tmp_path / "xdg").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)),
+                         [(0, 1), (1, 2), (4, 5)])
+        save_dataset(g, tmp_path / "src")
+        with counted_writes() as writes:
+            gpcn.graph.save_largest_component(tmp_path / "src",
+                                              tmp_path / "out")
+        assert len(writes) == 1
+        assert (lcc_tree(tmp_path / "out")
+                == formatted_lcc(tmp_path / "src", tmp_path / "ref"))
+
+    def test_read_only_cache_still_copies(self, tmp_path, feature_cache,
+                                          monkeypatch):
+        """A cache whose entries read but that takes no write or touch:
+        the save's entry proves the source, and only the store fails."""
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        save_dataset(g, tmp_path / "src")
+        ref = formatted_lcc(tmp_path / "src", tmp_path / "ref")
+        before = lcc_tree(feature_cache)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only")
+
+        for name in ("utime", "replace", "unlink"):
+            monkeypatch.setattr(os, name, refuse)
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        with counted_writes() as writes:
+            gpcn.graph.save_largest_component(tmp_path / "src",
+                                              tmp_path / "out")
+        assert writes == []
+        assert lcc_tree(tmp_path / "out") == ref
+        assert lcc_tree(feature_cache) == before
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda b: b.replace(b"0.1", b"0.3"), lambda b: b + b,
+        lambda b: b[:b.index(b"\n") + 1]],
+        ids=["one-value", "more-lines", "one-line"])
+    def test_source_rewritten_before_the_copy_is_formatted(
+            self, tmp_path, feature_cache, rewrite):
+        """features.csv rewritten between the load and the copy: the copy
+        hashes other bytes than the load matched, so it is dropped, the
+        loaded values are formatted, and no entry is stored for the copied
+        bytes."""
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        save_dataset(g, tmp_path / "src")
+        file = tmp_path / "src" / "features.csv"
+        loaded = file.read_bytes()
+        ref = formatted_lcc(tmp_path / "src", tmp_path / "ref")
+        copy = gpcn.graph._copy_rows
+
+        def rewrite_then_copy(*args):
+            file.write_bytes(rewrite(loaded))
+            return copy(*args)
+
+        with counted_writes() as writes, \
+                mock.patch.object(gpcn.graph, "_copy_rows",
+                                  rewrite_then_copy):
+            gpcn.graph.save_largest_component(tmp_path / "src",
+                                              tmp_path / "out")
+        assert len(writes) == 1
+        assert lcc_tree(tmp_path / "out") == ref
+        out = ref["features.csv"]
+        assert {p.name for p in feature_cache.iterdir()} == {
+            f"{hashlib.sha256(b).hexdigest()}.f64" for b in (loaded, out)}
+
+    def test_component_saved_over_its_source(self, tmp_path):
+        """``--out`` the source directory: opening features.csv to write
+        empties the file the copy reads, which then fails its hash."""
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        save_dataset(g, tmp_path / "d")
+        ref = formatted_lcc(tmp_path / "d", tmp_path / "ref")
+        gpcn.graph.save_largest_component(tmp_path / "d", tmp_path / "d")
+        assert lcc_tree(tmp_path / "d") == ref
+
+    def test_copy_reads_the_source_in_blocks(self, tmp_path):
+        """The copy holds its read buffer and a line-end mask of it, not
+        the source file."""
+        n = 300
+        g = source_graph(np.random.default_rng(0).normal(size=(n, 1000)),
+                         [(i, i + 1) for i in range(n - 2)])
+        save_dataset(g, tmp_path / "src")
+        size = (tmp_path / "src" / "features.csv").stat().st_size
+        assert size > 5 * gpcn.graph._HASH_BLOCK_BYTES
+        _, digest = gpcn.graph._load_dataset(tmp_path / "src")
+        rows = np.arange(n - 1)
+        tracemalloc.start()
+        try:
+            got = gpcn.graph._copy_rows(tmp_path / "src" / "features.csv",
+                                        tmp_path / "out.csv", rows, n, digest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got is not None
+        assert peak < 3 * gpcn.graph._HASH_BLOCK_BYTES
 
 
 class TestNormalization:

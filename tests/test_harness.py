@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpcn.graph import load_dataset, normalize_adjacency
+from gpcn.graph import (largest_connected_component, load_dataset,
+                        normalize_adjacency, save_dataset)
 from gpcn.bp import train_bp
 from gpcn.pc import train_pc
 from gpcn.calibration import expected_calibration_error
@@ -69,6 +70,35 @@ class TestDatasetCommands:
         lcc_out = tmp_path / "lcc"
         assert main(["dataset", "lcc", str(out), "--out", str(lcc_out)]) == 0
         assert load_dataset(lcc_out).num_nodes <= 60
+
+    def test_lcc_of_written_and_respelled_source_agree(self, tmp_path):
+        """``dataset lcc`` copies the kept lines of the features.csv ``gen``
+        wrote, and formats those of the same values spelled otherwise;
+        both give the files the formatting gave, on a cold cache and on
+        the cache the first runs filled."""
+        data_dir = gen_dataset(tmp_path, nodes_per_block=40,
+                               inter_block_edge_prob=0.0)
+        respelled = tmp_path / "respelled"
+        respelled.mkdir()
+        for p in data_dir.iterdir():
+            text = p.read_bytes()
+            if p.name == "features.csv":
+                text = re.sub(rb"([0-9]\.[0-9]+)", rb"\g<1>0", text)
+            (respelled / p.name).write_bytes(text)
+        assert (respelled / "features.csv").read_bytes() != \
+            (data_dir / "features.csv").read_bytes()
+        trees = []
+        for state in ("cold", "warm"):
+            for src in (data_dir, respelled):
+                out = tmp_path / f"{src.name}-{state}"
+                assert main(["dataset", "lcc", str(src),
+                             "--out", str(out)]) == 0
+                trees.append(tree_bytes(out))
+        g = load_dataset(data_dir)
+        ref = tmp_path / "ref"
+        save_dataset(largest_connected_component(g), ref, name="lcc")
+        assert largest_connected_component(g).num_nodes < g.num_nodes
+        assert all(tree == tree_bytes(ref) for tree in trees)
 
     def test_gen_rejects_feature_dim_below_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -294,6 +324,26 @@ class TestCalibrateCommand:
                      "--data", str(data_dir), "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {ckpt}: ") and named in err
+        assert not out.exists()
+
+
+    def test_overflowing_weights_exit_3_naming_the_checkpoint(self, tmp_path,
+                                                              capsys):
+        """Finite weights of +-1e200: the hidden layer holds values near
+        1e200, and the output layer's product overflows."""
+        data_dir = gen_dataset(tmp_path)
+        signs = np.resize([1.0, -1.0], 8 * 4 + 4 * 2) * 1e200
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"layer_dims": [8, 4, 2],
+                                    "weights": [list(signs[:32]),
+                                                list(signs[32:])]}))
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--checkpoint", str(ckpt),
+                     "--data", str(data_dir), "--out", str(out)]) \
+            == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {ckpt}: ")
+        assert "overflows" in err
         assert not out.exists()
 
 
