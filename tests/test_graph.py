@@ -1,6 +1,7 @@
 """Graph container, dataset I/O, normalization, SBM generation, and edits."""
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -481,6 +483,17 @@ def equal_bits(a, b) -> bool:
                                                  b.view(np.int64))
 
 
+PIECE = 1 << 20
+
+
+def tree_digest(data: bytes) -> str:
+    """The name of a cache entry, from hashlib alone: the SHA-256 of the
+    SHA-256 digests of the 1 MiB pieces of ``data``, in order."""
+    return hashlib.sha256(b"".join(
+        hashlib.sha256(data[i:i + PIECE]).digest()
+        for i in range(0, len(data), PIECE))).hexdigest()
+
+
 class TestFeatureCache:
     """The cache of parsed features: a hit gives the parse's bits; an edited
     file, an entry that does not fit, or a cache that cannot be used falls
@@ -499,7 +512,7 @@ class TestFeatureCache:
             assert not feature_cache.exists()
             load_dataset(tmp_path)
         file = tmp_path / "features.csv"
-        digest = hashlib.sha256(file.read_bytes()).hexdigest()
+        digest = tree_digest(file.read_bytes())
         assert [p.name for p in feature_cache.iterdir()] == [f"{digest}.f64"]
         with no_parse():
             hit = load_dataset(tmp_path).features
@@ -592,7 +605,7 @@ class TestFeatureCache:
         digest."""
         write_dataset(tmp_path, 2, [], self.FEATURES, [0, 0], ["none"] * 2)
         file = tmp_path / "features.csv"
-        old = hashlib.sha256(file.read_bytes()).hexdigest()
+        old = tree_digest(file.read_bytes())
         fast = gpcn.graph._read_features_fast
 
         def rewrite_then_read(*args):
@@ -681,6 +694,122 @@ class TestFeatureCache:
         assert equal_bits(g.features, features)
         assert peak - held < 2 * gpcn.graph._HASH_BLOCK_BYTES
 
+class TestTreeDigest:
+    """Cache entries are named by a tree digest: ``_file_digest`` hashes a
+    file's pieces on threads, ``_TreeDigest`` hashes a stream in any
+    chunks, and both give ``tree_digest``, built from hashlib alone."""
+
+    SIZES = [0, 1, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 7]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @settings(deadline=None, max_examples=30)
+    @given(size=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(0, 3 * PIECE + 7), max_size=6))
+    def test_file_digest_equals_incremental_digest(self, threads, size,
+                                                    seed, cuts):
+        data = np.random.default_rng(seed).bytes(size)
+        bounds = sorted(c % (size + 1) for c in cuts)
+        digest = gpcn.graph._TreeDigest()
+        for lo, hi in zip([0, *bounds], [*bounds, size]):
+            digest.update(data[lo:hi])
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "features.csv"
+            file.write_bytes(data)
+            started = threading.active_count()
+            with mock.patch.object(gpcn.graph, "_HASH_THREADS", threads):
+                got = gpcn.graph._file_digest(file)
+            assert threading.active_count() == started
+        assert got == digest.hexdigest() == tree_digest(data)
+
+    def test_digest_of_no_bytes_is_sha256_of_nothing(self, tmp_path):
+        (tmp_path / "empty").write_bytes(b"")
+        assert (gpcn.graph._file_digest(tmp_path / "empty")
+                == gpcn.graph._TreeDigest().hexdigest()
+                == hashlib.sha256(b"").hexdigest())
+
+
+@contextlib.contextmanager
+def write_fails(at: int, exc: OSError):
+    """``open`` in gpcn.graph, the ``at``-th write to a file opened "wb"
+    raising ``exc``; the paths opened so, in order."""
+    opened, writes = [], []
+
+    class Failing:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == at:
+                raise exc
+            return self._fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *args):
+            self._fh.close()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if mode != "wb":
+            return fh
+        opened.append(Path(file))
+        return Failing(fh)
+
+    with mock.patch.object(gpcn.graph, "open", failing_open, create=True):
+        yield opened
+
+
+class TestHelperThreadFailure:
+    """A write that fails on a helper thread, on the third block of a save
+    or of the lcc copy: the command raises the write's error, with the exit
+    code it had when the write ran on the main thread, stores no cache
+    entry and leaves no thread running."""
+
+    ERRORS = [OSError(errno.ENOSPC, "No space left on device"),
+              FileNotFoundError(errno.ENOENT, "gone")]
+
+    def run(self, argv, exc, capsys):
+        started = threading.active_count()
+        if isinstance(exc, FileNotFoundError):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"data error: {exc}\n"
+        else:
+            with pytest.raises(OSError) as raised:
+                main(argv)
+            assert raised.value is exc
+        assert threading.active_count() == started
+
+    @pytest.mark.parametrize("exc", ERRORS, ids=["ENOSPC", "ENOENT"])
+    def test_save(self, tmp_path, feature_cache, capsys, exc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "num_blocks": 2, "nodes_per_block": 4,
+            "intra_block_edge_prob": 0.5, "inter_block_edge_prob": 0.1,
+            "feature_dim": 3, "feature_noise_std": 1.0}))
+        with write_fails(3, exc) as opened, \
+                mock.patch.object(gpcn.graph, "_SAVE_BLOCK_VALUES", 3):
+            self.run(["dataset", "gen", "--spec", str(spec), "--out",
+                      str(tmp_path / "gen")], exc, capsys)
+        assert opened == [tmp_path / "gen" / "features.csv"]
+        assert not feature_cache.exists() or not any(feature_cache.iterdir())
+
+    @pytest.mark.parametrize("exc", ERRORS, ids=["ENOSPC", "ENOENT"])
+    def test_lcc_copy(self, tmp_path, feature_cache, capsys, exc):
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)),
+                         [(i, i + 1) for i in range(7)])
+        save_dataset(g, tmp_path / "src")
+        before = lcc_tree(feature_cache)
+        with write_fails(3, exc) as opened, \
+                mock.patch.object(gpcn.graph, "_HASH_BLOCK_BYTES", 64):
+            self.run(["dataset", "lcc", str(tmp_path / "src"), "--out",
+                      str(tmp_path / "out")], exc, capsys)
+        (tmp,) = opened
+        assert tmp.parent == tmp_path / "out" and not tmp.exists()
+        assert lcc_tree(feature_cache) == before
+
+
 def neighbours(x: float) -> list[float]:
     return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
 
@@ -753,7 +882,9 @@ class TestFeatureWriterMatchesRepr:
         instead of being laid out wrong."""
         body = np.frombuffer(b"1.5\n" + token + b"\n", dtype=np.uint8)
         with pytest.raises(RuntimeError, match="mmwrite"):
-            gpcn.graph._repr_layout(body, 1, 2)
+            gpcn.graph._repr_layout(body, 1, 2,
+                                    np.empty(2 * gpcn.graph._REPR_BYTES,
+                                             dtype=np.uint8))
 
     @settings(deadline=None, max_examples=200)
     @given(features=feature_matrices(), rows=st.sampled_from([1, 3, None]))
@@ -892,7 +1023,7 @@ class TestLargestComponentCopy:
                 == formatted_lcc(tmp_path / "src", tmp_path / "ref"))
         # the copy stored the component's entry, marked as a save's
         out = (tmp_path / "out" / "features.csv").read_bytes()
-        entry = feature_cache / f"{hashlib.sha256(out).hexdigest()}.f64"
+        entry = feature_cache / f"{tree_digest(out)}.f64"
         assert entry.read_bytes()[:24] == struct.pack(
             "<3q", *largest_connected_component(g).features.shape, 1)
 
@@ -960,39 +1091,105 @@ class TestLargestComponentCopy:
         ids=["one-value", "more-lines", "one-line"])
     def test_source_rewritten_before_the_copy_is_formatted(
             self, tmp_path, feature_cache, rewrite):
-        """features.csv rewritten between the load and the copy: the copy
-        hashes other bytes than the load matched, so it is dropped, the
-        loaded values are formatted, and no entry is stored for the copied
-        bytes."""
+        """features.csv rewritten after edges.csv is read and before the
+        copy reads the file: the copy hashes bytes no save wrote, so it is
+        dropped, and the rewritten file is loaded and its component
+        formatted, or refused, as without the copy; no entry is stored for
+        the copied bytes."""
         g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
         save_dataset(g, tmp_path / "src")
         file = tmp_path / "src" / "features.csv"
         loaded = file.read_bytes()
-        ref = formatted_lcc(tmp_path / "src", tmp_path / "ref")
+        (tmp_path / "rewritten").mkdir()
+        for f in (tmp_path / "src").iterdir():
+            (tmp_path / "rewritten" / f.name).write_bytes(f.read_bytes())
+        (tmp_path / "rewritten" / "features.csv").write_bytes(rewrite(loaded))
+        try:
+            ref = formatted_lcc(tmp_path / "rewritten", tmp_path / "ref")
+        except DatasetError as exc:
+            ref = str(exc).replace("rewritten", "src")
         copy = gpcn.graph._copy_rows
+        copied = []
 
-        def rewrite_then_copy(*args):
+        def rewrite_then_copy(src, dst, *args):
             file.write_bytes(rewrite(loaded))
-            return copy(*args)
+            copied.append(dst)
+            return copy(src, dst, *args)
 
         with counted_writes() as writes, \
                 mock.patch.object(gpcn.graph, "_copy_rows",
                                   rewrite_then_copy):
-            gpcn.graph.save_largest_component(tmp_path / "src",
-                                              tmp_path / "out")
-        assert len(writes) == 1
-        assert lcc_tree(tmp_path / "out") == ref
-        out = ref["features.csv"]
+            try:
+                gpcn.graph.save_largest_component(tmp_path / "src",
+                                                  tmp_path / "out")
+            except DatasetError as exc:
+                assert str(exc) == ref
+                assert not (tmp_path / "out").exists()
+            else:
+                assert len(writes) == 1
+                assert lcc_tree(tmp_path / "out") == ref
+        assert len(copied) == 1 and not copied[0].exists()
+        stored = {tree_digest(loaded)}
+        if isinstance(ref, dict):
+            # the entry of the rewritten bytes is the load's, marked 0
+            rewritten = feature_cache / f"{tree_digest(rewrite(loaded))}.f64"
+            assert rewritten.read_bytes()[16:24] == struct.pack("<q", 0)
+            stored |= {rewritten.name[:-4], tree_digest(ref["features.csv"])}
         assert {p.name for p in feature_cache.iterdir()} == {
-            f"{hashlib.sha256(b).hexdigest()}.f64" for b in (loaded, out)}
+            f"{d}.f64" for d in stored}
 
     def test_component_saved_over_its_source(self, tmp_path):
-        """``--out`` the source directory: opening features.csv to write
-        empties the file the copy reads, which then fails its hash."""
+        """``--out`` the source directory gives the formatted bytes."""
         g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
         save_dataset(g, tmp_path / "d")
         ref = formatted_lcc(tmp_path / "d", tmp_path / "ref")
         gpcn.graph.save_largest_component(tmp_path / "d", tmp_path / "d")
+        assert lcc_tree(tmp_path / "d") == ref
+
+    @pytest.mark.parametrize("fault, edit", [
+        ("malformed-edge", lambda d: (d / "edges.csv").write_text("0,1,2\n")),
+        ("edge-out-of-range",
+         lambda d: (d / "edges.csv").write_text("0,1\n1,99\n")),
+        ("malformed-feature", lambda d: (d / "features.csv").write_bytes(
+            (d / "features.csv").read_bytes().replace(b"0.1", b"0.1x", 1))),
+        ("meta-shape", lambda d: (d / "meta.json").write_text(
+            (d / "meta.json").read_text().replace('"num_features": 2',
+                                                  '"num_features": 3'))),
+        ("label-out-of-range",
+         lambda d: (d / "labels.csv").write_text("0\n" * 7 + "5\n"))])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_rejected_source_exits_2_and_makes_no_out(
+            self, tmp_path, capsys, fault, edit, nested):
+        """A source the load refuses, whether the copy is tried or not:
+        exit 2 with the load's message, and no ``--out`` directory."""
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        save_dataset(g, tmp_path / "src")
+        edit(tmp_path / "src")
+        with pytest.raises(DatasetError) as refused:
+            load_dataset(tmp_path / "src")
+        out = tmp_path / "out" / "sub" if nested else tmp_path / "out"
+        copies = []
+        copy = gpcn.graph._copy_rows
+        with mock.patch.object(gpcn.graph, "_copy_rows",
+                               lambda *a: copies.append(a) or copy(*a)):
+            assert main(["dataset", "lcc", str(tmp_path / "src"), "--out",
+                         str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {refused.value}\n"
+        assert not (tmp_path / "out").exists()
+        # the copy is tried once the edges give the component
+        assert len(copies) == (fault not in ("malformed-edge",
+                                             "edge-out-of-range"))
+
+    def test_component_saved_over_its_source_is_copied(self, tmp_path):
+        """``--out`` the source directory: the copy reads the whole source
+        before any file of it is written, so it is kept, and gives the
+        formatted bytes."""
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        save_dataset(g, tmp_path / "d")
+        ref = formatted_lcc(tmp_path / "d", tmp_path / "ref")
+        with counted_writes() as writes:
+            gpcn.graph.save_largest_component(tmp_path / "d", tmp_path / "d")
+        assert writes == []
         assert lcc_tree(tmp_path / "d") == ref
 
     def test_copy_reads_the_source_in_blocks(self, tmp_path):
@@ -1002,18 +1199,19 @@ class TestLargestComponentCopy:
         g = source_graph(np.random.default_rng(0).normal(size=(n, 1000)),
                          [(i, i + 1) for i in range(n - 2)])
         save_dataset(g, tmp_path / "src")
-        size = (tmp_path / "src" / "features.csv").stat().st_size
-        assert size > 5 * gpcn.graph._HASH_BLOCK_BYTES
-        _, digest = gpcn.graph._load_dataset(tmp_path / "src")
+        src = (tmp_path / "src" / "features.csv").read_bytes()
+        assert len(src) > 5 * gpcn.graph._HASH_BLOCK_BYTES
         rows = np.arange(n - 1)
         tracemalloc.start()
         try:
             got = gpcn.graph._copy_rows(tmp_path / "src" / "features.csv",
-                                        tmp_path / "out.csv", rows, n, digest)
+                                        tmp_path / "out.csv", rows, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got is not None
+        out = (tmp_path / "out.csv").read_bytes()
+        assert out == src[:src.rindex(b"\n", 0, -1) + 1]
+        assert got == (tree_digest(src), tree_digest(out))
         assert peak < 3 * gpcn.graph._HASH_BLOCK_BYTES
 
 
@@ -1269,7 +1467,25 @@ def tied_components(sizes, seed):
 
 
 class TestLargestComponentMatchesReference:
-    """Components read off A_hat give the components read off A."""
+    """Components found by pointer jumping give scipy's, read off A."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+    def test_shuffled_path(self, n):
+        """A path through the nodes in random order, the longest chain of
+        pointers to jump."""
+        order = np.random.default_rng(n).permutation(n)
+        g = make_graph(n, np.zeros((n, 1)), [0] * n, ["none"] * n,
+                       np.stack([order[:-1], order[1:]], axis=1),
+                       num_classes=1)
+        assert graphs_equal(largest_connected_component(g), g)
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 10_000),
+           density=st.floats(0.0, 0.2))
+    def test_random_graphs(self, n, seed, density):
+        g = random_graph(np.random.default_rng(seed), n, edge_prob=density)
+        assert graphs_equal(largest_connected_component(g),
+                            reference_largest_connected_component(g))
 
     @settings(deadline=None, max_examples=60)
     @given(size=st.integers(1, 5), copies=st.integers(2, 4),
