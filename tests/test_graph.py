@@ -8,6 +8,7 @@ import math
 import os
 import platform
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -500,17 +501,20 @@ class TestFeatureCache:
     back to the parse, and save and load go on as without the cache."""
 
     FEATURES = [CACHE_PINNED, CACHE_PINNED[::-1]]
+    # FEATURES spelled as repr does not, so that no save writes these bytes
+    HAND_WRITTEN = (b"-0,.10,1E-5,1.0e16,5e-324\n"
+                    b"5E-324,1e+16,0.00001,0.1,-0.0\n")
 
-    @pytest.mark.parametrize("stored_by", ["save", "load"])
+    @pytest.mark.parametrize("stored_by", ["save", "lcc"])
     def test_hit_gives_the_parsed_bits(self, tmp_path, feature_cache,
                                        stored_by):
         if stored_by == "save":
             saved_graph(tmp_path, self.FEATURES)
         else:
-            write_dataset(tmp_path, 2, [], self.FEATURES, [0, 0],
-                          ["none"] * 2)
-            assert not feature_cache.exists()
-            load_dataset(tmp_path)
+            # the component is both nodes: the copy is the whole source
+            save_dataset(source_graph(self.FEATURES, [(0, 1)]),
+                         tmp_path / "src")
+            gpcn.graph.save_largest_component(tmp_path / "src", tmp_path)
         file = tmp_path / "features.csv"
         digest = tree_digest(file.read_bytes())
         assert [p.name for p in feature_cache.iterdir()] == [f"{digest}.f64"]
@@ -528,24 +532,29 @@ class TestFeatureCache:
                                                  dtype="<f8").tobytes())
         assert feature_cache.stat().st_mode & 0o777 == 0o700
 
-    def test_save_marks_an_entry_a_parse_stored(self, tmp_path,
-                                                feature_cache):
-        """A hand-written file with the bytes a save writes: its load stores
-        an entry marked 0, and the save of the same bytes marks it 1, in
-        place, without changing the features."""
-        (tmp_path / "hand").mkdir()
-        write_dataset(tmp_path / "hand", 2, [], self.FEATURES, [0, 0],
-                      ["none"] * 2)
-        load_dataset(tmp_path / "hand")
-        (entry,) = feature_cache.iterdir()
-        parsed = entry.read_bytes()
-        assert parsed == (struct.pack("<3q", 2, 5, 0)
-                          + np.array(self.FEATURES, dtype="<f8").tobytes())
-        saved_graph(tmp_path / "saved", self.FEATURES)
-        assert ((tmp_path / "saved" / "features.csv").read_bytes()
-                == (tmp_path / "hand" / "features.csv").read_bytes())
-        assert list(feature_cache.iterdir()) == [entry]
-        assert entry.read_bytes() == struct.pack("<3q", 2, 5, 1) + parsed[24:]
+    @pytest.mark.parametrize("cache", ["cold", "holding-entries"])
+    def test_parse_stores_no_entry(self, tmp_path, feature_cache, cache):
+        """A hand-written features.csv: neither its load nor ``dataset lcc``
+        of it stores an entry for its bytes, whether the cache starts cold
+        or holds the save's entry of the same features and another one;
+        lcc stores only the entry of the file its save wrote."""
+        if cache == "holding-entries":
+            saved_graph(tmp_path / "saved", self.FEATURES)
+            saved_graph(tmp_path / "other", [[1.0]])
+        before = set(feature_cache.glob("*.f64"))
+        hand = tmp_path / "hand"
+        hand.mkdir()
+        write_dataset(hand, 2, [(0, 1)], self.FEATURES, [0, 0], ["none"] * 2)
+        (hand / "features.csv").write_bytes(self.HAND_WRITTEN)
+        assert equal_bits(load_dataset(hand).features,
+                          np.array(self.FEATURES))
+        assert set(feature_cache.glob("*.f64")) == before
+        assert main(["dataset", "lcc", str(hand), "--out",
+                     str(tmp_path / "out")]) == 0
+        out = (tmp_path / "out" / "features.csv").read_bytes()
+        assert out != self.HAND_WRITTEN
+        assert set(feature_cache.glob("*.f64")) == before | {
+            feature_cache / f"{tree_digest(out)}.f64"}
 
     def test_edited_byte_is_not_served_stale(self, tmp_path, feature_cache):
         saved_graph(tmp_path, self.FEATURES)
@@ -554,7 +563,8 @@ class TestFeatureCache:
         file.write_bytes(text.replace(b"0.1", b"0.3", 1))
         features = load_dataset(tmp_path).features
         assert features[0, 1] == 0.3 and features[1, 3] == 0.1
-        assert len(list(feature_cache.iterdir())) == 2
+        # the save's entry alone: the parse of the edited file stores none
+        assert len(list(feature_cache.iterdir())) == 1
 
     @pytest.mark.parametrize("key, value, message", [
         ("num_features", 6, "features.csv:1: malformed line: 5 values, "
@@ -575,16 +585,18 @@ class TestFeatureCache:
         lambda b: struct.pack("<3q", 5, 2, 1) + b[24:],
         lambda b: struct.pack("<3q", 1, 10, 1) + b[24:],
         lambda b: struct.pack("<3q", 2, 5, 2) + b[24:],
-        lambda b: struct.pack("<2q", 2, 5) + b[24:]],
+        lambda b: struct.pack("<2q", 2, 5) + b[24:],
+        lambda b: struct.pack("<3q", 2, 5, 0) + b[24:]],
         ids=["row-short", "byte-short", "long", "swapped-header",
-             "other-header", "other-mark", "two-field-header"])
+             "other-header", "other-mark", "two-field-header", "mark-0"])
     def test_entry_that_does_not_fit_is_parsed_again(self, tmp_path,
                                                      feature_cache, corrupt):
+        """An entry of another header, size or mark, such as the mark 0 of
+        a load's parse in earlier versions, is never served; the parse puts
+        nothing back, and the next save of the file replaces the entry."""
         saved_graph(tmp_path, self.FEATURES)
         (entry,) = feature_cache.iterdir()
         saved = entry.read_bytes()
-        # the parse stores the entry it finds no fit for, marked as a parse's
-        good = struct.pack("<3q", 2, 5, 0) + saved[24:]
         entry.write_bytes(corrupt(saved))
         reads = []
         fast = gpcn.graph._read_features_fast
@@ -593,8 +605,10 @@ class TestFeatureCache:
             features = load_dataset(tmp_path).features
         assert len(reads) == 1
         assert equal_bits(features, np.array(self.FEATURES))
-        # the parse put back a whole entry, which the next load reads
-        assert entry.read_bytes() == good
+        assert entry.read_bytes() == corrupt(saved)
+        saved_graph(tmp_path / "again", self.FEATURES)
+        assert list(feature_cache.iterdir()) == [entry]
+        assert entry.read_bytes() == saved
         with no_parse():
             load_dataset(tmp_path)
 
@@ -792,7 +806,11 @@ class TestHelperThreadFailure:
                 mock.patch.object(gpcn.graph, "_SAVE_BLOCK_VALUES", 3):
             self.run(["dataset", "gen", "--spec", str(spec), "--out",
                       str(tmp_path / "gen")], exc, capsys)
-        assert opened == [tmp_path / "gen" / "features.csv"]
+        # features.csv is written to a new file, renamed into place, so a
+        # failed write leaves none
+        (tmp,) = opened
+        assert tmp.parent == tmp_path / "gen" and not tmp.exists()
+        assert not (tmp_path / "gen" / "features.csv").exists()
         assert not feature_cache.exists() or not any(feature_cache.iterdir())
 
     @pytest.mark.parametrize("exc", ERRORS, ids=["ENOSPC", "ENOENT"])
@@ -1041,7 +1059,7 @@ class TestLargestComponentCopy:
     def test_hand_written_source_is_formatted(self, tmp_path):
         src = self.hand_written(tmp_path / "src")
         ref = formatted_lcc(src, tmp_path / "ref")
-        # a cold cache, then the entry the first load's parse stored
+        # a cold cache, then one holding the component's entry only
         for out in ("cold", "warm"):
             with counted_writes() as writes:
                 gpcn.graph.save_largest_component(src, tmp_path / out)
@@ -1129,12 +1147,11 @@ class TestLargestComponentCopy:
                 assert len(writes) == 1
                 assert lcc_tree(tmp_path / "out") == ref
         assert len(copied) == 1 and not copied[0].exists()
+        # the load's parse of the rewritten bytes stores no entry
         stored = {tree_digest(loaded)}
         if isinstance(ref, dict):
-            # the entry of the rewritten bytes is the load's, marked 0
-            rewritten = feature_cache / f"{tree_digest(rewrite(loaded))}.f64"
-            assert rewritten.read_bytes()[16:24] == struct.pack("<q", 0)
-            stored |= {rewritten.name[:-4], tree_digest(ref["features.csv"])}
+            stored.add(tree_digest(ref["features.csv"]))
+        assert tree_digest(rewrite(loaded)) not in stored
         assert {p.name for p in feature_cache.iterdir()} == {
             f"{d}.f64" for d in stored}
 
@@ -1213,6 +1230,116 @@ class TestLargestComponentCopy:
         assert out == src[:src.rindex(b"\n", 0, -1) + 1]
         assert got == (tree_digest(src), tree_digest(out))
         assert peak < 3 * gpcn.graph._HASH_BLOCK_BYTES
+
+
+class TestFeaturesFileIsReplaced:
+    """Every path puts features.csv in place by renaming a new file over
+    it: the lcc copy, the lcc format path and ``save_dataset`` leave the
+    same bytes and the same ``os.lstat`` for an ``--out`` features.csv that
+    was a symlink, a hard link or of mode 0600, and the file the link named
+    is left as it was."""
+
+    @pytest.mark.parametrize("target", ["symlink", "hard-link", "mode-0600"])
+    def test_every_path_gives_the_same_file(self, tmp_path, feature_cache,
+                                            target):
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        src = tmp_path / "src"
+        save_dataset(g, src)
+        lcc = largest_connected_component(load_dataset(src))
+        (tmp_path / "new").touch()
+        new_mode = stat.S_IMODE(os.stat(tmp_path / "new").st_mode)
+        found = {}
+        for path in ("copy", "format", "save"):
+            out, other = tmp_path / path, tmp_path / f"{path}-other"
+            out.mkdir()
+            other.write_bytes(b"other\n")
+            file = out / "features.csv"
+            if target == "symlink":
+                file.symlink_to(other)
+            elif target == "hard-link":
+                os.link(other, file)
+            else:
+                file.write_bytes(b"old\n")
+                file.chmod(0o600)
+            with counted_writes() as writes:
+                if path == "copy":
+                    gpcn.graph.save_largest_component(src, out)
+                elif path == "format":
+                    with mock.patch.object(gpcn.graph, "_cache_dir",
+                                           return_value=None):
+                        gpcn.graph.save_largest_component(src, out)
+                else:
+                    save_dataset(lcc, out, name="lcc")
+            assert len(writes) == (path != "copy")
+            assert other.read_bytes() == b"other\n"
+            info = os.lstat(file)
+            found[path] = (lcc_tree(out), stat.S_ISLNK(info.st_mode),
+                           info.st_nlink, stat.S_IMODE(info.st_mode))
+        assert found["copy"] == found["format"] == found["save"]
+        assert found["copy"][1:] == (False, 1, new_mode)
+
+
+class TestUnreadableDatasetFile:
+    """A dataset file that exists but cannot be read: the command exits 2
+    with ``data error:`` and the file's name, and makes no ``--out``."""
+
+    @staticmethod
+    def deny(file: Path, how: str, monkeypatch):
+        """Reading ``file`` (by ``open`` in gpcn.graph or by
+        ``Path.read_text``), or for "stat" asking whether it is a file,
+        raises EACCES."""
+        def refuse():
+            raise PermissionError(errno.EACCES, "Permission denied",
+                                  str(file))
+
+        if how == "stat":
+            is_file = Path.is_file
+            monkeypatch.setattr(Path, "is_file", lambda self: refuse()
+                                if self == file else is_file(self))
+            return
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: refuse()
+                            if self == file else read_text(self, *a, **k))
+        monkeypatch.setattr(gpcn.graph, "open", lambda f, *a, **k: refuse()
+                            if Path(f) == file else open(f, *a, **k),
+                            raising=False)
+
+    @pytest.mark.parametrize("how", ["read", "stat"])
+    @pytest.mark.parametrize("name", ["meta.json", "edges.csv",
+                                      "features.csv", "labels.csv",
+                                      "splits.csv"])
+    @pytest.mark.parametrize("command", ["inspect", "lcc"])
+    def test_exits_2_naming_the_file(self, tmp_path, feature_cache,
+                                     monkeypatch, capsys, command, name,
+                                     how):
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        save_dataset(g, tmp_path / "src")
+        self.deny(tmp_path / "src" / name, how, monkeypatch)
+        argv = ["dataset", command, str(tmp_path / "src")]
+        if command == "lcc":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot read {tmp_path / 'src' / name}: "
+            f"Permission denied\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader", ["fast", "parse"])
+    def test_features_read_by_a_parser(self, tmp_path, monkeypatch, capsys,
+                                       reader):
+        """With no cache to hash features.csv for, the file refused to the
+        fast reader, or to ``_parse_features``, which reads every file the
+        fast reader declines."""
+        write_dataset(tmp_path, 2, [], [[1.0], [2.0]], [0, 0], ["none"] * 2)
+        monkeypatch.setattr(gpcn.graph, "_cache_dir", lambda: None)
+        if reader == "parse":
+            monkeypatch.setattr(gpcn.graph, "_read_features_fast",
+                                lambda *a: None)
+        self.deny(tmp_path / "features.csv", "read", monkeypatch)
+        assert main(["dataset", "inspect", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot read {tmp_path / 'features.csv'}: "
+            f"Permission denied\n")
 
 
 class TestNormalization:
