@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from gpcn.attacks import ATTACK_KINDS, AttackSpec
-from gpcn.graph import DatasetError
+from gpcn.dataset import DatasetError
 from gpcn.harness import (ExperimentConfig, check_seeds, cmd_attack,
                           cmd_calibrate, cmd_dataset_gen, cmd_dataset_inspect,
                           cmd_dataset_lcc, cmd_energy_study, cmd_train)

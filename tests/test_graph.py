@@ -27,9 +27,11 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpcn.dataset
 import gpcn.graph
 from gpcn.cli import main
-from gpcn.graph import (DatasetError, EdgeEdit, SyntheticSpec, apply_edits,
+from gpcn.dataset import DatasetError
+from gpcn.graph import (EdgeEdit, SyntheticSpec, apply_edits,
                         generate_synthetic, largest_connected_component,
                         load_dataset, make_graph, normalize_adjacency,
                         propagate, save_dataset)
@@ -364,10 +366,10 @@ class TestFastFeatureReaderMatchesPerLineParser:
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "features.csv"
             file.write_bytes(text.encode())
-            with mock.patch.object(gpcn.graph, "_FAST_BLOCK_BYTES", block):
-                fast = gpcn.graph._read_features_fast(file, n, f)
+            with mock.patch.object(gpcn.dataset, "_FAST_BLOCK_BYTES", block):
+                fast = gpcn.dataset._read_features_fast(file, n, f)
             if fast is not None:
-                slow = gpcn.graph._parse_features(file, n, f)
+                slow = gpcn.dataset._parse_features(file, n, f)
                 assert fast.flags.c_contiguous
                 assert np.array_equal(fast.view(np.int64),
                                       slow.view(np.int64))
@@ -384,9 +386,9 @@ class TestFastFeatureReaderMatchesPerLineParser:
             loaded = features_or_error(path)
             # the cache off, or an entry stored by the first load (or by an
             # earlier example of the same text) would answer the second
-            with mock.patch.object(gpcn.graph, "_read_features_fast",
+            with mock.patch.object(gpcn.dataset, "_read_features_fast",
                                    return_value=None), \
-                    mock.patch.object(gpcn.graph, "_cache_dir",
+                    mock.patch.object(gpcn.dataset, "_cache_dir",
                                       return_value=None):
                 assert features_or_error(path) == loaded
 
@@ -396,8 +398,8 @@ class TestFastFeatureReaderMatchesPerLineParser:
         features[0, :3] = [-0.0, 5e-324, -1e-300]
         save_dataset(make_graph(12, features, g.labels, g.split, g.edges,
                                 num_classes=3), tmp_path)
-        fast = gpcn.graph._read_features_fast(tmp_path / "features.csv",
-                                              12, 5)
+        fast = gpcn.dataset._read_features_fast(tmp_path / "features.csv",
+                                                12, 5)
         assert np.array_equal(fast.view(np.int64), features.view(np.int64))
 
     @pytest.mark.parametrize("block", [1 << 20, 1 << 23])
@@ -414,8 +416,9 @@ class TestFastFeatureReaderMatchesPerLineParser:
         save_dataset(make_graph(n, features, [0] * n, ["none"] * n, [],
                                 num_classes=1), tmp_path)
         # the cache off, so that each load parses the file
-        with mock.patch.object(gpcn.graph, "_cache_dir", return_value=None), \
-                mock.patch.object(gpcn.graph, "_FAST_BLOCK_BYTES", block):
+        with mock.patch.object(gpcn.dataset, "_cache_dir",
+                               return_value=None), \
+                mock.patch.object(gpcn.dataset, "_FAST_BLOCK_BYTES", block):
             load_dataset(tmp_path)      # scipy.io is imported untraced
             tracemalloc.start()
             try:
@@ -435,15 +438,15 @@ class TestFastFeatureReaderMatchesPerLineParser:
     def test_declines_malformed_layout(self, tmp_path, text, n):
         file = tmp_path / "features.csv"
         file.write_text(text)
-        assert gpcn.graph._read_features_fast(file, n, 2) is None
+        assert gpcn.dataset._read_features_fast(file, n, 2) is None
 
     @pytest.mark.parametrize("token", EDGE_TOKENS)
     def test_reads_edge_token(self, tmp_path, token):
         assert re.fullmatch(GRAMMAR, token)
         file = tmp_path / "features.csv"
         file.write_text(f"1.0,{token}\n")
-        fast = gpcn.graph._read_features_fast(file, 1, 2)
-        slow = gpcn.graph._parse_features(file, 1, 2)
+        fast = gpcn.dataset._read_features_fast(file, 1, 2)
+        slow = gpcn.dataset._parse_features(file, 1, 2)
         assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
     @pytest.mark.parametrize("token", OFF_GRAMMAR_TOKENS)
@@ -451,7 +454,7 @@ class TestFastFeatureReaderMatchesPerLineParser:
         assert not re.fullmatch(GRAMMAR, token)
         file = tmp_path / "features.csv"
         file.write_text(f"1.0,{token}\n")
-        assert gpcn.graph._read_features_fast(file, 1, 2) is None
+        assert gpcn.dataset._read_features_fast(file, 1, 2) is None
 
 
 
@@ -472,9 +475,9 @@ def saved_graph(path: Path, features) -> Path:
 def no_parse():
     """Both features.csv parsers failing: only a cache hit loads."""
     never = AssertionError("features.csv was parsed")
-    with mock.patch.object(gpcn.graph, "_read_features_fast",
+    with mock.patch.object(gpcn.dataset, "_read_features_fast",
                            side_effect=never), \
-            mock.patch.object(gpcn.graph, "_parse_features",
+            mock.patch.object(gpcn.dataset, "_parse_features",
                               side_effect=never):
         yield
 
@@ -521,8 +524,8 @@ class TestFeatureCache:
         with no_parse():
             hit = load_dataset(tmp_path).features
         assert equal_bits(hit, np.array(self.FEATURES))
-        assert equal_bits(hit, gpcn.graph._read_features_fast(file, 2, 5))
-        assert equal_bits(hit, gpcn.graph._parse_features(file, 2, 5))
+        assert equal_bits(hit, gpcn.dataset._read_features_fast(file, 2, 5))
+        assert equal_bits(hit, gpcn.dataset._parse_features(file, 2, 5))
 
     def test_entry_layout(self, tmp_path, feature_cache):
         saved_graph(tmp_path, self.FEATURES)
@@ -599,8 +602,8 @@ class TestFeatureCache:
         saved = entry.read_bytes()
         entry.write_bytes(corrupt(saved))
         reads = []
-        fast = gpcn.graph._read_features_fast
-        with mock.patch.object(gpcn.graph, "_read_features_fast",
+        fast = gpcn.dataset._read_features_fast
+        with mock.patch.object(gpcn.dataset, "_read_features_fast",
                                lambda *a: reads.append(a) or fast(*a)):
             features = load_dataset(tmp_path).features
         assert len(reads) == 1
@@ -620,13 +623,13 @@ class TestFeatureCache:
         write_dataset(tmp_path, 2, [], self.FEATURES, [0, 0], ["none"] * 2)
         file = tmp_path / "features.csv"
         old = tree_digest(file.read_bytes())
-        fast = gpcn.graph._read_features_fast
+        fast = gpcn.dataset._read_features_fast
 
         def rewrite_then_read(*args):
             file.write_bytes(file.read_bytes().replace(b"0.1", b"0.3", 1))
             return fast(*args)
 
-        with mock.patch.object(gpcn.graph, "_read_features_fast",
+        with mock.patch.object(gpcn.dataset, "_read_features_fast",
                                rewrite_then_read):
             assert load_dataset(tmp_path).features[0, 1] == 0.3
         assert not (feature_cache / f"{old}.f64").exists()
@@ -659,12 +662,12 @@ class TestFeatureCache:
         monkeypatch.delenv("XDG_CACHE_HOME")
         monkeypatch.delenv("HOME", raising=False)
         monkeypatch.setattr(Path, "home", classmethod(no_home))
-        assert gpcn.graph._cache_dir() is None
+        assert gpcn.dataset._cache_dir() is None
         self._save_and_load(tmp_path)
 
     def test_no_cache_on_big_endian_host(self, tmp_path, feature_cache,
                                          monkeypatch):
-        monkeypatch.setattr(gpcn.graph.sys, "byteorder", "big")
+        monkeypatch.setattr(gpcn.dataset.sys, "byteorder", "big")
         self._save_and_load(tmp_path)
         assert not feature_cache.exists()
 
@@ -687,7 +690,8 @@ class TestFeatureCache:
         else:
             saved_graph(tmp_path / "a2", [[1.0]])
         saved_graph(tmp_path / "b", [[2.0]])
-        assert len(list(feature_cache.iterdir())) == gpcn.graph._CACHE_ENTRIES
+        assert (len(list(feature_cache.iterdir()))
+                == gpcn.dataset._CACHE_ENTRIES)
         assert first.exists() and not others[0].exists()
         assert all(p.exists() for p in others[1:])
 
@@ -706,7 +710,7 @@ class TestFeatureCache:
         finally:
             tracemalloc.stop()
         assert equal_bits(g.features, features)
-        assert peak - held < 2 * gpcn.graph._HASH_BLOCK_BYTES
+        assert peak - held < 2 * gpcn.dataset._HASH_BLOCK_BYTES
 
 class TestTreeDigest:
     """Cache entries are named by a tree digest: ``_file_digest`` hashes a
@@ -723,28 +727,28 @@ class TestTreeDigest:
                                                     seed, cuts):
         data = np.random.default_rng(seed).bytes(size)
         bounds = sorted(c % (size + 1) for c in cuts)
-        digest = gpcn.graph._TreeDigest()
+        digest = gpcn.dataset._TreeDigest()
         for lo, hi in zip([0, *bounds], [*bounds, size]):
             digest.update(data[lo:hi])
         with tempfile.TemporaryDirectory() as tmp:
             file = Path(tmp) / "features.csv"
             file.write_bytes(data)
             started = threading.active_count()
-            with mock.patch.object(gpcn.graph, "_HASH_THREADS", threads):
-                got = gpcn.graph._file_digest(file)
+            with mock.patch.object(gpcn.dataset, "_HASH_THREADS", threads):
+                got = gpcn.dataset._file_digest(file)
             assert threading.active_count() == started
         assert got == digest.hexdigest() == tree_digest(data)
 
     def test_digest_of_no_bytes_is_sha256_of_nothing(self, tmp_path):
         (tmp_path / "empty").write_bytes(b"")
-        assert (gpcn.graph._file_digest(tmp_path / "empty")
-                == gpcn.graph._TreeDigest().hexdigest()
+        assert (gpcn.dataset._file_digest(tmp_path / "empty")
+                == gpcn.dataset._TreeDigest().hexdigest()
                 == hashlib.sha256(b"").hexdigest())
 
 
 @contextlib.contextmanager
 def write_fails(at: int, exc: OSError):
-    """``open`` in gpcn.graph, the ``at``-th write to a file opened "wb"
+    """``open`` in gpcn.dataset, the ``at``-th write to a file opened "wb"
     raising ``exc``; the paths opened so, in order."""
     opened, writes = [], []
 
@@ -771,7 +775,7 @@ def write_fails(at: int, exc: OSError):
         opened.append(Path(file))
         return Failing(fh)
 
-    with mock.patch.object(gpcn.graph, "open", failing_open, create=True):
+    with mock.patch.object(gpcn.dataset, "open", failing_open, create=True):
         yield opened
 
 
@@ -803,7 +807,7 @@ class TestHelperThreadFailure:
             "intra_block_edge_prob": 0.5, "inter_block_edge_prob": 0.1,
             "feature_dim": 3, "feature_noise_std": 1.0}))
         with write_fails(3, exc) as opened, \
-                mock.patch.object(gpcn.graph, "_SAVE_BLOCK_VALUES", 3):
+                mock.patch.object(gpcn.dataset, "_SAVE_BLOCK_VALUES", 3):
             self.run(["dataset", "gen", "--spec", str(spec), "--out",
                       str(tmp_path / "gen")], exc, capsys)
         # features.csv is written to a new file, renamed into place, so a
@@ -820,7 +824,7 @@ class TestHelperThreadFailure:
         save_dataset(g, tmp_path / "src")
         before = lcc_tree(feature_cache)
         with write_fails(3, exc) as opened, \
-                mock.patch.object(gpcn.graph, "_HASH_BLOCK_BYTES", 64):
+                mock.patch.object(gpcn.dataset, "_HASH_BLOCK_BYTES", 64):
             self.run(["dataset", "lcc", str(tmp_path / "src"), "--out",
                       str(tmp_path / "out")], exc, capsys)
         (tmp,) = opened
@@ -868,8 +872,8 @@ def saved_features(features: np.ndarray, path: Path, rows=None) -> Path:
     """save_dataset of a graph with ``features``, written in blocks of
     ``rows`` rows or, for None, of the default size; its features.csv."""
     n, f = features.shape
-    values = gpcn.graph._SAVE_BLOCK_VALUES if rows is None else rows * f
-    with mock.patch.object(gpcn.graph, "_SAVE_BLOCK_VALUES", values):
+    values = gpcn.dataset._SAVE_BLOCK_VALUES if rows is None else rows * f
+    with mock.patch.object(gpcn.dataset, "_SAVE_BLOCK_VALUES", values):
         save_dataset(make_graph(n, features, [0] * n, ["none"] * n, [],
                                 num_classes=1), path)
     return path / "features.csv"
@@ -900,9 +904,9 @@ class TestFeatureWriterMatchesRepr:
         instead of being laid out wrong."""
         body = np.frombuffer(b"1.5\n" + token + b"\n", dtype=np.uint8)
         with pytest.raises(RuntimeError, match="mmwrite"):
-            gpcn.graph._repr_layout(body, 1, 2,
-                                    np.empty(2 * gpcn.graph._REPR_BYTES,
-                                             dtype=np.uint8))
+            gpcn.dataset._repr_layout(body, 1, 2,
+                                      np.empty(2 * gpcn.dataset._REPR_BYTES,
+                                               dtype=np.uint8))
 
     @settings(deadline=None, max_examples=200)
     @given(features=feature_matrices(), rows=st.sampled_from([1, 3, None]))
@@ -916,7 +920,7 @@ class TestFeatureWriterMatchesRepr:
     def test_fast_reader_reads_back_the_same_bits(self, features, rows):
         with tempfile.TemporaryDirectory() as tmp:
             file = saved_features(features, Path(tmp), rows)
-            back = gpcn.graph._read_features_fast(file, *features.shape)
+            back = gpcn.dataset._read_features_fast(file, *features.shape)
             assert back is not None
             assert np.array_equal(back.view(np.int64),
                                   features.view(np.int64))
@@ -955,7 +959,7 @@ def formatted_lcc(src: Path, out: Path) -> dict:
     """The files of ``save_dataset(largest_connected_component(
     load_dataset(src)))``, with the cache off, so that the component's
     values are formatted, never copied."""
-    with mock.patch.object(gpcn.graph, "_cache_dir", return_value=None):
+    with mock.patch.object(gpcn.dataset, "_cache_dir", return_value=None):
         save_dataset(largest_connected_component(load_dataset(src)), out,
                      name="lcc")
     return lcc_tree(out)
@@ -1018,12 +1022,13 @@ class TestLargestComponentCopy:
             tmp = Path(tmp)
             save_dataset(g, tmp / "src")
             with counted_writes() as writes, \
-                    mock.patch.object(gpcn.graph, "_HASH_BLOCK_BYTES", block):
+                    mock.patch.object(gpcn.dataset, "_HASH_BLOCK_BYTES",
+                                      block):
                 got = gpcn.graph.save_largest_component(tmp / "src",
                                                         tmp / "out")
             assert writes == []
             assert graphs_equal(got, lcc)
-            gpcn.graph._write_features(tmp / "rows.csv", lcc.features)
+            gpcn.dataset._write_features(tmp / "rows.csv", lcc.features)
             assert ((tmp / "out" / "features.csv").read_bytes()
                     == (tmp / "rows.csv").read_bytes())
             assert lcc_tree(tmp / "out") == formatted_lcc(tmp / "src",
@@ -1217,19 +1222,19 @@ class TestLargestComponentCopy:
                          [(i, i + 1) for i in range(n - 2)])
         save_dataset(g, tmp_path / "src")
         src = (tmp_path / "src" / "features.csv").read_bytes()
-        assert len(src) > 5 * gpcn.graph._HASH_BLOCK_BYTES
+        assert len(src) > 5 * gpcn.dataset._HASH_BLOCK_BYTES
         rows = np.arange(n - 1)
         tracemalloc.start()
         try:
-            got = gpcn.graph._copy_rows(tmp_path / "src" / "features.csv",
-                                        tmp_path / "out.csv", rows, n)
+            got = gpcn.dataset._copy_rows(tmp_path / "src" / "features.csv",
+                                          tmp_path / "out.csv", rows, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         out = (tmp_path / "out.csv").read_bytes()
         assert out == src[:src.rindex(b"\n", 0, -1) + 1]
         assert got == (tree_digest(src), tree_digest(out))
-        assert peak < 3 * gpcn.graph._HASH_BLOCK_BYTES
+        assert peak < 3 * gpcn.dataset._HASH_BLOCK_BYTES
 
 
 class TestFeaturesFileIsReplaced:
@@ -1285,7 +1290,7 @@ class TestUnreadableDatasetFile:
 
     @staticmethod
     def deny(file: Path, how: str, monkeypatch):
-        """Reading ``file`` (by ``open`` in gpcn.graph or by
+        """Reading ``file`` (by ``open`` in gpcn.dataset or by
         ``Path.read_text``), or for "stat" asking whether it is a file,
         raises EACCES."""
         def refuse():
@@ -1300,7 +1305,7 @@ class TestUnreadableDatasetFile:
         read_text = Path.read_text
         monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: refuse()
                             if self == file else read_text(self, *a, **k))
-        monkeypatch.setattr(gpcn.graph, "open", lambda f, *a, **k: refuse()
+        monkeypatch.setattr(gpcn.dataset, "open", lambda f, *a, **k: refuse()
                             if Path(f) == file else open(f, *a, **k),
                             raising=False)
 
@@ -1331,9 +1336,9 @@ class TestUnreadableDatasetFile:
         fast reader, or to ``_parse_features``, which reads every file the
         fast reader declines."""
         write_dataset(tmp_path, 2, [], [[1.0], [2.0]], [0, 0], ["none"] * 2)
-        monkeypatch.setattr(gpcn.graph, "_cache_dir", lambda: None)
+        monkeypatch.setattr(gpcn.dataset, "_cache_dir", lambda: None)
         if reader == "parse":
-            monkeypatch.setattr(gpcn.graph, "_read_features_fast",
+            monkeypatch.setattr(gpcn.dataset, "_read_features_fast",
                                 lambda *a: None)
         self.deny(tmp_path / "features.csv", "read", monkeypatch)
         assert main(["dataset", "inspect", str(tmp_path)]) == 2
