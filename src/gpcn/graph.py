@@ -46,8 +46,9 @@ import scipy.sparse as sp
 
 from gpcn.dataset import (DatasetError, DatasetMeta, _cache_dir,
                           _cached_features, _copy_rows, _load_features,
-                          _mapped, _new_features_file, _parse_lines, _ranges,
-                          _read_head, _save_dataset, _write_features)
+                          _mapped, _may_hold, _new_features_file, _parse_lines,
+                          _ranges, _read_head, _save_dataset,
+                          _write_features)
 
 SPLIT_TAGS = ("train", "val", "test", "none")
 
@@ -242,13 +243,17 @@ def _copied_component(data_dir: Path, out_dir: Path, name: str,
     """``save_largest_component`` by a copy of the kept lines of the source
     features.csv, read once, which is renamed into place only when the
     source's digest names a cache entry that fits meta.json's shape; None,
-    with nothing written, when it does not, an edge is out of range or
-    ``out_dir`` or the new file cannot be made: the caller's load then
-    raises its errors. Past the copy, the features are the entry's, as a
-    load's would be, so the rest of the load raises here what it would."""
+    with nothing written, when it does not, features.csv is too short for
+    meta.json's counts (``_may_hold``, checked before the component is
+    taken), an edge is out of range or ``out_dir`` or the new file cannot
+    be made: the caller's load then raises its errors. Past the copy, the
+    features are the entry's, as a load's would be, so the rest of the load
+    raises here what it would."""
     num_nodes = meta.num_nodes
     cache = _cache_dir()
     if (cache is None or num_nodes == 0
+            or not _may_hold(data_dir / "features.csv", num_nodes,
+                             meta.num_features)
             or (edges.size and (edges.min() < 0 or edges.max() >= num_nodes))):
         return None
     old_ids = _component_ids(num_nodes, _canonical_edges(edges)[0])

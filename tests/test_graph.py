@@ -1347,6 +1347,69 @@ class TestUnreadableDatasetFile:
             f"Permission denied\n")
 
 
+class TestOverstatedCounts:
+    """A meta.json that claims more values than features.csv has bytes for,
+    at least a digit and a comma or line end each: no array of the claimed
+    shape is made, and the command exits 2 with the parser's error for
+    features.csv."""
+
+    # values an array may hold here: spies refuse any larger array, so that
+    # no claimed size is allocated, whether the code checks it or not
+    LIMIT = 10 ** 6
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The value counts of the arrays ``_mapped`` and ``_component_ids``
+        are asked for, in call order; past LIMIT they raise MemoryError."""
+        sizes = []
+        mapped = gpcn.dataset._mapped
+        component_ids = gpcn.graph._component_ids
+
+        def refuse_past_limit(size):
+            sizes.append(size)
+            if size > self.LIMIT:
+                raise MemoryError(f"an array of {size} values")
+
+        def spy_mapped(rows, cols):
+            refuse_past_limit(rows * cols)
+            return mapped(rows, cols)
+
+        def spy_component_ids(num_nodes, edges):
+            refuse_past_limit(num_nodes)
+            return component_ids(num_nodes, edges)
+
+        for module in (gpcn.dataset, gpcn.graph):
+            monkeypatch.setattr(module, "_mapped", spy_mapped)
+        monkeypatch.setattr(gpcn.graph, "_component_ids", spy_component_ids)
+        return sizes
+
+    @pytest.mark.parametrize("command", ["inspect", "lcc"])
+    def test_exits_2_naming_features_csv(self, tmp_path, feature_cache,
+                                         capsys, sizes, command):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_dataset(src, 10 ** 9, [], [[0.5] * 1433], [0], ["train"])
+        argv = ["dataset", command, str(src)]
+        if command == "lcc":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: features.csv: 1 rows, expected 1000000000 per "
+            "meta.json\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, n, fits", [
+        ("0,1\n2,3\n", 2, True),       # 2 n d bytes: the least a file takes
+        ("0,1\n2,3\n", 3, False)])
+    def test_fast_reader_declines_what_cannot_fit(self, tmp_path, sizes,
+                                                  text, n, fits):
+        file = tmp_path / "features.csv"
+        file.write_text(text)
+        got = gpcn.dataset._read_features_fast(file, n, 2)
+        assert (got is not None) == fits
+        assert sizes == ([n * 2] if fits else [])
+
+
 class TestNormalization:
     def test_single_edge_pair(self, path_graph):
         dense = dense_adjacency(normalize_adjacency(path_graph))
