@@ -7,18 +7,15 @@ and splits.csv. ``gpcn.graph``'s ``load_dataset``, ``save_dataset`` and
 arrays of Graphs to the writers here; this module imports nothing from
 ``gpcn.graph``.
 
-``load_dataset`` reads features.csv, the bulk of a dataset, with scipy's
-Matrix Market reader when one numpy pass over the file's non-digit bytes
-proves every value is in the plain decimal grammar on which that reader and
-``float`` agree; any other file goes through ``float`` line by line, which
-also names the line of a malformed value. The file is read through one
-buffer of ``_FAST_BLOCK_BYTES``. Per block of whole lines in it, the reader
-holds a byte mask of the block, the positions of its non-digit bytes (8
-bytes each), one copy of the block as the Matrix Market input, and the
-values parsed from it: about three blocks on top of the features.
+``load_dataset`` reads features.csv, the bulk of a dataset, from the
+features cache below when it holds the file, as it does every file gpcn
+wrote. Any other file, such as a Planetoid-style export, is streamed line
+by line into ``np.loadtxt`` when it holds only the bytes ``_LOADTXT_BYTES``,
+on which loadtxt gives ``float``'s bits, and read by ``float`` otherwise,
+which also names the line of a malformed value.
 
-The features of a loaded graph and of its largest component, the one array
-of a dataset's size, are made in an anonymous memory map of their own
+The features of a cache hit and of a largest component, the one array of
+a dataset's size, are made in an anonymous memory map of their own
 (``_mapped``), so a graph that is dropped gives that memory back to the OS.
 
 Parsed features are cached, as Python's hash-checked .pyc files cache
@@ -35,7 +32,7 @@ stores nothing. ``load_dataset`` hashes features.csv and reads a matching
 entry straight into the ``_mapped`` features, skipping the parse: the
 digest pins the bytes ``_write_features(F)``, F the entry's features, the
 header pins meta.json's shape, and repr round-trips, so a hit gives the
-parse's bits (a Cora-sized file loaded in about 0.08 s so, against 0.7-0.8
+parse's bits (a Cora-sized file loaded in about 0.08 s so, against 1.1-1.3
 s parsed, on a 2-core Xeon). Any other header does not fit: an entry of
 the two-int64 header or the mark 0 (a load's parse) of earlier versions is
 never served, and a save of its file replaces it. At most
@@ -172,7 +169,8 @@ def _parse_lines(file: Path, fn, expect=None) -> list:
 def _parse_features(file: Path, num_nodes: int,
                     num_features: int) -> np.ndarray:
     """features.csv through ``float`` one value at a time: the reader of
-    every file ``_read_features_fast`` declines, and its reference."""
+    every file ``_loadtxt_features`` declines, the one that names a
+    malformed line, and its reference."""
     def row(line):
         values = [float(x) for x in line.split(",")]
         if len(values) != num_features:
@@ -195,9 +193,10 @@ def _anonymous(size: int) -> np.ndarray:
 
 def _mapped(rows: int, cols: int) -> np.ndarray:
     """A zeroed (rows, cols) float64 array in an anonymous memory map of its
-    own (``_anonymous``), for the features that ``load_dataset``'s fast
-    reader and cache and ``largest_connected_component`` make: the one
-    array of a dataset's size, which lives as long as its graph.
+    own (``_anonymous``), for the features that a cache hit of
+    ``load_dataset`` and ``largest_connected_component`` make: the one
+    array of a dataset's size, which lives as long as its graph. A parse
+    keeps its reader's array: a copy would add its size to the peak.
 
     Freeing the array unmaps it, so its memory goes back to the OS. From
     malloc, an array of Cora's 31 MB is put in glibc's heap once a freed
@@ -212,157 +211,50 @@ def _mapped(rows: int, cols: int) -> np.ndarray:
     return _anonymous(8 * rows * cols).view(np.float64).reshape(rows, cols)
 
 
-# Bytes of features.csv that _read_features_fast checks and parses at a time.
-# A block's working memory, about three blocks, stays in glibc's heap once
-# freed, so the block is 4 MiB: 8 MiB loads Cora-sized features as fast
-# (0.99 against 1.01 s) but kept 15 MB more in the process.
-_FAST_BLOCK_BYTES = 1 << 22
-_NL, _COMMA, _MINUS, _PLUS, _DOT, _E, _E_UPPER = b"\n,-+.eE"
-_ZERO = np.uint8(ord("0"))
-
-
-def _check_block(a: np.ndarray, num_features: int) -> np.ndarray | None:
-    """The positions of the token ends (commas and line ends) in the bytes
-    ``a`` when every line holds ``num_features`` comma-separated tokens
-    matching -?([0-9]+(\\.[0-9]*)?|\\.[0-9]+)([eE][-+]?[0-9]+)? and ends in a
-    newline; None otherwise.
-
-    Only the non-digit bytes are looked at. Each one is checked against the
-    non-digit byte before it (p1), the one before that (p2), and whether
-    digits stand between them (run1 between p1 and itself, run2 between p2
-    and p1). The block starts a line, so two line ends stand before it.
-
-    Besides ``a``, this holds a byte mask of ``a`` while it finds the
-    positions of the non-digit bytes (8 bytes each), the positions until
-    the token ends are taken from them, and then a byte per non-digit byte
-    for each term of the rule.
-    """
-    mask = a - _ZERO
-    pos = np.flatnonzero(np.greater(mask, 9, out=mask.view(bool)))
-    del mask
-    # chars[2:] are the non-digit bytes, chars[1:-1] p1 and chars[:-2] p2
-    chars = np.full(pos.size + 2, _NL, dtype=np.uint8)
-    np.take(a, pos, out=chars[2:])
-    # runs[1:] is run1 and runs[:-1] run2: a digit just before each byte;
-    # the byte before position 0 is a[-1], the block's last line end
-    runs = np.zeros(pos.size + 1, dtype=bool)
-    pos -= 1
-    np.less_equal(a[pos] - _ZERO, 9, out=runs[1:])
-    pos += 1
-    sep = (chars == _NL) | (chars == _COMMA)
-    ends = pos[sep[2:]]
-    del pos
-    is_e = (chars == _E) | (chars == _E_UPPER)
-    minus, dot = chars == _MINUS, chars == _DOT
-    c, e = chars[2:], is_e[2:]
-    end, after_end = sep[2:], sep[1:-1]
-    after_e, after_dot = is_e[1:-1], dot[1:-1]
-    run1, run2 = runs[1:], runs[:-1]
-    # a leading sign, as against the sign of an exponent
-    after_sign = minus[1:-1] & sep[:-2]
-    ok = end & (run1 | (after_dot & run2))
-    ok |= minus[2:] & ~run1 & (after_end | after_e)
-    ok |= (c == _PLUS) & ~run1 & after_e
-    ok |= dot[2:] & (after_end | after_sign)
-    ok |= e & run1 & (after_end | after_sign)
-    ok |= e & after_dot & (run1 | run2)
-    if not ok.all():
-        return None
-    if ends.size % num_features:
-        return None
-    lines = c[end].reshape(-1, num_features)
-    if not ((lines[:, :-1] == _COMMA).all() and (lines[:, -1] == _NL).all()):
-        return None
-    return ends
-
-
-def _read_block(block: bytearray, size: int, out: np.ndarray) -> int | None:
-    """Parse the whole lines ``block[:size]`` into the first rows of ``out``;
-    their count, or None when ``_check_block`` rejects them or they are more
-    than the rows of ``out``. The bytes are copied once, into the Matrix
-    Market input, and every array made here is dropped on return."""
-    # imported here, so that commands which load no dataset do not pay the
-    # memory of scipy.io's dozens of modules
-    from scipy.io import mmread
-
-    a = np.frombuffer(block, dtype=np.uint8, count=size)
-    ends = _check_block(a, out.shape[1])
-    if ends is None or ends.size > out.size:
-        return None
-    lines = ends.size // out.shape[1]
-    header = (b"%%%%MatrixMarket matrix array real general\n%d %d\n"
-              % (out.shape[1], lines))
-    mm = io.BytesIO()
-    mm.write(header)
-    mm.write(a)
-    body = np.frombuffer(mm.getbuffer(), dtype=np.uint8, offset=len(header))
-    body[ends] = _NL
-    mm.seek(0)
-    out[:lines] = mmread(mm).T
-    flat = out[:lines].reshape(-1)
-    zero = np.flatnonzero(flat == 0.0)
-    first = np.where(zero > 0, ends[zero - 1] + 1, 0)
-    flat[zero[a[first] == _MINUS]] = -0.0
-    return lines
+# The bytes of a features.csv that _loadtxt_features reads, on which
+# np.loadtxt and float agree: loadtxt also takes '\x1f' as white space
+# ('1\x1f,2' reads [1, 2]), where float refuses it.
+_LOADTXT_BYTES = b"0123456789+-.eE,\n"
 
 
 def _may_hold(file: Path, num_nodes: int, num_features: int) -> bool:
     """Whether features.csv ``file`` has the bytes for (num_nodes,
     num_features) values: each takes at least a digit and a comma or line
-    end, so a valid file has 2 n d bytes or more. An array of meta.json's
-    shape is made only for a file that passes, so a meta.json that
-    overstates its counts meets the parser's error for the line or the row
-    count, not a failed allocation. A file that cannot be stat-ed does not
-    pass; its reader raises the error."""
+    end, so a valid file has 2 n d bytes or more. ``dataset lcc`` takes the
+    component, an array of meta.json's node count, only for a file that
+    passes, so an overstated count meets the parser's error, not a failed
+    allocation. A file that cannot be stat-ed does not pass."""
     try:
         return file.stat().st_size >= 2 * num_nodes * num_features
     except OSError:
         return False
 
 
-def _read_features_fast(file: Path, num_nodes: int,
-                        num_features: int) -> np.ndarray | None:
-    """features.csv parsed by scipy's Matrix Market reader, or None when a
-    token, a line or the line count is outside what ``_check_block``
-    proves; then ``_parse_features`` reads the file.
+def _loadtxt_features(file: Path, num_nodes: int,
+                      num_features: int) -> np.ndarray | None:
+    """features.csv read by ``np.loadtxt``, or None, for ``_parse_features``
+    to read, when a line holds a byte outside ``_LOADTXT_BYTES``, loadtxt
+    refuses a value or a row, or the shape is not meta.json's. The file is
+    read in binary, so lines split on '\\n' alone (a '\\r' is declined), and
+    nothing is sized from meta.json before the bytes are read."""
+    def lines(fh):
+        for line in fh:
+            if line.translate(None, _LOADTXT_BYTES):
+                raise ValueError("a byte outside _LOADTXT_BYTES")
+            if line != b"\n":
+                yield line.decode("ascii")
 
-    The reader rounds correctly, as ``float`` does, but it takes the longest
-    valid prefix of a token ('1.5.3' reads 1.5, '1_0' reads 1.0) and drops
-    the sign of zero ('-0.0' and '-1e-400' read +0.0). The grammar check
-    rules out the first; for the second, every zero whose token starts with
-    '-' is set to -0.0.
-
-    The file is read into one buffer of ``_FAST_BLOCK_BYTES``, kept for the
-    whole file; the whole lines in it go to ``_read_block`` as an 'array
-    real' body of num_features x lines values, which the reader reads in
-    column-major order, with the commas made line ends. The line begun at
-    the buffer's end moves to its front for the next read, and the buffer
-    doubles when a line does not fit in it. A Cora-sized file (76 MB) loaded
-    in 0.78 s at 101 MB peak RSS so, and in 2.0-2.3 s at 347 MB through
-    ``_parse_features`` (shared 2-core Xeon).
-    """
-    if not _may_hold(file, num_nodes, num_features):
-        return None
-    out = _mapped(num_nodes, num_features)
-    row = 0
-    block = bytearray(_FAST_BLOCK_BYTES)
-    kept = 0                # bytes of the line at block's front
     with _reading(file), open(file, "rb") as fh:
-        while got := fh.readinto(memoryview(block)[kept:]):
-            size = kept + got
-            cut = block.rfind(b"\n", 0, size) + 1
-            if cut:
-                lines = _read_block(block, cut, out[row:])
-                if lines is None:
-                    return None
-                row += lines
-                block[:size - cut] = block[cut:size]
-            kept = size - cut
-            if kept == len(block):
-                block.extend(bytes(kept))
-    if kept or row != num_nodes:
-        return None
-    return out
+        try:
+            rows = lines(fh)
+            first = next(rows, None)
+            # no line: loadtxt would warn, and give shape (0, 1)
+            features = np.zeros((0, num_features)) if first is None else \
+                np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                           comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+    return features if features.shape == (num_nodes, num_features) else None
 
 
 # Cache entries of parsed features kept at most; the one used least recently
@@ -537,7 +429,7 @@ def _store_features(entry: Path, features: np.ndarray) -> None:
 def _load_features(file: Path, num_nodes: int,
                    num_features: int) -> np.ndarray:
     """features.csv from its cache entry, or else parsed, by
-    ``_read_features_fast`` or failing that ``_parse_features``, which
+    ``_loadtxt_features`` or failing that ``_parse_features``, which
     stores nothing: only a save stores an entry."""
     cache = _cache_dir()
     if cache is not None:
@@ -545,7 +437,7 @@ def _load_features(file: Path, num_nodes: int,
                                num_nodes, num_features)
         if hit is not None:
             return hit
-    features = _read_features_fast(file, num_nodes, num_features)
+    features = _loadtxt_features(file, num_nodes, num_features)
     if features is None:
         features = _parse_features(file, num_nodes, num_features)
     return features
@@ -599,6 +491,9 @@ _SAVE_HEAP_BYTES = 8 << 20
 # positionally.
 _EXPONENTS = range(-324, 309)
 _POSITIONAL = range(-4, 16)
+# Bytes that _repr_layout walks in mmwrite's output, and at whose line ends
+# _copy_rows cuts features.csv.
+_NL, _MINUS, _DOT, _E_UPPER = b"\n-.E"
 
 
 def _pieces() -> list[bytes]:
@@ -724,7 +619,8 @@ def _write_features(file: Path, features: np.ndarray) -> str:
     save keep about 0.5 MB more. An error of the helper's is raised here,
     and the helper has ended when this returns."""
     from concurrent.futures import ThreadPoolExecutor
-    # imported here, as in _read_block
+    # imported here, so that commands which write no dataset, and loads,
+    # do not pay the memory of scipy.io's dozens of modules
     from scipy.io import mmwrite
 
     num_nodes, num_features = features.shape

@@ -273,8 +273,9 @@ def checkpoint_dict(config: ExperimentConfig, seed: int, params: ModelParams,
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """The params and the JSON object of a checkpoint; ValueError, starting
     with ``path``, for a file that is not UTF-8 JSON, a missing or malformed
-    key, or a layer whose weights do not fill its shape in ``layer_dims``
-    or are not all finite (JSON readers take NaN, Infinity and 1e400)."""
+    key, or a layer that is not a flat list of JSON numbers, or whose
+    weights do not fill its shape in ``layer_dims`` or are not all finite
+    (JSON readers take NaN, Infinity and 1e400)."""
     data = _read_json(path, lambda data: data)
     for key in ("layer_dims", "weights"):
         if key not in data:
@@ -289,10 +290,16 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                          f"{len(dims) - 1} for layer_dims {dims}")
     weights = []
     for k, flat in enumerate(flats):
+        # numpy would take "1.5", true and nested lists; bool is not int here
+        if not (isinstance(flat, list)
+                and set(map(type, flat)) <= {int, float}):
+            raise ValueError(f"{path}: layer {k + 1} must be a flat list of "
+                             "JSON numbers")
         try:
             w = np.array(flat, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: layer {k + 1}: {exc}") from None
+        except OverflowError:       # an integer past float64's range
+            raise ValueError(f"{path}: layer {k + 1} holds a non-finite "
+                             "weight") from None
         if w.size != dims[k] * dims[k + 1]:
             raise ValueError(f"{path}: layer {k + 1} has {w.size} weights, "
                              f"its shape ({dims[k]}, {dims[k + 1]}) needs "

@@ -311,8 +311,18 @@ class TestCalibrateCommand:
         *[('{"layer_dims": [8, 2], "weights": [[%s%s]]}'
            % (token, ", 0.0" * 15), "layer 1 holds a non-finite weight")
           for token in ("NaN", "-Infinity", "1e400")],
+        # an integer past float64's range, which numpy refuses to convert
+        ('{"layer_dims": [8, 2], "weights": [[1%s%s]]}'
+         % ("0" * 400, ", 0.0" * 15), "layer 1 holds a non-finite weight"),
+        # numpy would take strings, booleans and nested lists as numbers
+        *[(json.dumps({"layer_dims": [2, 1, 2], "weights": weights}),
+           f"layer {k} must be a flat list of JSON numbers")
+          for weights, k in [([["1.5", "2"], [1.0, 0.0]], 1),
+                             ([[1.5, 2.0], [True, False]], 2),
+                             ([[[1.0], [2.0]], [1.0, 0.0]], 1)]],
     ], ids=["missing_key", "short_row", "not_json", "text_dims",
-            "extra_layer", "not_utf8", "nan", "infinity", "overflow"])
+            "extra_layer", "not_utf8", "nan", "infinity", "overflow",
+            "integer_overflow", "strings", "booleans", "nested"])
     def test_bad_checkpoint_names_file_and_fault(self, tmp_path, capsys,
                                                  text, named):
         data_dir = gen_dataset(tmp_path)
@@ -522,8 +532,8 @@ class TestExitCodes:
         ("edges.csv", b"\xff"), ("splits.csv", b"\xff")])
     def test_data_error_on_non_utf8_file(self, data_dir, capsys, name, byte):
         """A byte that is not UTF-8 in a dataset file exits 2 naming the
-        file; features.csv reaches the per-line reader through the fast
-        reader's grammar check."""
+        file; features.csv reaches the per-line reader, as the
+        ``np.loadtxt`` reader declines a byte outside its allowlist."""
         path = data_dir / name
         lines = path.read_bytes().splitlines(keepends=True)
         lines[2] = byte + lines[2]

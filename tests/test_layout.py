@@ -61,3 +61,27 @@ def test_cli_import_defers_dataset_readers():
          "scipy.sparse.csgraph"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_load_of_a_file_not_written_by_gpcn_imports_no_scipy_io(tmp_path):
+    """A features.csv that no save wrote, with the cache off: its load
+    parses the file, and only ``_write_features`` imports scipy.io."""
+    (tmp_path / "meta.json").write_text(
+        '{"num_nodes": 2, "num_features": 2, "num_classes": 1}')
+    (tmp_path / "edges.csv").write_text("0,1\n")
+    (tmp_path / "features.csv").write_text("1,0\n0.5,1e-3\n")
+    (tmp_path / "labels.csv").write_text("0\n0\n")
+    (tmp_path / "splits.csv").write_text("train\ntest\n")
+    code = ("import sys\n"
+            "from unittest import mock\n"
+            "import gpcn.dataset, gpcn.graph\n"
+            "with mock.patch.object(gpcn.dataset, '_cache_dir', "
+            "return_value=None):\n"
+            "    g = gpcn.graph.load_dataset(sys.argv[1])\n"
+            "print(g.features.tolist(), 'scipy.io' in sys.modules)")
+    src = str(Path(gpcn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[[1.0, 0.0], [0.5, 0.001]] False\n"
