@@ -142,17 +142,20 @@ class DatasetMeta:
 
 
 def _parse_lines(file: Path, fn, expect=None) -> list:
-    """``fn`` of every nonblank, stripped line of ``file``; DatasetError
-    names the file and its fault: bytes that are not UTF-8, a line ``fn``
-    rejects, or a row count other than ``expect``."""
+    """``fn`` of every nonblank line of ``file``, a line ending at '\\n', as
+    for every reader and writer here, less the spaces, tabs and '\\r's at
+    its ends; any other character, such as a form feed or U+2028, stays for
+    ``fn`` to refuse. DatasetError names the file and its fault: bytes that
+    are not UTF-8, a line ``fn`` rejects, or a row count but ``expect``."""
     try:
-        with _reading(file):
-            text = file.read_text(encoding="utf-8")
+        # newline="": no line end is translated, so '\r' stays for strip
+        with _reading(file), open(file, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{file.name}: not UTF-8 text: {exc}") from None
     out = []
-    for i, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
+    for i, line in enumerate(text.split("\n"), 1):
+        line = line.strip(" \t\r")
         if not line:
             continue
         try:

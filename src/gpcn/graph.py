@@ -22,8 +22,9 @@ makes costs its edges and its A_hat, O(n + |E|).
 ``load_dataset``, ``save_dataset`` and ``save_largest_component`` turn a
 dataset directory into a Graph and back. The bytes of its files, the
 features cache and the lcc copy are ``gpcn.dataset``'s, which reads and
-writes plain arrays; here the arrays are checked and assembled as a Graph
-(``make_graph``), and the component is taken.
+writes plain arrays. ``make_graph`` checks arrays that come from outside,
+a dataset directory's or a caller's; the graphs gpcn builds from checked
+inputs (an SBM, a component, an edited graph) are built as Graphs directly.
 
 ``generate_synthetic`` draws one uniform per node pair, in the row-major
 order of ``np.triu_indices(n, 1)``, in pieces of ``_PAIR_BLOCK`` values; a
@@ -238,20 +239,23 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
                       g.num_classes, g.edges, g.features, g.labels, g.split)
 
 
-def _copied_component(data_dir: Path, out_dir: Path, name: str,
-                      meta: DatasetMeta, edges: np.ndarray) -> Graph | None:
+def _copied_component(data_dir: Path, out_dir: Path,
+                      name: str) -> Graph | None:
     """``save_largest_component`` by a copy of the kept lines of the source
     features.csv, read once, which is renamed into place only when the
     source's digest names a cache entry that fits meta.json's shape; None,
-    with nothing written, when it does not, features.csv is too short for
-    meta.json's counts (``_may_hold``, checked before the component is
-    taken), an edge is out of range or ``out_dir`` or the new file cannot
-    be made: the caller's load then raises its errors. Past the copy, the
-    features are the entry's, as a load's would be, so the rest of the load
-    raises here what it would."""
-    num_nodes = meta.num_nodes
+    with nothing written, when it does not, there is no cache (before
+    anything is read), features.csv is too short for meta.json's counts
+    (``_may_hold``, checked before the component is taken), an edge is out
+    of range or ``out_dir`` or the new file cannot be made: the caller's
+    load then raises its errors. The other files are read and checked as a
+    load reads and checks them, so this raises what a load would."""
     cache = _cache_dir()
-    if (cache is None or num_nodes == 0
+    if cache is None:
+        return None
+    meta, edges = _read_head(data_dir)
+    num_nodes = meta.num_nodes
+    if (num_nodes == 0
             or not _may_hold(data_dir / "features.csv", num_nodes,
                              meta.num_features)
             or (edges.size and (edges.min() < 0 or edges.max() >= num_nodes))):
@@ -289,22 +293,13 @@ def _copied_component(data_dir: Path, out_dir: Path, name: str,
 
 def save_largest_component(data_dir, out_dir, name: str = "lcc") -> Graph:
     """``save_dataset(largest_connected_component(load_dataset(data_dir)),
-    out_dir, name)``, the same bytes and the same errors, and the
-    component.
-
-    ``_copied_component`` copies the source's kept features.csv lines when
-    the cache proves the copy exact; otherwise the dataset is loaded and
-    the component formatted.
-    """
+    out_dir, name)``, and the component. ``_copied_component`` gives the
+    same bytes and errors by copying the source's kept features.csv lines,
+    when the cache proves the copy exact."""
     data_dir, out_dir = Path(data_dir), Path(out_dir)
-    meta, edges = _read_head(data_dir)
-    lcc = _copied_component(data_dir, out_dir, name, meta, edges)
+    lcc = _copied_component(data_dir, out_dir, name)
     if lcc is None:
-        features = _load_features(data_dir / "features.csv",
-                                  meta.num_nodes, meta.num_features)
-        lcc = largest_connected_component(
-            _read_graph(data_dir, meta, edges, features))
-        del features    # the component's save needs only its own features
+        lcc = largest_connected_component(load_dataset(data_dir))
         save_dataset(lcc, out_dir, name)
     return lcc
 
@@ -384,7 +379,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Graph:
         raise ValueError("need at least one block and one node per block")
     rng = np.random.default_rng(seed)
     n = spec.num_blocks * spec.nodes_per_block
-    blocks = np.repeat(np.arange(spec.num_blocks), spec.nodes_per_block)
+    blocks = np.repeat(np.arange(spec.num_blocks, dtype=np.int64),
+                       spec.nodes_per_block)
     edges = _sbm_edges(rng, spec, n)
 
     # noise + one-hot block indicator (wrapped if feature_dim < num_blocks),
@@ -405,8 +401,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Graph:
     split[order[n_train:n_train + n_val]] = "val"
     split[order[n_train + n_val:n_train + n_val + n_test]] = "test"
 
-    return make_graph(n, features, blocks.astype(np.int64), split, edges,
-                      num_classes=spec.num_blocks)
+    # no make_graph: the spec is checked and the edges drawn sorted and
+    # unique, but a finite noise scale near the float range draws infinities
+    if not _all_finite(features):
+        raise DatasetError("features must be finite")
+    return Graph(int(spec.num_blocks), edges, features, blocks, split)
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -462,9 +461,9 @@ def _induced(g: Graph, old_ids: np.ndarray) -> Graph:
     # every index is in range; with mode "raise", take would fill a copy of
     # out and then copy it over
     np.take(g.features, old_ids, axis=0, out=features, mode="clip")
-    return make_graph(old_ids.shape[0], features,
-                      g.labels[old_ids], g.split[old_ids], new_edges,
-                      num_classes=g.num_classes)
+    # no make_graph: g is checked, and remap keeps its edges sorted, unique
+    return Graph(int(g.num_classes), new_edges, features, g.labels[old_ids],
+                 g.split[old_ids])
 
 
 def apply_edits(g: Graph, edits) -> Graph:
@@ -504,7 +503,6 @@ def apply_edits(g: Graph, edits) -> Graph:
             if not present:
                 raise ValueError(f"edge ({u},{v}) not present")
             edges = np.delete(edges, i, axis=0)
-    # edits leave the labels, the splits and the finiteness of the features
-    # as they were, and the edges sorted and unique, so the graph is built
-    # without make_graph's validation and canonicalization
+    # no make_graph: edits keep the labels, the splits, finite features,
+    # and the edges sorted and unique
     return replace(g, edges=edges, features=features)

@@ -29,6 +29,8 @@ from gpcn.attacks import (VICTIM_STRATEGIES, AttackSpec, candidate_pool,
                           check_attack, evaluate_attack, select_victims)
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+# The most calibration bins: each is a row of bins.csv, allocated at once.
+MAX_BINS = 10_000
 
 
 @dataclass
@@ -222,10 +224,12 @@ def check_seeds(seeds, where: str) -> None:
 
 
 def _require_bins(bins: int) -> None:
-    """Calibration needs at least one bin; checked before any seed trains
-    or any output directory is made."""
+    """Calibration needs at least one bin and takes at most ``MAX_BINS``;
+    checked before any seed trains or any output directory is made."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if bins > MAX_BINS:
+        raise ValueError(f"bins must be <= {MAX_BINS}, got {bins}")
 
 
 def _require_test_split(graph: Graph) -> None:
@@ -391,19 +395,13 @@ def cmd_calibrate(checkpoint, data_dir, out_dir, bins: int = 10) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    bin_rows = []
-    for b in range(bins):
-        bin_rows.append({
-            "bin_lo": report.bins.lo[b], "bin_hi": report.bins.hi[b],
-            "count": int(report.bins.count[b]),
-            "mean_conf": report.bins.mean_conf[b],
-            "mean_acc": report.bins.mean_acc[b]})
-    _write_csv(out / "bins.csv",
-               ["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"],
-               bin_rows)
-    _write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"],
-               [{"bin_lo": report.bins.lo[b], "bin_hi": report.bins.hi[b],
-                 "count": int(report.bins.count[b])} for b in range(bins)])
+    columns = ["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"]
+    bin_rows = [dict(zip(columns, row)) for row in zip(
+        report.bins.lo, report.bins.hi, report.bins.count.tolist(),
+        report.bins.mean_conf, report.bins.mean_acc)]
+    _write_csv(out / "bins.csv", columns, bin_rows)
+    _write_csv(out / "histogram.csv", columns[:3],
+               [{k: row[k] for k in columns[:3]} for row in bin_rows])
     payload = {"ece": report.ece, "mce": report.mce, "bins": bins}
     (out / "report.json").write_text(json.dumps(payload, sort_keys=True))
     return payload
@@ -420,6 +418,13 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, out_dir) -> None:
     check_attack(graph, spec)
 
     rob_rows, margin_rows = [], []
+
+    def margins(records, seed: int, condition: str, budget: int) -> list:
+        return [{"node": rec.node, "margin": rec.margin,
+                 "correct": rec.correct, "seed": seed,
+                 "condition": condition, "budget": budget,
+                 "attack_kind": spec.kind} for rec in records]
+
     for seed in config.seeds:
         train_fn, train_config = config.learner(seed)
 
@@ -439,17 +444,8 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, out_dir) -> None:
                 "seed": seed, "accuracy": report.accuracy[q],
                 "holistic_metric": ("" if report.holistic is None
                                     else report.holistic)})
-            for rec in report.margins_after[q]:
-                margin_rows.append({
-                    "node": rec.node, "margin": rec.margin,
-                    "correct": rec.correct, "seed": seed,
-                    "condition": "after", "budget": q,
-                    "attack_kind": spec.kind})
-        for rec in report.margins_before:
-            margin_rows.append({
-                "node": rec.node, "margin": rec.margin,
-                "correct": rec.correct, "seed": seed, "condition": "before",
-                "budget": 0, "attack_kind": spec.kind})
+            margin_rows += margins(report.margins_after[q], seed, "after", q)
+        margin_rows += margins(report.margins_before, seed, "before", 0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "robustness.csv",

@@ -169,6 +169,26 @@ class TestDatasetIO:
             save_dataset(g, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
+    def test_crlf_in_every_file_loads_the_same_bits(self, tmp_path, rng):
+        """A '\\r' before each line end of the four CSV files is dropped:
+        the dataset loads to the bits of its LF copy, and ``dataset lcc``
+        writes the same files for both."""
+        g = random_graph(rng, 12, num_features=4, num_classes=3,
+                         edge_prob=0.15)
+        save_dataset(g, tmp_path / "lf")
+        (tmp_path / "crlf").mkdir()
+        for file in (tmp_path / "lf").iterdir():
+            data = file.read_bytes()
+            if file.suffix == ".csv":
+                data = data.replace(b"\n", b"\r\n")
+            (tmp_path / "crlf" / file.name).write_bytes(data)
+        assert b"\r\n" in (tmp_path / "crlf" / "edges.csv").read_bytes()
+        assert same_bits(load_dataset(tmp_path / "crlf"), g)
+        for source in ("lf", "crlf"):
+            assert main(["dataset", "lcc", str(tmp_path / source), "--out",
+                         str(tmp_path / f"{source}-lcc")]) == 0
+        assert lcc_tree(tmp_path / "crlf-lcc") == lcc_tree(tmp_path / "lf-lcc")
+
     def test_save_load_fixed_point(self, tmp_path, rng):
         g = random_graph(rng, 12, num_features=4, num_classes=3)
         save_dataset(g, tmp_path / "a")
@@ -1729,6 +1749,63 @@ class TestLargestComponentMatchesReference:
         g = tied_components([size] * copies + smaller, seed)
         assert graphs_equal(largest_connected_component(g),
                             reference_largest_connected_component(g))
+
+
+def assert_same_as_make_graph(g):
+    """``g`` is the Graph that ``make_graph`` makes of its own arrays: array
+    for array, dtype for dtype and bit for bit, with an int class count."""
+    want = make_graph(g.num_nodes, g.features, g.labels, g.split, g.edges,
+                      num_classes=g.num_classes)
+    assert type(g.num_classes) is int and g.num_classes == want.num_classes
+    for name in ("edges", "features", "labels", "split"):
+        got, ref = getattr(g, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+class TestBuiltGraphsMatchMakeGraph:
+    """``generate_synthetic`` and ``largest_connected_component`` build
+    their Graphs without ``make_graph``, from a checked spec or a checked
+    graph; ``make_graph`` of their arrays is the oracle."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(blocks=st.integers(1, 5), per_block=st.integers(1, 12),
+           p_in=probabilities, p_out=probabilities,
+           feature_dim=st.integers(1, 4), noise=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(blocks=1, per_block=1, p_in=0.5, p_out=0.5, feature_dim=1,
+             noise=0.5, seed=0)                     # one node, no pair
+    @example(blocks=3, per_block=4, p_in=1.0, p_out=1.0, feature_dim=2,
+             noise=0.0, seed=1)                     # every pair an edge
+    def test_generate_synthetic(self, blocks, per_block, p_in, p_out,
+                                feature_dim, noise, seed):
+        spec = SyntheticSpec(blocks, per_block, p_in, p_out, feature_dim,
+                             noise, (0.4, 0.3, 0.2))
+        assert_same_as_make_graph(generate_synthetic(spec, seed))
+
+    def test_numpy_block_count(self):
+        """meta.json is written with ``json.dumps``, which takes no numpy
+        integer."""
+        spec = SyntheticSpec(np.int64(3), 4, 0.5, 0.1, 2, 0.5)
+        assert_same_as_make_graph(generate_synthetic(spec, 0))
+
+    def test_noise_that_overflows_is_refused(self):
+        """A finite noise scale near the float range draws infinities."""
+        spec = SyntheticSpec(2, 5, 0.5, 0.1, 3, 1e308)
+        with pytest.raises(DatasetError, match="features must be finite"):
+            generate_synthetic(spec, 0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 10_000),
+           density=st.floats(0.0, 0.2))
+    def test_largest_connected_component(self, n, seed, density):
+        g = random_graph(np.random.default_rng(seed), n, edge_prob=density)
+        assert_same_as_make_graph(largest_connected_component(g))
+
+    def test_component_of_a_graph_with_a_numpy_class_count(self, rng):
+        g = replace(random_graph(rng, 12, edge_prob=0.1),
+                    num_classes=np.int64(2))
+        assert_same_as_make_graph(largest_connected_component(g))
 
 
 class TestApplyEdits:

@@ -271,7 +271,9 @@ class TestCalibrateCommand:
         ([0.5, 0.5, 0.0], "10", "test split is empty"),
         ([0.2, 0.2, 0.6], "0", "bins must be >= 1, got 0"),
         ([0.2, 0.2, 0.6], "10", "calibration failed"),
-    ], ids=["empty_test_split", "zero_bins", "failing_ece"])
+        ([0.2, 0.2, 0.6], "10000000000000",
+         "bins must be <= 10000, got 10000000000000"),
+    ], ids=["empty_test_split", "zero_bins", "failing_ece", "huge_bins"])
     def test_checks_before_writing(self, tmp_path, capsys, monkeypatch,
                                    fractions, bins, named):
         """An empty test split, a bin count below 1, or an error in the
@@ -293,6 +295,16 @@ class TestCalibrateCommand:
                      "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error") and named in err
+        assert not out.exists()
+
+    def test_bins_checked_before_the_dataset_is_read(self, tmp_path, capsys):
+        """A missing dataset would exit 2; ``--bins`` is refused first."""
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--checkpoint", str(tmp_path / "ckpt.json"),
+                     "--data", str(tmp_path / "missing"),
+                     "--bins", "10000000000000", "--out", str(out)]) \
+            == EXIT_USAGE
+        assert "bins must be <= 10000" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text, named", [
@@ -542,6 +554,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {name}: not UTF-8 text")
 
+    @pytest.mark.parametrize("separator", [
+        "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["ff", "vt", "fs", "gs", "rs", "nel", "ls", "ps"])
+    @pytest.mark.parametrize("name", ["edges.csv", "features.csv",
+                                      "labels.csv", "splits.csv"])
+    def test_data_error_on_lines_joined_by_a_separator(
+            self, data_dir, capsys, name, separator):
+        """A line ends at '\\n' alone: a character that ``str.splitlines``
+        also ends a line at, put in place of the '\\n' that ends line 2,
+        joins lines 2 and 3, and the command exits 2 naming the file (a
+        malformed line, or splits.csv one row short)."""
+        path = data_dir / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:-1] + separator.encode()
+        path.write_bytes(b"".join(lines))
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {name}")
+
+    def test_data_error_on_trailing_unit_separator(self, data_dir, capsys):
+        """'\\x1f' at the end of a features.csv line stays in it, and
+        ``float`` refuses it."""
+        path = data_dir / "features.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:-1] + b"\x1f\n"
+        path.write_bytes(b"".join(lines))
+        assert main(["dataset", "inspect", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: features.csv:3: malformed line")
+
     def test_data_error_names_ragged_feature_row(self, data_dir, capsys):
         features = data_dir / "features.csv"
         rows = features.read_text().splitlines()
@@ -776,9 +817,14 @@ class TestExitCodes:
         assert trained == []
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["train", "energy-study"])
+    @pytest.mark.parametrize("command, bins, named", [
+        ("train", 0, "bins must be >= 1"),
+        ("energy-study", 0, "bins must be >= 1"),
+        ("train", 10**13, "bins must be <= 10000, got 10000000000000"),
+        ("energy-study", 10**13, "bins must be <= 10000"),
+    ], ids=["train", "energy-study", "train-huge", "energy-study-huge"])
     def test_bins_checked_before_training(self, tmp_path, capsys,
-                                          monkeypatch, command):
+                                          monkeypatch, command, bins, named):
         trained = []
 
         def counting(train_fn):
@@ -790,12 +836,12 @@ class TestExitCodes:
         monkeypatch.setattr("gpcn.harness.train_bp", counting(train_bp))
         monkeypatch.setattr("gpcn.harness.train_pc", counting(train_pc))
         model = "gpcn" if command == "energy-study" else "gcn"
-        cfg = write_config(tmp_path, model=model, epochs=1, bins=0)
+        cfg = write_config(tmp_path, model=model, epochs=1, bins=bins)
         flags = ["--t-grid", "2"] if command == "energy-study" else []
         assert main([command, "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("usage error") and "bins must be >= 1" in err
+        assert err.startswith("usage error") and named in err
         assert trained == []
         assert not (tmp_path / "o").exists()
 
