@@ -8,8 +8,8 @@ with its holistic metric sum(q * p_q).
 Both backends share the same feedforward composition, so attack gradients are
 computed once against the plain forward pass. The gradient through the
 normalized adjacency is linearized: normalization coefficients are frozen at
-the current degrees while scoring moves, and the adjacency is fully
-re-normalized after every applied edit.
+the current degrees while scoring moves, and the adjacency is normalized
+again after every applied edit, in the rows and columns the edit changed.
 
 The gradient attack is local, as in Nettack (Zuegner et al. 2018). For a
 K-layer GCN the victim's loss reads A_hat only through the rows in which some
@@ -24,10 +24,12 @@ edit as soon as it is picked and keeps the edit and the logits of its step;
 the sweep lives in ``AttackSpec.budgets``, the walk runs to its largest
 budget, and ``evaluate_attack`` reads budget q from step q. The first GCN
 layer is A_hat (X W^(1)), so an edge toggle leaves X W^(1) as it was: a
-step after one normalizes A_hat again and forms one n x hidden product
-A_hat (X W^(1)) and the hidden layers, with no n x d array and no dense
-product over the features. X W^(1) is formed again only after a feature
-flip.
+step after one patches A_hat in the toggled pair's rows and columns
+(``apply_edits``) and forms one n x hidden product A_hat (X W^(1)) and the
+hidden layers, with no n x d array and no dense product over the features.
+X W^(1) is formed again only after a feature flip, which leaves A_hat as it
+was. A step's margin reads the softmax of the victim's logits row alone:
+softmax is row-wise, so that row is the one a softmax of all rows gives.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from gpcn.graph import (EdgeEdit, Graph, _row_positions, apply_edits,
                         propagate)
 from gpcn.nn import ModelParams, relu_prime, softmax_rows
 from gpcn.bp import ForwardCache, gcn_forward, predict
-from gpcn.calibration import classification_margins
+from gpcn.calibration import MarginRecord, classification_margins
 
 ATTACK_KINDS = ("random_global", "fga_structure", "fga_feature", "fga_both",
                 "fga_indirect")
@@ -362,8 +364,8 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
     ``AttackStep`` per applied edit, at most ``spec.budget``, the largest
     budget of the spec's sweep: each edit is applied as soon as it is
     picked, and the next iteration starts from its step, on a graph of its
-    own with its own A_hat; ``graph`` is left as it was. Feature kinds take
-    binary features, as ``check_attack`` checks."""
+    own whose A_hat is its parent's, patched; ``graph`` is left as it was.
+    Feature kinds take binary features, as ``check_attack`` checks."""
     if spec.kind not in _STRUCTURE_KINDS + _FEATURE_KINDS:
         raise ValueError(f"{spec.kind!r} is not a targeted attack kind")
 
@@ -378,6 +380,16 @@ def fga_attack(params: ModelParams, graph: Graph, victim: int,
         cache = gcn_forward(graph, params, xw)
         steps.append(AttackStep(edit, cache.logits))
     return steps
+
+
+def _victim_margin(logits: np.ndarray, labels: np.ndarray,
+                   victim: int) -> MarginRecord:
+    """The margin of node ``victim`` under ``softmax_rows(logits)``, from the
+    softmax of its row alone, which is row ``victim`` of the softmax of all
+    rows: softmax is row-wise."""
+    rec = classification_margins(softmax_rows(logits[victim:victim + 1]),
+                                 labels[victim:victim + 1], [True])[0]
+    return replace(rec, node=victim)
 
 
 def evaluate_attack(train, graph: Graph, params: ModelParams,
@@ -425,8 +437,6 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
         # its forward pass
         for victim in victims.tolist():
             steps = fga_attack(params, graph, victim, spec, clean)
-            one = np.zeros(graph.num_nodes, dtype=bool)
-            one[victim] = True
             margin_at: dict = {}           # walk index -> victim's margin
             for q in margins_after:
                 i = min(q, len(steps))
@@ -434,12 +444,12 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
                     if poisoning and i:
                         perturbed = apply_edits(
                             graph, [s.edit for s in steps[:i]])
-                        probs = predict(perturbed, train(perturbed))
+                        logits = gcn_forward(perturbed,
+                                             train(perturbed)).logits
                     else:
-                        probs = (softmax_rows(steps[i - 1].logits) if i
-                                 else clean_probs)
-                    margin_at[i] = classification_margins(
-                        probs, graph.labels, one)[0]
+                        logits = steps[i - 1].logits if i else clean.logits
+                    margin_at[i] = _victim_margin(logits, graph.labels,
+                                                  victim)
                 margins_after[q].append(margin_at[i])
     accuracy = {q: float(np.mean([r.correct for r in recs]))
                 for q, recs in margins_after.items()}

@@ -14,8 +14,11 @@ sum of ones, which is the same integer.
 
 ``Graph.adj`` is the one graph constant every forward pass reads, A_hat,
 formed on first use and kept for the life of the graph object. An edited
-graph is a new object, so it forms its own A_hat and never reads its
-source's. The first GCN layer is A_hat (X W^(1)), so no n x d aggregate
+graph is a new object. When its source has formed A_hat, ``apply_edits``
+hands it on: a feature flip shares it, and an edge toggle patches a copy
+(``_toggled_adj``), which is the A_hat ``normalize_adjacency`` forms, bit
+for bit, since each entry is the same product inv[r] * inv[c] of the same
+degrees. The first GCN layer is A_hat (X W^(1)), so no n x d aggregate
 A_hat X is formed: an edge edit leaves X W^(1) as it was, and the graph it
 makes costs its edges and its A_hat, O(n + |E|).
 
@@ -196,19 +199,29 @@ def make_graph(num_nodes, features, labels, split, edges,
 def _read_graph(path: Path, meta: DatasetMeta, edges: np.ndarray,
                 features: np.ndarray) -> Graph:
     """The graph of a dataset directory whose ``_read_head`` and features
-    are given: its labels and splits are read, and ``make_graph`` checks
-    it all."""
+    are given: its labels and splits are read, a split tag outside
+    SPLIT_TAGS refused with its line, and ``make_graph`` checks it all."""
     n = meta.num_nodes
     labels = _parse_lines(path / "labels.csv", int, expect=n)
-    split = _parse_lines(path / "splits.csv", str, expect=n)
+    split = _parse_lines(path / "splits.csv", _split_tag, expect=n)
     return make_graph(n, features, labels, split, edges,
                       num_classes=meta.num_classes)
+
+
+def _split_tag(line: str) -> str:
+    if line not in SPLIT_TAGS:
+        raise ValueError(f"unknown split tag {line!r}")
+    return line
 
 
 def load_dataset(path) -> Graph:
     """Load a dataset directory (meta.json, edges/features/labels/splits.csv)."""
     path = Path(path)
-    meta, edges = _read_head(path)
+    return _load_headed(path, *_read_head(path))
+
+
+def _load_headed(path: Path, meta: DatasetMeta, edges: np.ndarray) -> Graph:
+    """``load_dataset`` of a directory whose ``_read_head`` is given."""
     features = _load_features(path / "features.csv", meta.num_nodes,
                               meta.num_features)
     return _read_graph(path, meta, edges, features)
@@ -239,21 +252,17 @@ def save_dataset(g: Graph, path, name: str = "graph") -> None:
                       g.num_classes, g.edges, g.features, g.labels, g.split)
 
 
-def _copied_component(data_dir: Path, out_dir: Path,
-                      name: str) -> Graph | None:
+def _copied_component(data_dir: Path, out_dir: Path, name: str, cache: Path,
+                      meta: DatasetMeta, edges: np.ndarray) -> Graph | None:
     """``save_largest_component`` by a copy of the kept lines of the source
-    features.csv, read once, which is renamed into place only when the
-    source's digest names a cache entry that fits meta.json's shape; None,
-    with nothing written, when it does not, there is no cache (before
-    anything is read), features.csv is too short for meta.json's counts
-    (``_may_hold``, checked before the component is taken), an edge is out
-    of range or ``out_dir`` or the new file cannot be made: the caller's
-    load then raises its errors. The other files are read and checked as a
-    load reads and checks them, so this raises what a load would."""
-    cache = _cache_dir()
-    if cache is None:
-        return None
-    meta, edges = _read_head(data_dir)
+    features.csv, whose ``_read_head`` is given, read once, which is renamed
+    into place only when the source's digest names an entry of ``cache``
+    that fits meta.json's shape; None, with nothing written, when it does
+    not, features.csv is too short for meta.json's counts (``_may_hold``,
+    checked before the component is taken), an edge is out of range or
+    ``out_dir`` or the new file cannot be made: the caller's load then
+    raises its errors. The other files are read and checked as a load reads
+    and checks them, so this raises what a load would."""
     num_nodes = meta.num_nodes
     if (num_nodes == 0
             or not _may_hold(data_dir / "features.csv", num_nodes,
@@ -295,11 +304,15 @@ def save_largest_component(data_dir, out_dir, name: str = "lcc") -> Graph:
     """``save_dataset(largest_connected_component(load_dataset(data_dir)),
     out_dir, name)``, and the component. ``_copied_component`` gives the
     same bytes and errors by copying the source's kept features.csv lines,
-    when the cache proves the copy exact."""
+    when the cache proves the copy exact. meta.json and edges.csv are read
+    once, for the copy and for the load it falls back on."""
     data_dir, out_dir = Path(data_dir), Path(out_dir)
-    lcc = _copied_component(data_dir, out_dir, name)
+    head = _read_head(data_dir)
+    cache = _cache_dir()
+    lcc = (None if cache is None
+           else _copied_component(data_dir, out_dir, name, cache, *head))
     if lcc is None:
-        lcc = largest_connected_component(load_dataset(data_dir))
+        lcc = largest_connected_component(_load_headed(data_dir, *head))
         save_dataset(lcc, out_dir, name)
     return lcc
 
@@ -468,13 +481,16 @@ def _induced(g: Graph, old_ids: np.ndarray) -> Graph:
 
 def apply_edits(g: Graph, edits) -> Graph:
     """Apply a sequence of EdgeEdit in order, returning a new Graph, which
-    forms its own A_hat.
+    patches the parent's A_hat when the parent has formed it, and else
+    forms its own on first use.
 
     An edge edit finds its pair among the sorted edges by a binary search on
-    the keys u * n + v and inserts or deletes that one row; the first feature
-    flip copies the features."""
+    the keys u * n + v and inserts or deletes that one row, and toggles the
+    pair in A_hat (``_toggled_adj``); the first feature flip copies the
+    features, and a flip leaves A_hat as it was."""
     n = g.num_nodes
     edges, features = g.edges, g.features
+    adj = vars(g).get("adj")        # None until g has formed A_hat
     for e in edits:
         if e.kind == "feature_flip":
             node, fidx = e.u, e.v
@@ -503,6 +519,49 @@ def apply_edits(g: Graph, edits) -> Graph:
             if not present:
                 raise ValueError(f"edge ({u},{v}) not present")
             edges = np.delete(edges, i, axis=0)
+        if adj is not None:
+            adj = _toggled_adj(adj, u, v, e.kind == "add")
     # no make_graph: edits keep the labels, the splits, finite features,
     # and the edges sorted and unique
-    return replace(g, edges=edges, features=features)
+    edited = replace(g, edges=edges, features=features)
+    if adj is not None:
+        vars(edited)["adj"] = adj       # fills the cached property
+    return edited
+
+
+def _toggled_adj(adj: sp.csr_matrix, u: int, v: int,
+                 add: bool) -> sp.csr_matrix:
+    """The A_hat of a graph whose A_hat is ``adj``, with the edge (u, v),
+    u < v, added or removed; ``adj`` is left as it was.
+
+    Entries (u, v) and (v, u) are inserted into or deleted from their rows
+    at the positions a binary search finds, so every row stays sorted, and
+    the row pointers past rows u and v shift by one each. The degrees
+    change at u and v alone, so inv[r] * inv[c] is formed again only in the
+    rows of the closed neighbourhoods of u and v, which hold every entry of
+    rows u, v and of columns u, v; it is the product ``normalize_adjacency``
+    forms, of the same inv = 1 / sqrt(deg)."""
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    # the positions of (u, v) and (v, u): a <= b, as row u comes first
+    a = indptr[u] + np.searchsorted(indices[indptr[u]:indptr[u + 1]], v)
+    b = indptr[v] + np.searchsorted(indices[indptr[v]:indptr[v + 1]], u)
+    if add:
+        indices = np.concatenate((indices[:a], [v], indices[a:b], [u],
+                                  indices[b:]), dtype=indices.dtype)
+        data = np.concatenate((data[:a], [0.0], data[a:b], [0.0], data[b:]))
+    else:
+        indices = np.concatenate((indices[:a], indices[a + 1:b],
+                                  indices[b + 1:]))
+        data = np.concatenate((data[:a], data[a + 1:b], data[b + 1:]))
+    shift = 1 if add else -1
+    indptr = indptr.copy()
+    indptr[u + 1:] += shift
+    indptr[v + 1:] += shift
+    toggled = sp.csr_matrix((data, indices, indptr), shape=adj.shape)
+    inv = 1.0 / np.sqrt(np.diff(indptr))
+    # a node of both neighbourhoods is listed twice and formed twice alike
+    rows = np.concatenate((indices[indptr[u]:indptr[u + 1]],
+                           indices[indptr[v]:indptr[v + 1]]))
+    lens, pos = _row_positions(toggled, rows)
+    toggled.data[pos] = inv[np.repeat(rows, lens)] * inv[indices[pos]]
+    return toggled

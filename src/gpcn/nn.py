@@ -65,20 +65,19 @@ def cross_entropy_masked(logits, labels, mask):
     """Mean negative log-likelihood over masked rows.
 
     Returns (loss, grad_logits) where grad is (softmax - onehot)/|mask| on
-    masked rows and zero elsewhere.
+    masked rows and zero elsewhere. Softmax is row-wise, so it is taken of
+    the masked rows alone.
     """
-    mask = np.asarray(mask, dtype=bool)
-    n_sel = int(mask.sum())
-    if n_sel == 0:
+    sel = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if sel.size == 0:
         raise ValueError("empty mask")
-    probs = softmax_rows(logits)
-    sel = np.flatnonzero(mask)
-    picked = probs[sel, labels[sel]]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    probs = softmax_rows(logits[sel])
+    onehot = np.arange(sel.size), labels[sel]
+    loss = float(-np.log(np.maximum(probs[onehot], 1e-300)).mean())
+    probs[onehot] -= 1.0
+    probs /= sel.size
     grad = np.zeros_like(logits)
-    grad[sel] = probs[sel]
-    grad[sel, labels[sel]] -= 1.0
-    grad[sel] /= n_sel
+    grad[sel] = probs
     return loss, grad
 
 
@@ -112,15 +111,30 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads, state: AdamState) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction. The accumulators m
+    and v are updated in place too, by the operations, in the order, of
+
+        m = beta1 m + (1 - beta1) g,   v = beta2 v + (1 - beta2) g g,
+        w -= lr m_hat / (sqrt(v_hat) + eps),
+
+    so the bits are those of that formula."""
     if len(grads) != len(params.weights):
         raise ValueError("gradient count mismatch")
-    state.t += 1
     for k, (w, g) in enumerate(zip(params.weights, grads)):
         if g.shape != w.shape:
             raise ValueError(f"gradient {k} shape {g.shape} != {w.shape}")
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[k] / (1 - ADAM_BETA1 ** state.t)
-        v_hat = state.v[k] / (1 - ADAM_BETA2 ** state.t)
-        w -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.t += 1
+    for w, g, m, v in zip(params.weights, grads, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        g2 = (1 - ADAM_BETA2) * g
+        g2 *= g
+        v += g2
+        denom = np.divide(v, 1 - ADAM_BETA2 ** state.t, out=g2)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step = m / (1 - ADAM_BETA1 ** state.t)                    # m_hat
+        step *= state.lr
+        step /= denom
+        w -= step

@@ -32,6 +32,14 @@ halvings the step moves nothing. A full-gamma step whose energy is
 non-finite or more than double the current one raises FloatingPointError:
 within one quadratic piece that means gamma * lambda_max > 1 + sqrt(2), past
 the 2 / lambda stability bound, so the rate diverges rather than overshoots.
+
+A training epoch recomputes only what each step changed. The energy is
+carried through the loop as its terms, the squared sum of each error array
+(``_energy_terms``): a step starts from the terms its caller holds, the
+accepted trial's in end_of_T timing, and a weight update changes only the
+predictions and their errors eps, so it sums those again and keeps the
+eps_agg terms, which ``_energy`` adds in the same order. ``compute_energy``
+stays a function of the state alone.
 """
 
 from __future__ import annotations
@@ -117,14 +125,16 @@ def pc_predictions(adj: sp.csr_matrix, state: PCState,
     for k in range(2, params.num_layers + 1):
         state.agg[k - 1] = propagate(adj, relu(state.h[k - 1]))
     _predict(adj, state, params, keep_mu1)
+    state.eps_agg = [h - a for h, a in zip(state.h_agg, state.agg)]
 
 
 def _predict(adj: sp.csr_matrix, state: PCState, params: ModelParams,
              keep_mu1: bool = False) -> None:
-    """Recompute predictions and errors in place from the current
-    aggregates, which is all a weight update changes. ``keep_mu1`` keeps
-    mu[0] as well, which is exact while W^(1) and what it multiplies stay
-    as they were: in inter_layer mode that is the input."""
+    """Recompute predictions and their errors eps in place from the
+    current aggregates, which is all a weight update changes: the
+    aggregation errors eps_agg read no weight. ``keep_mu1`` keeps mu[0] as
+    well, which is exact while W^(1) and what it multiplies stay as they
+    were: in inter_layer mode that is the input."""
     inter = state.mode == "inter_layer"
     for k, (x, w) in enumerate(zip(state.weight_inputs, params.weights),
                                start=1):
@@ -133,7 +143,6 @@ def _predict(adj: sp.csr_matrix, state: PCState, params: ModelParams,
             # mu^(1) = A_hat (X W^(1)) in inter_layer mode
             state.mu[k - 1] = propagate(adj, mu) if k == 1 and inter else mu
         state.eps[k - 1] = state.h[k] - state.mu[k - 1]
-    state.eps_agg = [h - a for h, a in zip(state.h_agg, state.agg)]
     _mask_output_eps(state)
 
 
@@ -179,19 +188,39 @@ def clamp_targets(state: PCState, labels: np.ndarray,
     return state
 
 
-def compute_energy(state: PCState) -> float:
-    """F = half the squared error sum (unclamped output rows are stored as
-    zero errors, so they do not count)."""
+def _square_sums(arrays) -> list[float]:
+    return [float((e * e).sum()) for e in arrays]
+
+
+def _energy_terms(state: PCState) -> list[float]:
+    """The squared sum of each error array of ``state``, eps then eps_agg:
+    the terms of its energy, in the order ``_energy`` adds them."""
+    return _square_sums([*state.eps, *state.eps_agg])
+
+
+def _energy(terms: list[float]) -> float:
+    """Half the sum of ``terms``, added in order (not ``sum``, which
+    compensates its rounding from Python 3.12)."""
     total = 0.0
-    for e in (*state.eps, *state.eps_agg):
-        total += float(np.sum(e * e))
+    for t in terms:
+        total += t
     return 0.5 * total
 
 
-def inference_step(adj: sp.csr_matrix, state: PCState,
-                   params: ModelParams, gamma: float) -> PCState:
+def compute_energy(state: PCState) -> float:
+    """F = half the squared error sum (unclamped output rows are stored as
+    zero errors, so they do not count)."""
+    return _energy(_energy_terms(state))
+
+
+def inference_step(adj: sp.csr_matrix, state: PCState, params: ModelParams,
+                   gamma: float, terms: list[float] | None = None
+                   ) -> list[float]:
     """One guarded descent step on the energy over the free value nodes, in
     the state's mode; predictions and errors are recomputed afterwards.
+    Returns the ``_energy_terms`` of the state it leaves. ``terms`` are
+    those of the state it starts from, when the caller holds them, as
+    ``train_pc`` does; else they are summed here.
 
     The free nodes are h[1..F], with F = K, or K - 1 while targets are
     clamped (the clamped output rows are fixed and the free ones are outside
@@ -205,18 +234,27 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
     K = params.num_layers
     F = K if state.output_mask is None else K - 1
     intra = state.mode == "intra_layer"
+    # each direction in one new array: b - a is (-a) + b, bit for bit
     dh = []
     for k in range(1, F + 1):
-        d = -state.eps[k - 1]
         if k < K:
             up = (state.eps_agg[k] if intra
                   else state.eps[k] @ params.weights[k].T)
-            d = d + relu_prime(state.h[k]) * propagate(adj, up)
+            d = relu_prime(state.h[k])
+            d *= propagate(adj, up)
+            d -= state.eps[k - 1]
+        else:
+            d = -state.eps[k - 1]
         dh.append(d)
-    dagg = [-ea + e @ w.T for ea, e, w
-            in zip(state.eps_agg, state.eps, params.weights)]
+    dagg = []
+    for ea, e, w in zip(state.eps_agg, state.eps, params.weights):
+        d = e @ w.T
+        d -= ea
+        dagg.append(d)
 
-    before = compute_energy(state)
+    if terms is None:
+        terms = _energy_terms(state)
+    before = _energy(terms)
     h0, agg0 = state.h[1:F + 1], state.h_agg
     rate = gamma
     for halvings in range(MAX_HALVINGS + 1):
@@ -225,18 +263,19 @@ def inference_step(adj: sp.csr_matrix, state: PCState,
         state.h_agg = [x + rate * d for x, d in zip(agg0, dagg)]
         # mu^(1) = A_hat (X W^(1)) reads no free value in inter_layer mode
         pc_predictions(adj, state, params, keep_mu1=not intra)
-        after = compute_energy(state)
+        after_terms = _energy_terms(state)
+        after = _energy(after_terms)
         diverged = not (np.isfinite(after) and after <= 2.0 * before)
         if halvings == 0 and diverged:
             raise FloatingPointError(
                 f"inference diverges at rate {gamma!r}: energy "
                 f"{before!r} -> {after!r} in one step")
         if after <= before:
-            return state
+            return after_terms
         rate *= 0.5
     state.h[1:F + 1], state.h_agg = h0, agg0
     pc_predictions(adj, state, params, keep_mu1=not intra)
-    return state
+    return _energy_terms(state)
 
 
 def pc_weight_gradients(adj: sp.csr_matrix, state: PCState):
@@ -255,26 +294,33 @@ def train_pc(graph: Graph, config: PCConfig):
 
     Each epoch: feedforward init, clamp targets, T inference steps, weight
     update(s) through Adam, each followed by the predictions of the new
-    weights (the values, and with them the aggregates, stay as they were).
-    The epoch returns the settled training energy, so selection breaks
-    val-accuracy ties by lowest energy. intra_layer mode forms A_hat X once,
-    for every epoch.
+    weights (the values, and with them the aggregates and eps_agg, stay as
+    they were). The epoch returns the settled training energy, so selection
+    breaks val-accuracy ties by lowest energy; its terms are carried from
+    step to step, and a weight update sums only the eps terms again.
+    intra_layer mode forms A_hat X once, for every epoch.
     """
     adj = graph.adj
     ax = (propagate(adj, graph.features)
           if config.mode == "intra_layer" else None)
+    every_step = config.weight_update_timing == "every_step"
+
+    def update(state, params, opt, terms):
+        adam_step(params, pc_weight_gradients(adj, state), opt)
+        _predict(adj, state, params)
+        return _square_sums(state.eps) + terms[len(state.eps):]
 
     def epoch(cache, params, opt, train_mask):
         state = pc_init_feedforward(cache, params, config.mode, ax)
         clamp_targets(state, graph.labels, train_mask)
+        terms = _energy_terms(state)
         for _ in range(config.inference_steps):
-            inference_step(adj, state, params, config.value_update_rate)
-            if config.weight_update_timing == "every_step":
-                adam_step(params, pc_weight_gradients(adj, state), opt)
-                _predict(adj, state, params)
-        if config.weight_update_timing == "end_of_T":
-            adam_step(params, pc_weight_gradients(adj, state), opt)
-            _predict(adj, state, params)
-        return compute_energy(state)
+            terms = inference_step(adj, state, params,
+                                   config.value_update_rate, terms)
+            if every_step:
+                terms = update(state, params, opt, terms)
+        if not every_step:
+            terms = update(state, params, opt, terms)
+        return _energy(terms)
 
     return fit(graph, config, epoch)

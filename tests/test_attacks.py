@@ -803,3 +803,28 @@ class TestMarginShiftExport:
         recs = classification_margins(probs, g.labels, g.mask("test"))
         with pytest.raises(ValueError, match="match"):
             margin_shift_export(recs, recs[:-1], {})
+
+
+class TestVictimMargin:
+    @settings(deadline=None, max_examples=200)
+    @example(n=1, classes=2, victim=0, scale=0.0, seed=0)
+    @example(n=4, classes=3, victim=3, scale=800.0, seed=1)
+    @given(n=st.integers(1, 9), classes=st.integers(2, 6),
+           victim=st.integers(0, 8),
+           scale=st.sampled_from([0.0, 1e-12, 1.0, 30.0, 800.0]),
+           seed=st.integers(0, 10_000))
+    def test_one_row_equals_full_softmax(self, n, classes, victim, scale,
+                                         seed):
+        """A walk step's margin from the softmax of the victim's row alone
+        is, bit for bit, the one of the softmax of every row."""
+        rng = np.random.default_rng(seed)
+        logits = scale * rng.normal(size=(n, classes))
+        labels = rng.integers(0, classes, size=n)
+        victim %= n
+        one = np.zeros(n, dtype=bool)
+        one[victim] = True
+        want = classification_margins(softmax_rows(logits), labels, one)[0]
+        got = gpcn.attacks._victim_margin(logits, labels, victim)
+        assert (got.node, got.correct) == (want.node, want.correct)
+        assert np.float64(got.margin).tobytes() == \
+            np.float64(want.margin).tobytes()

@@ -1,10 +1,13 @@
 """Backprop baseline: forward/backward correctness, equivariance, training."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpcn.bp
 from gpcn.graph import make_graph
 from gpcn.nn import ModelParams, adam_step, cross_entropy_masked, init_params
 from gpcn.bp import (TrainConfig, accuracy, fit, gcn_backward, gcn_forward,
@@ -196,3 +199,33 @@ class TestPredict:
         params, _ = train_bp(sbm_easy, TrainConfig(epochs=200, seed=0))
         probs = predict(sbm_easy, params)
         assert accuracy(probs, sbm_easy.labels, sbm_easy.mask("test")) >= 0.95
+
+
+class TestFitAccuracies:
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 14),
+           classes=st.integers(2, 4))
+    def test_equal_accuracy_of_the_eval_pass(self, seed, n, classes):
+        """Every epoch's train, val and test accuracies are those
+        ``accuracy`` gives the logits of that epoch's eval pass; nan for an
+        empty test split (n = 2)."""
+        g = random_graph(np.random.default_rng(seed), n, num_classes=classes)
+        forward = gpcn.bp.gcn_forward
+        logits = []
+
+        def recording(*args):
+            cache = forward(*args)
+            logits.append(cache.logits)
+            return cache
+
+        with mock.patch("gpcn.bp.gcn_forward", recording):
+            _, history = train_bp(g, TrainConfig(epochs=5, seed=seed,
+                                                 weight_lr=0.05))
+        # the first pass is the initial weights'; then one per epoch
+        assert len(logits) == 6
+        for i, z in enumerate(logits[1:]):
+            for tag, got in (("train", history.train_acc[i]),
+                             ("val", history.val_acc[i]),
+                             ("test", history.test_acc[i])):
+                want = accuracy(z, g.labels, g.mask(tag))
+                assert np.array_equal(got, want, equal_nan=True), tag

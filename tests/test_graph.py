@@ -189,6 +189,19 @@ class TestDatasetIO:
                          str(tmp_path / f"{source}-lcc")]) == 0
         assert lcc_tree(tmp_path / "crlf-lcc") == lcc_tree(tmp_path / "lf-lcc")
 
+    @pytest.mark.parametrize("tag", ["trian", "trainx", "Test"])
+    def test_unknown_split_tag_names_file_line_and_tag(self, tmp_path,
+                                                       capsys, tag):
+        """A tag outside SPLIT_TAGS is refused at its line, with its text;
+        one longer than five characters is not cut down to a known one."""
+        write_dataset(tmp_path, 3, [(0, 1)], [[1.0]] * 3, [0, 1, 0],
+                      ["train", "val", tag])
+        message = f"splits.csv:3: malformed line: unknown split tag {tag!r}"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_dataset(tmp_path)
+        assert main(["dataset", "inspect", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_save_load_fixed_point(self, tmp_path, rng):
         g = random_graph(rng, 12, num_features=4, num_classes=3)
         save_dataset(g, tmp_path / "a")
@@ -1296,6 +1309,34 @@ class TestLargestComponentCopy:
         assert peak < 3 * gpcn.dataset._HASH_BLOCK_BYTES
 
 
+class TestLargestComponentHeadReadOnce:
+    @pytest.mark.parametrize("path", ["copy", "declined", "no-cache"])
+    def test_head_is_read_once(self, tmp_path, feature_cache, path):
+        """meta.json and edges.csv are read once on every path of
+        ``save_largest_component``: the copy, the copy declined because the
+        cache holds no entry for the source's features.csv (each line has a
+        trailing space, which the reader strips), and the cache off."""
+        g = source_graph(np.reshape(LCC_PINNED, (8, 2)), [(0, 1), (1, 2)])
+        src = tmp_path / "src"
+        save_dataset(g, src)
+        if path == "declined":
+            file = src / "features.csv"
+            file.write_bytes(file.read_bytes().replace(b"\n", b" \n"))
+        ref = formatted_lcc(src, tmp_path / "ref")
+        read_head = gpcn.graph._read_head
+        with contextlib.ExitStack() as stack:
+            counted = stack.enter_context(mock.patch.object(
+                gpcn.graph, "_read_head", side_effect=read_head))
+            writes = stack.enter_context(counted_writes())
+            if path == "no-cache":
+                stack.enter_context(mock.patch.object(
+                    gpcn.graph, "_cache_dir", return_value=None))
+            gpcn.graph.save_largest_component(src, tmp_path / "out")
+        assert counted.call_count == 1
+        assert len(writes) == (path != "copy")
+        assert lcc_tree(tmp_path / "out") == ref
+
+
 class TestFeaturesFileIsReplaced:
     """Every path puts features.csv in place by renaming a new file over
     it: the lcc copy, the lcc format path and ``save_dataset`` leave the
@@ -1948,21 +1989,25 @@ def toggles(g, pairs):
 def assert_matches_rebuild(g, edits):
     """``apply_edits(g, edits)`` against the set-based oracle's graph, with
     A_hat bit for bit against ``reference_normalize_adjacency`` of it.
-    ``g.adj`` is formed first, so an edited graph that read its source's
-    cached A_hat would fail. Returns the edited graph."""
+    ``g.adj`` is formed first, so the edited graph patches it: it is the
+    source's object exactly when no edit toggles an edge. Returns the
+    edited graph."""
     source_adj = g.adj
     edited = apply_edits(g, edits)
     want = reference_apply_edits(g, edits)
     assert graphs_equal(edited, want)
-    assert edited.adj is not source_adj
+    assert "adj" in vars(edited)
+    toggled = any(e.kind != "feature_flip" for e in edits)
+    assert (edited.adj is source_adj) == (not toggled)
     assert csr_equal(edited.adj, reference_normalize_adjacency(want))
     return edited
 
 
 class TestEditedGraphAdj:
     """``Graph.adj`` is A_hat, formed once per graph object; a graph made by
-    ``apply_edits`` forms its own, bit for bit the A_hat of the graph the
-    set-based oracle edits."""
+    ``apply_edits`` patches the parent's when the parent has formed it, bit
+    for bit the A_hat of the graph the set-based oracle edits, and forms its
+    own on first use when it has not."""
 
     def test_adj_forms_a_hat_only(self):
         # A_hat peaks at about 0.2 MB on 600 nodes and about 1,900 edges;
@@ -2028,6 +2073,45 @@ class TestEditedGraphAdj:
             edits = toggles(g, pairs)
             edits += [EdgeEdit("feature_flip", u % n, f) for u, f in flips]
             g = assert_matches_rebuild(g, edits)
+
+    @settings(deadline=None, max_examples=150)
+    @example(seed=0, n=2, edge_prob=0.0, pairs=[(0, 1)])
+    @example(seed=1, n=9, edge_prob=1.0, pairs=[(8, 0), (3, 4)])
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
+           edge_prob=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+           pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          max_size=10))
+    def test_patched_adj_along_toggle_chain(self, seed, n, edge_prob, pairs):
+        """Each toggle of a chain, applied to the graph the one before it
+        made, patches A_hat to the bytes ``normalize_adjacency`` forms:
+        indptr, indices and data, with their dtypes. Every chain ends by
+        toggling the first and last node twice; a batch of the chain's
+        edits patches to the same bytes."""
+        g = random_graph(np.random.default_rng(seed), n, edge_prob=edge_prob)
+        edits = toggles(g, [*pairs, (0, n - 1), (n - 1, 0)])
+        source = g
+        g.adj
+        for edit in edits:
+            g = apply_edits(g, [edit])
+            assert "adj" in vars(g)         # patched, not formed on use
+            assert csr_equal(g.adj, normalize_adjacency(g))
+        assert csr_equal(apply_edits(source, edits).adj, g.adj)
+
+    def test_feature_flip_shares_adj(self):
+        g = binary_random_graph(0, 6, 0.3)
+        adj = g.adj
+        flipped = apply_edits(g, [EdgeEdit("feature_flip", 0, 0),
+                                  EdgeEdit("feature_flip", 5, 0)])
+        assert not np.array_equal(flipped.features, g.features)
+        assert flipped.adj is adj
+
+    def test_unformed_adj_stays_unformed(self, rng):
+        """A parent that has not formed A_hat hands none on: the edited
+        graph forms its own on first use."""
+        g = random_graph(rng, 6, edge_prob=0.3)
+        edited = apply_edits(g, toggles(g, [(0, 5)]))
+        assert "adj" not in vars(g) and "adj" not in vars(edited)
+        assert csr_equal(edited.adj, normalize_adjacency(edited))
 
     def test_sbm_toggle_sequence_bit_identical(self):
         spec = SyntheticSpec(7, 60, 0.05, 0.002, 300, 1.0, (0.2, 0.2, 0.6))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcn.nn import (ADAM_EPS, AdamState, ModelParams, adam_step,
-                     cross_entropy_masked, glorot_init, init_params, relu,
-                     relu_prime, softmax_rows)
+from gpcn.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                     ModelParams, adam_step, cross_entropy_masked,
+                     glorot_init, init_params, relu, relu_prime,
+                     softmax_rows)
 
 from conftest import central_difference, relative_error
 
@@ -149,6 +150,34 @@ class TestAdam:
         for _ in range(3):
             adam_step(p2, grads, s2)
         assert np.array_equal(p1.weights[0], p2.weights[0])
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 10_000), steps=st.integers(1, 6),
+           scale=st.sampled_from([1e-9, 1.0, 1e6]))
+    def test_in_place_update_matches_formula(self, seed, steps, scale):
+        """The in-place update gives, bit for bit, the weights and the
+        accumulators of the formula evaluated into new arrays."""
+        rng = np.random.default_rng(seed)
+        p = init_params([3, 4, 2], rng)
+        w = [x.copy() for x in p.weights]
+        m = [np.zeros_like(x) for x in w]
+        v = [np.zeros_like(x) for x in w]
+        state = AdamState.for_params(p, lr=0.01)
+        for t in range(1, steps + 1):
+            grads = [scale * rng.normal(size=x.shape) for x in w]
+            adam_step(p, grads, state)
+            for k, g in enumerate(grads):
+                m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+                v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+                m_hat = m[k] / (1 - ADAM_BETA1 ** t)
+                v_hat = v[k] / (1 - ADAM_BETA2 ** t)
+                w[k] = w[k] - 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(p.weights, w))
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(state.m, m))
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(state.v, v))
 
     def test_shape_mismatch(self, rng):
         p = init_params([2, 2], rng)

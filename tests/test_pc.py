@@ -360,9 +360,9 @@ class TestZeroStep:
         adj, state, params = clamped_random_state(3, mode=mode,
                                                   dims=(3, 4, 2))
         expected = copy.deepcopy(state)
+        # the step's energies: the start's, then one per trial
         energies = iter([1.0] + [1.5] * (MAX_HALVINGS + 1))
-        with mock.patch("gpcn.pc.compute_energy",
-                        lambda _: next(energies)):
+        with mock.patch("gpcn.pc._energy", lambda _: next(energies)):
             inference_step(adj, state, params, 0.5)
         for name in ("h", "h_agg", "agg", "mu", "eps", "eps_agg"):
             got, want = getattr(state, name), getattr(expected, name)
@@ -464,6 +464,42 @@ class TestCachedStateMatchesReference:
                     update()
             if timing == "end_of_T":
                 update()
+
+
+class TestCarriedEnergy:
+    @pytest.mark.parametrize("mode", ["inter_layer", "intra_layer"])
+    @pytest.mark.parametrize("timing", ["end_of_T", "every_step"])
+    def test_carried_terms_equal_fresh_sums(self, mode, timing):
+        """``train_pc`` carries the energy's terms through its loop: the
+        terms every inference step starts from (after the step before it,
+        or after a weight update) and those it returns, and every epoch's
+        energy, equal ``compute_energy``'s sums over the state, bit for
+        bit."""
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 12, num_features=5, num_classes=3)
+        step, init = gpcn.pc.inference_step, gpcn.pc.pc_init_feedforward
+        states, steps = [], []
+
+        def checking_step(adj, state, params, gamma, terms):
+            assert terms == gpcn.pc._energy_terms(state)
+            out = step(adj, state, params, gamma, terms)
+            assert out == gpcn.pc._energy_terms(state)
+            steps.append(out)
+            return out
+
+        def recording_init(*args):
+            states.append(init(*args))
+            return states[-1]
+
+        config = PCConfig(epochs=4, seed=0, inference_steps=5,
+                          hidden_dims=(4, 4), weight_lr=0.05,
+                          value_update_rate=0.5, mode=mode,
+                          weight_update_timing=timing)
+        with mock.patch("gpcn.pc.inference_step", checking_step), \
+                mock.patch("gpcn.pc.pc_init_feedforward", recording_init):
+            _, history = train_pc(g, config)
+        assert len(steps) == 20 and len(states) == 4
+        assert history.energy == [compute_energy(s) for s in states]
 
 
 class TestTraining:
