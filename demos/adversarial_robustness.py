@@ -12,7 +12,8 @@ model holds up at least as well as the backprop baseline here.
 import numpy as np
 
 from gpcn.graph import SyntheticSpec, generate_synthetic
-from gpcn.bp import TrainConfig, predict, train_bp
+from gpcn.nn import softmax_rows
+from gpcn.bp import TrainConfig, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.attacks import AttackSpec, evaluate_attack, select_victims
 
@@ -29,13 +30,15 @@ def sweep(learner, graph, kind, mode, budgets, seeds=range(3)):
         train_fn, config = learner(seed)
 
         def train(g):
-            return train_fn(g, config)[0]
+            return train_fn(g, config)
 
-        params = train(graph)
-        victims = select_victims(graph, predict(graph, params),
-                                 "random_1000", seed)
+        # (params, history); history.forward is the model's forward pass on
+        # the graph it was trained on, so no prediction is formed again
+        trained = train(graph)
+        probs = softmax_rows(trained[1].forward.logits)
+        victims = select_victims(graph, probs, "random_1000", seed)
         spec = AttackSpec(kind=kind, budgets=budgets, mode=mode, seed=seed)
-        report = evaluate_attack(train, graph, params, victims, spec)
+        report = evaluate_attack(train, graph, trained, victims, spec)
         per_seed.append([report.accuracy[q] for q in budgets])
     return np.mean(per_seed, axis=0)
 

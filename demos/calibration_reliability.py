@@ -12,7 +12,8 @@ reliability table below shows where the gap lives.
 import numpy as np
 
 from gpcn.graph import SyntheticSpec, generate_synthetic
-from gpcn.bp import TrainConfig, train_bp, predict
+from gpcn.nn import softmax_rows
+from gpcn.bp import TrainConfig, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import expected_calibration_error
 
@@ -40,8 +41,8 @@ def main():
         ("gcn", train_bp, TrainConfig(epochs=300, weight_lr=0.001, seed=0)),
         ("gpcn", train_pc, PCConfig(epochs=300, weight_lr=0.001, seed=0)),
     ]:
-        params, _ = trainer(graph, config)
-        probs = predict(graph, params)
+        _, history = trainer(graph, config)
+        probs = softmax_rows(history.forward.logits)
         report = expected_calibration_error(probs, graph.labels, mask)
         print(f"{name}: ece={report.ece:.4f}  mce={report.mce:.4f}")
         print(reliability_table(report))

@@ -10,6 +10,8 @@ computed once against the plain forward pass. The gradient through the
 normalized adjacency is linearized: normalization coefficients are frozen at
 the current degrees while scoring moves, and the adjacency is normalized
 again after every applied edit, in the rows and columns the edit changed.
+A model's prediction on its training graph is the ``history.forward`` that
+``bp.fit`` kept; a walk step and ``predict`` run weights on other graphs.
 
 The gradient attack is local, as in Nettack (Zuegner et al. 2018). For a
 K-layer GCN the victim's loss reads A_hat only through the rows in which some
@@ -392,30 +394,30 @@ def _victim_margin(logits: np.ndarray, labels: np.ndarray,
     return replace(rec, node=victim)
 
 
-def evaluate_attack(train, graph: Graph, params: ModelParams,
-                    victims: np.ndarray, spec: AttackSpec) -> RobustnessReport:
+def evaluate_attack(train, graph: Graph, trained, victims: np.ndarray,
+                    spec: AttackSpec) -> RobustnessReport:
     """Run the evasion or poisoning protocol over the sweep
     ``spec.budgets``; the report holds each budget in the sweep's order.
-
-    ``params`` are the weights ``train``, a function from a Graph to its
-    trained ModelParams, gave on the clean ``graph``. Evasion predicts with
-    ``params`` on the perturbed graphs, and poisoning calls ``train`` on
-    each of them. A budget that leaves the clean graph reads the clean
-    prediction under ``params``, and budgets that read the same step of a
-    walk share its prediction: poisoning trains once per rate that adds
-    edges, or per walk step that a budget reads.
-
-    A targeted attack walks each victim once, to the largest budget
-    ``spec.budget``, from the clean forward pass, and budget q reads step
-    q, or the last step, or the clean graph, if the attack stopped earlier:
-    evasion the step's logits, poisoning a retrain on ``apply_edits`` of
-    the first q edits.
     ``check_attack`` first refuses what the attack cannot take.
+
+    ``train`` maps a Graph to the ``(params, history)`` that ``train_bp``
+    and ``train_pc`` return, and ``trained`` is the pair it gave on the
+    clean ``graph``: a model's prediction on the graph it was trained on is
+    its ``history.forward``. Evasion predicts with ``params`` on the
+    perturbed graphs; poisoning calls ``train`` on each. A budget that
+    leaves the clean graph reads the clean prediction, and budgets that
+    read the same step of a walk share its prediction: poisoning trains
+    once per rate that adds edges, or per walk step that a budget reads.
+
+    A targeted attack walks each victim once, from the clean forward pass
+    to the largest budget, and budget q reads step q, or the last step, or
+    the clean graph, if the attack stopped earlier: evasion the step's
+    logits, poisoning a retrain on ``apply_edits`` of the first q edits.
     """
     check_attack(graph, spec)
+    params, clean = trained[0], trained[1].forward
     vmask = np.zeros(graph.num_nodes, dtype=bool)
     vmask[victims] = True
-    clean = gcn_forward(graph, params)
     clean_probs = softmax_rows(clean.logits)
     margins_before = classification_margins(clean_probs, graph.labels, vmask)
     poisoning = spec.mode == "poisoning"
@@ -427,8 +429,8 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
             # a rate that adds no edge leaves the clean graph
             probs = clean_probs
             if perturbed is not graph:
-                rate_params = train(perturbed) if poisoning else params
-                probs = predict(perturbed, rate_params)
+                probs = (softmax_rows(train(perturbed)[1].forward.logits)
+                         if poisoning else predict(perturbed, params))
             margins_after[rate] = classification_margins(probs, graph.labels,
                                                          vmask)
     else:
@@ -444,8 +446,7 @@ def evaluate_attack(train, graph: Graph, params: ModelParams,
                     if poisoning and i:
                         perturbed = apply_edits(
                             graph, [s.edit for s in steps[:i]])
-                        logits = gcn_forward(perturbed,
-                                             train(perturbed)).logits
+                        logits = train(perturbed)[1].forward.logits
                     else:
                         logits = steps[i - 1].logits if i else clean.logits
                     margin_at[i] = _victim_margin(logits, graph.labels,

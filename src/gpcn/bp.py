@@ -60,6 +60,7 @@ class TrainHistory:
     test_acc: list[float] = field(default_factory=list)
     energy: list[float] = field(default_factory=list)  # PC backend only
     selected_epoch: int = 0
+    forward: ForwardCache | None = None   # the selected epoch's eval pass
 
 
 def gcn_forward(graph: Graph, params: ModelParams,
@@ -102,14 +103,6 @@ def gcn_backward(adj: sp.csr_matrix, cache: ForwardCache,
     return grads
 
 
-def accuracy(probs_or_logits, labels, mask) -> float:
-    sel = np.flatnonzero(mask)
-    if sel.size == 0:
-        return float("nan")
-    pred = np.argmax(probs_or_logits[sel], axis=1)
-    return float(np.mean(pred == labels[sel]))
-
-
 def fit(graph: Graph, config: TrainConfig, epoch):
     """Full-batch training loop shared by both backends, on ``graph``.
 
@@ -119,11 +112,12 @@ def fit(graph: Graph, config: TrainConfig, epoch):
     forward pass of the current weights: the previous epoch's eval pass,
     which is also the feedforward state of a predictive-coding network.
     Returns the snapshot with the best val accuracy, ties broken by lowest
-    energy, then earliest epoch, together with the epoch history.
+    energy, then earliest epoch, together with the epoch history, whose
+    ``forward`` is that snapshot's eval pass, not a copy: the model's
+    prediction on ``graph``, which the later epochs read as ``cache``.
 
-    The train, val and test nodes are found once, and each epoch's eval
-    pass takes one argmax over all rows, whose train, val and test entries
-    give the three accuracies ``accuracy`` gives.
+    The split rows are found once; an epoch's three accuracies, those of
+    tests/conftest.py's ``accuracy``, read one argmax over its eval pass.
     """
     train_mask = graph.mask("train")
     splits = [np.flatnonzero(train_mask), np.flatnonzero(graph.mask("val")),
@@ -159,6 +153,7 @@ def fit(graph: Graph, config: TrainConfig, epoch):
             best_key = key
             best_params = params.copy()
             history.selected_epoch = i
+            history.forward = cache
     return best_params, history
 
 
@@ -178,5 +173,6 @@ def train_bp(graph: Graph, config: TrainConfig):
 
 
 def predict(graph: Graph, params: ModelParams) -> np.ndarray:
-    """Class probabilities: softmax of the forward-pass logits."""
+    """Class probabilities: softmax of the forward-pass logits, for a graph
+    ``params`` were not trained on (on that one, ``history.forward``'s)."""
     return softmax_rows(gcn_forward(graph, params).logits)

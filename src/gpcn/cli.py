@@ -23,6 +23,9 @@ from gpcn.harness import (ExperimentConfig, check_seeds, cmd_attack,
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# The largest --budget: each budget keeps a margins.csv row per victim, about
+# 440 bytes, so 1000 budgets of 1000 victims hold 0.44 GB per seed.
+MAX_BUDGET = 1_000
 
 
 def _int_list(text: str):
@@ -131,19 +134,17 @@ def run(args) -> int:
         return 0
 
     if args.command == "attack":
+        # the flags are checked before the config is read
+        if args.kind == "random_global" and args.ptb_rate is None:
+            raise ValueError("random_global takes --ptb-rate, not --budget")
+        if args.kind != "random_global" and args.budget is None:
+            raise ValueError(f"{args.kind} takes --budget, not --ptb-rate")
+        if args.budget is not None and not 1 <= args.budget <= MAX_BUDGET:
+            bound = ">= 1" if args.budget < 1 else f"<= {MAX_BUDGET}"
+            raise ValueError(f"--budget must be {bound}, got {args.budget}")
+        budgets = (args.ptb_rate if args.budget is None
+                   else range(1, args.budget + 1))
         config = ExperimentConfig.from_json(args.config)
-        if args.kind == "random_global":
-            if args.ptb_rate is None:
-                raise ValueError("random_global takes --ptb-rate, not "
-                                 "--budget")
-            budgets = args.ptb_rate
-        else:
-            if args.budget is None:
-                raise ValueError(f"{args.kind} takes --budget, not "
-                                 "--ptb-rate")
-            if args.budget < 1:
-                raise ValueError(f"--budget must be >= 1, got {args.budget}")
-            budgets = range(1, args.budget + 1)
         spec = AttackSpec(kind=args.kind, budgets=budgets, mode=args.mode,
                           influencer_count=args.influencers)
         cmd_attack(config, spec, args.out)

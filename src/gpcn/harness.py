@@ -22,7 +22,7 @@ import numpy as np
 from gpcn.graph import (Graph, SyntheticSpec, generate_synthetic,
                         load_dataset, save_dataset, save_largest_component)
 from gpcn.nn import ModelParams, softmax_rows
-from gpcn.bp import TrainConfig, gcn_forward, predict, train_bp
+from gpcn.bp import TrainConfig, gcn_forward, train_bp
 from gpcn.pc import PCConfig, train_pc
 from gpcn.calibration import classification_margins, expected_calibration_error
 from gpcn.attacks import (VICTIM_STRATEGIES, AttackSpec, candidate_pool,
@@ -320,7 +320,8 @@ def _train_one(config: ExperimentConfig, graph: Graph,
     start = time.perf_counter()
     train_fn, train_config = config.learner(seed)
     params, history = train_fn(graph, train_config)
-    probs = predict(graph, params)
+    probs = softmax_rows(history.forward.logits)
+    history.forward = None   # cmd_train holds every seed's history at once
     test_mask = graph.mask("test")
     cal = expected_calibration_error(probs, graph.labels, test_mask,
                                      config.bins)
@@ -429,13 +430,14 @@ def cmd_attack(config: ExperimentConfig, spec: AttackSpec, out_dir) -> None:
         train_fn, train_config = config.learner(seed)
 
         # positional: perfbench's tracer reads the config off args[1]
-        def train(g: Graph) -> ModelParams:
-            return train_fn(g, train_config)[0]
+        def train(g: Graph):
+            return train_fn(g, train_config)
 
-        params = train(graph)
-        victims = select_victims(graph, predict(graph, params),
-                                 config.victim_strategy, seed)
-        report = evaluate_attack(train, graph, params, victims,
+        trained = train(graph)
+        victims = select_victims(
+            graph, softmax_rows(trained[1].forward.logits),
+            config.victim_strategy, seed)
+        report = evaluate_attack(train, graph, trained, victims,
                                  replace(spec, seed=seed))
         for q in spec.budgets:
             rob_rows.append({

@@ -550,6 +550,16 @@ def central_difference(f, x, step=1e-5):
     return grad
 
 
+def accuracy(probs_or_logits, labels, mask) -> float:
+    """The share of the ``mask`` rows whose argmax is their label; nan for
+    an empty mask. The oracle for the accuracies ``bp.fit`` records."""
+    sel = np.flatnonzero(mask)
+    if sel.size == 0:
+        return float("nan")
+    pred = np.argmax(probs_or_logits[sel], axis=1)
+    return float(np.mean(pred == labels[sel]))
+
+
 def relative_error(a, b) -> float:
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / denom)

@@ -16,7 +16,8 @@ from scipy.stats import spearmanr
 
 from gpcn.graph import (EdgeEdit, SyntheticSpec, apply_edits,
                         generate_synthetic, make_graph, normalize_adjacency)
-from gpcn.nn import ModelParams, cross_entropy_masked, init_params
+from gpcn.nn import (ModelParams, cross_entropy_masked, init_params,
+                     softmax_rows)
 from gpcn.bp import TrainConfig, gcn_backward, gcn_forward, predict, train_bp
 from gpcn.pc import (PCConfig, clamp_targets, compute_energy, inference_step,
                      pc_init_feedforward, pc_predictions, pc_weight_gradients,
@@ -244,13 +245,14 @@ def _attack_sweep(graph, kind, mode, budgets, train_fn, config_cls):
         config = config_cls(epochs=150, seed=seed)
 
         def train(g):
-            return train_fn(g, config)[0]
+            return train_fn(g, config)
 
-        params = train(graph)
-        victims = select_victims(graph, predict(graph, params),
-                                 "random_1000", seed)
+        trained = train(graph)
+        victims = select_victims(
+            graph, softmax_rows(trained[1].forward.logits), "random_1000",
+            seed)
         spec = AttackSpec(kind=kind, budgets=budgets, mode=mode, seed=seed)
-        per_seed.append(evaluate_attack(train, graph, params, victims, spec))
+        per_seed.append(evaluate_attack(train, graph, trained, victims, spec))
     means = np.array([[r.accuracy[q] for q in budgets] for r in per_seed])
     return means.mean(axis=0), per_seed
 

@@ -15,7 +15,7 @@ import gpcn.attacks
 from gpcn.graph import (EdgeEdit, Graph, SyntheticSpec, apply_edits,
                         generate_synthetic, make_graph, normalize_adjacency)
 from gpcn.nn import ModelParams, init_params, softmax_rows
-from gpcn.bp import gcn_forward, predict
+from gpcn.bp import TrainHistory, gcn_forward, predict
 from gpcn.calibration import classification_margins
 from gpcn.attacks import (AttackSpec, check_attack, evaluate_attack,
                           fga_attack, holistic_metric, random_global_poison,
@@ -30,9 +30,15 @@ from conftest import (adjacency, dense_adjacency, graphs_and_adj_equal,
                       reference_prefix_graph, reference_random_global_poison)
 
 
+def as_trained(graph, params):
+    """``params`` and a history whose ``forward`` is their forward pass on
+    ``graph``: what ``train_bp`` and ``train_pc`` return, without training."""
+    return params, TrainHistory(forward=gcn_forward(graph, params))
+
+
 class FixedParamsTrain:
-    """A ``train`` stub for ``evaluate_attack``: returns preset params and
-    records the graphs it is called on."""
+    """A ``train`` stub for ``evaluate_attack``: returns preset params as
+    ``as_trained`` does and records the graphs it is called on."""
 
     def __init__(self, params):
         self.params = params
@@ -44,7 +50,7 @@ class FixedParamsTrain:
 
     def __call__(self, graph):
         self.graphs.append(graph)
-        return self.params
+        return as_trained(graph, self.params)
 
 
 def trained_instance(seed, n=12):
@@ -255,7 +261,8 @@ class TestFgaAttack:
             spec = AttackSpec(kind=kind, budgets=(1,), mode="poisoning")
             with pytest.raises(ValueError,
                                match="feature attacks require binary"):
-                evaluate_attack(train, g, params, np.arange(3), spec)
+                evaluate_attack(train, g, as_trained(g, params),
+                                np.arange(3), spec)
             assert train.graphs == []
 
     def test_feature_attack_flips_binary_features(self, rng):
@@ -524,7 +531,8 @@ class TestAttackWalk:
         spec = AttackSpec(kind=kind, budgets=budgets, mode=mode,
                           influencer_count=1)
         train = FixedParamsTrain(params)
-        report = evaluate_attack(train, g, params, np.arange(8), spec)
+        report = evaluate_attack(train, g, as_trained(g, params),
+                                 np.arange(8), spec)
 
         per_victim = {v: attack(params, g, v, spec) for v in range(8)}
         lengths = [len(edits) for edits in per_victim.values()]
@@ -562,7 +570,8 @@ class TestEvaluateAttack:
         probs = predict(g, params)
         victims = select_victims(g, probs, "random_1000", 0)
         spec = AttackSpec(kind="random_global", budgets=(0,), mode="evasion")
-        report = evaluate_attack(train, g, params, victims, spec)
+        report = evaluate_attack(train, g, as_trained(g, params),
+                                 victims, spec)
         clean = np.mean([r.correct for r in report.margins_before])
         assert report.accuracy[0] == pytest.approx(clean)
 
@@ -575,13 +584,13 @@ class TestEvaluateAttack:
         ev = FixedParamsTrain(params)
         spec = AttackSpec(kind="random_global", budgets=(0.2, 0.5),
                           mode="evasion")
-        evaluate_attack(ev, g, params, victims, spec)
+        evaluate_attack(ev, g, as_trained(g, params), victims, spec)
         assert ev.train_calls == 0
 
         po = FixedParamsTrain(params)
         spec = AttackSpec(kind="random_global", budgets=(0.2, 0.5),
                           mode="poisoning")
-        evaluate_attack(po, g, params, victims, spec)
+        evaluate_attack(po, g, as_trained(g, params), victims, spec)
         assert po.train_calls == 2    # one per rate
 
     def test_rate_adding_no_edge_is_not_retrained(self):
@@ -594,7 +603,8 @@ class TestEvaluateAttack:
         rates = [0.0, 0.5 / g.num_edges, 0.5]
         spec = AttackSpec(kind="random_global", budgets=rates,
                           mode="poisoning")
-        report = evaluate_attack(train, g, params, victims, spec)
+        report = evaluate_attack(train, g, as_trained(g, params),
+                                 victims, spec)
         assert train.train_calls == 1
         assert report.margins_after[0.0] == report.margins_before
         assert report.margins_after[rates[1]] == report.margins_before
@@ -613,7 +623,8 @@ class TestEvaluateAttack:
         victims = select_victims(g, predict(g, params), "random_1000", 0)
         spec = AttackSpec(kind=kind, budgets=(1, 2, 3), mode=mode,
                           influencer_count=2)
-        report = evaluate_attack(train, g, params, victims, spec)
+        report = evaluate_attack(train, g, as_trained(g, params),
+                                 victims, spec)
         per_victim = {int(v): attack(params, g, int(v), spec)
                       for v in victims}
         assert any(len(e) > 1 for e in per_victim.values())
@@ -627,7 +638,8 @@ class TestEvaluateAttack:
         victims = select_victims(g, probs, "random_1000", 0)
         spec = AttackSpec(kind="fga_structure", budgets=(1, 2, 3),
                           mode="evasion")
-        report = evaluate_attack(train, g, params, victims, spec)
+        report = evaluate_attack(train, g, as_trained(g, params),
+                                 victims, spec)
         recomputed = sum(q * report.accuracy[q] for q in [1, 2, 3])
         assert report.holistic == recomputed
 
@@ -643,7 +655,8 @@ class TestEvaluateAttack:
         for kind, budgets in (("random_global", [0.5]),
                               ("fga_structure", [1, 2])):
             spec = AttackSpec(kind=kind, budgets=budgets, mode="evasion")
-            report = evaluate_attack(train, g, zero, victims, spec)
+            report = evaluate_attack(train, g, as_trained(g, zero),
+                                     victims, spec)
             for q in budgets:
                 assert report.accuracy[q] == pytest.approx(clean)
 
@@ -655,7 +668,8 @@ class TestEvaluateAttack:
         train = FixedParamsTrain(params)
         victims = select_victims(g, predict(g, params), "random_1000", 0)
         spec = AttackSpec(kind="fga_structure", budgets=(0,), mode=mode)
-        report = evaluate_attack(train, g, params, victims, spec)
+        report = evaluate_attack(train, g, as_trained(g, params),
+                                 victims, spec)
         assert report.margins_after == {0: report.margins_before}
         assert report.holistic == 0.0
         assert train.graphs == []
@@ -740,8 +754,8 @@ class TestCheckAttack:
 
         monkeypatch.setattr(gpcn.attacks, "_is_binary", counting_is_binary)
         spec = AttackSpec(kind="fga_both", budgets=(1, 2, 3), mode="evasion")
-        report = evaluate_attack(FixedParamsTrain(params), g, params,
-                                 np.arange(8), spec)
+        report = evaluate_attack(FixedParamsTrain(params), g,
+                                 as_trained(g, params), np.arange(8), spec)
         assert len(report.margins_after[3]) == 8
         assert len(scans) == 1
 

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpcn.bp
-from gpcn.graph import make_graph
+from gpcn.graph import SyntheticSpec, generate_synthetic, make_graph
 from gpcn.nn import ModelParams, adam_step, cross_entropy_masked, init_params
-from gpcn.bp import (TrainConfig, accuracy, fit, gcn_backward, gcn_forward,
-                     predict, train_bp)
+from gpcn.bp import (TrainConfig, fit, gcn_backward, gcn_forward, predict,
+                     train_bp)
+from gpcn.pc import PCConfig, train_pc
 
-from conftest import (central_difference, dense_adjacency, random_graph,
-                      reference_aggregate_first, reference_gcn_backward,
-                      relative_error)
+from conftest import (accuracy, central_difference, dense_adjacency,
+                      random_graph, reference_aggregate_first,
+                      reference_gcn_backward, relative_error)
 
 
 def permute_graph(g, perm):
@@ -229,3 +230,42 @@ class TestFitAccuracies:
                              ("test", history.test_acc[i])):
                 want = accuracy(z, g.labels, g.mask(tag))
                 assert np.array_equal(got, want, equal_nan=True), tag
+
+
+def cache_arrays(cache):
+    """The arrays of a ``ForwardCache``, in a fixed order; None for the
+    first layer's aggregate."""
+    return [cache.xw, *cache.agg, *cache.pre, *cache.act]
+
+
+KEPT_FORWARD_CASES = [
+    pytest.param(train_bp, TrainConfig, {}, id="gcn"),
+    *(pytest.param(train_pc, PCConfig,
+                   {"mode": mode, "weight_update_timing": timing,
+                    "inference_steps": 4}, id=f"gpcn-{mode}-{timing}")
+      for mode in ("inter_layer", "intra_layer")
+      for timing in ("end_of_T", "every_step")),
+]
+
+
+class TestKeptForwardPass:
+    @pytest.mark.parametrize("train_fn, config_cls, extra",
+                             KEPT_FORWARD_CASES)
+    def test_is_forward_pass_of_returned_params(self, train_fn, config_cls,
+                                                extra):
+        """``history.forward`` is, bit for bit, the forward pass of the
+        returned params on the training graph. At this seed every case
+        selects an epoch before the last, so the kept pass came through
+        the later epochs, which read it as their ``cache``."""
+        spec = SyntheticSpec(2, 20, 0.3, 0.05, 6, 1.0, (0.3, 0.3, 0.4))
+        g = generate_synthetic(spec, 3)
+        params, history = train_fn(g, config_cls(epochs=20, seed=3,
+                                                 weight_lr=0.05, **extra))
+        assert history.selected_epoch < 19
+        got = cache_arrays(history.forward)
+        want = cache_arrays(gcn_forward(g, params))
+        assert len(got) == len(want) and got[1] is want[1] is None
+        for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+

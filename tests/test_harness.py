@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,13 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpcn.attacks
+import gpcn.bp
 from gpcn.graph import (largest_connected_component, load_dataset,
                         normalize_adjacency, save_dataset)
 from gpcn.bp import train_bp
 from gpcn.pc import train_pc
 from gpcn.calibration import expected_calibration_error
 from gpcn.harness import ExperimentConfig, load_checkpoint
-from gpcn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
+from gpcn.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, MAX_BUDGET,
+                      main)
 
 SBM_SPEC = {"num_blocks": 2, "nodes_per_block": 30,
             "intra_block_edge_prob": 0.2, "inter_block_edge_prob": 0.02,
@@ -369,6 +373,87 @@ class TestCalibrateCommand:
         assert not out.exists()
 
 
+class TestOneForwardPassPerModel:
+    """A command forms each trained model's prediction on the graph it was
+    trained on once: ``fit`` runs E + 1 forward passes (the initial
+    weights', then one per epoch) and hands the selected epoch's on. Only
+    an attack walk's steps, on graphs the weights were not trained on,
+    add passes."""
+
+    EPOCHS = 3
+
+    def run(self, tmp_path, monkeypatch, argv, **overrides):
+        """Run ``argv`` on a fresh config; returns the gcn_forward calls,
+        the models trained, and the attack walk steps taken."""
+        counts = {"forwards": 0, "models": 0, "steps": 0}
+        forward = gpcn.bp.gcn_forward
+
+        def counting_forward(*args, **kwargs):
+            counts["forwards"] += 1
+            return forward(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("gpcn.")
+                    and getattr(module, "gcn_forward", None) is forward):
+                monkeypatch.setattr(module, "gcn_forward", counting_forward)
+
+        def counting(train_fn):
+            def wrapper(graph, config):
+                counts["models"] += 1
+                return train_fn(graph, config)
+            return wrapper
+
+        monkeypatch.setattr("gpcn.harness.train_bp", counting(train_bp))
+        monkeypatch.setattr("gpcn.harness.train_pc", counting(train_pc))
+        walk = gpcn.attacks.fga_attack
+
+        def counting_walk(*args):
+            steps = walk(*args)
+            counts["steps"] += len(steps)
+            return steps
+
+        monkeypatch.setattr(gpcn.attacks, "fga_attack", counting_walk)
+        cfg = write_config(tmp_path, epochs=self.EPOCHS,
+                           pc={"inference_steps": 2}, **overrides)
+        assert main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "o")]) == 0
+        return counts["forwards"], counts["models"], counts["steps"]
+
+    def test_train(self, tmp_path, monkeypatch):
+        got = self.run(tmp_path, monkeypatch, ["train"], seeds=[0, 1])
+        assert got == (2 * (self.EPOCHS + 1), 2, 0)
+
+    def test_energy_study(self, tmp_path, monkeypatch):
+        got = self.run(tmp_path, monkeypatch,
+                       ["energy-study", "--t-grid", "2,3"], model="gpcn",
+                       seeds=[0])
+        assert got == (2 * (self.EPOCHS + 1), 2, 0)
+
+    def test_fga_evasion(self, tmp_path, monkeypatch):
+        forwards, models, steps = self.run(
+            tmp_path, monkeypatch,
+            ["attack", "--kind", "fga_structure", "--mode", "evasion",
+             "--budget", "2"], seeds=[0])
+        assert models == 1 and steps > 0
+        assert forwards == self.EPOCHS + 1 + steps
+
+    def test_fga_poisoning(self, tmp_path, monkeypatch):
+        forwards, models, steps = self.run(
+            tmp_path, monkeypatch,
+            ["attack", "--kind", "fga_structure", "--mode", "poisoning",
+             "--budget", "2"], seeds=[0])
+        assert models > 1 and steps > 0
+        assert forwards == models * (self.EPOCHS + 1) + steps
+
+    def test_random_global_poisoning(self, tmp_path, monkeypatch):
+        got = self.run(tmp_path, monkeypatch,
+                       ["attack", "--kind", "random_global", "--mode",
+                        "poisoning", "--ptb-rate", "0.0,0.1,0.2"],
+                       seeds=[0])
+        # the clean model and one per rate that adds edges
+        assert got == (3 * (self.EPOCHS + 1), 3, 0)
+
+
 class TestAttackCommand:
     def test_random_global_rate_zero_matches_clean(self, tmp_path):
         cfg = write_config(tmp_path, epochs=15, seeds=[0])
@@ -669,6 +754,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --budget must be >= 1, got 0")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("budget, named", [
+        (MAX_BUDGET + 1, f"--budget must be <= {MAX_BUDGET}, got "
+                         f"{MAX_BUDGET + 1}"),
+        (MAX_BUDGET, "missing.json: cannot read")],
+        ids=["above", "at"])
+    def test_budget_cap_checked_before_the_config_is_read(
+            self, tmp_path, capsys, budget, named):
+        """A --budget past ``MAX_BUDGET`` exits 1 before the config, here
+        a missing file, is read, and makes no output directory; the cap
+        itself passes on to the config."""
+        out = tmp_path / "o"
+        assert main(["attack", "--config", str(tmp_path / "missing.json"),
+                     "--kind", "fga_structure", "--mode", "evasion",
+                     "--budget", str(budget), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind, flags, named", [
         ("random_global", ["--ptb-rate", "inf"], "inf"),

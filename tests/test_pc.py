@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 import gpcn.pc
 from gpcn.graph import make_graph, propagate
 from gpcn.nn import AdamState, ModelParams, adam_step, init_params
-from gpcn.bp import accuracy, gcn_forward, predict
+from gpcn.bp import gcn_forward, predict
 from gpcn.pc import (MAX_HALVINGS, PCConfig, PCState, clamp_targets,
                      compute_energy, inference_step, pc_init_feedforward,
                      pc_predictions, pc_weight_gradients, train_pc)
 
-from conftest import (feedforward_state, random_graph,
+from conftest import (accuracy, feedforward_state, random_graph,
                       reference_effective_eps,
                       reference_energy, reference_inference_step,
                       reference_pc_predictions,
